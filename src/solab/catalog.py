@@ -218,7 +218,6 @@ def veronese_surface(lam: float = 1.0):
         compact=True,
         constant_radius=s,
         total_volume=6.0 * math.pi * s**2,  # half of area(S^2(sqrt 3)), ambient scale s
-        chart_cover=2,
         notes=(
             "standard degree-2 harmonic chart assumed (antipodal double cover); only the image surface is canonical",
         ),

@@ -15,34 +15,16 @@ import os
 import sys
 
 from .errors import (
-    ChartValidationError,
-    ConfigError,
-    ExpressionError,
-    InvalidParams,
-    SolabError,
-    UnknownCatalogEntry,
-)
-from .report import (
-    EXIT_CHECK_FAILED,
+    CONFIG_ERRORS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
-    FULL_CHECKS,
-    NUMERICAL_FAILURES,
-    RunConfig,
-    catalog_report,
-    json_dumps,
-    run,
-)
-
-_CONFIG_ERRORS = (
     ConfigError,
+    SolabError,
     UnknownCatalogEntry,
-    InvalidParams,
-    ChartValidationError,
-    ExpressionError,
-    FileNotFoundError,
+    exit_code_of,
 )
+from .report import FULL_CHECKS, RunConfig, catalog_report, json_dumps, run, validate_checks
 
 _CATALOG_FLAG_KEYS = {
     "n": "n",
@@ -56,18 +38,6 @@ _CATALOG_FLAG_KEYS = {
     "delta": "delta",
     "s_extent": "s_extent",
     "t_extent": "t_extent",
-}
-
-_CHECK_OF_COMMAND = {
-    "check-soliton": "soliton-residual",
-    "flow-residual": "flow-residual",
-    "weighted-volume": "weighted-volume",
-    "psi": "psi",
-    "parabolicity-integral": "parabolicity-integral",
-    "capacity": "capacity",
-    "exit-time": "exit-time",
-    "isoperimetric": "isoperimetric",
-    "separation": "separation",
 }
 
 
@@ -228,13 +198,11 @@ def _config_from_args(args) -> RunConfig:
     if sol is not None:
         cfg.soliton = sol
     if args.command != "report":
-        cfg.checks = [_CHECK_OF_COMMAND[args.command]]
+        cfg.checks = ["soliton-residual" if args.command == "check-soliton" else args.command]
     else:
         if getattr(args, "checks", None):
             cfg.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-            unknown = set(cfg.checks) - set(FULL_CHECKS)
-            if unknown:
-                raise ConfigError(f"unknown checks: {sorted(unknown)}")
+            validate_checks(cfg.checks)
         elif not cfg.checks or getattr(args, "full", False):
             cfg.checks = list(FULL_CHECKS)
     if args.seed is not None:
@@ -346,15 +314,14 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except _CONFIG_ERRORS as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NUMERICAL_FAILURES as err:
-        print(f"numerical failure: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except SolabError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    except (SolabError, *CONFIG_ERRORS) as err:
+        code = exit_code_of(err)
+        if code == EXIT_CONFIG:
+            print(f"configuration error: {err}", file=sys.stderr)
+        else:
+            label = "numerical failure" if code == EXIT_NUMERICAL else "error"
+            print(f"{label}: {type(err).__name__}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

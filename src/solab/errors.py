@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every solab subsystem.
+"""Exception hierarchy shared by every solab subsystem, and its exit codes.
 
 Errors carry enough context (byte positions, parameter points, radii) to be
 reported verbatim by the CLI.  Configuration problems and numerical failures
@@ -156,3 +156,38 @@ class NonProportional(SolabError):
 
 class ConfigError(SolabError):
     pass
+
+
+# --- exit codes ---------------------------------------------------------------
+
+EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
+
+# Inside a check these become an ERROR record; any other solab error, a FAIL.
+NUMERICAL_FAILURES = (
+    SolverDivergence,
+    TruncationFailure,
+    MeshFailure,
+    PsiUnderflow,
+    DisconnectedRegion,
+    NonRegularLevel,
+    RankDeficient,
+)
+
+CONFIG_ERRORS = (
+    ConfigError,
+    UnknownCatalogEntry,
+    InvalidParams,
+    ChartValidationError,
+    ExpressionError,
+    DomainError,  # a chart that leaves its domain inside its box
+    FileNotFoundError,
+)
+
+
+def exit_code_of(err: Exception) -> int:
+    """Exit code for an error raised before any check could record it."""
+    if isinstance(err, CONFIG_ERRORS):
+        return EXIT_CONFIG
+    if isinstance(err, NUMERICAL_FAILURES):
+        return EXIT_NUMERICAL
+    return EXIT_CHECK_FAILED

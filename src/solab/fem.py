@@ -475,7 +475,7 @@ class DirichletSolution:
     values: np.ndarray
     energy: float
     residual: float
-    iterations_capped: int
+    iterations: int  # CG iterations used
     mesh: Mesh
 
 
@@ -511,7 +511,13 @@ def solve_dirichlet(mesh: Mesh, K, rhs, bc_values: dict) -> DirichletSolution:
     diag[diag <= 0] = 1.0
     precond = sparse.diags(1.0 / diag)
     cap = int(50 * math.sqrt(V)) + 10
-    x, info = _cg(Kff, b, M=precond, rtol=1e-10, maxiter=cap)
+    iterations = 0
+
+    def count(_xk):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = cg(Kff, b, M=precond, rtol=1e-10, maxiter=cap, callback=count)
     if info > 0:
         raise SolverDivergence(
             f"conjugate gradients missed 1e-10 within {cap} iterations"
@@ -519,14 +525,7 @@ def solve_dirichlet(mesh: Mesh, K, rhs, bc_values: dict) -> DirichletSolution:
     u[free] = x
     res = float(np.linalg.norm(Kff @ x - b) / max(np.linalg.norm(b), 1e-300))
     energy = float(u @ (K @ u))
-    return DirichletSolution(u[mesh.dof_map], energy, res, cap, mesh)
-
-
-def _cg(A, b, M, rtol, maxiter):
-    try:
-        return cg(A, b, M=M, rtol=rtol, maxiter=maxiter)
-    except TypeError:  # older scipy spells it tol
-        return cg(A, b, M=M, tol=rtol, maxiter=maxiter)
+    return DirichletSolution(u[mesh.dof_map], energy, res, iterations, mesh)
 
 
 # --- capacity ---------------------------------------------------------------------
@@ -563,9 +562,12 @@ def capacity(imm: Immersion, rho: float, R: float, h: float = 0.05) -> CapacityR
 
 
 def _boundary_gradient_integral(mesh: Mesh, u, tag):
-    """Integral of |grad u| along the tagged boundary (per-triangle gradients)."""
-    if mesh.vertices.shape[1] != 2:
-        raise DimensionUnsupported("boundary gradient integral needs a surface mesh")
+    """Integral of |grad u| along the tagged boundary (per-simplex gradients)."""
+    if mesh.vertices.shape[1] == 1:  # the boundary is a set of points
+        segs, t = mesh.simplices, mesh.vertices[:, 0]
+        touch = np.isin(segs, mesh.tags.get(tag, ())).any(axis=1)
+        slope = np.abs(u[segs[:, 1]] - u[segs[:, 0]]) / np.abs(t[segs[:, 1]] - t[segs[:, 0]])
+        return float(math.fsum((slope / mesh.sqrt_det)[touch]))
     tris, verts = mesh.simplices, mesh.vertices
     edge_count = {}
     edge_tri = {}

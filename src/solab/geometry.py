@@ -77,7 +77,6 @@ class Immersion:
     constant_radius: float | None = None  # set when r is constant on the image
     total_volume: float | None = None
     radial: RadialStructure | None = None
-    chart_cover: int = 1  # how many times the chart covers the image
     notes: tuple[str, ...] = field(default=(), compare=False)
 
     @property

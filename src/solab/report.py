@@ -8,42 +8,29 @@ fields, which consumers are expected to ignore when diffing.
 
 from __future__ import annotations
 
+import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
+from . import fem, inequalities, quadrature, solitons
 from .catalog import catalog, catalog_rows
 from .charts import load_chart
 from .errors import (
+    EXIT_CHECK_FAILED,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    NUMERICAL_FAILURES,
     ConfigError,
-    DisconnectedRegion,
-    MeshFailure,
-    NonRegularLevel,
-    PsiUnderflow,
-    RankDeficient,
     SolabError,
-    SolverDivergence,
-    TruncationFailure,
-    VanishingMeanCurvature,
 )
-from .geometry import Immersion
-from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED
+from .geometry import Immersion, radius_values
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_box
 
 SCHEMA_VERSION = 1
-
-NUMERICAL_FAILURES = (
-    SolverDivergence,
-    TruncationFailure,
-    MeshFailure,
-    PsiUnderflow,
-    DisconnectedRegion,
-    NonRegularLevel,
-    RankDeficient,
-)
-
-EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
 
 
 # --- deterministic JSON -------------------------------------------------------
@@ -65,9 +52,7 @@ def json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -89,42 +74,8 @@ def json_dumps(obj, indent: int = 0) -> str:
 
 # --- configuration --------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "immersion",
-    "soliton",
-    "checks",
-    "seed",
-    "tol",
-    "samples",
-    "radius",
-    "radii",
-    "h",
-    "rho",
-    "times",
-    "r0",
-    "rmax",
-    "out",
-    "format",
-}
 _IMMERSION_KEYS = {"catalog", "params", "chart"}
 _SOLITON_KEYS = {"kind", "constant"}
-
-FULL_CHECKS = [
-    "soliton-residual",
-    "flow-residual",
-    "wmp-probe",
-    "separation",
-    "second-form",
-    "rimoldi",
-    "weighted-volume",
-    "psi",
-    "parabolicity-integral",
-    "flux-identity",
-    "capacity",
-    "exit-time",
-    "isoperimetric",
-    "volume-growth",
-]
 
 
 @dataclass
@@ -163,6 +114,7 @@ class RunConfig:
         for key in _CONFIG_KEYS - {"immersion", "soliton"}:
             if key in data and data[key] is not None:
                 setattr(cfg, key, data[key])
+        validate_checks(cfg.checks)
         cfg.seed = int(cfg.seed)
         cfg.samples = int(cfg.samples)
         if cfg.radii is not None:
@@ -174,10 +126,12 @@ class RunConfig:
         return cfg
 
     def echo(self) -> dict:
-        out = {"immersion": self.immersion, "soliton": self.soliton, "checks": list(self.checks)}
-        for key in ("seed", "tol", "samples", "radius", "radii", "h", "rho", "times", "r0", "rmax", "format"):
-            out[key] = getattr(self, key)
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+        out["checks"] = list(self.checks)
         return out
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def build_immersion(cfg: RunConfig):
@@ -195,52 +149,33 @@ def _immersion_from_chart(chart, name):
     the non-periodic box faces (a ball escapes the box only through them);
     an all-periodic chart is compact, and a constant sampled radius marks a
     spherical image."""
-    import math as _math
-
-    import numpy as np
-
-    from .geometry import Immersion as _I
-    from .geometry import radius_values
-    from .sampling import sample_box
-
-    faces_min = _math.inf
+    probe = Immersion(chart, properness_radius=math.inf, name=name)
+    faces_min = math.inf
     for axis, p in enumerate(chart.params):
         if p.periodic:
             continue
         for bound in (p.min, p.max):
             pts = sample_box(chart, 256, 41 + axis)
             pts[:, axis] = bound
-            faces_min = min(faces_min, float(radius_values_on(chart, pts).min()))
-    interior = radius_values_on(chart, sample_box(chart, 512, 43))
-    compact = _math.isinf(faces_min)
+            faces_min = min(faces_min, float(radius_values(probe, pts).min()))
+    interior = radius_values(probe, sample_box(chart, 512, 43))
+    compact = math.isinf(faces_min)
     constant_radius = None
     total_volume = None
     if float(np.ptp(interior)) < 1e-9 * max(1.0, float(interior.max())):
         constant_radius = float(interior.mean())
         if chart.dim <= 3:  # chart-box volume backs the constant-radius route
-            from .quadrature import ExtrinsicRegion, region_integral
-
-            probe = _I(chart, properness_radius=_math.inf, name=name)
-            total_volume = region_integral(
-                probe, ExtrinsicRegion(probe, 0.0, _math.inf), method="pencil"
+            total_volume = quadrature.region_integral(
+                probe, quadrature.ExtrinsicRegion(probe, 0.0, math.inf), method="pencil"
             ).value
-    return _I(
+    return Immersion(
         chart,
-        properness_radius=faces_min if not compact else _math.inf,
+        properness_radius=faces_min if not compact else math.inf,
         name=name,
         compact=compact,
         constant_radius=constant_radius,
         total_volume=total_volume,
     )
-
-
-def radius_values_on(chart, pts):
-    from .geometry import evaluate_chart
-
-    import numpy as np
-
-    _, X, _, _ = evaluate_chart(chart, pts, order=0)
-    return np.linalg.norm(X, axis=1)
 
 
 # --- running checks ----------------------------------------------------------------
@@ -256,30 +191,25 @@ class CheckResult:
 
 
 def _spec_from_config(cfg: RunConfig, imm: Immersion, entry):
-    from .solitons import SolitonSpec, infer_constant
-
     sol = cfg.soliton
     if sol is None and entry is not None:
         lam = entry.constants.get("lam")
         if lam is not None and (lam != 0.0 or entry.name == "plane"):
-            return SolitonSpec("mcf", lam), "catalog constant"
+            return solitons.SolitonSpec("mcf", lam), "catalog constant"
     if sol is None:
-        fit = infer_constant(imm, "mcf", count=cfg.samples, seed=cfg.seed)
-        return SolitonSpec("mcf", fit.constant), "inferred"
+        fit = solitons.infer_constant(imm, "mcf", count=cfg.samples, seed=cfg.seed)
+        return solitons.SolitonSpec("mcf", fit.constant), "inferred"
     constant = sol.get("constant")
     kind = sol.get("kind", "mcf")
     if constant in (None, "infer"):
-        fit = infer_constant(imm, kind, count=cfg.samples, seed=cfg.seed)
-        return SolitonSpec(kind, fit.constant), "inferred"
-    return SolitonSpec(kind, float(constant)), "given"
+        fit = solitons.infer_constant(imm, kind, count=cfg.samples, seed=cfg.seed)
+        return solitons.SolitonSpec(kind, fit.constant), "inferred"
+    return solitons.SolitonSpec(kind, float(constant)), "given"
 
 
 def _default_rho(imm: Immersion, R: float, cfg: RunConfig) -> float:
     """Inner capacity radius: halfway between the smallest attainable radius
     and R, which keeps clear of the waist where the level flux degenerates."""
-    from .geometry import radius_values
-    from .sampling import sample_box
-
     r_min = float(radius_values(imm, sample_box(imm.chart, 512, cfg.seed)).min())
     return r_min + 0.5 * (R - r_min)
 
@@ -303,274 +233,6 @@ def _default_radii(imm: Immersion, cfg: RunConfig):
     return [lo + i * (R - lo) / 3.0 for i in range(4)]
 
 
-def run_check(name: str, cfg: RunConfig, imm: Immersion, entry, spec) -> CheckResult:
-    from . import fem, inequalities, quadrature, solitons
-
-    t0 = time.perf_counter()
-    details: dict = {}
-    status = "PASS"
-    tol = cfg.tol
-    artifacts: dict = {}
-
-    def clock():
-        return time.perf_counter() - t0
-
-    try:
-        if name == "soliton-residual":
-            fn = solitons.mcf_residual if spec.kind == "mcf" else solitons.imcf_residual
-            rep = fn(
-                imm, spec.constant, count=cfg.samples, seed=cfg.seed,
-                tol=tol if tol else 1e-8,
-            )
-            details = {
-                "kind": rep.kind, "constant": rep.constant, "sup": rep.sup,
-                "mean": rep.mean, "samples": rep.sample_count, "tol": rep.tol,
-            }
-            status = rep.verdict
-        elif name == "flow-residual":
-            times = cfg.times or _flow_times(spec)
-            rep = solitons.homothety_flow_residual(
-                imm, spec, times, count=cfg.samples, seed=cfg.seed,
-                tol=tol if tol else 1e-8,
-            )
-            details = {
-                "times": rep.times, "sup_by_time": rep.sup_by_time, "sup": rep.sup,
-                "scaling_consistency": rep.scaling_consistency, "tol": rep.tol,
-            }
-            status = rep.verdict
-        elif name == "wmp-probe":
-            probe = solitons.wmp_probe(imm, spec, count=cfg.samples, seed=cfg.seed)
-            details = {
-                "eps": probe.eps, "sup_u": probe.sup_u, "u_constant": probe.u_constant,
-                "near_count": probe.near_count,
-                "lap_u": [probe.lap_u_min, probe.lap_u_max],
-                "lap_v": [probe.lap_v_min, probe.lap_v_max],
-                "bound_lhs": probe.bound_lhs, "bound_rhs": probe.bound_rhs,
-                "verdict": probe.verdict, "notes": list(probe.notes),
-            }
-            status = "FAIL" if probe.verdict == "INCONSISTENT" else "PASS"
-        elif name == "separation":
-            if spec.kind != "mcf" or spec.constant <= 0:
-                return CheckResult(name, "SKIPPED", {"why": "needs a shrinker"}, clock())
-            rep = inequalities.separation_check(
-                imm, spec.constant, count=cfg.samples, seed=cfg.seed
-            )
-            details = {
-                "critical_radius": rep.critical_radius, "verdict": rep.verdict,
-                "count_inside": rep.count_inside, "count_outside": rep.count_outside,
-                "min_r": rep.min_r, "max_r": rep.max_r,
-                "minimal_in_sphere_defect": rep.minimal_in_sphere_defect,
-                "radius_defect": rep.radius_defect, "notes": list(rep.notes),
-            }
-            ok = rep.verdict in ("SEPARATED", "ON-SPHERE")
-            status = "PASS" if ok else "FAIL"
-        elif name == "second-form":
-            if spec.kind != "mcf" or spec.constant <= 0:
-                return CheckResult(name, "SKIPPED", {"why": "needs a shrinker"}, clock())
-            rep = inequalities.second_form_threshold(
-                imm, spec.constant, count=cfg.samples, seed=cfg.seed
-            )
-            details = {
-                "max_ratio": rep.max_ratio, "landmarks": rep.landmarks,
-                "rescale_margin": rep.rescale_margin, "spherical": rep.spherical,
-                "notes": list(rep.notes),
-            }
-            status = rep.verdict
-        elif name == "rimoldi":
-            if spec.kind != "mcf":
-                return CheckResult(name, "SKIPPED", {"why": "direct flow only"}, clock())
-            rep = inequalities.rimoldi_criterion(
-                imm, spec.constant, count=cfg.samples, seed=cfg.seed
-            )
-            details = {
-                "r_cut": rep.r_cut, "far_count": rep.far_count,
-                "min_normH_far": rep.min_normH_far, "threshold": rep.threshold,
-                "max_lap_r2_far": rep.max_lap_r2_far, "verdict": rep.verdict,
-            }
-            status = "PASS"  # the criterion is a diagnostic
-        elif name == "weighted-volume":
-            if spec.kind != "mcf" or spec.constant <= 0:
-                return CheckResult(name, "SKIPPED", {"why": "needs a shrinker"}, clock())
-            check = quadrature.weighted_identity_check(
-                imm, spec.constant, tol=tol if tol else 1e-3
-            )
-            details = {
-                "lhs": check.lhs, "rhs": check.rhs, "margin": check.margin,
-                "tol": check.tol,
-            }
-            status = check.verdict
-        elif name == "psi":
-            if spec.kind != "mcf" or spec.constant <= 0 or imm.constant_radius is not None:
-                return CheckResult(
-                    name, "SKIPPED", {"why": "needs a non-spherical shrinker"}, clock()
-                )
-            radii = _default_radii(imm, cfg)
-            curve = quadrature.psi(imm, spec.constant, radii)
-            details = {
-                "radii": list(curve.radii), "values": list(curve.values),
-                "errors": list(curve.errors), "tails": list(curve.tails),
-            }
-            if curve.closed_form is not None:
-                details["closed_form"] = list(curve.closed_form)
-            monotone = all(
-                b <= a + 1e-12 for a, b in zip(curve.values, curve.values[1:])
-            )
-            status = "PASS" if monotone else "FAIL"
-            artifacts["psi.csv"] = lambda path, c=curve: _write_psi_csv(c, path)
-        elif name == "parabolicity-integral":
-            if spec.kind != "mcf" or spec.constant <= 0 or imm.constant_radius is not None:
-                return CheckResult(
-                    name, "SKIPPED", {"why": "needs a non-spherical shrinker"}, clock()
-                )
-            r0 = cfg.r0 if cfg.r0 is not None else 1.5
-            rmax = cfg.rmax if cfg.rmax is not None else 0.7 * imm.properness_radius
-            rep = quadrature.parabolicity_integral(imm, spec.constant, r0, rmax)
-            details = {
-                "value": rep.value, "trend": rep.trend, "log_slope": rep.log_slope,
-                "notes": list(rep.notes),
-            }
-            status = "PASS"  # trend classification is diagnostic
-        elif name == "flux-identity":
-            if spec.kind != "mcf" or spec.constant <= 0:
-                return CheckResult(name, "SKIPPED", {"why": "needs a shrinker"}, clock())
-            R = _default_radius(imm, cfg)
-            rep = quadrature.flux_identity_check(
-                imm, spec.constant, R, tol=tol if tol else 1e-3
-            )
-            details = {
-                "R": rep.R, "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
-                "factor_lhs": rep.factor_lhs, "factor_rhs": rep.factor_rhs,
-                "factor_margin": rep.factor_margin,
-                "rhs_nonnegative": rep.rhs_nonnegative, "tol": rep.tol,
-            }
-            status = rep.verdict
-        elif name == "capacity":
-            if imm.dim > 2 or imm.constant_radius is not None:
-                return CheckResult(
-                    name, "SKIPPED",
-                    {"why": "needs a non-spherical curve or surface"}, clock(),
-                )
-            R = _default_radius(imm, cfg)
-            rho = cfg.rho if cfg.rho is not None else _default_rho(imm, R, cfg)
-            cap = fem.capacity(imm, rho, R, h=cfg.h)
-            bound = fem.capacity_upper_bound(imm, rho, R)
-            details = {
-                "rho": rho, "R": R, "cap": cap.cap,
-                "boundary_flux_form": cap.boundary_flux_form,
-                "upper_bound": bound.bound,
-                "solver_residual": cap.solution.residual,
-                "notes": list(cap.solution.mesh.notes),
-            }
-            status = "PASS" if cap.cap <= bound.bound * 1.05 else "FAIL"
-            artifacts["capacity_potential.csv"] = (
-                lambda path, sol=cap.solution: fem.export_solution_csv(sol, path)
-            )
-            artifacts["capacity_mesh.off"] = (
-                lambda path, mesh=cap.solution.mesh: fem.export_off(mesh, path)
-            )
-        elif name == "exit-time":
-            if imm.dim > 2 or imm.constant_radius is not None:
-                return CheckResult(
-                    name, "SKIPPED",
-                    {"why": "needs a non-spherical curve or surface"}, clock(),
-                )
-            R = _default_radius(imm, cfg)
-            field_ = fem.solve_exit_time(imm, R, h=cfg.h)
-            rep = fem.exit_time_comparison(imm, spec, R, h=cfg.h, field_=field_)
-            details = {
-                "R": rep.R, "kind": rep.kind, "min_margin": rep.min_margin,
-                "ratio_target": rep.ratio_target, "ratio_max_dev": rep.ratio_max_dev,
-                "interior_count": rep.interior_count, "notes": list(rep.notes),
-            }
-            status = rep.verdict
-            artifacts["exit_time.csv"] = (
-                lambda path, f=field_: fem.export_solution_csv(f, path)
-            )
-            artifacts["exit_time_mesh.off"] = (
-                lambda path, f=field_: fem.export_off(f.mesh, path)
-            )
-        elif name == "isoperimetric":
-            radii = _default_radii(imm, cfg)
-            if spec.kind == "mcf":
-                if spec.constant <= 0:
-                    return CheckResult(name, "SKIPPED", {"why": "needs a shrinker"}, clock())
-                margins = inequalities.isoperimetric_mcf(imm, spec.constant, radii, seed=cfg.seed)
-            else:
-                margins = inequalities.isoperimetric_imcf(imm, spec.constant, radii, seed=cfg.seed)
-            details = {
-                "margins": [
-                    {
-                        "name": m.name, "lhs": m.lhs, "rhs": m.rhs,
-                        "margin": m.margin, "tol": m.tol, "verdict": m.verdict,
-                    }
-                    for m in margins
-                ]
-            }
-            bad = [m for m in margins if m.verdict == "FAIL"]
-            effective = [m for m in margins if m.verdict != "SKIPPED"]
-            status = "FAIL" if bad else ("PASS" if effective else "SKIPPED")
-            artifacts["isoperimetric.csv"] = (
-                lambda path, ms=margins: _write_margins_csv(ms, path)
-            )
-        elif name == "volume-growth":
-            c = entry.constants.get("imcf_c") if entry else None
-            if spec.kind == "imcf":
-                c = spec.constant
-            if c is None or imm.constant_radius is not None and c != 1.0 / imm.dim:
-                return CheckResult(
-                    name, "SKIPPED", {"why": "no inverse-flow constant available"}, clock()
-                )
-            radii = _default_radii(imm, cfg)
-            rep = inequalities.volume_growth_monotonicity(imm, c, radii, seed=cfg.seed)
-            details = {
-                "constant": c, "grid": list(rep.grid), "values": list(rep.values),
-            }
-            status = rep.verdict
-            artifacts["volume_growth.csv"] = (
-                lambda path, r=rep: _write_trend_csv(r, path)
-            )
-        else:
-            raise ConfigError(f"unknown check {name!r}")
-    except VanishingMeanCurvature as err:
-        return CheckResult(name, "FAIL", {"error": "VanishingMeanCurvature", "detail": str(err)}, clock())
-    except NUMERICAL_FAILURES as err:
-        return CheckResult(
-            name, "ERROR", {"error": type(err).__name__, "detail": str(err)}, clock()
-        )
-    return CheckResult(name, status, details, clock(), artifacts)
-
-
-def _write_psi_csv(curve, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        header = "R,value,error,tail"
-        closed = curve.closed_form
-        if closed is not None:
-            header += ",closed_form"
-        fh.write(header + "\n")
-        for i, R in enumerate(curve.radii):
-            row = [R, curve.values[i], curve.errors[i], curve.tails[i]]
-            if closed is not None:
-                row.append(closed[i])
-            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
-
-
-def _write_trend_csv(rep, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(rep.grid, rep.values):
-            fh.write(f"{float(t):.17g},{float(v):.17g}\n")
-
-
-def _write_margins_csv(margins, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("name,lhs,rhs,margin,tol,verdict\n")
-        for m in margins:
-            fh.write(
-                f"{m.name},{m.lhs:.17g},{m.rhs:.17g},{m.margin:.17g},"
-                f"{m.tol:.17g},{m.verdict}\n"
-            )
-
-
 def _flow_times(spec):
     if spec.kind == "mcf" and spec.constant > 0:
         horizon = 1.0 / (2.0 * spec.constant)
@@ -578,37 +240,271 @@ def _flow_times(spec):
     return [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
+def _pick(rep, *names) -> dict:
+    return {name: getattr(rep, name) for name in names}
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (x if isinstance(x, str) else format(float(x), ".17g") for x in row)
+            fh.write(",".join(cells) + "\n")
+
+
+def _inverse_constant(imm, entry, spec):
+    """The inverse-flow constant volume growth runs with, or None."""
+    c = spec.constant if spec.kind == "imcf" else (entry.constants.get("imcf_c") if entry else None)
+    if c is None or imm.constant_radius is not None and c != 1.0 / imm.dim:
+        return None
+    return c
+
+
+def _needs_shrinker(cfg, imm, entry, spec):
+    if spec.kind != "mcf" or spec.constant <= 0:
+        return "needs a shrinker"
+
+
+def _needs_nonspherical_shrinker(cfg, imm, entry, spec):
+    if spec.kind != "mcf" or spec.constant <= 0 or imm.constant_radius is not None:
+        return "needs a non-spherical shrinker"
+
+
+def _needs_curve_or_surface(cfg, imm, entry, spec):
+    if imm.dim > 2 or imm.constant_radius is not None:
+        return "needs a non-spherical curve or surface"
+
+
+def _needs_direct_flow(cfg, imm, entry, spec):
+    if spec.kind != "mcf":
+        return "direct flow only"
+
+
+def _needs_inverse_constant(cfg, imm, entry, spec):
+    if _inverse_constant(imm, entry, spec) is None:
+        return "no inverse-flow constant available"
+
+
+def _needs_shrinker_if_direct(cfg, imm, entry, spec):
+    if spec.kind == "mcf":
+        return _needs_shrinker(cfg, imm, entry, spec)
+
+
+def _soliton_residual(cfg, imm, entry, spec):
+    fn = solitons.mcf_residual if spec.kind == "mcf" else solitons.imcf_residual
+    rep = fn(imm, spec.constant, count=cfg.samples, seed=cfg.seed, tol=cfg.tol or 1e-8)
+    details = _pick(rep, "kind", "constant", "sup", "mean")
+    details.update(samples=rep.sample_count, tol=rep.tol)
+    return rep.verdict, details, {}
+
+
+def _flow_residual(cfg, imm, entry, spec):
+    rep = solitons.homothety_flow_residual(
+        imm, spec, cfg.times or _flow_times(spec), count=cfg.samples, seed=cfg.seed,
+        tol=cfg.tol or 1e-8,
+    )
+    details = _pick(rep, "times", "sup_by_time", "sup", "scaling_consistency", "tol")
+    return rep.verdict, details, {}
+
+
+def _wmp_probe(cfg, imm, entry, spec):
+    probe = solitons.wmp_probe(imm, spec, count=cfg.samples, seed=cfg.seed)
+    details = {
+        **_pick(probe, "eps", "sup_u", "u_constant", "near_count"),
+        "lap_u": [probe.lap_u_min, probe.lap_u_max],
+        "lap_v": [probe.lap_v_min, probe.lap_v_max],
+        **_pick(probe, "bound_lhs", "bound_rhs", "verdict", "notes"),
+    }
+    return ("FAIL" if probe.verdict == "INCONSISTENT" else "PASS"), details, {}
+
+
+def _separation(cfg, imm, entry, spec):
+    rep = inequalities.separation_check(imm, spec.constant, count=cfg.samples, seed=cfg.seed)
+    details = _pick(
+        rep, "critical_radius", "verdict", "count_inside", "count_outside", "min_r",
+        "max_r", "minimal_in_sphere_defect", "radius_defect", "notes",
+    )
+    return ("PASS" if rep.verdict in ("SEPARATED", "ON-SPHERE") else "FAIL"), details, {}
+
+
+def _second_form(cfg, imm, entry, spec):
+    rep = inequalities.second_form_threshold(
+        imm, spec.constant, count=cfg.samples, seed=cfg.seed
+    )
+    details = _pick(rep, "max_ratio", "landmarks", "rescale_margin", "spherical", "notes")
+    return rep.verdict, details, {}
+
+
+def _rimoldi(cfg, imm, entry, spec):
+    rep = inequalities.rimoldi_criterion(imm, spec.constant, count=cfg.samples, seed=cfg.seed)
+    details = _pick(
+        rep, "r_cut", "far_count", "min_normH_far", "threshold", "max_lap_r2_far", "verdict"
+    )
+    return "PASS", details, {}  # the criterion is a diagnostic
+
+
+def _weighted_volume(cfg, imm, entry, spec):
+    check = quadrature.weighted_identity_check(imm, spec.constant, tol=cfg.tol or 1e-3)
+    return check.verdict, _pick(check, "lhs", "rhs", "margin", "tol"), {}
+
+
+def _psi(cfg, imm, entry, spec):
+    curve = quadrature.psi(imm, spec.constant, _default_radii(imm, cfg))
+    details = _pick(curve, "radii", "values", "errors", "tails")
+    if curve.closed_form is not None:
+        details["closed_form"] = curve.closed_form
+    monotone = all(b <= a + 1e-12 for a, b in zip(curve.values, curve.values[1:]))
+    header = ["R", "value", "error", "tail", "closed_form"][: len(details)]
+    rows = list(zip(*details.values()))
+    artifacts = {"psi.csv": lambda path: _write_csv(path, header, rows)}
+    return ("PASS" if monotone else "FAIL"), details, artifacts
+
+
+def _parabolicity_integral(cfg, imm, entry, spec):
+    r0 = cfg.r0 if cfg.r0 is not None else 1.5
+    rmax = cfg.rmax if cfg.rmax is not None else 0.7 * imm.properness_radius
+    rep = quadrature.parabolicity_integral(imm, spec.constant, r0, rmax)
+    return "PASS", _pick(rep, "value", "trend", "log_slope", "notes"), {}  # diagnostic trend
+
+
+def _flux_identity(cfg, imm, entry, spec):
+    R = _default_radius(imm, cfg)
+    rep = quadrature.flux_identity_check(imm, spec.constant, R, tol=cfg.tol or 1e-3)
+    details = _pick(
+        rep, "R", "lhs", "rhs", "margin", "factor_lhs", "factor_rhs", "factor_margin",
+        "rhs_nonnegative", "tol",
+    )
+    return rep.verdict, details, {}
+
+
+def _capacity(cfg, imm, entry, spec):
+    R = _default_radius(imm, cfg)
+    rho = cfg.rho if cfg.rho is not None else _default_rho(imm, R, cfg)
+    cap = fem.capacity(imm, rho, R, h=cfg.h)
+    bound = fem.capacity_upper_bound(imm, rho, R)
+    details = {
+        "rho": rho, "R": R, "cap": cap.cap,
+        "boundary_flux_form": cap.boundary_flux_form,
+        "upper_bound": bound.bound,
+        "solver_residual": cap.solution.residual,
+        "notes": list(cap.solution.mesh.notes),
+    }
+    artifacts = {
+        "capacity_potential.csv": lambda path: fem.export_solution_csv(cap.solution, path),
+        "capacity_mesh.off": lambda path: fem.export_off(cap.solution.mesh, path),
+    }
+    return ("PASS" if cap.cap <= bound.bound * 1.05 else "FAIL"), details, artifacts
+
+
+def _exit_time(cfg, imm, entry, spec):
+    R = _default_radius(imm, cfg)
+    field_ = fem.solve_exit_time(imm, R, h=cfg.h)
+    rep = fem.exit_time_comparison(imm, spec, R, h=cfg.h, field_=field_)
+    details = _pick(
+        rep, "R", "kind", "min_margin", "ratio_target", "ratio_max_dev", "interior_count",
+        "notes",
+    )
+    artifacts = {
+        "exit_time.csv": lambda path: fem.export_solution_csv(field_, path),
+        "exit_time_mesh.off": lambda path: fem.export_off(field_.mesh, path),
+    }
+    return rep.verdict, details, artifacts
+
+
+def _isoperimetric(cfg, imm, entry, spec):
+    radii = _default_radii(imm, cfg)
+    if spec.kind == "mcf":
+        margins = inequalities.isoperimetric_mcf(imm, spec.constant, radii, seed=cfg.seed)
+    else:
+        margins = inequalities.isoperimetric_imcf(imm, spec.constant, radii, seed=cfg.seed)
+    columns = ("name", "lhs", "rhs", "margin", "tol", "verdict")
+    details = {"margins": [_pick(m, *columns) for m in margins]}
+    if any(m.verdict == "FAIL" for m in margins):
+        status = "FAIL"
+    else:
+        status = "PASS" if any(m.verdict != "SKIPPED" for m in margins) else "SKIPPED"
+    rows = [[getattr(m, c) for c in columns] for m in margins]
+    return status, details, {"isoperimetric.csv": lambda path: _write_csv(path, columns, rows)}
+
+
+def _volume_growth(cfg, imm, entry, spec):
+    c = _inverse_constant(imm, entry, spec)
+    radii = _default_radii(imm, cfg)
+    rep = inequalities.volume_growth_monotonicity(imm, c, radii, seed=cfg.seed)
+    details = {"constant": c, "grid": rep.grid, "values": rep.values}
+    rows = list(zip(rep.grid, rep.values))
+    artifacts = {"volume_growth.csv": lambda path: _write_csv(path, ("t", "value"), rows)}
+    return rep.verdict, details, artifacts
+
+
+@dataclass(frozen=True)
+class Check:
+    skip: Callable | None  # (cfg, imm, entry, spec) -> reason to skip, or None
+    run: Callable  # (cfg, imm, entry, spec) -> (status, details, artifacts)
+
+
+CHECKS = {  # in report order
+    "soliton-residual": Check(None, _soliton_residual),
+    "flow-residual": Check(None, _flow_residual),
+    "wmp-probe": Check(None, _wmp_probe),
+    "separation": Check(_needs_shrinker, _separation),
+    "second-form": Check(_needs_shrinker, _second_form),
+    "rimoldi": Check(_needs_direct_flow, _rimoldi),
+    "weighted-volume": Check(_needs_shrinker, _weighted_volume),
+    "psi": Check(_needs_nonspherical_shrinker, _psi),
+    "parabolicity-integral": Check(_needs_nonspherical_shrinker, _parabolicity_integral),
+    "flux-identity": Check(_needs_shrinker, _flux_identity),
+    "capacity": Check(_needs_curve_or_surface, _capacity),
+    "exit-time": Check(_needs_curve_or_surface, _exit_time),
+    "isoperimetric": Check(_needs_shrinker_if_direct, _isoperimetric),
+    "volume-growth": Check(_needs_inverse_constant, _volume_growth),
+}
+FULL_CHECKS = list(CHECKS)
+
+
+def validate_checks(names) -> None:
+    unknown = set(names) - set(CHECKS)
+    if unknown:
+        raise ConfigError(f"unknown checks: {sorted(unknown)}")
+
+
+def run_check(name: str, cfg: RunConfig, imm: Immersion, entry, spec) -> CheckResult:
+    """Run one check; a solab error becomes the check's record (a numerical
+    failure is ERROR, anything else FAIL) instead of ending the report."""
+    t0 = time.perf_counter()
+    check = CHECKS[name]
+    reason = check.skip(cfg, imm, entry, spec) if check.skip else None
+    if reason is not None:
+        return CheckResult(name, "SKIPPED", {"why": reason}, time.perf_counter() - t0)
+    try:
+        status, details, artifacts = check.run(cfg, imm, entry, spec)
+    except SolabError as err:
+        status = "ERROR" if isinstance(err, NUMERICAL_FAILURES) else "FAIL"
+        details, artifacts = {"error": type(err).__name__, "detail": str(err)}, {}
+    return CheckResult(name, status, details, time.perf_counter() - t0, artifacts)
+
+
 @dataclass
 class Report:
     config: dict
+    immersion: dict
+    soliton: dict
     checks: list
     verdict: str
-    spec_kind: str
-    spec_constant: float
-    constant_source: str
-    immersion_info: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
             "config": self.config,
-            "immersion": self.immersion_info,
-            "soliton": {
-                "kind": self.spec_kind,
-                "constant": self.spec_constant,
-                "source": self.constant_source,
-            },
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "details": c.details,
-                    "wall_clock": c.wall_clock,
-                }
-                for c in self.checks
-            ],
+            "immersion": self.immersion,
+            "soliton": self.soliton,
+            "checks": [_pick(c, "name", "status", "details", "wall_clock") for c in self.checks],
             "verdict": self.verdict,
         }
+
+
+# worst verdict first: the report takes the first one any check reached
+_EXIT_OF_VERDICT = {"ERROR": EXIT_NUMERICAL, "FAIL": EXIT_CHECK_FAILED, "PASS": EXIT_OK}
 
 
 def run(cfg: RunConfig):
@@ -617,32 +513,13 @@ def run(cfg: RunConfig):
     spec, source = _spec_from_config(cfg, imm, entry)
     checks = cfg.checks or FULL_CHECKS
     results = [run_check(name, cfg, imm, entry, spec) for name in checks]
-    statuses = [c.status for c in results]
-    if "ERROR" in statuses:
-        code = EXIT_NUMERICAL
-        verdict = "ERROR"
-    elif "FAIL" in statuses:
-        code = EXIT_CHECK_FAILED
-        verdict = "FAIL"
-    else:
-        code = EXIT_OK
-        verdict = "PASS"
-    notes = list(imm.notes)
-    if entry is not None:
-        notes.extend(entry.notes)
-    info = {
-        "name": imm.name,
-        "dim": imm.dim,
-        "ambient_dim": imm.ambient_dim,
-        "properness_radius": imm.properness_radius,
-        "compact": imm.compact,
-        "proper": imm.proper,
-        "notes": notes,
-    }
-    report = Report(
-        cfg.echo(), results, verdict, spec.kind, spec.constant, source, info
-    )
-    return report, code
+    statuses = {c.status for c in results}
+    verdict = next(v for v in _EXIT_OF_VERDICT if v in statuses or v == "PASS")
+    info = _pick(imm, "name", "dim", "ambient_dim", "properness_radius", "compact", "proper")
+    info["notes"] = list(imm.notes) + list(entry.notes if entry is not None else ())
+    soliton = {**_pick(spec, "kind", "constant"), "source": source}
+    report = Report(cfg.echo(), info, soliton, results, verdict)
+    return report, _EXIT_OF_VERDICT[verdict]
 
 
 def catalog_report() -> dict:

@@ -8,6 +8,8 @@ import pytest
 
 from solab.charts import chart_from_sources, save_chart
 from solab.cli import main
+from solab.errors import ConfigError
+from solab.report import RunConfig
 
 
 def run_cli(args, capsys):
@@ -262,3 +264,60 @@ def test_inferred_constant_reported(capsys):
     data = json_payload(out)
     assert data["soliton"]["source"] == "inferred"
     assert data["soliton"]["constant"] == pytest.approx(3.0, rel=1e-9)
+
+
+def _write_chart(tmp_path, name, params, coords):
+    path = tmp_path / name
+    path.write_text(json.dumps({
+        "dim": len(params),
+        "codim_total": len(coords),
+        "params": [{"name": n, "min": lo, "max": hi, "periodic": False} for n, lo, hi in params],
+        "coords": coords,
+    }))
+    return str(path)
+
+
+def test_error_inside_a_check_is_recorded_and_report_written(tmp_path, capsys):
+    # a paraboloid is no soliton: separation refuses the fitted constant with
+    # InvalidParams, which becomes that check's FAIL record, not an abort
+    path = _write_chart(
+        tmp_path, "paraboloid.json", [("u1", -1.0, 1.0), ("u2", -1.0, 1.0)],
+        ["u1", "u2", "u1^2+u2^2"],
+    )
+    out_dir = tmp_path / "rep"
+    code, _, _ = run_cli(
+        ["report", "--chart", path, "--checks", "soliton-residual,separation,second-form",
+         "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 1
+    report = json.loads((out_dir / "report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert list(checks) == ["soliton-residual", "separation", "second-form"]
+    assert checks["soliton-residual"]["status"] == "FAIL"
+    assert checks["separation"]["status"] == "FAIL"
+    assert checks["separation"]["details"]["error"] == "InvalidParams"
+
+
+def test_chart_leaving_its_domain_is_config_error(tmp_path, capsys):
+    path = _write_chart(tmp_path, "log.json", [("u1", 0.0, 2.0)], ["u1", "log(u1)"])
+    code, out, err = run_cli(["report", "--chart", path], capsys)
+    assert code == 2
+    assert err.startswith("configuration error")
+    assert "log(u1)" in err
+    assert out == ""  # no check ran
+
+
+def test_report_config_rejects_unknown_checks_before_running(tmp_path, capsys):
+    cfg = {
+        "immersion": {"catalog": "sphere", "params": {"n": 2, "R": 1.0}},
+        "checks": ["soliton-residual", "bogus"],
+    }
+    with pytest.raises(ConfigError, match="bogus"):
+        RunConfig.from_dict(cfg)
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["report", "--config", str(path)], capsys)
+    assert code == 2
+    assert "bogus" in err
+    assert out == ""

@@ -140,6 +140,25 @@ def test_cylinder_capacity_ladder_decays():
         assert b <= 0.7 * a  # parabolic trend: >= 30% decay per radius doubling
 
 
+def test_line_capacity_flux_form_and_closed_form():
+    # the line y = 1: {rho < r < R} is two segments of length
+    # sqrt(R^2-1) - sqrt(rho^2-1), each carrying a linear potential
+    chart = chart_from_sources(1, 2, ["u1", "1"], [ParamSpec("u1", -6, 6)])
+    imm = Immersion(chart, properness_radius=math.sqrt(37.0), name="line")
+    rho, R = 1.5, 3.0
+    res = capacity(imm, rho, R, h=0.05)
+    assert res.boundary_flux_form == pytest.approx(res.cap, rel=1e-9)
+    closed = 2.0 / (math.sqrt(R * R - 1.0) - math.sqrt(rho * rho - 1.0))
+    assert res.cap == pytest.approx(closed, rel=1e-9)
+
+
+def test_cg_reports_iterations_used():
+    imm, _ = catalog("plane", n=2)
+    sol = capacity(imm, 1.0, math.e, h=0.1).solution
+    cap = int(50 * math.sqrt(sol.mesh.dof_count)) + 10
+    assert 0 < sol.iterations < cap
+
+
 def test_energy_identity_against_boundary_flux():
     imm, _ = catalog("plane", n=2)
     res = capacity(imm, 1.0, math.e, h=0.04)
