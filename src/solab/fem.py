@@ -2,8 +2,9 @@
 
 Meshing: a structured parameter-space grid is clipped against the level sets
 r = rho and r = R.  Grid vertices close to a level set are snapped onto it by
-root finding along grid edges; remaining crossings cut triangles through
-cached edge roots, so the mesh conforms to the curved boundary.  Periodic
+root finding along grid edges; remaining crossings cut triangles at edge
+roots, so the mesh conforms to the curved boundary.  Each level's edge roots
+are solved in one batch (crossing.level_crossings).  Periodic
 chart axes are identified.  Boundary vertices carry tags: "inner" (r = rho),
 "outer" (r = R), and "cut" where a non-proper window truncates the region.
 
@@ -21,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import brentq
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import cg
 
+from .crossing import level_crossings, polyline_crossings
 from .errors import (
     DimensionUnsupported,
     DisconnectedRegion,
@@ -120,31 +121,15 @@ def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh
     )
 
 
-def _level_root(imm, a, b, level):
-    def f(t):
-        p = a + t * (b - a)
-        return radius_values(imm, p.reshape(1, -1))[0] - level
-
-    t = brentq(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-    return a + t * (b - a), t
-
-
 def _mesh_segments(imm, region, h):
     (lo,), (hi,) = imm.chart.box
     m = max(int(math.ceil((hi - lo) / h)), 8)
     ts = np.linspace(lo, hi, m + 1)
     r = radius_values(imm, ts.reshape(-1, 1))
-    breaks = [lo, hi]
-    for level in (region.rho, region.R):
-        if level <= 0:
-            continue
-        for i in range(m + 1):
-            if r[i] == level:  # root sits on a grid node
-                breaks.append(float(ts[i]))
-            elif i < m and (r[i] - level) * (r[i + 1] - level) < 0:
-                p, _ = _level_root(imm, ts[i : i + 1], ts[i + 1 : i + 2], level)
-                breaks.append(float(p[0]))
+    levels = [level for level in (region.rho, region.R) if level > 0]
+    breaks = [lo, hi] + polyline_crossings(imm, ts[:, None], r, levels)[:, 0].tolist()
     breaks = sorted(set(breaks))
+    mid_r = radius_values(imm, (0.5 * (np.array(breaks[:-1]) + breaks[1:]))[:, None])
     verts, segs = [], []
     tags = {"inner": [], "outer": [], "cut": []}
 
@@ -153,9 +138,7 @@ def _mesh_segments(imm, region, h):
         return len(verts) - 1
 
     ids = {}
-    for left, right in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (left + right)
-        rm = radius_values(imm, np.array([[mid]]))[0]
+    for left, right, rm in zip(breaks[:-1], breaks[1:], mid_r):
         if not (region.rho < rm < region.R):
             continue
         k = max(int(math.ceil((right - left) / h)), 1)
@@ -196,126 +179,62 @@ def _mesh_segments(imm, region, h):
 def _mesh_triangles(imm, region, h):
     (wlo, whi) = _region_window(imm, region)
     params = imm.chart.params
-    counts, coords, wraps = [], [], []
+    coords, wraps = [], []
     for i, p in enumerate(params):
         span = whi[i] - wlo[i]
         m = max(int(round(span / h)), 8) if p.periodic else max(int(math.ceil(span / h)), 6)
-        counts.append(m)
         # periodic axes get duplicated seam columns whose degrees of freedom
         # are tied after meshing; geometry stays unwrapped
         wraps.append(p.periodic and (whi[i] - wlo[i]) >= p.span * (1 - 1e-12))
         coords.append(np.linspace(wlo[i], whi[i], m + 1))
-    m0, m1 = counts
-    n0, n1 = m0 + 1, m1 + 1
+    shape = [len(c) for c in coords]
+    vid = np.arange(math.prod(shape)).reshape(shape)
+    verts = np.column_stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")])
 
-    def vid(i, j):
-        return i * n1 + j
-
-    verts = np.empty((n0 * n1, 2))
-    for i in range(n0):
-        for j in range(n1):
-            verts[vid(i, j)] = (coords[0][i], coords[1][j])
-
-    rv = radius_values(imm, verts)
     # keep phi <= 0: phi = r - R against the outer level, rho - r against the inner
     levels = [("outer", region.R, 1.0)]
     if region.rho > 0:
         levels.append(("inner", region.rho, -1.0))
-    grid_edges = []
-    for i in range(m0):  # edges along the first axis
-        for j in range(m1 + 1):
-            grid_edges.append((vid(i, j), vid(i + 1, j)))
-    for i in range(m0 + 1):  # edges along the second axis
-        for j in range(m1):
-            grid_edges.append((vid(i, j), vid(i, j + 1)))
+    grid_edges = np.concatenate([  # along the first axis, then along the second
+        np.column_stack([vid[:-1, :].ravel(), vid[1:, :].ravel()]),
+        np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()]),
+    ])
+    on_level, rv = _snap_to_levels(imm, verts, grid_edges, levels)
 
-    on_level = {}  # vertex -> tag
-    # snap pass: move near-crossing endpoints onto the level sets
+    # clip pass, one level at a time: a polygon's new vertices get their
+    # indices as its cut edges are met, and all those edges are solved in one
+    # batch after the pass
+    quads = (vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:])
+    polys = [
+        tri
+        for q0, q1, q2, q3 in zip(*(q.ravel().tolist() for q in quads))
+        for tri in ([q0, q1, q2], [q0, q2, q3])
+    ]
+    all_verts, r_all = verts, rv
     for tag, level, sign in levels:
-        phi = sign * (rv - level)
-        for a, b in grid_edges:
-            pa, pb = phi[a], phi[b]
-            if pa == 0.0 or pb == 0.0 or pa * pb > 0:
-                continue
-            point, t = _level_root(imm, verts[a], verts[b], level)
-            for vtx, dist in ((a, t), (b, 1.0 - t)):
-                if dist < SNAP_FRACTION and vtx not in on_level:
-                    verts[vtx] = point
-                    on_level[vtx] = tag
-                    rv[vtx] = level
-                    phi[vtx] = 0.0
-                    break
-        rv = radius_values(imm, verts)  # other level's phi sees moved vertices
+        phi = sign * (r_all - level)
+        phi[[v for v, vtag in on_level.items() if vtag == tag]] = 0.0
+        phi = phi.tolist()
+        split = {}  # cut edge -> index of its crossing vertex
 
-    phi_by_tag = {tag: sign * (rv - level) for tag, level, sign in levels}
-    for vtx, tag in on_level.items():
-        phi_by_tag[tag][vtx] = 0.0
+        def crossing(a, b):
+            return split.setdefault((min(a, b), max(a, b)), len(all_verts) + len(split))
 
-    vert_list = [verts]
-    extra = []
-    edge_roots = {}
-
-    def crossing(a, b, tag, level):
-        key = (min(a, b), max(a, b), tag)
-        hit = edge_roots.get(key)
-        if hit is None:
-            pa = vert_list[0][a] if a < len(vert_list[0]) else extra[a - len(vert_list[0])]
-            pb = vert_list[0][b] if b < len(vert_list[0]) else extra[b - len(vert_list[0])]
-            point, _ = _level_root(imm, pa, pb, level)
-            extra.append(point)
-            hit = len(vert_list[0]) + len(extra) - 1
-            edge_roots[key] = hit
-        return hit
-
-    def clip(poly, tag, level, sign):
-        """Keep the phi <= 0 part of a polygon (vertex index loop)."""
-        phi = phi_by_tag[tag]
-
-        def val(v):
-            if v < len(phi):
-                return phi[v]
-            p = extra[v - len(vert_list[0])]
-            return sign * (radius_values(imm, p.reshape(1, -1))[0] - level)
-
-        vals = [val(v) for v in poly]
         eps = 1e-13 * max(1.0, level)
-        if all(v <= eps for v in vals):
-            return [poly]
-        if all(v >= -eps for v in vals):
-            return []
-        out = []
-        for idx in range(len(poly)):
-            a, b = poly[idx], poly[(idx + 1) % len(poly)]
-            va, vb = vals[idx], vals[(idx + 1) % len(poly)]
-            if va <= eps:
-                out.append(a)
-            if (va < -eps and vb > eps) or (va > eps and vb < -eps):
-                out.append(crossing(a, b, tag, level))
-        return [out] if len(out) >= 3 else []
-
-    triangles = []
-    for i in range(m0):
-        for j in range(m1):
-            quad = [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-            if len(set(quad)) < 4:
-                continue
-            for tri in ([quad[0], quad[1], quad[2]], [quad[0], quad[2], quad[3]]):
-                polys = [tri]
-                for tag, level, sign in levels:
-                    nxt = []
-                    for poly in polys:
-                        nxt.extend(clip(poly, tag, level, sign))
-                    polys = nxt
-                for poly in polys:
-                    for k in range(1, len(poly) - 1):
-                        triangles.append((poly[0], poly[k], poly[k + 1]))
+        polys = [out for poly in polys if (out := _clip(poly, phi, eps, crossing))]
+        ends = np.array(list(split), dtype=int).reshape(-1, 2)
+        points, _ = level_crossings(imm, all_verts[ends[:, 0]], all_verts[ends[:, 1]], level)
+        all_verts = np.vstack([all_verts, points])
+        r_all = np.concatenate([r_all, radius_values(imm, points)])
+    triangles = [
+        (poly[0], poly[k], poly[k + 1]) for poly in polys for k in range(1, len(poly) - 1)
+    ]
 
     if not triangles:
         raise MeshFailure(
             f"{imm.name}: no mesh cells inside {region.rho} < r < {region.R}"
         )
 
-    all_verts = np.vstack([verts] + [np.asarray(extra)]) if extra else verts
     tris = np.asarray(triangles, dtype=int)
 
     # drop degenerate slivers, reindex to used vertices
@@ -333,29 +252,24 @@ def _mesh_triangles(imm, region, h):
     remap[used] = np.arange(len(used))
     tris = remap[tris]
     final_verts = all_verts[used]
-    rv_final = radius_values(imm, final_verts)
+    rv_final = r_all[used]
 
-    tags = {"inner": [], "outer": [], "cut": []}
     tol_r = 1e-9
-    for idx in range(len(final_verts)):
-        if abs(rv_final[idx] - region.R) < tol_r * max(1.0, region.R):
-            tags["outer"].append(idx)
-        elif region.rho > 0 and abs(rv_final[idx] - region.rho) < tol_r * max(1.0, region.rho):
-            tags["inner"].append(idx)
-    notes = []
+    outer = np.abs(rv_final - region.R) < tol_r * max(1.0, region.R)
+    inner = ~outer & (region.rho > 0) & (
+        np.abs(rv_final - region.rho) < tol_r * max(1.0, region.rho)
+    )
+    cut = np.zeros(len(final_verts), dtype=bool)
     for axis in range(2):
         if wraps[axis]:
             continue
-        box_lo, box_hi = imm.chart.params[axis].min, imm.chart.params[axis].max
-        for idx in range(len(final_verts)):
-            x = final_verts[idx, axis]
-            at_box_edge = (
-                abs(x - box_lo) < 1e-10 * max(1.0, abs(box_lo))
-                or abs(x - box_hi) < 1e-10 * max(1.0, abs(box_hi))
-            )
-            if at_box_edge and idx not in tags["outer"] and idx not in tags["inner"]:
-                tags["cut"].append(idx)
-    if tags["cut"]:
+        x = final_verts[:, axis]
+        for end in (imm.chart.params[axis].min, imm.chart.params[axis].max):
+            cut |= np.abs(x - end) < 1e-10 * max(1.0, abs(end))
+    cut &= ~outer & ~inner
+    tags = {k: np.nonzero(v)[0] for k, v in (("inner", inner), ("outer", outer), ("cut", cut))}
+    notes = []
+    if cut.any():
         notes.append(
             "region truncated by the chart window; cut edges carry artificial "
             "boundary data"
@@ -369,7 +283,7 @@ def _mesh_triangles(imm, region, h):
         region,
         final_verts,
         tris,
-        {k: np.asarray(sorted(set(v)), dtype=int) for k, v in tags.items()},
+        tags,
         h,
         g.metric,
         g.sqrt_det,
@@ -378,6 +292,53 @@ def _mesh_triangles(imm, region, h):
         dof_count=int(dof_map.max()) + 1 if len(dof_map) else 0,
         notes=tuple(notes),
     )
+
+
+def _snap_to_levels(imm, verts, edges, levels):
+    """Move grid vertices within SNAP_FRACTION (in edge units) of a level set
+    onto it, in place, visiting the cut edges in order; returns the
+    {vertex: tag} map and r at the vertices.
+
+    Each level's cut edges are solved in one batch.  A snapped vertex gets
+    phi = 0, which skips its later edges, so every edge still used has
+    unmoved endpoints and the root a one-edge-at-a-time pass would find.
+    """
+    rv = radius_values(imm, verts)
+    on_level = {}
+    for tag, level, sign in levels:
+        phi = sign * (rv - level)
+        pa, pb = phi[edges[:, 0]], phi[edges[:, 1]]
+        cut = edges[(pa != 0.0) & (pb != 0.0) & ((pa < 0.0) != (pb < 0.0))]
+        points, ts = level_crossings(imm, verts[cut[:, 0]], verts[cut[:, 1]], level)
+        for (a, b), point, t in zip(cut.tolist(), points, ts.tolist()):
+            if phi[a] == 0.0 or phi[b] == 0.0:
+                continue
+            for vtx, dist in ((a, t), (b, 1.0 - t)):
+                if dist < SNAP_FRACTION and vtx not in on_level:
+                    verts[vtx] = point
+                    on_level[vtx] = tag
+                    phi[vtx] = 0.0
+                    break
+        rv = radius_values(imm, verts)  # other level's phi sees moved vertices
+    return on_level, rv
+
+
+def _clip(poly, phi, eps, crossing):
+    """The phi <= 0 part of a polygon (vertex index loop), or None."""
+    vals = [phi[v] for v in poly]
+    if max(vals) <= eps:
+        return poly
+    if min(vals) >= -eps:
+        return None
+    out = []
+    for idx in range(len(poly)):
+        a, b = poly[idx], poly[(idx + 1) % len(poly)]
+        va, vb = vals[idx], vals[(idx + 1) % len(poly)]
+        if va <= eps:
+            out.append(a)
+        if (va < -eps and vb > eps) or (va > eps and vb < -eps):
+            out.append(crossing(a, b))
+    return out if len(out) >= 3 else None
 
 
 def _tie_periodic_seams(verts, wraps, wlo, whi):
@@ -569,30 +530,22 @@ def _boundary_gradient_integral(mesh: Mesh, u, tag):
         slope = np.abs(u[segs[:, 1]] - u[segs[:, 0]]) / np.abs(t[segs[:, 1]] - t[segs[:, 0]])
         return float(math.fsum((slope / mesh.sqrt_det)[touch]))
     tris, verts = mesh.simplices, mesh.vertices
-    edge_count = {}
-    edge_tri = {}
-    for s, tri in enumerate(tris):
-        for a in range(3):
-            e = (min(tri[a], tri[(a + 1) % 3]), max(tri[a], tri[(a + 1) % 3]))
-            edge_count[e] = edge_count.get(e, 0) + 1
-            edge_tri[e] = s
-    tagged = set(int(i) for i in mesh.tags.get(tag, ()))
-    total = []
-    ginv = np.linalg.inv(mesh.metric)
-    for e, cnt in edge_count.items():
-        if cnt != 1 or e[0] not in tagged or e[1] not in tagged:
-            continue
-        s = edge_tri[e]
-        tri = tris[s]
-        p0 = verts[tri[0]]
-        M = np.stack([verts[tri[1]] - p0, verts[tri[2]] - p0], axis=1)
-        G = np.linalg.inv(M).T @ _REF_GRAD.T  # (2, 3)
-        grad = G @ u[tri]
-        norm2 = grad @ ginv[s] @ grad
-        d = verts[e[1]] - verts[e[0]]
-        length = math.sqrt(d @ mesh.metric[s] @ d)
-        total.append(math.sqrt(max(norm2, 0.0)) * length)
-    return float(math.fsum(total))
+    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, inverse, count = np.unique(
+        edges[:, 0] * len(verts) + edges[:, 1], return_inverse=True, return_counts=True
+    )
+    tagged = np.zeros(len(verts), dtype=bool)
+    tagged[np.asarray(mesh.tags.get(tag, ()), dtype=int)] = True
+    on = (count[inverse] == 1) & tagged[edges].all(axis=1)
+    s = np.nonzero(on)[0] // 3  # the one triangle owning each boundary edge
+    p0 = verts[tris[s, 0]]
+    M = np.stack([verts[tris[s, 1]] - p0, verts[tris[s, 2]] - p0], axis=2)
+    G = np.linalg.inv(M).transpose(0, 2, 1) @ _REF_GRAD.T  # (k, 2, 3)
+    grad = np.einsum("kij,kj->ki", G, u[tris[s]])
+    norm2 = np.einsum("ki,kij,kj->k", grad, np.linalg.inv(mesh.metric[s]), grad)
+    d = verts[edges[on, 1]] - verts[edges[on, 0]]
+    length = np.sqrt(np.einsum("ki,kij,kj->k", d, mesh.metric[s], d))
+    return float(math.fsum((np.sqrt(np.maximum(norm2, 0.0)) * length).tolist()))
 
 
 @dataclass

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .crossing import level_crossings, polyline_crossings
 from .errors import DimensionUnsupported, NonRegularLevel
 from .geometry import Immersion, geometry, radius_values, unit_sphere_volume
 
@@ -41,17 +41,6 @@ def _radius_on_grid(imm, axes):
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
     return pts, radius_values(imm, pts).reshape(mesh[0].shape)
-
-
-def _edge_root(imm, a, b, level):
-    """Parameter point on [a, b] with r = level (bracketing assumed)."""
-
-    def f(t):
-        p = a + t * (b - a)
-        return radius_values(imm, p.reshape(1, -1))[0] - level
-
-    t = brentq(f, 0.0, 1.0, xtol=1e-14, rtol=1e-14)
-    return a + t * (b - a)
 
 
 def boundary_area_and_flux(
@@ -110,15 +99,10 @@ def _points_boundary(imm: Immersion, R: float, resolution: int) -> BoundaryData:
     r = radius_values(imm, pts)
     if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
         raise NonRegularLevel(R, "radius is constant along the curve")
-    roots = []
-    for i in range(resolution):
-        if (r[i] - R) * (r[i + 1] - R) < 0.0:
-            roots.append(_edge_root(imm, pts[i], pts[i + 1], R))
-        elif r[i] == R:
-            roots.append(pts[i])
-    if not roots:
+    roots = polyline_crossings(imm, pts, r, [R])
+    if not len(roots):
         return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="points")
-    g = geometry(imm, np.vstack(roots), order=1)
+    g = geometry(imm, roots, order=1)
     grads = g.grad_r_norm
     if grads.min() < GRAD_R_FLOOR:
         raise NonRegularLevel(R, "vanishing tangential gradient at a boundary point")
@@ -133,56 +117,55 @@ def _points_boundary(imm: Immersion, R: float, resolution: int) -> BoundaryData:
     )
 
 
-def level_segments(imm: Immersion, R: float, resolution: int = 256):
-    """Polyline segments of {r = R} for a 2-parameter chart (marching triangles)."""
+def level_segments(imm: Immersion, R: float, resolution: int = 256) -> np.ndarray:
+    """Segments of {r = R} for a 2-parameter chart (marching triangles).
+
+    Each grid cell splits along its (i, j)-(i+1, j+1) diagonal.  An edge is
+    cut when one end has r < R and the other r >= R, so a triangle has zero or
+    two cut edges and contributes at most one segment.  All cut edges are
+    solved in one batch; returns an (S, 2, 2) array of segment endpoints.
+    """
     (lo0, lo1), (hi0, hi1) = imm.chart.box
     ax0 = np.linspace(lo0, hi0, resolution + 1)
     ax1 = np.linspace(lo1, hi1, resolution + 1)
     pts, r = _radius_on_grid(imm, (ax0, ax1))
     if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
         raise NonRegularLevel(R, "radius is constant on the chart")
-    phi = r - R
-    n1 = resolution + 1
+    below = r - R < 0.0
+    grid = pts.reshape(r.shape + (2,))
+    # the three edge families, each from its lower-index end: along axis 0,
+    # along axis 1, diagonal
+    families = (
+        (np.s_[:-1, :], np.s_[1:, :]),
+        (np.s_[:, :-1], np.s_[:, 1:]),
+        (np.s_[:-1, :-1], np.s_[1:, 1:]),
+    )
+    cuts = [below[lo] != below[hi] for lo, hi in families]
+    roots, _ = level_crossings(
+        imm,
+        np.concatenate([grid[lo][c] for (lo, _), c in zip(families, cuts)]),
+        np.concatenate([grid[hi][c] for (_, hi), c in zip(families, cuts)]),
+        R,
+    )
+    # each edge's row in roots, -1 where the edge is not cut
+    starts = np.cumsum([0] + [c.sum() for c in cuts])
+    h, v, d = (
+        np.where(c, np.cumsum(c).reshape(c.shape) - 1 + s, -1) for c, s in zip(cuts, starts)
+    )
     segments = []
-    edge_cache = {}
-
-    def crossing(i0, j0, i1, j1):
-        key = (i0, j0, i1, j1)
-        hit = edge_cache.get(key)
-        if hit is None:
-            a = np.array([ax0[i0], ax1[j0]])
-            b = np.array([ax0[i1], ax1[j1]])
-            hit = _edge_root(imm, a, b, R)
-            edge_cache[key] = hit
-        return hit
-
-    for i in range(resolution):
-        for j in range(resolution):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            # two triangles per cell, fixed diagonal
-            for tri in ((0, 1, 2), (0, 2, 3)):
-                nodes = [corners[t] for t in tri]
-                vals = [phi[c] for c in nodes]
-                cut = []
-                for a in range(3):
-                    b = (a + 1) % 3
-                    va, vb = vals[a], vals[b]
-                    if (va < 0.0 <= vb) or (vb < 0.0 <= va):
-                        ia, ja = nodes[a]
-                        ib, jb = nodes[b]
-                        lo_key, hi_key = sorted([(ia, ja), (ib, jb)])
-                        cut.append(crossing(*lo_key, *hi_key))
-                if len(cut) == 2:
-                    segments.append((cut[0], cut[1]))
-    return segments
+    # triangles (i,j),(i+1,j),(i+1,j+1) and (i,j),(i+1,j+1),(i,j+1) with their
+    # edges in traversal order
+    for edges in ((h[:, :-1], v[1:], d), (d, h[:, 1:], v[:-1])):
+        rows = np.stack(edges, axis=-1).reshape(-1, 3)
+        segments.append(roots[rows[rows >= 0]].reshape(-1, 2, 2))
+    return np.concatenate(segments)
 
 
 def _marching_triangles(imm: Immersion, R: float, resolution: int) -> BoundaryData:
     segments = level_segments(imm, R, resolution)
-    if not segments:
+    if not len(segments):
         return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="marching")
-    a = np.array([s[0] for s in segments])
-    b = np.array([s[1] for s in segments])
+    a, b = segments[:, 0], segments[:, 1]
     mid = 0.5 * (a + b)
     g = geometry(imm, mid, order=1)
     d = b - a
@@ -206,6 +189,7 @@ _CUBE_TETS = (  # six tetrahedra per cube, consistent across neighbors
     (0, 2, 6, 7),
     (0, 6, 4, 7),
 )
+_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _marching_tetrahedra(imm: Immersion, R: float, resolution: int) -> BoundaryData:
@@ -218,52 +202,35 @@ def _marching_tetrahedra(imm: Immersion, R: float, resolution: int) -> BoundaryD
     pts, r = _radius_on_grid(imm, axes)
     if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
         raise NonRegularLevel(R, "radius is constant on the chart")
-    phi = r - R
-    cache = {}
-
-    def corner(idx):
-        return np.array([axes[0][idx[0]], axes[1][idx[1]], axes[2][idx[2]]])
-
-    def crossing(ka, kb):
-        key = (ka, kb) if ka < kb else (kb, ka)
-        hit = cache.get(key)
-        if hit is None:
-            hit = _edge_root(imm, corner(key[0]), corner(key[1]), R)
-            cache[key] = hit
-        return hit
-
-    triangles = []
-    offs = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    for i in range(resolution):
-        for j in range(resolution):
-            for k in range(resolution):
-                vals8 = [phi[i + o[0], j + o[1], k + o[2]] for o in offs]
-                if all(v < 0 for v in vals8) or all(v >= 0 for v in vals8):
-                    continue
-                ids8 = [(i + o[0], j + o[1], k + o[2]) for o in offs]
-                for tet in _CUBE_TETS:
-                    vals = [vals8[t] for t in tet]
-                    ids = [ids8[t] for t in tet]
-                    inside = [v < 0 for v in vals]
-                    cnt = sum(inside)
-                    if cnt in (0, 4):
-                        continue
-                    cut = [
-                        crossing(ids[a], ids[b])
-                        for a in range(4)
-                        for b in range(a + 1, 4)
-                        if inside[a] != inside[b]
-                    ]
-                    if len(cut) == 3:
-                        triangles.append(cut)
-                    elif len(cut) == 4:
-                        # order the quad so the two triangles do not cross:
-                        # vertices sharing an uncut edge are adjacent
-                        triangles.append([cut[0], cut[1], cut[2]])
-                        triangles.append([cut[1], cut[2], cut[3]])
-    if not triangles:
+    below = r - R < 0.0
+    # corner c of a cube sits at offset (c & 1, c >> 1 & 1, c >> 2 & 1); only
+    # cubes with corners on both sides are marched
+    m = resolution
+    offsets = [(c & 1, c >> 1 & 1, c >> 2 & 1) for c in range(8)]
+    cube = [np.s_[i : i + m, j : j + m, k : k + m] for i, j, k in offsets]
+    mixed = np.logical_or.reduce([below[c] for c in cube])
+    mixed &= ~np.logical_and.reduce([below[c] for c in cube])
+    # vertex indices of the corners; C-order indices sort like (i, j, k)
+    index = np.arange(r.size).reshape(r.shape)
+    corners = np.stack([index[c][mixed] for c in cube], axis=1)
+    below = below.ravel()
+    tets = corners[:, _CUBE_TETS].reshape(-1, 4)
+    ends = np.sort(tets[:, _TET_EDGES], axis=2)  # (T, 6, 2), lower index first
+    cut = below[ends[..., 0]] != below[ends[..., 1]]
+    keys, inverse = np.unique(ends[cut] @ [r.size, 1], return_inverse=True)
+    roots, _ = level_crossings(imm, pts[keys // r.size], pts[keys % r.size], R)
+    x = np.zeros(cut.shape + (3,))
+    x[cut] = roots[inverse]
+    count = cut.sum(axis=1)
+    quads = x[count == 4][cut[count == 4]].reshape(-1, 4, 3)
+    # a tet has 0, 3 or 4 cut edges; cut edges in _TET_EDGES order put the
+    # vertices sharing an uncut edge next to each other, so the two triangles
+    # of a quad do not cross
+    tri = np.concatenate(
+        [x[count == 3][cut[count == 3]].reshape(-1, 3, 3), quads[:, :3], quads[:, 1:]]
+    )
+    if not len(tri):
         return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="marching")
-    tri = np.asarray(triangles)
     cent = tri.mean(axis=1)
     g = geometry(imm, cent, order=1)
     e1 = tri[:, 1] - tri[:, 0]
@@ -279,5 +246,5 @@ def _marching_tetrahedra(imm: Immersion, R: float, resolution: int) -> BoundaryD
     flux = math.fsum((areas * grads).tolist())
     coarea = math.fsum((areas / grads).tolist())
     return BoundaryData(
-        R, area, flux, coarea, len(triangles), float(grads.min()), method="marching-tets"
+        R, area, flux, coarea, len(tri), float(grads.min()), method="marching-tets"
     )

@@ -27,6 +27,7 @@ from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import gammaincc
 
+from .crossing import polyline_crossings
 from .errors import ImproperWindow, PsiUnderflow, TruncationFailure
 from .geometry import Immersion, geometry, radius_values, unit_sphere_volume
 from .levelset import boundary_area_and_flux
@@ -265,18 +266,15 @@ def _topology_breaks(imm, region, bounds, nu=257, nv=257):
         return (np.diff(inside.astype(int), axis=1) == 1).sum(axis=1) + inside[:, 0]
 
     runs = run_counts(u)
-    breaks = []
-    for i in np.nonzero(np.diff(runs) != 0)[0]:
-        a, b = u[i], u[i + 1]
-        ca = runs[i]
-        for _ in range(48):
-            m = 0.5 * (a + b)
-            if run_counts(np.array([m]))[0] == ca:
-                a = m
-            else:
-                b = m
-        breaks.append(0.5 * (a + b))
-    return breaks
+    i = np.nonzero(np.diff(runs) != 0)[0]
+    if not len(i):
+        return []
+    a, b, ca = u[i], u[i + 1], runs[i]
+    for _ in range(48):  # all candidates bisect in lockstep
+        m = 0.5 * (a + b)
+        same = run_counts(m) == ca
+        a, b = np.where(same, m, a), np.where(same, b, m)
+    return (0.5 * (a + b)).tolist()
 
 
 def _pencil_integral(imm, region, radial_fn, point_fn, point_order, resolution):
@@ -358,30 +356,19 @@ def _pencil_innermost(imm, region, radial_fn, point_fn, point_order, prefix, res
     pts[:, axis] = scan
     r = radius_values(imm, pts)
 
-    def r_at(t):
-        p = np.asarray(prefix + [t])
-        return radius_values(imm, p.reshape(1, -1))[0]
-
-    breaks = [a]
-    for level in (region.rho, region.R):
-        if level <= 0.0 or not math.isfinite(level):
-            continue
-        sign = r - level
-        for i in range(len(scan) - 1):
-            if sign[i] == 0.0:
-                breaks.append(scan[i])
-            elif sign[i] * sign[i + 1] < 0.0:
-                breaks.append(brentq(lambda t: r_at(t) - level, scan[i], scan[i + 1], xtol=1e-14))
-    breaks.append(b)
+    levels = [lv for lv in (region.rho, region.R) if lv > 0.0 and math.isfinite(lv)]
+    breaks = [a, b] + polyline_crossings(imm, pts, r, levels)[:, axis].tolist()
     breaks = sorted(set(breaks))
 
+    tiny = 1e-14 * max(1.0, abs(b - a))
+    spans = [(lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:]) if hi - lo > tiny]
+    mids = np.tile(np.asarray(prefix + [0.0]), (len(spans), 1))
+    mids[:, axis] = [0.5 * (lo + hi) for lo, hi in spans]
+    mid_r = radius_values(imm, mids)
     nodes_all, weights_all = [], []
     cells = 0
-    for left, right in zip(breaks[:-1], breaks[1:]):
-        if right - left <= 1e-14 * max(1.0, abs(b - a)):
-            continue
-        mid_r = r_at(0.5 * (left + right))
-        if not (region.rho < mid_r < region.R):
+    for (left, right), rm in zip(spans, mid_r):
+        if not (region.rho < rm < region.R):
             continue
         panels = max(1, min(resolution, int(math.ceil((right - left) / (b - a) * resolution))))
         nd, wt = _gauss_panels(left, right, panels)

@@ -1,0 +1,97 @@
+"""The batched level-crossing engine against scalar root finding."""
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+
+from solab import crossing
+from solab.catalog import catalog
+from solab.crossing import level_crossings
+from solab.errors import SolabError
+from solab.fem import mesh_region
+from solab.geometry import radius_values
+from solab.quadrature import ExtrinsicRegion
+
+
+def _cut_grid_edges(imm, R, resolution=40):
+    """Endpoints of the grid edges (both axes and the diagonal) cut by r = R."""
+    (lo0, lo1), (hi0, hi1) = imm.chart.box
+    u, v = np.meshgrid(
+        np.linspace(lo0, hi0, resolution + 1), np.linspace(lo1, hi1, resolution + 1), indexing="ij"
+    )
+    grid = np.stack([u, v], axis=-1)
+    below = radius_values(imm, grid.reshape(-1, 2)).reshape(u.shape) < R
+    a, b = [], []
+    for lo, hi in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:]),
+                   (np.s_[:-1, :-1], np.s_[1:, 1:])):
+        cut = below[lo] != below[hi]
+        a.append(grid[lo][cut])
+        b.append(grid[hi][cut])
+    return np.concatenate(a), np.concatenate(b)
+
+
+@pytest.mark.parametrize(
+    "name,params,R", [("plane", {"n": 2}, 1.3), ("castro_lerma", {}, 3.0)]
+)
+def test_engine_matches_scalar_brentq(name, params, R):
+    imm, _ = catalog(name, **params)
+    a, b = _cut_grid_edges(imm, R)
+    assert len(a) > 20
+    points, t = level_crossings(imm, a, b, R)
+    ref = np.array([
+        brentq(
+            lambda s: radius_values(imm, (p + s * (q - p))[None])[0] - R,
+            0.0, 1.0, xtol=1e-15, rtol=8.9e-16,
+        )
+        for p, q in zip(a, b)
+    ])
+    assert np.abs(t - ref).max() <= 1e-14
+    np.testing.assert_allclose(radius_values(imm, points), R, rtol=1e-13)
+
+
+def test_root_on_an_endpoint_returns_that_endpoint():
+    imm, _ = catalog("plane", n=2)
+    a = np.array([[0.2, 0.0], [0.2, 0.0]])
+    b = np.array([[0.9, 0.0], [0.9, 0.0]])
+    assert a[0, 0] + (b[0, 0] - a[0, 0]) != b[0, 0]  # b is not a + 1 * (b - a)
+    levels = [radius_values(imm, a[:1])[0], radius_values(imm, b[:1])[0]]
+    points, t = level_crossings(imm, a, b, levels)
+    assert t.tolist() == [0.0, 1.0]
+    assert np.array_equal(points, np.array([a[0], b[1]]))
+
+
+def test_both_bracket_orientations():
+    imm, _ = catalog("castro_lerma")
+    a, b = _cut_grid_edges(imm, 3.0)
+    forward, t_fwd = level_crossings(imm, a, b, 3.0)
+    backward, t_bwd = level_crossings(imm, b, a, 3.0)
+    assert np.abs(forward - backward).max() < 1e-13
+    np.testing.assert_allclose(t_fwd + t_bwd, 1.0, atol=1e-14)
+
+
+def test_empty_batch_does_not_evaluate_the_chart(monkeypatch):
+    imm, _ = catalog("plane", n=2)
+
+    def forbidden(*args):
+        raise AssertionError("the chart was evaluated")
+
+    monkeypatch.setattr(crossing, "radius_values", forbidden)
+    points, t = level_crossings(imm, np.empty((0, 2)), np.empty((0, 2)), 1.0)
+    assert points.shape == (0, 2) and t.shape == (0,)
+
+
+def test_non_bracketing_segment_raises():
+    imm, _ = catalog("plane", n=2)
+    a = np.array([[0.5, 0.0], [0.2, 0.1]])
+    b = np.array([[1.5, 0.0], [0.3, 0.1]])  # the second segment stays inside r = 1
+    with pytest.raises(SolabError, match="do not bracket"):
+        level_crossings(imm, a, b, 1.0)
+
+
+def test_castro_lerma_annulus_boundary_sits_on_its_levels():
+    imm, _ = catalog("castro_lerma")
+    mesh = mesh_region(imm, ExtrinsicRegion(imm, 2.0, 3.5), h=0.1)
+    for tag, level in (("outer", 3.5), ("inner", 2.0)):
+        idx = mesh.tags[tag]
+        assert len(idx) > 0
+        assert np.abs(mesh.r[idx] - level).max() <= 1e-12 * max(1.0, level)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
@@ -14,6 +15,8 @@ from solab.errors import (
     NonProportional,
 )
 from solab.fem import (
+    SNAP_FRACTION,
+    _snap_to_levels,
     assemble,
     capacity,
     capacity_ladder,
@@ -26,7 +29,7 @@ from solab.fem import (
     solve_exit_time,
     soliton_from_exit_time,
 )
-from solab.geometry import Immersion, RadialFunction, geometry, radial_laplacian
+from solab.geometry import Immersion, RadialFunction, geometry, radial_laplacian, radius_values
 from solab.quadrature import ExtrinsicRegion
 from solab.solitons import SolitonSpec
 
@@ -80,6 +83,45 @@ def test_pde_dimension_guard():
     imm, _ = catalog("generalized_cylinder", n=3, k=1, rho=1.0)
     with pytest.raises(DimensionUnsupported):
         mesh_region(imm, ExtrinsicRegion(imm, 0.0, 2.0), h=0.2)
+
+
+def test_batched_snap_pass_matches_sequential_snapping():
+    # reference: one scalar root per cut edge, solved when the edge is reached
+    imm, _ = catalog("plane", n=2)
+    u = np.linspace(-3.0, 3.0, 41)
+    v = np.linspace(-2.9, 3.1, 33)
+    vid = np.arange(u.size * v.size).reshape(u.size, v.size)
+    grid = np.column_stack([g.ravel() for g in np.meshgrid(u, v, indexing="ij")])
+    edges = np.concatenate([
+        np.column_stack([vid[:-1, :].ravel(), vid[1:, :].ravel()]),
+        np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()]),
+    ])
+    levels = [("outer", 2.5, 1.0), ("inner", 1.0, -1.0)]
+
+    ref, on_ref = grid.copy(), {}
+    for tag, level, sign in levels:
+        phi = sign * (radius_values(imm, ref) - level)
+        for a, b in edges.tolist():
+            if phi[a] == 0.0 or phi[b] == 0.0 or phi[a] * phi[b] > 0:
+                continue
+            pa, pb = ref[a].copy(), ref[b].copy()
+            t = brentq(
+                lambda s: radius_values(imm, (pa + s * (pb - pa))[None])[0] - level,
+                0.0, 1.0, xtol=1e-15, rtol=8.9e-16,
+            )
+            for vtx, dist in ((a, t), (b, 1.0 - t)):
+                if dist < SNAP_FRACTION and vtx not in on_ref:
+                    ref[vtx] = pa + t * (pb - pa)
+                    on_ref[vtx] = tag
+                    phi[vtx] = 0.0
+                    break
+
+    batched = grid.copy()
+    on_level, rv = _snap_to_levels(imm, batched, edges, levels)
+    assert len(on_level) > 50 and set(on_level.values()) == {"outer", "inner"}
+    assert on_level == on_ref
+    assert np.abs(batched - ref).max() < 1e-13
+    assert np.array_equal(rv, radius_values(imm, batched))
 
 
 def test_one_dimensional_mesh():

@@ -10,9 +10,10 @@ from scipy.optimize import brentq
 from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
 from solab.errors import ImproperWindow, PsiUnderflow
-from solab.geometry import Immersion
+from solab.geometry import Immersion, radius_values
 from solab.quadrature import (
     ExtrinsicRegion,
+    _topology_breaks,
     cylinder_psi_closed_form,
     flux_identity_check,
     gaussian_volume,
@@ -78,6 +79,41 @@ def test_pencil_against_independent_radial_oracle():
     res = region_volume(ExtrinsicRegion(imm, lo_r, hi_r))
     assert res.method == "pencil"
     assert res.value == pytest.approx(oracle, rel=2e-6)
+
+
+def test_topology_breaks_match_per_candidate_bisection():
+    # a rippled graph: the number of slices inside the annulus along u2
+    # changes at several u1, each break is bisected 48 times
+    chart = chart_from_sources(
+        2, 3, ["u1", "u2", "0.6*sin(3*u1)*cos(u2)"],
+        [ParamSpec("u1", -2.0, 2.0), ParamSpec("u2", -2.0, 2.0)],
+    )
+    imm = Immersion(chart, properness_radius=2.0, name="ripple")
+    region = ExtrinsicRegion(imm, 0.5, 1.5)
+    bounds = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    u = np.linspace(-2.0, 2.0, 257)
+    v = np.linspace(-2.0, 2.0, 257)
+
+    def run_count(x):
+        r = radius_values(imm, np.column_stack([np.full(len(v), x), v]))
+        inside = (r > region.rho) & (r < region.R)
+        return int((np.diff(inside.astype(int)) == 1).sum() + inside[0])
+
+    runs = [run_count(x) for x in u]
+    expected = []
+    for i in range(len(u) - 1):
+        if runs[i] == runs[i + 1]:
+            continue
+        a, b = u[i], u[i + 1]
+        for _ in range(48):
+            m = 0.5 * (a + b)
+            if run_count(m) == runs[i]:
+                a = m
+            else:
+                b = m
+        expected.append(0.5 * (a + b))
+    assert len(expected) >= 4
+    assert _topology_breaks(imm, region, bounds) == expected
 
 
 def test_improper_window_rejected():
