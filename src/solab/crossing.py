@@ -2,30 +2,105 @@
 
 Marching, meshing and pencil quadrature all need, for many segments [a, b]
 whose endpoints straddle a level of the extrinsic radius, the point where r
-equals the level.  All segments are solved together by Chandrupatla's
-bracketed method (scipy.optimize.elementwise.find_root): every iteration
-evaluates r at all unconverged segments in one radius_values call, and each
-segment's iterates depend on that segment alone, so results do not depend on
-how segments are batched.
+equals the level.  All segments are solved together in t in [0, 1] by
+Chandrupatla's bracketed method (Adv. Eng. Software 28 (1997) 145), run as a
+plain numpy loop: every iteration evaluates r at all unconverged segments in
+one radius_values call, and converged segments drop out of the batch.
+
+The loop repeats the arithmetic of scipy.optimize.elementwise.find_root step
+for step, so it returns the same roots bit for bit, without that function's
+fixed per-iteration overhead, which dominates the small batches of a pencil.
+Callers already hold the radii at the segment ends (grid nodes, mesh
+vertices, scan points) and pass them in, so the chart is never evaluated at
+t = 0 or t = 1.  Each segment's iterates depend on that segment alone, so the
+results do not depend on how segments are batched.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from .errors import NonRegularLevel
 from .geometry import Immersion, radius_values
 
 TOLERANCES = {"xatol": 1e-15, "xrtol": 8.9e-16}  # on t in [0, 1]
+_TINY = np.finfo(float).smallest_normal
+_MAXITER = math.log2(np.finfo(float).max) - math.log2(_TINY)
 
 
-def level_crossings(imm: Immersion, a, b, level):
+def _chandrupatla(func, f1, f2, xatol, xrtol):
+    """Roots in t of func(t, idx) - one per element - on the brackets [0, 1],
+    given f1 = func(0) and f2 = func(1); idx holds the positions of the
+    elements still iterating.  Returns (t, success); t is NaN where the
+    bracket is invalid, success False there and where maxiter ran out.
+
+    The steps follow scipy's _chandrupatla in the same order and arithmetic.
+    """
+    count = len(f1)
+    x1, x2 = np.zeros(count), np.ones(count)
+    x3, f3 = x2, f2  # overwritten by the first step before they are read
+    t = 0.5
+    active = np.arange(count)
+    root = np.full(count, np.nan)
+    success = np.zeros(count, dtype=bool)
+    nit = 0
+    while True:
+        # termination tests, in find_root's order
+        i = np.abs(f1) < np.abs(f2)
+        xmin = np.where(i, x1, x2)
+        fmin = np.where(i, f1, f2)
+        converged = np.abs(fmin) <= _TINY
+        failed = ~converged & (
+            (np.sign(f1) == np.sign(f2))
+            | ~(np.isfinite(x1) & np.isfinite(x2))
+            | (np.isnan(f1) & np.isnan(f2))
+        )
+        xmin[failed] = np.nan
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * xrtol + xatol
+        converged |= dx < tol
+        stop = converged | failed
+        root[active[stop]] = xmin[stop]
+        success[active[stop]] = converged[stop]
+        if stop.any():
+            go = ~stop
+            active = active[go]
+            x1, f1, x2, f2, x3, f3, dx, tol = (
+                v[go] for v in (x1, f1, x2, f2, x3, f3, dx, tol)
+            )
+        if not len(active) or nit >= _MAXITER:
+            return root, success
+        if nit:
+            # inverse quadratic interpolation where it is safe, else bisection
+            xi1 = (x1 - x2) / (x3 - x2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi1 = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+            f1j, f2j, f3j, alphaj = f1[j], f2[j], f3[j], alpha[j]
+            t = np.full_like(alpha, 0.5)
+            t[j] = (f1j / (f1j - f2j) * f3j / (f3j - f2j)
+                    - alphaj * f1j / (f3j - f1j) * f2j / (f2j - f3j))
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        f = func(x, active)
+        nit += 1
+        keep = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(keep, x1, x2), np.where(keep, f1, f2)
+        x2, f2 = np.where(keep, x2, x1), np.where(keep, f2, f1)
+        x1, f1 = x, f
+
+
+def level_crossings(imm: Immersion, a, b, ra, rb, level):
     """Points p = a + t (b - a) with r(p) = level, one per segment.
 
-    a, b are (N, n) endpoint arrays whose radii bracket the level (an endpoint
-    on the level is returned as is); level is a scalar or one value per
-    segment.  Returns the (N, n) points and their (N,) parameters t.
+    a, b are (N, n) endpoint arrays and ra, rb their (N,) radii, which must
+    bracket the level (an endpoint on the level is returned as is); level is
+    a scalar or one value per segment.  Returns the (N, n) points and their
+    (N,) parameters t.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -42,24 +117,26 @@ def level_crossings(imm: Immersion, a, b, level):
     def phi(t, i):
         return radius_values(imm, point(t, i)) - level[i]
 
-    idx = np.arange(count)
-    res = find_root(phi, (np.zeros(count), np.ones(count)), args=(idx,), tolerances=TOLERANCES)
-    bad = np.nonzero(~res.success)[0]
+    t, ok = _chandrupatla(phi, ra - level, rb - level, **TOLERANCES)
+    bad = np.nonzero(~ok)[0]
     if len(bad):
         raise NonRegularLevel(
             float(level[bad[0]]),
             f"{len(bad)} of {count} segments do not bracket the level, "
             f"the first from {a[bad[0]].tolist()} to {b[bad[0]].tolist()}",
         )
-    return point(res.x, idx), res.x
+    return point(t, np.arange(count)), t
 
 
-def polyline_crossings(imm: Immersion, pts, r, levels):
+def polyline_crossings(imm: Immersion, pts, r, levels, periodic=False):
     """Where the polyline through pts (radii r) meets each level: the nodes
-    lying on a level (the last node excepted), then one root per segment
-    whose ends straddle a level, all solved in one batch."""
+    lying on a level, then one root per segment whose ends straddle a level,
+    all solved in one batch.  On a periodic parameter the last node repeats
+    the first and is not counted again."""
     levels = np.asarray(levels, dtype=float)
     phi = r - levels[:, None]
     k, i = np.nonzero(phi[:, :-1] * phi[:, 1:] < 0.0)
-    roots, _ = level_crossings(imm, pts[i], pts[i + 1], levels[k])
-    return np.concatenate([pts[:-1][(phi[:, :-1] == 0.0).any(axis=0)], roots])
+    roots, _ = level_crossings(imm, pts[i], pts[i + 1], r[i], r[i + 1], levels[k])
+    nodes = pts[:-1] if periodic else pts
+    on_level = (phi[:, : len(nodes)] == 0.0).any(axis=0)
+    return np.concatenate([nodes[on_level], roots])

@@ -222,8 +222,8 @@ def _mesh_triangles(imm, region, h):
 
         eps = 1e-13 * max(1.0, level)
         polys = [out for poly in polys if (out := _clip(poly, phi, eps, crossing))]
-        ends = np.array(list(split), dtype=int).reshape(-1, 2)
-        points, _ = level_crossings(imm, all_verts[ends[:, 0]], all_verts[ends[:, 1]], level)
+        i, j = np.array(list(split), dtype=int).reshape(-1, 2).T
+        points, _ = level_crossings(imm, all_verts[i], all_verts[j], r_all[i], r_all[j], level)
         all_verts = np.vstack([all_verts, points])
         r_all = np.concatenate([r_all, radius_values(imm, points)])
     triangles = [
@@ -309,7 +309,8 @@ def _snap_to_levels(imm, verts, edges, levels):
         phi = sign * (rv - level)
         pa, pb = phi[edges[:, 0]], phi[edges[:, 1]]
         cut = edges[(pa != 0.0) & (pb != 0.0) & ((pa < 0.0) != (pb < 0.0))]
-        points, ts = level_crossings(imm, verts[cut[:, 0]], verts[cut[:, 1]], level)
+        i, j = cut.T
+        points, ts = level_crossings(imm, verts[i], verts[j], rv[i], rv[j], level)
         for (a, b), point, t in zip(cut.tolist(), points, ts.tolist()):
             if phi[a] == 0.0 or phi[b] == 0.0:
                 continue

@@ -99,7 +99,7 @@ def _points_boundary(imm: Immersion, R: float, resolution: int) -> BoundaryData:
     r = radius_values(imm, pts)
     if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
         raise NonRegularLevel(R, "radius is constant along the curve")
-    roots = polyline_crossings(imm, pts, r, [R])
+    roots = polyline_crossings(imm, pts, r, [R], periodic=imm.chart.params[0].periodic)
     if not len(roots):
         return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="points")
     g = geometry(imm, roots, order=1)
@@ -141,12 +141,11 @@ def level_segments(imm: Immersion, R: float, resolution: int = 256) -> np.ndarra
         (np.s_[:-1, :-1], np.s_[1:, 1:]),
     )
     cuts = [below[lo] != below[hi] for lo, hi in families]
-    roots, _ = level_crossings(
-        imm,
-        np.concatenate([grid[lo][c] for (lo, _), c in zip(families, cuts)]),
-        np.concatenate([grid[hi][c] for (_, hi), c in zip(families, cuts)]),
-        R,
-    )
+
+    def ends(values, side):
+        return np.concatenate([values[f[side]][c] for f, c in zip(families, cuts)])
+
+    roots, _ = level_crossings(imm, ends(grid, 0), ends(grid, 1), ends(r, 0), ends(r, 1), R)
     # each edge's row in roots, -1 where the edge is not cut
     starts = np.cumsum([0] + [c.sum() for c in cuts])
     h, v, d = (
@@ -218,7 +217,8 @@ def _marching_tetrahedra(imm: Immersion, R: float, resolution: int) -> BoundaryD
     ends = np.sort(tets[:, _TET_EDGES], axis=2)  # (T, 6, 2), lower index first
     cut = below[ends[..., 0]] != below[ends[..., 1]]
     keys, inverse = np.unique(ends[cut] @ [r.size, 1], return_inverse=True)
-    roots, _ = level_crossings(imm, pts[keys // r.size], pts[keys % r.size], R)
+    lo, hi = keys // r.size, keys % r.size
+    roots, _ = level_crossings(imm, pts[lo], pts[hi], r.ravel()[lo], r.ravel()[hi], R)
     x = np.zeros(cut.shape + (3,))
     x[cut] = roots[inverse]
     count = cut.sum(axis=1)

@@ -37,7 +37,7 @@ def test_engine_matches_scalar_brentq(name, params, R):
     imm, _ = catalog(name, **params)
     a, b = _cut_grid_edges(imm, R)
     assert len(a) > 20
-    points, t = level_crossings(imm, a, b, R)
+    points, t = level_crossings(imm, a, b, radius_values(imm, a), radius_values(imm, b), R)
     ref = np.array([
         brentq(
             lambda s: radius_values(imm, (p + s * (q - p))[None])[0] - R,
@@ -55,7 +55,7 @@ def test_root_on_an_endpoint_returns_that_endpoint():
     b = np.array([[0.9, 0.0], [0.9, 0.0]])
     assert a[0, 0] + (b[0, 0] - a[0, 0]) != b[0, 0]  # b is not a + 1 * (b - a)
     levels = [radius_values(imm, a[:1])[0], radius_values(imm, b[:1])[0]]
-    points, t = level_crossings(imm, a, b, levels)
+    points, t = level_crossings(imm, a, b, radius_values(imm, a), radius_values(imm, b), levels)
     assert t.tolist() == [0.0, 1.0]
     assert np.array_equal(points, np.array([a[0], b[1]]))
 
@@ -63,8 +63,8 @@ def test_root_on_an_endpoint_returns_that_endpoint():
 def test_both_bracket_orientations():
     imm, _ = catalog("castro_lerma")
     a, b = _cut_grid_edges(imm, 3.0)
-    forward, t_fwd = level_crossings(imm, a, b, 3.0)
-    backward, t_bwd = level_crossings(imm, b, a, 3.0)
+    forward, t_fwd = level_crossings(imm, a, b, radius_values(imm, a), radius_values(imm, b), 3.0)
+    backward, t_bwd = level_crossings(imm, b, a, radius_values(imm, b), radius_values(imm, a), 3.0)
     assert np.abs(forward - backward).max() < 1e-13
     np.testing.assert_allclose(t_fwd + t_bwd, 1.0, atol=1e-14)
 
@@ -76,7 +76,9 @@ def test_empty_batch_does_not_evaluate_the_chart(monkeypatch):
         raise AssertionError("the chart was evaluated")
 
     monkeypatch.setattr(crossing, "radius_values", forbidden)
-    points, t = level_crossings(imm, np.empty((0, 2)), np.empty((0, 2)), 1.0)
+    points, t = level_crossings(
+        imm, np.empty((0, 2)), np.empty((0, 2)), np.empty(0), np.empty(0), 1.0
+    )
     assert points.shape == (0, 2) and t.shape == (0,)
 
 
@@ -85,7 +87,7 @@ def test_non_bracketing_segment_raises():
     a = np.array([[0.5, 0.0], [0.2, 0.1]])
     b = np.array([[1.5, 0.0], [0.3, 0.1]])  # the second segment stays inside r = 1
     with pytest.raises(SolabError, match="do not bracket"):
-        level_crossings(imm, a, b, 1.0)
+        level_crossings(imm, a, b, radius_values(imm, a), radius_values(imm, b), 1.0)
 
 
 def test_castro_lerma_annulus_boundary_sits_on_its_levels():
@@ -95,3 +97,87 @@ def test_castro_lerma_annulus_boundary_sits_on_its_levels():
         idx = mesh.tags[tag]
         assert len(idx) > 0
         assert np.abs(mesh.r[idx] - level).max() <= 1e-12 * max(1.0, level)
+
+
+def _random_batch(rng):
+    """A batch of monotone test functions on [0, 1] with roots at c, either
+    orientation; some roots sit on an endpoint, some brackets are invalid."""
+    n = int(rng.integers(1, 40))
+    c = rng.uniform(0.0, 1.0, n)
+    special = rng.random(n) < 0.1
+    c[special] = rng.choice([0.0, 1.0, 1.5], special.sum())
+    p = rng.uniform(0.5, 5.0, n)
+    s = rng.choice([-1.0, 1.0], n)
+    kind = rng.integers(0, 3, n)
+
+    def f(t, i):
+        return s[i] * np.select(
+            [kind[i] == 0, kind[i] == 1],
+            [(t - c[i]) * (1 + t * t), t ** p[i] - c[i] ** p[i]],
+            np.tanh(8 * (t - c[i])),
+        )
+
+    return n, f
+
+
+def test_numpy_loop_matches_find_root_bit_for_bit():
+    elementwise = pytest.importorskip("scipy.optimize.elementwise")
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        n, f = _random_batch(rng)
+        idx = np.arange(n)
+        zero, one = np.zeros(n), np.ones(n)
+        ref = elementwise.find_root(f, (zero, one), args=(idx,), tolerances=crossing.TOLERANCES)
+        t, ok = crossing._chandrupatla(f, f(zero, idx), f(one, idx), **crossing.TOLERANCES)
+        assert np.array_equal(ok, ref.success)
+        assert np.array_equal(t, ref.x, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "name,params,R", [("plane", {"n": 2}, 1.3), ("castro_lerma", {}, 3.0)]
+)
+def test_engine_matches_find_root_on_chart_edges(name, params, R):
+    elementwise = pytest.importorskip("scipy.optimize.elementwise")
+    imm, _ = catalog(name, **params)
+    a, b = _cut_grid_edges(imm, R)
+
+    def phi(t, i):
+        p = np.where((t == 1.0)[:, None], b[i], a[i] + t[:, None] * (b - a)[i])
+        return radius_values(imm, p) - R
+
+    idx = np.arange(len(a))
+    ref = elementwise.find_root(
+        phi, (np.zeros(len(a)), np.ones(len(a))), args=(idx,), tolerances=crossing.TOLERANCES
+    )
+    _, t = level_crossings(imm, a, b, radius_values(imm, a), radius_values(imm, b), R)
+    assert ref.success.all()
+    assert np.array_equal(t, ref.x)
+
+
+def test_one_chart_call_per_iteration_and_none_at_the_endpoints(monkeypatch):
+    imm, _ = catalog("castro_lerma")
+    a, b = _cut_grid_edges(imm, 3.0, resolution=12)
+    ra, rb = radius_values(imm, a), radius_values(imm, b)
+    ends = {tuple(p) for p in np.concatenate([a, b])}
+    batches = []
+
+    def counted(imm, points):
+        batches.append(len(points))
+        assert not ends & {tuple(p) for p in points}
+        return radius_values(imm, points)
+
+    monkeypatch.setattr(crossing, "radius_values", counted)
+    level_crossings(imm, a, b, ra, rb, 3.0)
+    together = list(batches)
+    alone = []  # iterations each segment takes when solved by itself
+    for k in range(len(a)):
+        batches.clear()
+        level_crossings(imm, a[k : k + 1], b[k : k + 1], ra[k : k + 1], rb[k : k + 1], 3.0)
+        alone.append(len(batches))
+    # one call per iteration of the slowest segment, every segment evaluated
+    # once in each of its own iterations and dropped when it converges
+    assert len(together) == max(alone)
+    assert together == [sum(n > it for n in alone) for it in range(max(alone))]
+    batches.clear()
+    level_crossings(imm, a, b, ra, rb, ra)  # every root on an endpoint
+    assert batches == []

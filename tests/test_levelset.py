@@ -5,7 +5,9 @@ import math
 import pytest
 
 from solab.catalog import catalog
+from solab.charts import chart_from_dict
 from solab.errors import NonRegularLevel
+from solab.geometry import Immersion
 from solab.levelset import boundary_area_and_flux
 from solab.quadrature import ExtrinsicRegion, region_volume
 
@@ -58,6 +60,31 @@ def test_circle_points_boundary():
     b = boundary_area_and_flux(imm, 2.0)
     assert b.area == 2.0
     assert b.flux == pytest.approx(2.0, abs=1e-10)
+
+
+def _curve(coords, lo, hi, periodic):
+    chart = chart_from_dict({
+        "dim": 1,
+        "codim_total": 2,
+        "params": [{"name": "u1", "min": lo, "max": hi, "periodic": periodic}],
+        "coords": coords,
+    })
+    return Immersion(chart, properness_radius=math.inf)
+
+
+def test_boundary_points_on_both_ends_of_an_open_curve():
+    # the line (u, 1), u in [-6, 6], meets r = sqrt(37) exactly at its two end nodes
+    b = boundary_area_and_flux(_curve(["u1", "1"], -6.0, 6.0, False), math.sqrt(37))
+    assert b.element_count == 2
+    assert b.flux == pytest.approx(2 * 6 / math.sqrt(37), rel=1e-12)
+
+
+@pytest.mark.parametrize("periodic,count", [(True, 1), (False, 2)])
+def test_closed_curve_end_node_counted_once(periodic, count):
+    # (u^2 + 1, u^3 - u) maps u = -1 and u = 1 to (2, 0), the only point with
+    # r = 2; on a periodic parameter the last node repeats the first
+    imm = _curve(["u1^2 + 1", "u1*(u1^2 - 1)"], -1.0, 1.0, periodic)
+    assert boundary_area_and_flux(imm, 2.0).element_count == count
 
 
 @pytest.mark.parametrize(
