@@ -1,12 +1,14 @@
 """Dirichlet solves on extrinsic regions with the induced metric.
 
-Meshing: a structured parameter-space grid is clipped against the level sets
-r = rho and r = R.  Grid vertices close to a level set are snapped onto it by
-root finding along grid edges; remaining crossings cut triangles at edge
+Meshing: the triangles of a structured parameter-space grid are clipped
+against the level sets r = rho and r = R by levelset.clip, the pass that also
+extracts level sets.  Grid vertices close to a level set are snapped onto it
+by root finding along grid edges; remaining crossings cut triangles at edge
 roots, so the mesh conforms to the curved boundary.  Each level's edge roots
-are solved in one batch (crossing.level_crossings).  Periodic
-chart axes are identified.  Boundary vertices carry tags: "inner" (r = rho),
-"outer" (r = R), and "cut" where a non-proper window truncates the region.
+are solved in one batch (crossing.level_crossings).  Periodic chart axes, and
+the two ends of a periodic curve, are identified.  Boundary vertices carry
+tags: "inner" (r = rho), "outer" (r = R), and "cut" where a non-proper window
+truncates the region.
 
 Assembly: piecewise-linear Galerkin with the per-simplex induced metric
 (centroid value), so the discrete Dirichlet energy is
@@ -34,9 +36,8 @@ from .errors import (
     SolverDivergence,
 )
 from .geometry import Immersion, geometry, radius_values
-from .levelset import boundary_area_and_flux
-from .quadrature import ExtrinsicRegion
-from .sampling import sample_box
+from .levelset import boundary_area_and_flux, clip, grid_edges, grid_triangles
+from .quadrature import ExtrinsicRegion, _region_bounds
 from .solitons import SolitonSpec, imcf_residual
 
 SNAP_FRACTION = 0.3  # grid vertices closer than this (in edge units) snap onto the level
@@ -53,14 +54,12 @@ class Mesh:
     metric: np.ndarray  # (S, n, n) induced metric at simplex centroids
     sqrt_det: np.ndarray  # (S,)
     r: np.ndarray  # (V,) extrinsic radius at the vertices
-    dof_map: np.ndarray = None  # vertex -> degree of freedom (ties periodic seams)
-    dof_count: int = 0
+    dof_map: np.ndarray  # vertex -> degree of freedom (ties periodic seams)
     notes: tuple = field(default=())
 
-    def __post_init__(self):
-        if self.dof_map is None:
-            self.dof_map = np.arange(len(self.vertices))
-            self.dof_count = len(self.vertices)
+    @property
+    def dof_count(self):
+        return int(self.dof_map.max()) + 1 if len(self.dof_map) else 0
 
     @property
     def vertex_count(self):
@@ -87,26 +86,6 @@ class Mesh:
             for a, b in self.edge_set()
         }
         return self.dof_count - len(dof_edges) + len(self.simplices)
-
-
-def _region_window(imm, region):
-    """Axis windows: full range on periodic axes, sampled bounding box else."""
-    pts = sample_box(imm.chart, 4096, 37)
-    r = radius_values(imm, pts)
-    mask = (r > region.rho) & (r < region.R)
-    if not mask.any():
-        raise MeshFailure(
-            f"{imm.name}: the region {region.rho} < r < {region.R} is empty"
-        )
-    lo, hi = imm.chart.box
-    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-    pad = 0.05 * (hi - lo)
-    wlo = np.maximum(lo, pts[mask].min(axis=0) - pad)
-    whi = np.minimum(hi, pts[mask].max(axis=0) + pad)
-    for i, p in enumerate(imm.chart.params):
-        if p.periodic:
-            wlo[i], whi[i] = p.min, p.max
-    return wlo, whi
 
 
 def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh:
@@ -153,13 +132,19 @@ def _mesh_segments(imm, region, h):
         raise MeshFailure(f"{imm.name}: empty 1-d region")
     verts = np.asarray(verts).reshape(-1, 1)
     rv = radius_values(imm, verts)
-    for i, x in enumerate(verts[:, 0]):
+    periodic = imm.chart.params[0].periodic
+    at_end = [min(abs(x - lo), abs(x - hi)) < 1e-12 * (hi - lo) for x in verts[:, 0]]
+    for i, end in enumerate(at_end):
         if abs(rv[i] - region.R) < 1e-9 * max(1.0, region.R):
             tags["outer"].append(i)
         elif region.rho > 0 and abs(rv[i] - region.rho) < 1e-9 * max(1.0, region.rho):
             tags["inner"].append(i)
-        elif min(abs(x - lo), abs(x - hi)) < 1e-12 * (hi - lo):
+        elif end and not periodic:
             tags["cut"].append(i)
+    # vertices come in increasing u1, so a periodic seam is the first and last one
+    dof_map = np.arange(len(verts))
+    if periodic and at_end[0] and at_end[-1]:
+        dof_map[-1] = 0
     simplices = np.asarray(segs, dtype=int)
     cent = verts[simplices].mean(axis=1)
     g = geometry(imm, cent, order=1)
@@ -173,14 +158,22 @@ def _mesh_segments(imm, region, h):
         g.metric,
         g.sqrt_det,
         rv,
+        dof_map,
     )
 
 
 def _mesh_triangles(imm, region, h):
-    (wlo, whi) = _region_window(imm, region)
+    bounds = _region_bounds(imm, region, 4096, 37, 0.05)
+    if bounds is None:
+        raise MeshFailure(
+            f"{imm.name}: the region {region.rho} < r < {region.R} is empty"
+        )
+    wlo, whi = bounds
     params = imm.chart.params
     coords, wraps = [], []
     for i, p in enumerate(params):
+        if p.periodic:  # the full range, not the sampled box
+            wlo[i], whi[i] = p.min, p.max
         span = whi[i] - wlo[i]
         m = max(int(round(span / h)), 8) if p.periodic else max(int(math.ceil(span / h)), 6)
         # periodic axes get duplicated seam columns whose degrees of freedom
@@ -188,54 +181,31 @@ def _mesh_triangles(imm, region, h):
         wraps.append(p.periodic and (whi[i] - wlo[i]) >= p.span * (1 - 1e-12))
         coords.append(np.linspace(wlo[i], whi[i], m + 1))
     shape = [len(c) for c in coords]
-    vid = np.arange(math.prod(shape)).reshape(shape)
     verts = np.column_stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")])
 
     # keep phi <= 0: phi = r - R against the outer level, rho - r against the inner
     levels = [("outer", region.R, 1.0)]
     if region.rho > 0:
         levels.append(("inner", region.rho, -1.0))
-    grid_edges = np.concatenate([  # along the first axis, then along the second
-        np.column_stack([vid[:-1, :].ravel(), vid[1:, :].ravel()]),
-        np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()]),
-    ])
-    on_level, rv = _snap_to_levels(imm, verts, grid_edges, levels)
+    on_level, rv = _snap_to_levels(imm, verts, grid_edges(shape), levels)
 
-    # clip pass, one level at a time: a polygon's new vertices get their
-    # indices as its cut edges are met, and all those edges are solved in one
-    # batch after the pass
-    quads = (vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:])
-    polys = [
-        tri
-        for q0, q1, q2, q3 in zip(*(q.ravel().tolist() for q in quads))
-        for tri in ([q0, q1, q2], [q0, q2, q3])
-    ]
-    all_verts, r_all = verts, rv
+    # clip pass, one level at a time, each level's cut edges in one batch
+    polys, all_verts, r_all = grid_triangles(shape), verts, rv
     for tag, level, sign in levels:
         phi = sign * (r_all - level)
         phi[[v for v, vtag in on_level.items() if vtag == tag]] = 0.0
-        phi = phi.tolist()
-        split = {}  # cut edge -> index of its crossing vertex
-
-        def crossing(a, b):
-            return split.setdefault((min(a, b), max(a, b)), len(all_verts) + len(split))
-
-        eps = 1e-13 * max(1.0, level)
-        polys = [out for poly in polys if (out := _clip(poly, phi, eps, crossing))]
-        i, j = np.array(list(split), dtype=int).reshape(-1, 2).T
+        polys, cuts = clip(polys, phi, 1e-13 * max(1.0, level))
+        i, j = cuts.T
         points, _ = level_crossings(imm, all_verts[i], all_verts[j], r_all[i], r_all[j], level)
         all_verts = np.vstack([all_verts, points])
         r_all = np.concatenate([r_all, radius_values(imm, points)])
-    triangles = [
-        (poly[0], poly[k], poly[k + 1]) for poly in polys for k in range(1, len(poly) - 1)
-    ]
-
-    if not triangles:
+    # fan each polygon from its first vertex
+    first = np.repeat(polys[:, :1], polys.shape[1] - 2, axis=1)
+    tris = np.stack([first, polys[:, 1:-1], polys[:, 2:]], axis=-1)[polys[:, 2:] >= 0]
+    if not len(tris):
         raise MeshFailure(
             f"{imm.name}: no mesh cells inside {region.rho} < r < {region.R}"
         )
-
-    tris = np.asarray(triangles, dtype=int)
 
     # drop degenerate slivers, reindex to used vertices
     e1 = all_verts[tris[:, 1]] - all_verts[tris[:, 0]]
@@ -288,9 +258,8 @@ def _mesh_triangles(imm, region, h):
         g.metric,
         g.sqrt_det,
         rv_final,
-        dof_map=dof_map,
-        dof_count=int(dof_map.max()) + 1 if len(dof_map) else 0,
-        notes=tuple(notes),
+        dof_map,
+        tuple(notes),
     )
 
 
@@ -322,24 +291,6 @@ def _snap_to_levels(imm, verts, edges, levels):
                     break
         rv = radius_values(imm, verts)  # other level's phi sees moved vertices
     return on_level, rv
-
-
-def _clip(poly, phi, eps, crossing):
-    """The phi <= 0 part of a polygon (vertex index loop), or None."""
-    vals = [phi[v] for v in poly]
-    if max(vals) <= eps:
-        return poly
-    if min(vals) >= -eps:
-        return None
-    out = []
-    for idx in range(len(poly)):
-        a, b = poly[idx], poly[(idx + 1) % len(poly)]
-        va, vb = vals[idx], vals[(idx + 1) % len(poly)]
-        if va <= eps:
-            out.append(a)
-        if (va < -eps and vb > eps) or (va > eps and vb < -eps):
-            out.append(crossing(a, b))
-    return out if len(out) >= 3 else None
 
 
 def _tie_periodic_seams(verts, wraps, wlo, whi):
@@ -638,30 +589,33 @@ def exit_time_comparison(
 ) -> ExitTimeComparison:
     if field_ is None:
         field_ = solve_exit_time(imm, R, h)
-    mesh = field_.mesh
-    notes = tuple(mesh.notes)
+    notes = tuple(field_.mesh.notes)
     if spec.kind == "mcf":
-        margin = float((field_.values - field_.transplanted).min())
         if spec.constant >= 0:
-            ok = margin >= -tol
+            margin = float((field_.values - field_.transplanted).min())
         else:
-            ok = float((field_.transplanted - field_.values).min()) >= -tol
             margin = float((field_.transplanted - field_.values).min())
         return ExitTimeComparison(
-            R, "mcf", margin, None, None, mesh.vertex_count,
-            "PASS" if ok else "FAIL", notes,
+            R, "mcf", margin, None, None, field_.mesh.vertex_count,
+            "PASS" if margin >= -tol else "FAIL", notes,
         )
     target = spec.constant * imm.dim / (spec.constant * imm.dim - 1.0)
+    ratio = _interior_ratio(field_, h)
+    dev = float(np.abs(ratio / target - 1.0).max())
+    return ExitTimeComparison(
+        R, "imcf", None, target, dev, len(ratio),
+        "PASS" if dev < max(tol, 0.02) else "FAIL", notes,
+    )
+
+
+def _interior_ratio(field_: ExitTimeField, h: float) -> np.ndarray:
+    """E / Ebar at the vertices off the boundary and at least 2h inside r = R."""
+    mesh, R = field_.mesh, field_.R
     interior = mesh.r <= R - 2.0 * h
     interior[mesh.boundary_vertices()] = False
     if not interior.any():
-        raise MeshFailure("no interior vertices outside the boundary layer")
-    ratio = field_.values[interior] / field_.transplanted[interior]
-    dev = float(np.abs(ratio / target - 1.0).max())
-    return ExitTimeComparison(
-        R, "imcf", None, target, dev, int(interior.sum()),
-        "PASS" if dev < max(tol, 0.02) else "FAIL", notes,
-    )
+        raise MeshFailure(f"R={R}: no interior vertices outside the boundary layer")
+    return field_.values[interior] / field_.transplanted[interior]
 
 
 @dataclass
@@ -689,13 +643,7 @@ def soliton_from_exit_time(
     """
     alphas = []
     for R in radii:
-        field_ = solve_exit_time(imm, R, h)
-        mesh = field_.mesh
-        interior = mesh.r <= R - 2.0 * h
-        interior[mesh.boundary_vertices()] = False
-        if not interior.any():
-            raise MeshFailure(f"R={R}: no interior vertices outside the boundary layer")
-        ratio = field_.values[interior] / field_.transplanted[interior]
+        ratio = _interior_ratio(solve_exit_time(imm, R, h), h)
         med = float(np.median(ratio))
         spread = float(np.abs(ratio / med - 1.0).max())
         if spread > proportional_tol:
@@ -734,21 +682,17 @@ def export_off(mesh: Mesh, path) -> None:
     X = g.X[:, :3]
     if X.shape[1] < 3:
         X = np.column_stack([X, np.zeros((len(X), 3 - X.shape[1]))])
+    faces = np.insert(mesh.simplices, 0, mesh.simplices.shape[1], axis=1)  # size, then indices
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.vertex_count} {len(mesh.simplices)} 0\n")
-        for row in X:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-        for s in mesh.simplices:
-            fh.write(f"{len(s)} " + " ".join(str(int(v)) for v in s) + "\n")
+        fh.write(f"OFF\n{mesh.vertex_count} {len(mesh.simplices)} 0\n")
+        np.savetxt(fh, X, fmt="%.17g")
+        np.savetxt(fh, faces, fmt="%d")
 
 
 def export_solution_csv(field_: ExitTimeField | DirichletSolution, path) -> None:
     mesh = field_.mesh
-    values = field_.values
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = [f"u{i + 1}" for i in range(mesh.vertices.shape[1])]
-        fh.write("vertex," + ",".join(cols) + ",r,value\n")
-        for i in range(mesh.vertex_count):
-            coords = ",".join(f"{x:.17g}" for x in mesh.vertices[i])
-            fh.write(f"{i},{coords},{mesh.r[i]:.17g},{values[i]:.17g}\n")
+    n = mesh.vertices.shape[1]
+    table = np.column_stack([np.arange(mesh.vertex_count), mesh.vertices, mesh.r, field_.values])
+    header = ",".join(["vertex"] + [f"u{i + 1}" for i in range(n)] + ["r", "value"])
+    np.savetxt(path, table, fmt=["%d"] + ["%.17g"] * (n + 2), delimiter=",", header=header,
+               comments="", encoding="utf-8")

@@ -1,9 +1,11 @@
 """Extraction of extrinsic-distance level sets {r = R} in parameter space.
 
 n = 1 gives isolated points by root finding, n = 2 a polyline contour by
-marching through grid triangles, n = 3 a triangulated isosurface by marching
-tetrahedra.  Product immersions (cylinders, planes) additionally admit a
-closed reduction of all boundary integrals, used for n >= 3 catalog runs.
+clipping the grid triangles to the sign of r - R, n = 3 a triangulated
+isosurface by marching tetrahedra.  The 2-D pass (`grid_triangles`, `clip`)
+is the one fem also meshes its regions with.  Product immersions (cylinders,
+planes) additionally admit a closed reduction of all boundary integrals, used
+for n >= 3 catalog runs.
 
 Boundary integrals use the induced metric: a parameter-space segment d at
 midpoint m contributes sqrt(d^T g(m) d), a triangle half the square root of
@@ -117,13 +119,82 @@ def _points_boundary(imm: Immersion, R: float, resolution: int) -> BoundaryData:
     )
 
 
+def grid_triangles(shape) -> np.ndarray:
+    """The (T, 3) diagonal split of a grid whose vertex (i, j) is numbered
+    i * shape[1] + j: cell by cell, (i,j),(i+1,j),(i+1,j+1) then
+    (i,j),(i+1,j+1),(i,j+1)."""
+    vid = np.arange(shape[0] * shape[1]).reshape(shape)
+    q0, q1, q2, q3 = (q.ravel() for q in (vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]))
+    return np.column_stack([q0, q1, q2, q0, q2, q3]).reshape(-1, 3)
+
+
+def grid_edges(shape) -> np.ndarray:
+    """The (E, 2) axis-aligned edges of the grid numbered as in
+    `grid_triangles`: those along the first axis, then those along the second."""
+    vid = np.arange(shape[0] * shape[1]).reshape(shape)
+    return np.concatenate([
+        np.column_stack([vid[:-1, :].ravel(), vid[1:, :].ravel()]),
+        np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()]),
+    ])
+
+
+def clip(polys: np.ndarray, phi: np.ndarray, eps: float):
+    """The phi <= 0 parts of polygons, by one array Sutherland-Hodgman pass.
+
+    polys is a (P, C) array of vertex-index loops padded at the end with -1.
+    A row with every phi <= eps is kept whole and one with every phi >= -eps
+    is dropped.  Any other row keeps its vertices with phi <= eps and gets a
+    crossing vertex after a vertex whose edge to the next one has ends beyond
+    -eps and eps; a vertex with phi < -eps keeps itself and one entry on each
+    side, so no clipped row has fewer than 3.  The crossing on edge k in order
+    of first meeting (rows in order, edges along each loop) is vertex
+    len(phi) + k, and an edge shared by two rows gets one number.  Returns the
+    clipped rows, padded with -1, and the (k, 2) cut edges, lower index first.
+    """
+    cols = polys.shape[1]
+    # a pad takes its row's first vertex: the extremes stay, and the last
+    # vertex's successor is the first one
+    vals = phi[polys]
+    for c in range(3, cols):
+        pad = polys[:, c] < 0
+        vals[pad, c] = vals[pad, 0]
+    hi, lo = np.maximum(vals[:, 0], vals[:, 1]), np.minimum(vals[:, 0], vals[:, 1])
+    for c in range(2, cols):  # column by column: axis=1 reductions are slow
+        np.maximum(hi, vals[:, c], out=hi)
+        np.minimum(lo, vals[:, c], out=lo)
+    mixed = np.nonzero((hi > eps) & (lo < -eps))[0]
+    valid = polys[mixed] >= 0
+    a, va = np.where(valid, polys[mixed], polys[mixed, :1]), vals[mixed]
+    b, vb = np.roll(a, -1, axis=1), np.roll(va, -1, axis=1)
+    cut = (va < -eps) & (vb > eps) | (va > eps) & (vb < -eps)
+    ends = np.sort(np.stack([a[cut], b[cut]], axis=1), axis=1)
+    keys, first, inverse = np.unique(
+        ends[:, 0] * len(phi) + ends[:, 1], return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    number = np.empty(len(keys), dtype=int)
+    number[order] = len(phi) + np.arange(len(keys))
+    # each vertex slot is followed by a crossing slot
+    slots = np.full((len(mixed), 2 * cols), -1)
+    slots[:, 0::2] = np.where((va <= eps) & valid, a, -1)
+    slots[:, 1::2][cut] = number[inverse]
+    slots = np.take_along_axis(slots, np.argsort(slots < 0, axis=1, kind="stable"), axis=1)
+    width = max(cols, int((slots >= 0).any(axis=0).sum()))
+    rows = np.flatnonzero((hi <= eps) | (lo < -eps))
+    out = np.full((len(rows), width), -1)
+    out[:, :cols] = polys[rows]
+    out[np.searchsorted(rows, mixed)] = slots[:, :width]
+    return out, ends[first[order]]
+
+
 def level_segments(imm: Immersion, R: float, resolution: int = 256) -> np.ndarray:
     """Segments of {r = R} for a 2-parameter chart (marching triangles).
 
-    Each grid cell splits along its (i, j)-(i+1, j+1) diagonal.  An edge is
-    cut when one end has r < R and the other r >= R, so a triangle has zero or
-    two cut edges and contributes at most one segment.  All cut edges are
-    solved in one batch; returns an (S, 2, 2) array of segment endpoints.
+    The grid triangles are clipped to the sign of r - R (-1 where r < R, +1
+    elsewhere), so an edge is cut when one end has r < R and the other
+    r >= R, and a cut triangle holds two crossings, its segment.  All cut
+    edges are solved in one batch; returns an (S, 2, 2) array of segment
+    endpoints.
     """
     (lo0, lo1), (hi0, hi1) = imm.chart.box
     ax0 = np.linspace(lo0, hi0, resolution + 1)
@@ -131,33 +202,12 @@ def level_segments(imm: Immersion, R: float, resolution: int = 256) -> np.ndarra
     pts, r = _radius_on_grid(imm, (ax0, ax1))
     if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
         raise NonRegularLevel(R, "radius is constant on the chart")
-    below = r - R < 0.0
-    grid = pts.reshape(r.shape + (2,))
-    # the three edge families, each from its lower-index end: along axis 0,
-    # along axis 1, diagonal
-    families = (
-        (np.s_[:-1, :], np.s_[1:, :]),
-        (np.s_[:, :-1], np.s_[:, 1:]),
-        (np.s_[:-1, :-1], np.s_[1:, 1:]),
-    )
-    cuts = [below[lo] != below[hi] for lo, hi in families]
-
-    def ends(values, side):
-        return np.concatenate([values[f[side]][c] for f, c in zip(families, cuts)])
-
-    roots, _ = level_crossings(imm, ends(grid, 0), ends(grid, 1), ends(r, 0), ends(r, 1), R)
-    # each edge's row in roots, -1 where the edge is not cut
-    starts = np.cumsum([0] + [c.sum() for c in cuts])
-    h, v, d = (
-        np.where(c, np.cumsum(c).reshape(c.shape) - 1 + s, -1) for c, s in zip(cuts, starts)
-    )
-    segments = []
-    # triangles (i,j),(i+1,j),(i+1,j+1) and (i,j),(i+1,j+1),(i,j+1) with their
-    # edges in traversal order
-    for edges in ((h[:, :-1], v[1:], d), (d, h[:, 1:], v[:-1])):
-        rows = np.stack(edges, axis=-1).reshape(-1, 3)
-        segments.append(roots[rows[rows >= 0]].reshape(-1, 2, 2))
-    return np.concatenate(segments)
+    r = r.ravel()
+    sign = np.where(r - R < 0.0, -1.0, 1.0)
+    rows, cuts = clip(grid_triangles((resolution + 1,) * 2), sign, 0.0)
+    i, j = cuts.T
+    roots, _ = level_crossings(imm, pts[i], pts[j], r[i], r[j], R)
+    return roots[rows[rows >= len(r)] - len(r)].reshape(-1, 2, 2)
 
 
 def _marching_triangles(imm: Immersion, R: float, resolution: int) -> BoundaryData:

@@ -31,6 +31,7 @@ from .crossing import polyline_crossings
 from .errors import ImproperWindow, PsiUnderflow, TruncationFailure
 from .geometry import Immersion, geometry, radius_values, unit_sphere_volume
 from .levelset import boundary_area_and_flux
+from .sampling import sample_box
 
 __all__ = [
     "ExtrinsicRegion",
@@ -109,12 +110,6 @@ def region_volume(region: ExtrinsicRegion, method: str = "auto", resolution: int
 # --- constant-radius (spherical) immersions -----------------------------------
 
 
-def _representative_points(imm: Immersion, count=5, seed=13):
-    from .sampling import sample_box
-
-    return sample_box(imm.chart, count, seed)
-
-
 def _constant_radius_integral(imm, region, radial_fn, point_fn):
     R0 = imm.constant_radius
     if not (region.rho < R0 < region.R):
@@ -126,7 +121,7 @@ def _constant_radius_integral(imm, region, radial_fn, point_fn):
     if radial_fn is not None:
         value = float(radial_fn(np.array([R0]))[0]) * imm.total_volume
         return QuadratureResult(value, 0.0, 1, method="constant")
-    pts = _representative_points(imm)
+    pts = sample_box(imm.chart, 5, 13)
     vals = point_fn(geometry(imm, pts))
     if np.ptp(vals) > 1e-8 * max(1.0, np.abs(vals).max()):
         raise ImproperWindow(
@@ -197,8 +192,6 @@ def _profile_point_factory(imm):
 
 def _check_fiber_homogeneity(imm, point_fn, rep, t_lo, t_hi):
     """The product reduction of pointwise integrands needs fiber-invariance."""
-    from .sampling import sample_box
-
     span = (t_hi - t_lo) if math.isfinite(t_hi) else 2.0
     t_probe = t_lo + 0.5 * min(span, 2.0)
     pts = sample_box(imm.chart, 8, 29)
@@ -227,26 +220,26 @@ def _gauss_panels(lo, hi, panels):
     return nodes, weights
 
 
-def _region_bounds(imm, region):
-    """Tight parameter-space bounding box of the region, by coarse sampling.
+def _region_bounds(imm, region, count, seed, pad):
+    """Tight parameter-space bounding box of the region, or None if empty:
+    the box of the `count` Halton samples (scrambled with `seed`) inside it,
+    grown by `pad` times the chart box on each side and clamped to that box.
 
-    Pencil panels are laid inside this box; thin spikes past the sampling
-    resolution plus pad would be missed, which the default pad makes
-    irrelevant for the ball/annulus regions in use.
+    Pencil panels and PDE meshes are laid inside this box; thin spikes past
+    the sampling resolution plus pad would be missed, which the pads in use
+    make irrelevant for the ball/annulus regions in use.
     """
-    from .sampling import sample_box
-
-    pts = sample_box(imm.chart, 2048, 31)
+    pts = sample_box(imm.chart, count, seed)
     r = radius_values(imm, pts)
     mask = (r > region.rho) & (r < region.R)
     if not mask.any():
         return None
     lo, hi = imm.chart.box
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-    pad = 0.08 * (hi - lo)
+    grow = pad * (hi - lo)
     return (
-        np.maximum(lo, pts[mask].min(axis=0) - pad),
-        np.minimum(hi, pts[mask].max(axis=0) + pad),
+        np.maximum(lo, pts[mask].min(axis=0) - grow),
+        np.minimum(hi, pts[mask].max(axis=0) + grow),
     )
 
 
@@ -283,7 +276,7 @@ def _pencil_integral(imm, region, radial_fn, point_fn, point_order, resolution):
             f"generic quadrature supports dim <= 3; {imm.name} has dim {imm.dim} "
             "and declares no product structure"
         )
-    bounds = _region_bounds(imm, region)
+    bounds = _region_bounds(imm, region, 2048, 31, 0.08)
     if bounds is None:
         return QuadratureResult(
             0.0, 0.0, 0, method="pencil", notes=("region empty by sampling",)

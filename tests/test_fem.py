@@ -130,6 +130,20 @@ def test_one_dimensional_mesh():
     assert set(np.round(mesh.r[mesh.boundary_vertices()], 9)) <= {1.0, 3.0}
 
 
+def test_periodic_curve_seam_is_not_a_window_cut():
+    # the ellipse (cos u, 2 sin u) meets r < 1.5 in two mirror arcs, around
+    # u = 0 (across the parameter seam) and around u = pi
+    chart = chart_from_sources(
+        1, 2, ["cos(u1)", "2*sin(u1)"], [ParamSpec("u1", 0.0, 2 * math.pi, periodic=True)]
+    )
+    field = solve_exit_time(Immersion(chart, properness_radius=math.inf), 1.5, h=0.01)
+    mesh = field.mesh
+    assert len(mesh.tags["cut"]) == 0
+    assert mesh.dof_count == mesh.vertex_count - 1
+    seam = np.cos(mesh.vertices[:, 0]) > 0
+    assert field.values[seam].max() == pytest.approx(field.values[~seam].max(), rel=1e-3)
+
+
 # --- capacity -------------------------------------------------------------------
 
 

@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from solab.catalog import catalog
 from solab.charts import chart_from_dict
 from solab.errors import NonRegularLevel
 from solab.geometry import Immersion
-from solab.levelset import boundary_area_and_flux
+from solab.levelset import boundary_area_and_flux, clip, grid_edges, grid_triangles
 from solab.quadrature import ExtrinsicRegion, region_volume
 
 
@@ -104,3 +105,79 @@ def test_coarea_consistency(maker, R):
     ) / (2 * h)
     b = boundary_area_and_flux(imm, R)
     assert dvol == pytest.approx(b.coarea, rel=0.05)
+
+
+def _clip_polygon(poly, phi, eps, crossing):
+    """Reference: the phi <= 0 part of one polygon (vertex index loop), or None."""
+    vals = [phi[v] for v in poly]
+    if max(vals) <= eps:
+        return poly
+    if min(vals) >= -eps:
+        return None
+    out = []
+    for idx in range(len(poly)):
+        a, b = poly[idx], poly[(idx + 1) % len(poly)]
+        va, vb = vals[idx], vals[(idx + 1) % len(poly)]
+        if va <= eps:
+            out.append(a)
+        if (va < -eps and vb > eps) or (va > eps and vb < -eps):
+            out.append(crossing(a, b))
+    return out if len(out) >= 3 else None
+
+
+def _clip_one_at_a_time(polys, phi, eps, base):
+    split = {}  # cut edge -> number of its crossing vertex
+
+    def crossing(a, b):
+        return split.setdefault((min(a, b), max(a, b)), base + len(split))
+
+    rows = [[v for v in poly if v >= 0] for poly in polys.tolist()]
+    rows = [out for poly in rows if (out := _clip_polygon(poly, phi.tolist(), eps, crossing))]
+    return rows, [list(edge) for edge in split]
+
+
+def test_grid_triangles_and_edges_follow_the_vertex_numbering():
+    tris = grid_triangles((3, 4))  # vertex (i, j) is 4 i + j
+    assert tris.shape == (2 * 2 * 3, 3)
+    assert tris[:4].tolist() == [[0, 4, 5], [0, 5, 1], [1, 5, 6], [1, 6, 2]]
+    assert tris[-1].tolist() == [6, 11, 7]
+    edges = grid_edges((3, 4))  # along the first axis, then along the second
+    assert edges.shape == (2 * 4 + 3 * 3, 2)
+    assert edges[[0, 7, 8, -1]].tolist() == [[0, 4], [7, 11], [0, 1], [10, 11]]
+
+
+@pytest.mark.parametrize("width", [3, 4, 5])
+def test_clip_matches_one_polygon_at_a_time(width):
+    # a small vertex pool shares edges between rows; phi takes values exactly
+    # 0, inside and on +-eps, and well off the level
+    rng = np.random.default_rng(width)
+    eps, pool = 1e-3, 12
+    choices = np.array([0.0, 0.5e-3, -0.5e-3, 1e-3, -1e-3, 0.3, -0.3, 1.0, -2.0])
+    cut_rows = 0
+    for trial in range(300):
+        phi = rng.choice(choices, pool) * rng.uniform(0.5, 1.5, pool) ** (trial % 2)
+        sizes = rng.integers(3, min(width, 4) + 1, size=rng.integers(0, 9))
+        polys = np.full((len(sizes), width), -1)
+        for row, size in zip(polys, sizes):
+            row[:size] = rng.choice(pool, size, replace=False)
+        rows, cuts = clip(polys, phi, eps)
+        ref_rows, ref_cuts = _clip_one_at_a_time(polys, phi, eps, pool)
+        assert cuts.shape == (len(ref_cuts), 2) and cuts.tolist() == ref_cuts
+        assert [[v for v in row if v >= 0] for row in rows.tolist()] == ref_rows
+        assert all(sorted(row >= 0, reverse=True) == list(row >= 0) for row in rows)
+        assert rows.shape[1] >= width
+        cut_rows += sum(any(v >= pool for v in row) for row in ref_rows)
+    assert cut_rows > 300
+
+
+def test_clip_two_levels_on_a_square():
+    # the unit square as two triangles, clipped to x <= 1/2 and then y <= 1/2;
+    # the second level passes exactly through crossing vertex 5 = (1/2, 1/2)
+    x, y = np.array([0.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0])
+    rows, cuts = clip(np.array([[0, 1, 2], [0, 2, 3]]), x - 0.5, 0.0)
+    assert cuts.tolist() == [[0, 1], [0, 2], [2, 3]]
+    assert rows.tolist() == [[0, 4, 5, -1], [0, 5, 6, 3]]
+    y = np.append(y, [0.0, 0.5, 1.0])
+    rows, cuts = clip(rows, y - 0.5, 0.0)
+    assert cuts.tolist() == [[0, 3]]
+    assert rows.tolist() == [[0, 4, 5, -1], [0, 5, 7, -1]]
