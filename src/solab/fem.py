@@ -36,7 +36,7 @@ from .errors import (
     SolverDivergence,
 )
 from .geometry import Immersion, geometry, radius_values
-from .levelset import boundary_area_and_flux, clip, grid_edges, grid_triangles
+from .levelset import clip, grid_edges, grid_triangles, level_boundaries
 from .quadrature import ExtrinsicRegion, _region_bounds
 from .solitons import SolitonSpec, imcf_residual
 
@@ -513,9 +513,7 @@ def capacity_upper_bound(
     """Dirichlet-energy bound from the radial foliation:
     cap <= ( integral of dt / flux(t) )^(-1) with flux(t) the level flux of r."""
     radii = np.linspace(rho, R, grid_points)
-    flux = np.array(
-        [boundary_area_and_flux(imm, t, resolution=resolution).flux for t in radii]
-    )
+    flux = np.array([b.flux for b in level_boundaries(imm, radii, resolution)])
     if np.any(flux <= 0):
         raise MeshFailure("vanishing level flux inside the window")
     integral = np.trapezoid(1.0 / flux, radii)

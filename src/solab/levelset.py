@@ -73,7 +73,7 @@ def boundary_area_and_flux(
     if imm.dim == 1:
         return _points_boundary(imm, R, resolution)
     if imm.dim == 2:
-        return _marching_triangles(imm, R, resolution)
+        return _marching_triangles(imm, [R], resolution)[0]
     if imm.dim == 3:
         return _marching_tetrahedra(imm, R, max(resolution // 6, 24))
     raise DimensionUnsupported(f"dim {imm.dim}")
@@ -104,18 +104,22 @@ def _points_boundary(imm: Immersion, R: float, resolution: int) -> BoundaryData:
     roots = polyline_crossings(imm, pts, r, [R], periodic=imm.chart.params[0].periodic)
     if not len(roots):
         return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="points")
-    g = geometry(imm, roots, order=1)
-    grads = g.grad_r_norm
+    grads = geometry(imm, roots, order=1).grad_r_norm
+    return _from_elements(R, np.ones(len(roots)), grads, "points", "at a boundary point")
+
+
+def _from_elements(R, sizes, grads, method, where):
+    """BoundaryData of a level set from its elements' sizes and |grad r|."""
     if grads.min() < GRAD_R_FLOOR:
-        raise NonRegularLevel(R, "vanishing tangential gradient at a boundary point")
+        raise NonRegularLevel(R, f"vanishing tangential gradient {where}")
     return BoundaryData(
         R,
-        float(len(roots)),
-        float(math.fsum(grads.tolist())),
-        float(math.fsum((1.0 / grads).tolist())),
-        len(roots),
+        math.fsum(sizes.tolist()),
+        math.fsum((sizes * grads).tolist()),
+        math.fsum((sizes / grads).tolist()),
+        len(sizes),
         float(grads.min()),
-        method="points",
+        method=method,
     )
 
 
@@ -187,47 +191,59 @@ def clip(polys: np.ndarray, phi: np.ndarray, eps: float):
     return out, ends[first[order]]
 
 
-def level_segments(imm: Immersion, R: float, resolution: int = 256) -> np.ndarray:
-    """Segments of {r = R} for a 2-parameter chart (marching triangles).
+def level_segments(imm: Immersion, levels, resolution: int = 256) -> list:
+    """Segments of {r = R} for each R in levels, on a 2-parameter chart
+    (marching triangles).
 
-    The grid triangles are clipped to the sign of r - R (-1 where r < R, +1
-    elsewhere), so an edge is cut when one end has r < R and the other
-    r >= R, and a cut triangle holds two crossings, its segment.  All cut
-    edges are solved in one batch; returns an (S, 2, 2) array of segment
-    endpoints.
+    r is evaluated on the grid once.  For each level the grid triangles are
+    clipped to the sign of r - R (-1 where r < R, +1 elsewhere), so an edge
+    is cut when one end has r < R and the other r >= R, and a cut triangle
+    holds two crossings, its segment.  The cut edges of all levels are
+    solved in one batch; returns one (S, 2, 2) array of segment endpoints
+    per level.
     """
     (lo0, lo1), (hi0, hi1) = imm.chart.box
     ax0 = np.linspace(lo0, hi0, resolution + 1)
     ax1 = np.linspace(lo1, hi1, resolution + 1)
     pts, r = _radius_on_grid(imm, (ax0, ax1))
-    if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
-        raise NonRegularLevel(R, "radius is constant on the chart")
     r = r.ravel()
-    sign = np.where(r - R < 0.0, -1.0, 1.0)
-    rows, cuts = clip(grid_triangles((resolution + 1,) * 2), sign, 0.0)
-    i, j = cuts.T
-    roots, _ = level_crossings(imm, pts[i], pts[j], r[i], r[j], R)
-    return roots[rows[rows >= len(r)] - len(r)].reshape(-1, 2, 2)
+    tris = grid_triangles((resolution + 1,) * 2)
+    crossings, cuts = [], []
+    for R in levels:
+        if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
+            raise NonRegularLevel(R, "radius is constant on the chart")
+        rows, cut = clip(tris, np.where(r - R < 0.0, -1.0, 1.0), 0.0)
+        crossings.append(rows[rows >= len(r)] - len(r) + sum(map(len, cuts)))
+        cuts.append(cut)
+    i, j = np.concatenate(cuts).T
+    level = np.repeat(levels, list(map(len, cuts)))
+    roots, _ = level_crossings(imm, pts[i], pts[j], r[i], r[j], level)
+    return [roots[k].reshape(-1, 2, 2) for k in crossings]
 
 
-def _marching_triangles(imm: Immersion, R: float, resolution: int) -> BoundaryData:
-    segments = level_segments(imm, R, resolution)
-    if not len(segments):
-        return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="marching")
-    a, b = segments[:, 0], segments[:, 1]
-    mid = 0.5 * (a + b)
-    g = geometry(imm, mid, order=1)
-    d = b - a
-    lengths = np.sqrt(np.einsum("ni,nij,nj->n", d, g.metric, d))
-    grads = g.grad_r_norm
-    if grads.min() < GRAD_R_FLOOR:
-        raise NonRegularLevel(R, "vanishing tangential gradient on the contour")
-    area = math.fsum(lengths.tolist())
-    flux = math.fsum((lengths * grads).tolist())
-    coarea = math.fsum((lengths / grads).tolist())
-    return BoundaryData(
-        R, area, flux, coarea, len(segments), float(grads.min()), method="marching"
-    )
+def _marching_triangles(imm: Immersion, levels, resolution: int) -> list:
+    out = []
+    for R, segments in zip(levels, level_segments(imm, levels, resolution)):
+        if not len(segments):
+            out.append(BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="marching"))
+            continue
+        a, b = segments[:, 0], segments[:, 1]
+        mid = 0.5 * (a + b)
+        g = geometry(imm, mid, order=1)
+        d = b - a
+        lengths = np.sqrt(np.einsum("ni,nij,nj->n", d, g.metric, d))
+        out.append(_from_elements(R, lengths, g.grad_r_norm, "marching", "on the contour"))
+    return out
+
+
+def level_boundaries(imm: Immersion, radii, resolution: int = 256) -> list:
+    """boundary_area_and_flux at each radius; on a surface that is marched,
+    all radii share one grid evaluation and one crossing batch."""
+    if imm.dim != 2 or imm.constant_radius is not None:
+        return [boundary_area_and_flux(imm, R, resolution) for R in radii]
+    for R in radii:
+        imm.require_window(R)
+    return _marching_triangles(imm, radii, resolution)
 
 
 _CUBE_TETS = (  # six tetrahedra per cube, consistent across neighbors
@@ -289,12 +305,4 @@ def _marching_tetrahedra(imm: Immersion, R: float, resolution: int) -> BoundaryD
     g22 = np.einsum("ni,nij,nj->n", e2, g.metric, e2)
     g12 = np.einsum("ni,nij,nj->n", e1, g.metric, e2)
     areas = 0.5 * np.sqrt(np.maximum(g11 * g22 - g12**2, 0.0))
-    grads = g.grad_r_norm
-    if grads.min() < GRAD_R_FLOOR:
-        raise NonRegularLevel(R, "vanishing tangential gradient on the level set")
-    area = math.fsum(areas.tolist())
-    flux = math.fsum((areas * grads).tolist())
-    coarea = math.fsum((areas / grads).tolist())
-    return BoundaryData(
-        R, area, flux, coarea, len(tri), float(grads.min()), method="marching-tets"
-    )
+    return _from_elements(R, areas, g.grad_r_norm, "marching-tets", "on the level set")

@@ -5,16 +5,15 @@ Two routes coexist:
 * product immersions (cylinders, planes) reduce every radial integral to one
   dimension through their fiber decomposition, and pointwise integrands are
   verified to be radial before using the same reduction;
-* generic charts are integrated by pencil decomposition: composite
-  Gauss-Legendre panels along the outer axes, and along the innermost axis
-  the sublevel conditions rho < r < R are resolved into subintervals by root
-  finding before quadrature.
+* generic charts are integrated by pencil decomposition: one batched
+  adaptive Gauss-Kronrod rule runs along every chart axis, and along the
+  innermost axis the sublevel conditions rho < r < R are resolved into
+  subintervals by root finding before quadrature.
 
 Improper Gaussian-weighted integrals are truncated at a radius where a fitted
 Euclidean-growth majorant c * t^n pushes the analytic tail below tolerance;
-the tail bound is carried in every result.  All final reductions use exact
-(compensated) summation in a fixed traversal order, so results are
-reproducible bit for bit.
+the tail bound is carried in every result.  All reductions run in a fixed
+order, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import gammaincc
 
-from .crossing import polyline_crossings
+from .crossing import level_crossings
 from .errors import ImproperWindow, PsiUnderflow, TruncationFailure
 from .geometry import Immersion, geometry, radius_values, unit_sphere_volume
 from .levelset import boundary_area_and_flux
@@ -61,6 +60,10 @@ class ExtrinsicRegion:
         if not (0.0 <= self.rho < self.R):
             raise ValueError(f"need 0 <= rho < R, got rho={self.rho}, R={self.R}")
 
+    def contains(self, r):
+        """rho < r < R; with rho = 0 the point r = 0 belongs too."""
+        return ((r > self.rho) | (self.rho == 0.0)) & (r < self.R)
+
 
 @dataclass
 class QuadratureResult:
@@ -82,7 +85,6 @@ def region_integral(
     point_fn=None,
     point_order: int = 2,
     method: str = "auto",
-    resolution: int = 32,
 ) -> QuadratureResult:
     """Integrate f dV over {rho < r < R}; f is radial_fn(r) or point_fn(geom)."""
     if radial_fn is None and point_fn is None:
@@ -98,13 +100,13 @@ def region_integral(
         return _constant_radius_integral(imm, region, radial_fn, point_fn)
     if method == "product":
         return _product_integral(imm, region, radial_fn, point_fn, point_order)
-    return _pencil_integral(imm, region, radial_fn, point_fn, point_order, resolution)
+    return _pencil_integral(imm, region, radial_fn, point_fn, point_order)
 
 
-def region_volume(region: ExtrinsicRegion, method: str = "auto", resolution: int = 32):
+def region_volume(region: ExtrinsicRegion, method: str = "auto"):
     """Induced volume of the extrinsic region (integral of sqrt(det g))."""
     region.imm.require_window(region.R)
-    return region_integral(region.imm, region, method=method, resolution=resolution)
+    return region_integral(region.imm, region, method=method)
 
 
 # --- constant-radius (spherical) immersions -----------------------------------
@@ -208,16 +210,71 @@ def _check_fiber_homogeneity(imm, point_fn, rep, t_lo, t_hi):
 
 # --- generic pencil quadrature ---------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The Gauss-Kronrod (7, 15) rule on [-1, 1] of QUADPACK's qk15 (Piessens et
+# al., 1983): the Kronrod nodes, with the 7 Gauss nodes at odd positions, and
+# the weights that integrate the Legendre polynomials up to degree 14 exactly.
+_X = (0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+      0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+      0.207784955007898468)
+_GK_X = np.concatenate([np.negative(_X), [0.0], _X[::-1]])
+_GK_W = np.linalg.solve(np.polynomial.legendre.legvander(_GK_X, 14).T, 2.0 * np.eye(15)[0])
+_GK_G = np.polynomial.legendre.leggauss(7)[1]
+_EPSREL = 1e-10  # each integral's error budget, relative to its integral of |f|
+_ROUNDS = 60  # halvings before the panels left are accepted as they stand
+_LIMIT = 128  # active panels of one integral before they are accepted as they stand
+_SCAN = 128  # scan segments along a pencil
 
 
-def _gauss_panels(lo, hi, panels):
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+def _gauss_kronrod(f, lo, hi, owner, count):
+    """Adaptive Gauss-Kronrod (7, 15) quadrature of `count` integrals at once.
+
+    Panel [lo[p], hi[p]] belongs to integral owner[p].  Each round calls
+    f(x, owners) once on the nodes of all active panels; f returns the values
+    and the errors they carry.  A panel's error is QUADPACK's qk15 estimate
+    from its own |K - G|.  An integral is done when these sum to at most
+    _EPSREL times its integral of |f|; until then a panel within half that
+    budget, pro rata to length, is accepted and the rest are halved.  The two
+    halves of a panel are also accepted when their sum agrees with the
+    panel's value to 1e-5 while their estimates keep 3/4 of its: the values
+    are noise-limited and halving cannot help (QUADPACK's roundoff test).
+    An integral with more than _LIMIT active panels, or still active after
+    _ROUNDS halvings, keeps its panels as they stand (QUADPACK's limit).
+    Returns the values, the errors (panel estimates plus the carried errors
+    they weigh) and the number of panels accepted.
+    """
+    width = np.bincount(owner, hi - lo, count)
+    spent, scale, parts = np.zeros(count), np.zeros(count), []
+    for rnd in range(_ROUNDS + 1):
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_X
+        v, e = (a.reshape(x.shape) for a in f(x.ravel(), np.repeat(owner, 15)))
+        kron = half * (v @ _GK_W)
+        absk = half * (np.abs(v) @ _GK_W)
+        asc = half * (np.abs(v - (v @ _GK_W / 2.0)[:, None]) @ _GK_W)
+        err = np.abs(kron - half * (v[:, 1::2] @ _GK_G))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where(asc > 0.0, asc * np.minimum(1.0, (200.0 * err / asc) ** 1.5), err)
+        err = np.maximum(err, 50.0 * np.finfo(float).eps * absk)
+        tol = _EPSREL * (scale + np.bincount(owner, absk, count))
+        done = (spent + np.bincount(owner, err, count) <= tol)[owner] | (rnd == _ROUNDS)
+        done |= (np.bincount(owner, minlength=count) > _LIMIT)[owner]
+        done |= err <= 0.5 * tol[owner] * (hi - lo) / width[owner]
+        if rnd:  # the halves of parent k sit at k and k + n
+            n = len(parent_err)
+            pair_k, pair_err = kron[:n] + kron[n:], err[:n] + err[n:]
+            noise = np.abs(pair_k - parent_k) <= 1e-5 * np.abs(pair_k)
+            done |= np.tile(noise & (pair_err > 0.75 * parent_err), 2)
+        parts.append((owner[done], kron[done], err[done] + half[done] * (e[done] @ _GK_W)))
+        spent += np.bincount(owner[done], err[done], count)
+        scale += np.bincount(owner[done], absk[done], count)
+        lo, hi, owner = lo[~done], hi[~done], owner[~done]
+        parent_k, parent_err = kron[~done], err[~done]
+        if not len(lo):
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
+    owner, kron, err = (np.concatenate(a) for a in zip(*parts))
+    return np.bincount(owner, kron, count), np.bincount(owner, err, count), len(kron)
 
 
 def _region_bounds(imm, region, count, seed, pad):
@@ -243,34 +300,86 @@ def _region_bounds(imm, region, count, seed, pad):
     )
 
 
-def _topology_breaks(imm, region, bounds, nu=257, nv=257):
-    """Outer abscissas where the slice interval structure changes (level sets
-    tangent to the pencil direction); adaptive outer quadrature splits there.
-    Candidates come off a grid and are then sharpened by bisection on the
-    slice-count function, so jumps land exactly on subinterval edges."""
-    u = np.linspace(bounds[0][0], bounds[1][0], nu)
-    v = np.linspace(bounds[0][1], bounds[1][1], nv)
+def _pencil_scan(imm, prefix, a, b):
+    """Abscissas and radii (both (m, K)) of a polyline along the pencils
+    (prefix, x), x in [a, b]: the scan nodes, each followed by a slot.  At
+    each discrete extremum of r on the scan one parabolic step goes to the
+    fitted vertex and takes the slot on its side, so a chord shorter than
+    the scan step still shows a sign change; an empty slot repeats its node.
+    """
+    m = len(prefix)
+    scan = np.linspace(a, b, _SCAN + 1)
+    pts = np.column_stack([np.repeat(prefix, _SCAN + 1, axis=0), np.tile(scan, m)])
+    r = radius_values(imm, pts).reshape(m, _SCAN + 1)
+    d = np.diff(r, axis=1)
+    p, i = np.nonzero(d[:, :-1] * d[:, 1:] < 0.0)
+    i += 1
+    step = 0.5 * (scan[1] - scan[0]) * (r[p, i - 1] - r[p, i + 1])
+    step = scan[i] + step / (r[p, i - 1] - 2.0 * r[p, i] + r[p, i + 1])
+    x, rx = np.repeat(np.tile(scan, (m, 1)), 2, axis=1), np.repeat(r, 2, axis=1)
+    slot = 2 * i - 1 + 2 * (step > scan[i])
+    x[p, slot], rx[p, slot] = step, radius_values(imm, np.column_stack([prefix[p], step]))
+    return x, rx
 
-    def run_counts(us):
-        U, V = np.meshgrid(us, v, indexing="ij")
-        pts = np.column_stack([U.ravel(), V.ravel()])
-        r = radius_values(imm, pts).reshape(len(us), nv)
-        inside = (r > region.rho) & (r < region.R)
+
+def _topology_breaks(imm, region, bounds, prefix):
+    """Where the number of runs inside the region along the pencils changes
+    (level sets tangent to them) on the axis before the last, for each row
+    of prefix: returns the rows and the abscissas, where the panels of that
+    axis split so that no panel hides the edge of the region.  Candidates
+    come off a grid and are sharpened by bisection, all in lockstep."""
+    m, k = prefix.shape
+
+    def run_counts(rows, us):
+        pencils = np.column_stack([prefix[rows], us])
+        inside = region.contains(_pencil_scan(imm, pencils, bounds[0][-1], bounds[1][-1])[1])
         return (np.diff(inside.astype(int), axis=1) == 1).sum(axis=1) + inside[:, 0]
 
-    runs = run_counts(u)
-    i = np.nonzero(np.diff(runs) != 0)[0]
-    if not len(i):
-        return []
-    a, b, ca = u[i], u[i + 1], runs[i]
-    for _ in range(48):  # all candidates bisect in lockstep
-        m = 0.5 * (a + b)
-        same = run_counts(m) == ca
-        a, b = np.where(same, m, a), np.where(same, b, m)
-    return (0.5 * (a + b)).tolist()
+    u = np.linspace(bounds[0][k], bounds[1][k], 257)
+    runs = run_counts(np.repeat(np.arange(m), len(u)), np.tile(u, m)).reshape(m, len(u))
+    q, i = np.nonzero(np.diff(runs, axis=1) != 0)
+    a, b, ca = u[i], u[i + 1], runs[q, i]
+    for _ in range(48):
+        mid = 0.5 * (a + b)
+        same = run_counts(q, mid) == ca
+        a, b = np.where(same, mid, a), np.where(same, b, mid)
+    return q, 0.5 * (a + b)
 
 
-def _pencil_integral(imm, region, radial_fn, point_fn, point_order, resolution):
+def _panels(owner, ends):
+    """Consecutive pairs of each owner's sorted ends: lo, hi and owner."""
+    order = np.lexsort((ends, owner))
+    owner, ends = owner[order], ends[order]
+    keep = owner[:-1] == owner[1:]
+    return ends[:-1][keep], ends[1:][keep], owner[:-1][keep]
+
+
+def _pencil_spans(imm, region, prefix, a, b):
+    """The parts of [a, b] inside the region along the pencils (prefix, x):
+    returns the spans' ends and the row of prefix each belongs to.  A scan
+    segment is cut where one end has r < level and the other r >= level,
+    and all cuts of all pencils are solved in one batch."""
+    levels = np.array([lv for lv in (region.rho, region.R) if 0.0 < lv < math.inf])
+    x, r = _pencil_scan(imm, prefix, a, b)
+    below = r < levels[:, None, None]
+    k, q, j = np.nonzero(below[..., :-1] != below[..., 1:])
+    left, right = np.column_stack([prefix[q], x[q, j]]), np.column_stack([prefix[q], x[q, j + 1]])
+    roots, _ = level_crossings(imm, left, right, r[q, j], r[q, j + 1], levels[k])
+    m = len(prefix)
+    ends = np.concatenate([np.full(m, a), np.full(m, b), roots[:, -1]])
+    lo, hi, owner = _panels(np.concatenate([np.arange(m), np.arange(m), q]), ends)
+    keep = hi - lo > 1e-14 * max(1.0, abs(b - a))
+    lo, hi, owner = lo[keep], hi[keep], owner[keep]
+    mids = np.column_stack([prefix[owner], 0.5 * (lo + hi)])
+    inside = region.contains(radius_values(imm, mids))
+    return lo[inside], hi[inside], owner[inside]
+
+
+def _pencil_integral(imm, region, radial_fn, point_fn, point_order):
+    """Iterated integral, last axis innermost, with one batched adaptive rule
+    per axis: an outer axis integrates the next one at all nodes of a round
+    at once (the axis before the last split at its topology breaks), the
+    innermost f dV over the spans of its pencils."""
     if imm.dim > 3:
         raise ImproperWindow(
             f"generic quadrature supports dim <= 3; {imm.name} has dim {imm.dim} "
@@ -281,107 +390,32 @@ def _pencil_integral(imm, region, radial_fn, point_fn, point_order, resolution):
         return QuadratureResult(
             0.0, 0.0, 0, method="pencil", notes=("region empty by sampling",)
         )
-    if imm.dim == 1:
-        value, cells = _pencil_innermost(
-            imm, region, radial_fn, point_fn, point_order, [], resolution, bounds
-        )
-        coarse, _ = _pencil_innermost(
-            imm, region, radial_fn, point_fn, point_order, [], resolution // 2, bounds
-        )
-        return QuadratureResult(value, abs(value - coarse), cells, method="pencil")
-    if imm.dim == 2:
-        cells = [0]
-
-        def outer(x):
-            val, sub = _pencil_innermost(
-                imm, region, radial_fn, point_fn, point_order, [x], resolution, bounds
-            )
-            cells[0] += sub
-            return val
-
-        breaks = _topology_breaks(imm, region, bounds)
-        value, err = integrate.quad(
-            outer,
-            bounds[0][0],
-            bounds[1][0],
-            points=breaks or None,
-            epsabs=1e-9,
-            epsrel=1e-8,
-            limit=150,
-        )
-        return QuadratureResult(value, err, cells[0], method="pencil")
-    # dim 3: composite panels on the two outer axes (coarse; catalog charts of
-    # this dimension declare a product structure and never reach this route)
-    value, cells = _pencil_level(
-        imm, region, radial_fn, point_fn, point_order, [], resolution, bounds
-    )
-    coarse, _ = _pencil_level(
-        imm, region, radial_fn, point_fn, point_order, [], max(resolution // 2, 4), bounds
-    )
-    err = abs(value - coarse)
-    return QuadratureResult(value, err, cells, method="pencil")
-
-
-def _pencil_level(imm, region, radial_fn, point_fn, point_order, prefix, resolution, bounds):
-    axis = len(prefix)
-    if axis == imm.dim - 1:
-        return _pencil_innermost(
-            imm, region, radial_fn, point_fn, point_order, prefix, resolution, bounds
-        )
-    panels = max(resolution // 8, 3)
-    nodes, weights = _gauss_panels(bounds[0][axis], bounds[1][axis], panels)
-    total = []
-    cells = 0
-    for x, w in zip(nodes, weights):
-        val, sub = _pencil_level(
-            imm, region, radial_fn, point_fn, point_order, prefix + [x], resolution, bounds
-        )
-        total.append(w * val)
-        cells += sub
-    return math.fsum(total), cells
-
-
-def _pencil_innermost(imm, region, radial_fn, point_fn, point_order, prefix, resolution, bounds):
-    axis = len(prefix)
-    a, b = bounds[0][axis], bounds[1][axis]
-    scan = np.linspace(a, b, max(4 * resolution, 64) + 1)
-    pts = np.tile(np.asarray(prefix + [0.0]), (len(scan), 1))
-    pts[:, axis] = scan
-    r = radius_values(imm, pts)
-
-    levels = [lv for lv in (region.rho, region.R) if lv > 0.0 and math.isfinite(lv)]
-    breaks = [a, b] + polyline_crossings(imm, pts, r, levels)[:, axis].tolist()
-    breaks = sorted(set(breaks))
-
-    tiny = 1e-14 * max(1.0, abs(b - a))
-    spans = [(lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:]) if hi - lo > tiny]
-    mids = np.tile(np.asarray(prefix + [0.0]), (len(spans), 1))
-    mids[:, axis] = [0.5 * (lo + hi) for lo, hi in spans]
-    mid_r = radius_values(imm, mids)
-    nodes_all, weights_all = [], []
-    cells = 0
-    for (left, right), rm in zip(spans, mid_r):
-        if not (region.rho < rm < region.R):
-            continue
-        panels = max(1, min(resolution, int(math.ceil((right - left) / (b - a) * resolution))))
-        nd, wt = _gauss_panels(left, right, panels)
-        nodes_all.append(nd)
-        weights_all.append(wt)
-        cells += panels
-    if not nodes_all:
-        return 0.0, 0
-    nodes = np.concatenate(nodes_all)
-    weights = np.concatenate(weights_all)
-    P = np.tile(np.asarray(prefix + [0.0]), (len(nodes), 1))
-    P[:, axis] = nodes
     order = max(point_order if point_fn is not None else 1, 1)
-    g = geometry(imm, P, order=order)
-    density = g.sqrt_det
-    if radial_fn is not None:
-        vals = radial_fn(g.r) * density
-    else:
-        vals = point_fn(g) * density
-    return float(math.fsum((weights * vals).tolist())), cells
+    cells = [0]
+
+    def axis(prefix):
+        m, k = prefix.shape
+        a, b = bounds[0][k], bounds[1][k]
+        if k < imm.dim - 1:
+            owner, ends = np.repeat(np.arange(m), 2), np.tile([a, b], m)
+            if k == imm.dim - 2:
+                q, u = _topology_breaks(imm, region, bounds, prefix)
+                owner, ends = np.concatenate([owner, q]), np.concatenate([ends, u])
+            lo, hi, owner = _panels(owner, ends)
+            inner = lambda x, i: axis(np.column_stack([prefix[i], x]))
+            return _gauss_kronrod(inner, lo, hi, owner, m)[:2]
+
+        def f(x, i):
+            g = geometry(imm, np.column_stack([prefix[i], x]), order=order)
+            vals = (radial_fn(g.r) if radial_fn is not None else point_fn(g)) * g.sqrt_det
+            return vals, np.zeros_like(vals)
+
+        value, error, panels = _gauss_kronrod(f, *_pencil_spans(imm, region, prefix, a, b), m)
+        cells[0] += panels
+        return value, error
+
+    value, error = axis(np.empty((1, 0)))
+    return QuadratureResult(float(value[0]), float(error[0]), cells[0], method="pencil")
 
 
 # --- Gaussian-weighted volumes ----------------------------------------------------

@@ -30,6 +30,7 @@ from solab.fem import (
     soliton_from_exit_time,
 )
 from solab.geometry import Immersion, RadialFunction, geometry, radial_laplacian, radius_values
+from solab.levelset import boundary_area_and_flux
 from solab.quadrature import ExtrinsicRegion
 from solab.solitons import SolitonSpec
 
@@ -186,6 +187,22 @@ def test_capacity_below_radial_foliation_bound():
     # hand value: cap = 2 * 2 pi / (z_R - z_rho)
     hand = 4 * math.pi / (math.sqrt(16.0 - 1.0) - 1.0)
     assert resc.cap == pytest.approx(hand, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "name,params,rho,R",
+    [("plane", {"n": 2}, 1.1117961033766959, 2.0), ("castro_lerma", {}, 1.830999193255616, 2.0)],
+)
+def test_capacity_upper_bound_matches_per_radius_fluxes(name, params, rho, R):
+    # one grid evaluation and one crossing batch for all radii give the
+    # per-radius level fluxes bit for bit
+    imm, _ = catalog(name, **params)
+    bound = capacity_upper_bound(imm, rho, R)
+    radii = np.linspace(rho, R, 21)
+    flux = np.array([boundary_area_and_flux(imm, t, resolution=160).flux for t in radii])
+    assert np.array_equal(bound.radii, radii)
+    assert np.array_equal(bound.flux, flux)
+    assert bound.bound == 1.0 / np.trapezoid(1.0 / flux, radii)
 
 
 def test_cylinder_capacity_ladder_decays():

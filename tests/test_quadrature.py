@@ -10,9 +10,11 @@ from scipy.optimize import brentq
 from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
 from solab.errors import ImproperWindow, PsiUnderflow
-from solab.geometry import Immersion, radius_values
+from solab.geometry import Immersion, geometry, radius_values
+import solab.quadrature as quadrature
 from solab.quadrature import (
     ExtrinsicRegion,
+    _pencil_spans,
     _topology_breaks,
     cylinder_psi_closed_form,
     flux_identity_check,
@@ -35,6 +37,29 @@ def polar_bowl():
         [ParamSpec("u1", 0.05, 3.0), ParamSpec("u2", 0.0, 2 * math.pi, periodic=True)],
     )
     return Immersion(chart, properness_radius=3.0, name="polar_bowl")
+
+
+def polar_bowl_volume(rho, R):
+    """Closed form: r^2 = t^2 + t^4/16 gives 1 + t^2/4 = 2 sqrt(1 + r^2/4) - 1,
+    and dV = 2 pi t sqrt(1 + t^2/4) dt integrates to (8 pi / 3)(1 + t^2/4)^(3/2)."""
+    s = lambda r: (2.0 * math.sqrt(1.0 + r * r / 4.0) - 1.0) ** 1.5
+    return 8.0 * math.pi / 3.0 * (s(R) - s(rho))
+
+
+def s1_times_r2():
+    """S^1 x R^2 in R^4 as a user chart: no product structure is declared,
+    so its regions take the 3-D pencil route."""
+    chart = chart_from_sources(
+        3,
+        4,
+        ["cos(u1)", "sin(u1)", "u2", "u3"],
+        [
+            ParamSpec("u1", 0.0, 2 * math.pi, periodic=True),
+            ParamSpec("u2", -4.0, 4.0),
+            ParamSpec("u3", -4.0, 4.0),
+        ],
+    )
+    return Immersion(chart, properness_radius=math.sqrt(17.0), name="s1xr2")
 
 
 # --- region volumes -------------------------------------------------------------
@@ -113,7 +138,9 @@ def test_topology_breaks_match_per_candidate_bisection():
                 b = m
         expected.append(0.5 * (a + b))
     assert len(expected) >= 4
-    assert _topology_breaks(imm, region, bounds) == expected
+    rows, breaks = _topology_breaks(imm, region, bounds, np.empty((1, 0)))
+    assert not rows.any()
+    assert breaks.tolist() == expected
 
 
 def test_improper_window_rejected():
@@ -129,11 +156,106 @@ def test_volume_monotone_in_radius():
 
 
 def test_refinement_changes_stay_within_error_budget():
+    # the carried error bounds the distance to the closed form
     imm = polar_bowl()
-    region = ExtrinsicRegion(imm, 0.5, 2.0)
-    mid = region_integral(imm, region, resolution=32)
-    fine = region_integral(imm, region, resolution=64)
-    assert abs(mid.value - fine.value) <= 4.0 * max(mid.error, 1e-14)
+    res = region_integral(imm, ExtrinsicRegion(imm, 0.5, 2.0))
+    assert abs(res.value - polar_bowl_volume(0.5, 2.0)) <= res.error
+    assert res.error <= 1e-8 * res.value
+
+
+def saddle():
+    chart = chart_from_sources(
+        2, 3, ["u1", "u2", "u1*u2"], [ParamSpec("u1", -3.0, 3.0), ParamSpec("u2", -3.0, 3.0)]
+    )
+    return Immersion(chart, properness_radius=3.0, name="saddle")
+
+
+def saddle_area(R):
+    """In polar coordinates (s, t), r^2 = s^2 + s^4 sin^2(2t)/4 and
+    dV = s sqrt(1 + s^2) ds dt: the disk D_R has area
+    8 * integral over [0, pi/4] of ((1 + s_R(t)^2)^(3/2) - 1) / 3."""
+    s2 = lambda t: 2 * R * R / (1.0 + math.sqrt(1.0 + R * R * math.sin(2 * t) ** 2))
+    f = lambda t: ((1.0 + s2(t)) ** 1.5 - 1.0) / 3.0
+    return 8.0 * quad(f, 0.0, math.pi / 4, epsabs=1e-14, epsrel=1e-13)[0]
+
+
+def _line():
+    chart = chart_from_sources(1, 2, ["u1", "1"], [ParamSpec("u1", -6.0, 6.0)])
+    return Immersion(chart, properness_radius=math.sqrt(37.0), name="line")
+
+
+@pytest.mark.parametrize(
+    "make,rho,R,exact",
+    [
+        (_line, 0.0, 3.0, 2 * math.sqrt(8.0)),  # |u1| < sqrt(8)
+        (lambda: catalog("plane", n=2)[0], 0.0, 1.0, math.pi),
+        (polar_bowl, 0.5, 2.0, polar_bowl_volume(0.5, 2.0)),
+        (saddle, 0.0, 2.0, saddle_area(2.0)),  # chords shorter than the scan step
+        (s1_times_r2, 0.0, 3.0, 16 * math.pi**2),  # 2 pi times the disk of radius sqrt(8)
+        # a panel of the middle axis with all nodes outside the disk of radius
+        # sqrt(0.69) would hide part of it without the breaks on that axis
+        (s1_times_r2, 0.0, 1.3, 2 * math.pi**2 * 0.69),
+    ],
+    ids=["line", "plane", "polar-bowl", "saddle", "s1xr2", "s1xr2-small"],
+)
+def test_pencil_route_closed_forms(make, rho, R, exact):
+    # one route for dimensions 1-3; its carried error bounds the true one
+    res = region_volume(ExtrinsicRegion(make(), rho, R), method="pencil")
+    assert abs(res.value - exact) <= res.error <= 1e-8 * abs(exact)
+
+
+def test_polar_bowl_volume_needs_few_geometry_calls(monkeypatch):
+    # each round of the innermost rule is one batched geometry call
+    calls = []
+
+    def counting(imm, points, order=2):
+        calls.append(len(points))
+        return geometry(imm, points, order)
+
+    monkeypatch.setattr(quadrature, "geometry", counting)
+    imm = polar_bowl()
+    region_volume(ExtrinsicRegion(imm, 0.5, 2.0))
+    assert 1 <= len(calls) <= 3
+
+
+def test_gauss_kronrod_stops_halving_noise(monkeypatch):
+    # values whose error halving cannot reduce: the two halves agree with
+    # their parent, so they are accepted with the error they carry instead
+    # of being split round after round
+    monkeypatch.setattr(quadrature, "_ROUNDS", 10)
+    f = lambda x, i: (np.exp(x) + 1e-6 * np.sin(1e6 * x), np.zeros_like(x))
+    value, error, panels = quadrature._gauss_kronrod(
+        f, np.array([0.0]), np.array([1.0]), np.array([0]), 1
+    )
+    exact = math.e - 1 + 1e-12 * (1 - math.cos(1e6))
+    assert panels <= 4
+    assert abs(value[0] - exact) <= error[0]
+
+
+def test_gauss_kronrod_caps_the_panels_of_one_integral(monkeypatch):
+    # an integrand no panel count resolves: each integral keeps at most
+    # 2 * _LIMIT panels and carries an error that still bounds the truth
+    monkeypatch.setattr(quadrature, "_ROUNDS", 12)
+    f = lambda x, i: (np.sin(1e6 * x), np.zeros_like(x))
+    value, error, panels = quadrature._gauss_kronrod(
+        f, np.array([0.0]), np.array([1.0]), np.array([0]), 1
+    )
+    assert panels <= 2 * quadrature._LIMIT
+    assert abs(value[0] - (1 - math.cos(1e6)) / 1e6) <= error[0]
+
+
+def test_innermost_spans_keep_the_centre_and_short_chords():
+    # the chord through the origin (rho = 0 = r at its midpoint) and a chord
+    # shorter than the scan step, which only the parabolic step can see: the
+    # scan has a node at u2 = 0 on the symmetric interval only
+    imm, _ = catalog("plane", n=2)
+    region = ExtrinsicRegion(imm, 0.0, 1.0)
+    u1 = np.array([0.0, 0.5, 0.9999])
+    for a, b in ((-8.0, 8.0), (-8.0, 7.0)):
+        assert (b - a) / quadrature._SCAN > 2 * math.sqrt(1 - 0.9999**2)
+        lo, hi, owner = _pencil_spans(imm, region, u1[:, None], a, b)
+        chords = np.bincount(owner, hi - lo, len(u1))
+        assert chords == pytest.approx(2 * np.sqrt(1 - u1**2), rel=0, abs=1e-12)
 
 
 # --- Gaussian-weighted volumes ----------------------------------------------------
