@@ -14,6 +14,11 @@ Callers already hold the radii at the segment ends (grid nodes, mesh
 vertices, scan points) and pass them in, so the chart is never evaluated at
 t = 0 or t = 1.  Each segment's iterates depend on that segment alone, so the
 results do not depend on how segments are batched.
+
+The brackets come from scans (pencil_scan): r on a row of nodes along each
+pencil plus one parabolic step to every discrete extremum, so a level met
+twice between two nodes is still bracketed.  Curves (polyline_crossings)
+and pencil quadrature share it.
 """
 
 from __future__ import annotations
@@ -128,15 +133,40 @@ def level_crossings(imm: Immersion, a, b, ra, rb, level):
     return point(t, np.arange(count)), t
 
 
-def polyline_crossings(imm: Immersion, pts, r, levels, periodic=False):
-    """Where the polyline through pts (radii r) meets each level: the nodes
-    lying on a level, then one root per segment whose ends straddle a level,
-    all solved in one batch.  On a periodic parameter the last node repeats
-    the first and is not counted again."""
+def pencil_scan(imm: Immersion, prefix, scan):
+    """Abscissas and radii (both (m, 2K)) of a polyline along the pencils
+    (prefix, x), x on the K scan nodes: each node followed by a slot.  At
+    each discrete extremum of r on the scan one parabolic step goes to the
+    fitted vertex and takes the slot on its side, so a chord shorter than
+    the scan step still shows a sign change; an empty slot repeats its node.
+    """
+    m, count = len(prefix), len(scan)
+    pts = np.column_stack([np.repeat(prefix, count, axis=0), np.tile(scan, m)])
+    r = radius_values(imm, pts).reshape(m, count)
+    d = np.diff(r, axis=1)
+    p, i = np.nonzero(d[:, :-1] * d[:, 1:] < 0.0)
+    i += 1
+    step = 0.5 * (scan[1] - scan[0]) * (r[p, i - 1] - r[p, i + 1])
+    step = scan[i] + step / (r[p, i - 1] - 2.0 * r[p, i] + r[p, i + 1])
+    x, rx = np.repeat(np.tile(scan, (m, 1)), 2, axis=1), np.repeat(r, 2, axis=1)
+    slot = 2 * i - 1 + 2 * (step > scan[i])
+    x[p, slot], rx[p, slot] = step, radius_values(imm, np.column_stack([prefix[p], step]))
+    return x, rx
+
+
+def polyline_crossings(imm: Immersion, nodes, levels, periodic=False):
+    """Where a curve meets each level along the scan of its parameter nodes
+    (with the tangency steps of pencil_scan): the nodes lying on a level,
+    then one root per segment whose ends straddle a level, all solved in one
+    batch.  On a periodic parameter the last node repeats the first and is
+    not counted again.  Returns the (k, 1) points and the scan's radii."""
+    x, r = (v[0] for v in pencil_scan(imm, np.empty((1, 0)), nodes))
+    fresh = np.append(True, x[1:] != x[:-1])  # drop the empty slots
+    x, r = x[fresh, None], r[fresh]
     levels = np.asarray(levels, dtype=float)
     phi = r - levels[:, None]
     k, i = np.nonzero(phi[:, :-1] * phi[:, 1:] < 0.0)
-    roots, _ = level_crossings(imm, pts[i], pts[i + 1], r[i], r[i + 1], levels[k])
-    nodes = pts[:-1] if periodic else pts
-    on_level = (phi[:, : len(nodes)] == 0.0).any(axis=0)
-    return np.concatenate([nodes[on_level], roots])
+    roots, _ = level_crossings(imm, x[i], x[i + 1], r[i], r[i + 1], levels[k])
+    ends = x[:-1] if periodic else x
+    on_level = (phi[:, : len(ends)] == 0.0).any(axis=0)
+    return np.concatenate([ends[on_level], roots]), r

@@ -103,10 +103,9 @@ def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh
 def _mesh_segments(imm, region, h):
     (lo,), (hi,) = imm.chart.box
     m = max(int(math.ceil((hi - lo) / h)), 8)
-    ts = np.linspace(lo, hi, m + 1)
-    r = radius_values(imm, ts.reshape(-1, 1))
     levels = [level for level in (region.rho, region.R) if level > 0]
-    breaks = [lo, hi] + polyline_crossings(imm, ts[:, None], r, levels)[:, 0].tolist()
+    roots, _ = polyline_crossings(imm, np.linspace(lo, hi, m + 1), levels)
+    breaks = [lo, hi] + roots[:, 0].tolist()
     breaks = sorted(set(breaks))
     mid_r = radius_values(imm, (0.5 * (np.array(breaks[:-1]) + breaks[1:]))[:, None])
     verts, segs = [], []

@@ -1,10 +1,15 @@
 """Differential-geometric kernel for parametric immersions.
 
-Everything is computed from exact chart jets: the Jacobian gives the induced
-metric and the tangent frame, the normal projection of the second derivatives
-gives the vector-valued second fundamental form, and its metric trace gives
-the mean curvature vector.  The position split X = X^T + X^perp and the
-extrinsic radius r = |X| feed all radial-function calculus.
+Everything is computed from exact chart jets and one reduced QR
+factorization J = QR of the Jacobian (Golub & Van Loan, Matrix
+Computations, 5.2).  Q is the orthonormal tangent frame; the n x n factor R
+has the singular values of J, which decide the rank, gives sqrt(det g) as
+|prod diag R| and g^-1 = R^-1 R^-T.  The normal projection of the second
+derivatives is the vector-valued second fundamental form alpha; in the
+orthonormal frame it reads B = R^-T alpha R^-1, whose trace is the mean
+curvature vector H and whose squared Frobenius norm is |A|^2.  The position
+split X = X^T + X^perp and the extrinsic radius r = |X| feed all
+radial-function calculus.
 
 Operations are batched over sample points and pure, so concurrent evaluation
 on a shared immersion is safe.
@@ -13,7 +18,7 @@ on a shared immersion is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -127,7 +132,6 @@ class PointGeometry:
 
     points: np.ndarray  # (N, n)
     X: np.ndarray  # (N, A) ambient positions
-    jac: np.ndarray  # (N, A, n)
     metric: np.ndarray  # (N, n, n)
     metric_inv: np.ndarray
     sqrt_det: np.ndarray  # (N,)
@@ -156,24 +160,20 @@ class PointGeometry:
     def normH(self) -> np.ndarray:
         return np.linalg.norm(self.H, axis=1)
 
+    def tangential(self, V) -> np.ndarray:
+        """Tangential part Q Q^T V of ambient vectors V, (N, A) or (N, A, K)."""
+        return _tangential(self.frame, V)
+
     def select(self, mask) -> "PointGeometry":
         """Restrict the batch to the masked points."""
         pick = lambda a: None if a is None else a[mask]
-        return PointGeometry(
-            points=self.points[mask],
-            X=self.X[mask],
-            jac=self.jac[mask],
-            metric=self.metric[mask],
-            metric_inv=self.metric_inv[mask],
-            sqrt_det=self.sqrt_det[mask],
-            frame=self.frame[mask],
-            r=self.r[mask],
-            XT=self.XT[mask],
-            Xperp=self.Xperp[mask],
-            alpha=pick(self.alpha),
-            H=pick(self.H),
-            normA2=pick(self.normA2),
-        )
+        return PointGeometry(**{f.name: pick(getattr(self, f.name)) for f in fields(self)})
+
+
+def _tangential(frame, V):
+    if V.ndim == 2:
+        return _tangential(frame, V[..., None])[..., 0]
+    return frame @ (np.swapaxes(frame, 1, 2) @ V)
 
 
 def evaluate_chart(chart: ChartDefinition, points, order: int = 2):
@@ -197,42 +197,33 @@ def evaluate_chart(chart: ChartDefinition, points, order: int = 2):
 def geometry(imm: Immersion, points, order: int = 2) -> PointGeometry:
     """Fundamental forms, curvature and position splits at a batch of points."""
     points, X, J, S = evaluate_chart(imm.chart, points, order=max(order, 1))
-    sv = np.linalg.svd(J, compute_uv=False)
+    frame, Rf = np.linalg.qr(J)  # J = frame Rf, orthonormal tangent columns
+    sv = np.linalg.svd(Rf, compute_uv=False)  # the singular values of J
     bad = sv[:, -1] <= RANK_TOL * sv[:, 0]
     if np.any(bad):
         raise RankDeficient(points[np.argmax(bad)])
+    R_inv = np.linalg.inv(Rf)
 
-    g = np.einsum("nai,naj->nij", J, J)
-    g_inv = np.linalg.inv(g)
-    sqrt_det = np.sqrt(np.linalg.det(g))
-    frame, _ = np.linalg.qr(J)  # orthonormal tangent columns, deterministic
-
-    r = np.linalg.norm(X, axis=1)
-    XT = np.einsum("nai,nbi,nb->na", frame, frame, X)
-    Xperp = X - XT
-
+    XT = _tangential(frame, X)
     geom = PointGeometry(
         points=points,
         X=X,
-        jac=J,
-        metric=g,
-        metric_inv=g_inv,
-        sqrt_det=sqrt_det,
+        metric=np.einsum("nai,naj->nij", J, J),
+        metric_inv=R_inv @ np.swapaxes(R_inv, 1, 2),
+        sqrt_det=np.abs(np.prod(np.diagonal(Rf, axis1=1, axis2=2), axis=1)),
         frame=frame,
-        r=r,
+        r=np.linalg.norm(X, axis=1),
         XT=XT,
-        Xperp=Xperp,
+        Xperp=X - XT,
     )
     if order >= 2:
         npts, amb, dim = J.shape
-        flat = S.reshape(npts, amb, dim * dim)
-        tang = np.einsum("nai,nbi,nbk->nak", frame, frame, flat)
-        alpha = (flat - tang).reshape(npts, amb, dim, dim)
-        geom.alpha = alpha
-        geom.H = np.einsum("nij,naij->na", g_inv, alpha)
-        geom.normA2 = np.einsum(
-            "nik,njl,naij,nakl->n", g_inv, g_inv, alpha, alpha
-        )
+        S -= _tangential(frame, S.reshape(npts, amb, dim * dim)).reshape(S.shape)
+        geom.alpha = S  # the normal part of the Hessians
+        # the second fundamental form in the orthonormal frame Q
+        B = np.swapaxes(R_inv, 1, 2)[:, None] @ S @ R_inv[:, None]
+        geom.H = np.trace(B, axis1=2, axis2=3)
+        geom.normA2 = np.einsum("naij,naij->n", B, B)
     return geom
 
 

@@ -96,12 +96,10 @@ def _product_boundary(imm: Immersion, R: float) -> BoundaryData:
 
 def _points_boundary(imm: Immersion, R: float, resolution: int) -> BoundaryData:
     (lo,), (hi,) = imm.chart.box
-    ts = np.linspace(lo, hi, resolution + 1)
-    pts = ts.reshape(-1, 1)
-    r = radius_values(imm, pts)
+    nodes = np.linspace(lo, hi, resolution + 1)
+    roots, r = polyline_crossings(imm, nodes, [R], periodic=imm.chart.params[0].periodic)
     if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
         raise NonRegularLevel(R, "radius is constant along the curve")
-    roots = polyline_crossings(imm, pts, r, [R], periodic=imm.chart.params[0].periodic)
     if not len(roots):
         return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="points")
     grads = geometry(imm, roots, order=1).grad_r_norm

@@ -26,7 +26,7 @@ from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import gammaincc
 
-from .crossing import level_crossings
+from .crossing import level_crossings, pencil_scan
 from .errors import ImproperWindow, PsiUnderflow, TruncationFailure
 from .geometry import Immersion, geometry, radius_values, unit_sphere_volume
 from .levelset import boundary_area_and_flux
@@ -300,28 +300,6 @@ def _region_bounds(imm, region, count, seed, pad):
     )
 
 
-def _pencil_scan(imm, prefix, a, b):
-    """Abscissas and radii (both (m, K)) of a polyline along the pencils
-    (prefix, x), x in [a, b]: the scan nodes, each followed by a slot.  At
-    each discrete extremum of r on the scan one parabolic step goes to the
-    fitted vertex and takes the slot on its side, so a chord shorter than
-    the scan step still shows a sign change; an empty slot repeats its node.
-    """
-    m = len(prefix)
-    scan = np.linspace(a, b, _SCAN + 1)
-    pts = np.column_stack([np.repeat(prefix, _SCAN + 1, axis=0), np.tile(scan, m)])
-    r = radius_values(imm, pts).reshape(m, _SCAN + 1)
-    d = np.diff(r, axis=1)
-    p, i = np.nonzero(d[:, :-1] * d[:, 1:] < 0.0)
-    i += 1
-    step = 0.5 * (scan[1] - scan[0]) * (r[p, i - 1] - r[p, i + 1])
-    step = scan[i] + step / (r[p, i - 1] - 2.0 * r[p, i] + r[p, i + 1])
-    x, rx = np.repeat(np.tile(scan, (m, 1)), 2, axis=1), np.repeat(r, 2, axis=1)
-    slot = 2 * i - 1 + 2 * (step > scan[i])
-    x[p, slot], rx[p, slot] = step, radius_values(imm, np.column_stack([prefix[p], step]))
-    return x, rx
-
-
 def _topology_breaks(imm, region, bounds, prefix):
     """Where the number of runs inside the region along the pencils changes
     (level sets tangent to them) on the axis before the last, for each row
@@ -329,10 +307,11 @@ def _topology_breaks(imm, region, bounds, prefix):
     axis split so that no panel hides the edge of the region.  Candidates
     come off a grid and are sharpened by bisection, all in lockstep."""
     m, k = prefix.shape
+    scan = np.linspace(bounds[0][-1], bounds[1][-1], _SCAN + 1)
 
     def run_counts(rows, us):
         pencils = np.column_stack([prefix[rows], us])
-        inside = region.contains(_pencil_scan(imm, pencils, bounds[0][-1], bounds[1][-1])[1])
+        inside = region.contains(pencil_scan(imm, pencils, scan)[1])
         return (np.diff(inside.astype(int), axis=1) == 1).sum(axis=1) + inside[:, 0]
 
     u = np.linspace(bounds[0][k], bounds[1][k], 257)
@@ -360,7 +339,7 @@ def _pencil_spans(imm, region, prefix, a, b):
     segment is cut where one end has r < level and the other r >= level,
     and all cuts of all pencils are solved in one batch."""
     levels = np.array([lv for lv in (region.rho, region.R) if 0.0 < lv < math.inf])
-    x, r = _pencil_scan(imm, prefix, a, b)
+    x, r = pencil_scan(imm, prefix, np.linspace(a, b, _SCAN + 1))
     below = r < levels[:, None, None]
     k, q, j = np.nonzero(below[..., :-1] != below[..., 1:])
     left, right = np.column_stack([prefix[q], x[q, j]]), np.column_stack([prefix[q], x[q, j + 1]])

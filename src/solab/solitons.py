@@ -237,9 +237,7 @@ def homothety_flow_residual(
             consistency, float(np.abs(scaled.H - base.H / c).max())
         )
         vel = rate * base.X
-        vel_normal = vel - np.einsum(
-            "nai,nbi,nb->na", scaled.frame, scaled.frame, vel
-        )
+        vel_normal = vel - scaled.tangential(vel)
         if spec.kind == "mcf":
             res = np.linalg.norm(vel_normal - scaled.H, axis=1)
         else:

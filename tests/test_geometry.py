@@ -45,6 +45,16 @@ def test_cylinder_mean_curvature():
     np.testing.assert_allclose(g.normH, 1.0, rtol=1e-13)
 
 
+def _skew_graph():
+    chart = chart_from_sources(
+        2,
+        3,
+        ["u1 + 0.5*u2", "u2", "u1*u2 + 0.3*u1^2"],
+        [ParamSpec("u1", -1, 1), ParamSpec("u2", -1, 1)],
+    )
+    return Immersion(chart, properness_radius=1.0, name="skew graph")
+
+
 @pytest.mark.parametrize(
     "maker",
     [
@@ -53,6 +63,8 @@ def test_cylinder_mean_curvature():
         lambda: catalog("clifford_torus", k=1, nk=2, lam=1.3),
         lambda: catalog("castro_lerma", delta=0.8, lam=-1.0),
         lambda: catalog("veronese_surface", lam=2.0),
+        # a skew graph: the catalog charts are orthogonal, so R is diagonal there
+        lambda: (_skew_graph(), None),
     ],
 )
 def test_position_split_pythagoras(maker):
@@ -62,10 +74,20 @@ def test_position_split_pythagoras(maker):
     rhs = np.einsum("na,na->n", g.XT, g.XT) + np.einsum("na,na->n", g.Xperp, g.Xperp)
     np.testing.assert_allclose(rhs, lhs, rtol=1e-10)
     assert (g.grad_r_norm <= 1.0 + 1e-10).all()
-    # H is the metric trace of the shape tensor by construction; check the
-    # full tensor against the trace with an independent contraction order
-    tr = np.einsum("nji,naij->na", g.metric_inv, g.alpha)
-    np.testing.assert_allclose(tr, g.H, atol=1e-8 * max(1.0, np.abs(g.H).max()))
+    # the QR kernel against the textbook formulas in the coordinate frame:
+    # sqrt(det g), inv(g), H = g^ij alpha_ij, |A|^2 = g^ik g^jl <alpha_ij, alpha_kl>
+    g_inv = np.linalg.inv(g.metric)
+    reference = {
+        "sqrt_det": np.sqrt(np.linalg.det(g.metric)),
+        "metric_inv": g_inv,
+        "H": np.einsum("nij,naij->na", g_inv, g.alpha),
+        "normA2": np.einsum("nik,njl,naij,nakl->n", g_inv, g_inv, g.alpha, g.alpha),
+    }
+    for name, ref in reference.items():
+        # atol on the scale of the array: H and g^-1 have entries that vanish
+        np.testing.assert_allclose(
+            getattr(g, name), ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max(), err_msg=name
+        )
 
 
 def test_metric_is_spd():
@@ -144,6 +166,22 @@ def test_rank_deficient_chart_rejected():
     imm = Immersion(chart, properness_radius=1.0, name="degenerate")
     with pytest.raises(RankDeficient):
         geometry(imm, np.array([[0.2, 0.1]]))
+
+
+@pytest.mark.parametrize("eps,accepted", [(1e-9, True), (1e-11, False)])
+def test_rank_threshold_on_nearly_degenerate_chart(eps, accepted):
+    # J = [[1, 0], [1, eps], [0, 0]] has singular values ~ sqrt(2) and ~ eps/sqrt(2),
+    # so eps = 1e-9 sits above RANK_TOL = 1e-10 of the largest and 1e-11 below
+    chart = chart_from_sources(
+        2, 3, ["u1", f"u1 + {eps!r}*u2", "0"], [ParamSpec("u1", -1, 1), ParamSpec("u2", -1, 1)]
+    )
+    imm = Immersion(chart, properness_radius=1.0, name="nearly degenerate")
+    p = np.array([[0.2, 0.1]])
+    if accepted:
+        np.testing.assert_allclose(geometry(imm, p).sqrt_det, eps, rtol=1e-6)
+    else:
+        with pytest.raises(RankDeficient):
+            geometry(imm, p)
 
 
 def test_scaled_immersion_geometry():

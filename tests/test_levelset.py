@@ -88,6 +88,17 @@ def test_closed_curve_end_node_counted_once(periodic, count):
     assert boundary_area_and_flux(imm, 2.0).element_count == count
 
 
+def test_level_met_twice_between_two_scan_nodes():
+    # the line (u - 0.01, 1) dips below R = 1 + 1e-6 only for |u - 0.01| <
+    # 1.41421e-3, well inside one scan step of 12/256: the parabolic step to
+    # the discrete minimum at u = 0 brackets both crossings
+    R = 1.0 + 1e-6
+    b = boundary_area_and_flux(_curve(["u1 - 0.01", "1"], -6.0, 6.0, False), R)
+    assert b.element_count == 2
+    # |grad r| = |u - 0.01| / R at each crossing
+    assert b.flux == pytest.approx(2 * math.sqrt(R**2 - 1) / R, rel=1e-6)
+
+
 @pytest.mark.parametrize(
     "maker,R",
     [
