@@ -35,7 +35,7 @@ from .errors import (
     NonProportional,
     SolverDivergence,
 )
-from .geometry import Immersion, geometry, radius_values
+from .geometry import Immersion, evaluate_chart, geometry, radius_values
 from .levelset import clip, grid_edges, grid_triangles, level_boundaries
 from .quadrature import ExtrinsicRegion, _region_bounds
 from .solitons import SolitonSpec, imcf_residual
@@ -675,8 +675,7 @@ def soliton_from_exit_time(
 
 def export_off(mesh: Mesh, path) -> None:
     """OFF file with vertices at their ambient positions (first 3 coordinates)."""
-    g = geometry(mesh.imm, mesh.vertices, order=1)
-    X = g.X[:, :3]
+    X = evaluate_chart(mesh.imm.chart, mesh.vertices, order=0)[1][:, :3]
     if X.shape[1] < 3:
         X = np.column_stack([X, np.zeros((len(X), 3 - X.shape[1]))])
     faces = np.insert(mesh.simplices, 0, mesh.simplices.shape[1], axis=1)  # size, then indices

@@ -3,7 +3,8 @@
 Everything is computed from exact chart jets and one reduced QR
 factorization J = QR of the Jacobian (Golub & Van Loan, Matrix
 Computations, 5.2).  Q is the orthonormal tangent frame; the n x n factor R
-has the singular values of J, which decide the rank, gives sqrt(det g) as
+has the singular values of J, which decide the rank (computed only where the
+Frobenius condition number of R cannot decide it), gives sqrt(det g) as
 |prod diag R| and g^-1 = R^-1 R^-T.  The normal projection of the second
 derivatives is the vector-valued second fundamental form alpha; in the
 orthonormal frame it reads B = R^-T alpha R^-1, whose trace is the mean
@@ -198,11 +199,7 @@ def geometry(imm: Immersion, points, order: int = 2) -> PointGeometry:
     """Fundamental forms, curvature and position splits at a batch of points."""
     points, X, J, S = evaluate_chart(imm.chart, points, order=max(order, 1))
     frame, Rf = np.linalg.qr(J)  # J = frame Rf, orthonormal tangent columns
-    sv = np.linalg.svd(Rf, compute_uv=False)  # the singular values of J
-    bad = sv[:, -1] <= RANK_TOL * sv[:, 0]
-    if np.any(bad):
-        raise RankDeficient(points[np.argmax(bad)])
-    R_inv = np.linalg.inv(Rf)
+    R_inv = _checked_inverse(Rf, points)
 
     XT = _tangential(frame, X)
     geom = PointGeometry(
@@ -225,6 +222,29 @@ def geometry(imm: Immersion, points, order: int = 2) -> PointGeometry:
         geom.H = np.trace(B, axis1=2, axis2=3)
         geom.normA2 = np.einsum("naij,naij->n", B, B)
     return geom
+
+
+def _checked_inverse(Rf, points) -> np.ndarray:
+    """Rf^-1, after the rank test sigma_min <= RANK_TOL sigma_max on the
+    singular values of Rf (those of J) has passed at every point.
+
+    kappa_2 <= kappa_F = |Rf|_F |Rf^-1|_F (Golub & Van Loan, 2.3), so a
+    point with kappa_F RANK_TOL < 1/2 passes for certain (the half absorbs
+    rounding in kappa_F and in the singular values).  The SVD runs only on
+    the other points: kappa_F past that bound, non-finite kappa_F, or a zero
+    diagonal of Rf, which ``inv`` cannot take and which is replaced by the
+    identity there until the SVD has rejected the point.
+    """
+    pivots = np.all(np.diagonal(Rf, axis1=1, axis2=2) != 0, axis=1)
+    R_inv = np.linalg.inv(np.where(pivots[:, None, None], Rf, np.eye(Rf.shape[-1])))
+    kappa_f = np.sqrt(np.einsum("nij,nij->n", Rf, Rf) * np.einsum("nij,nij->n", R_inv, R_inv))
+    unsure = np.flatnonzero(~(kappa_f * RANK_TOL < 0.5) | ~pivots)
+    if unsure.size:
+        sv = np.linalg.svd(Rf[unsure], compute_uv=False)
+        bad = sv[:, -1] <= RANK_TOL * sv[:, 0]
+        if np.any(bad):
+            raise RankDeficient(points[unsure[np.argmax(bad)]])
+    return R_inv
 
 
 def point_geometry(imm: Immersion, p) -> PointGeometry:

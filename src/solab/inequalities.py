@@ -24,7 +24,7 @@ from .geometry import (
 )
 from .levelset import boundary_area_and_flux
 from .quadrature import ExtrinsicRegion, region_integral
-from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, resolve_samples
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_geometry
 from .solitons import imcf_residual, mcf_residual
 
 BOUNDARY_REL_ERR = 1e-3  # validated marching accuracy at default resolution
@@ -217,8 +217,7 @@ def separation_check(
     _verify_soliton(imm, "mcf", lam, seed)
     if lam <= 0:
         raise InvalidParams("separation concerns shrinkers (lam > 0)")
-    pts = resolve_samples(imm, samples, count, seed)
-    g = geometry(imm, pts)
+    g = sample_geometry(imm, samples, count, seed)
     crit = math.sqrt(imm.dim / lam)
     band = tol * max(1.0, crit)
     below = int((g.r < crit - band).sum())
@@ -237,7 +236,7 @@ def separation_check(
         defect = float(np.abs(g.x_dot_h + imm.dim).max())
         rdef = float(np.abs(g.r - crit).max())
         notes = (
-            f"one-sided in {len(pts)} samples (no counterexample found); a true "
+            f"one-sided in {len(g.points)} samples (no counterexample found); a true "
             "one-sided shrinker must sit on the critical sphere, and the "
             "reported defects measure how far these samples are from that",
         )
@@ -265,11 +264,10 @@ def second_form_threshold(
     the chart scaled by sqrt(lam/n) (unit-sphere shape tensor via the ambient
     trace correction)."""
     _verify_soliton(imm, "mcf", lam, seed)
-    pts = resolve_samples(imm, samples, count, seed)
     n = imm.dim
-    g = geometry(imm, pts)
+    g = sample_geometry(imm, samples, count, seed)
     ratio = g.normA2 / lam
-    scaled = geometry(scale_immersion(imm, math.sqrt(lam / n)), pts)
+    scaled = geometry(scale_immersion(imm, math.sqrt(lam / n)), g.points)
     tilde = scaled.normA2 - n  # shape tensor within the unit sphere
     target = (n / lam) * g.normA2 - n
     rescale = float(np.abs(tilde - target).max())
@@ -320,8 +318,7 @@ def rimoldi_criterion(
             r_cut = min(3.0 * math.sqrt(n / lam), 0.75 * imm.properness_radius)
         else:
             r_cut = 0.5 * imm.properness_radius
-    pts = resolve_samples(imm, samples, count, seed)
-    g = geometry(imm, pts)
+    g = sample_geometry(imm, samples, count, seed)
     far = g.r > r_cut
     if not far.any():
         raise InvalidParams(f"no samples beyond r_cut = {r_cut:.4g}")

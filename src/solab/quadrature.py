@@ -318,7 +318,7 @@ def _topology_breaks(imm, region, bounds, prefix):
     runs = run_counts(np.repeat(np.arange(m), len(u)), np.tile(u, m)).reshape(m, len(u))
     q, i = np.nonzero(np.diff(runs, axis=1) != 0)
     a, b, ca = u[i], u[i + 1], runs[q, i]
-    for _ in range(48):
+    for _ in range(48 if q.size else 0):  # no run count changes: nothing to sharpen
         mid = 0.5 * (a + b)
         same = run_counts(q, mid) == ca
         a, b = np.where(same, mid, a), np.where(same, b, mid)

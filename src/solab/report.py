@@ -28,7 +28,7 @@ from .errors import (
     SolabError,
 )
 from .geometry import Immersion, radius_values
-from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_box
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_box, shared_sample_geometry
 
 SCHEMA_VERSION = 1
 
@@ -508,11 +508,13 @@ _EXIT_OF_VERDICT = {"ERROR": EXIT_NUMERICAL, "FAIL": EXIT_CHECK_FAILED, "PASS": 
 
 
 def run(cfg: RunConfig):
-    """Execute the configured checks in order; returns (report, exit_code)."""
+    """Execute the configured checks in order; returns (report, exit_code).
+    The checks share one geometry per default sample set, for this run only."""
     imm, entry = build_immersion(cfg)
-    spec, source = _spec_from_config(cfg, imm, entry)
-    checks = cfg.checks or FULL_CHECKS
-    results = [run_check(name, cfg, imm, entry, spec) for name in checks]
+    with shared_sample_geometry():
+        spec, source = _spec_from_config(cfg, imm, entry)
+        checks = cfg.checks or FULL_CHECKS
+        results = [run_check(name, cfg, imm, entry, spec) for name in checks]
     statuses = {c.status for c in results}
     verdict = next(v for v in _EXIT_OF_VERDICT if v in statuses or v == "PASS")
     info = _pick(imm, "name", "dim", "ambient_dim", "properness_radius", "compact", "proper")

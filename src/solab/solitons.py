@@ -32,7 +32,7 @@ from .geometry import (
     radial_laplacian,
     scale_immersion,
 )
-from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, resolve_samples
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_geometry
 
 TOL_H = 1e-10  # below this |H| the immersion counts as minimal at the sample
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -102,10 +102,9 @@ def mcf_residual(
     seed: int = DEFAULT_SEED,
 ) -> ResidualReport:
     """sup over samples of |H + lambda * Xperp|."""
-    pts = resolve_samples(imm, samples, count, seed)
-    g = geometry(imm, pts)
+    g = sample_geometry(imm, samples, count, seed)
     res = np.linalg.norm(g.H + lam * g.Xperp, axis=1)
-    return _report("mcf", lam, res, tol, f"{imm.name}, {len(pts)} Halton samples")
+    return _report("mcf", lam, res, tol, f"{imm.name}, {len(g.points)} Halton samples")
 
 
 def imcf_residual(
@@ -118,13 +117,12 @@ def imcf_residual(
     tol_h: float = TOL_H,
 ) -> ResidualReport:
     """sup over samples of |H/|H|^2 + C * Xperp|; minimal points are an error."""
-    pts = resolve_samples(imm, samples, count, seed)
-    g = geometry(imm, pts)
+    g = sample_geometry(imm, samples, count, seed)
     normH = g.normH
     if np.any(normH <= tol_h):
-        raise VanishingMeanCurvature(pts[int(np.argmin(normH))])
+        raise VanishingMeanCurvature(g.points[int(np.argmin(normH))])
     res = np.linalg.norm(g.H / normH[:, None] ** 2 + c * g.Xperp, axis=1)
-    return _report("imcf", c, res, tol, f"{imm.name}, {len(pts)} Halton samples")
+    return _report("imcf", c, res, tol, f"{imm.name}, {len(g.points)} Halton samples")
 
 
 @dataclass
@@ -149,22 +147,21 @@ def infer_constant(
     lam* = -sum<H, Xperp> / sum |Xperp|^2, and analogously for the inverse
     flow with H/|H|^2 in place of H.
     """
-    pts = resolve_samples(imm, samples, count, seed)
-    g = geometry(imm, pts)
+    g = sample_geometry(imm, samples, count, seed)
     perp2 = float(np.einsum("na,na->n", g.Xperp, g.Xperp).sum())
     if kind == "mcf":
         field_vec = g.H
     elif kind == "imcf":
         normH = g.normH
         if np.any(normH <= tol_h):
-            raise VanishingMeanCurvature(pts[int(np.argmin(normH))])
+            raise VanishingMeanCurvature(g.points[int(np.argmin(normH))])
         field_vec = g.H / normH[:, None] ** 2
     else:
         raise ValueError(f"unknown flow kind {kind!r}")
-    if perp2 <= tol_h * len(pts):
+    if perp2 <= tol_h * len(g.points):
         if kind == "mcf" and float(np.abs(field_vec).max(initial=0.0)) <= tol_h:
             # totally geodesic through the origin: H = Xperp = 0 identically
-            report = _report("mcf", 0.0, np.zeros(len(pts)), tol, imm.name)
+            report = _report("mcf", 0.0, np.zeros(len(g.points)), tol, imm.name)
             return InferredConstant("mcf", 0.0, report)
         raise DegenerateNormalPosition(
             "normal position vanishes on the samples; the least-squares "
@@ -225,14 +222,13 @@ def homothety_flow_residual(
     and compared against the mean curvature of the scaled chart, which is
     recomputed numerically and checked against the exact scaling law H/c.
     """
-    pts = resolve_samples(imm, samples, count, seed)
-    base = geometry(imm, pts)
+    base = sample_geometry(imm, samples, count, seed)
     sup_by_time = []
     consistency = 0.0
     for t in times:
         c = _scale_factor(spec, float(t))
         rate = _scale_rate(spec, float(t), c)
-        scaled = geometry(scale_immersion(imm, c), pts)
+        scaled = geometry(scale_immersion(imm, c), base.points)
         consistency = max(
             consistency, float(np.abs(scaled.H - base.H / c).max())
         )
@@ -243,7 +239,7 @@ def homothety_flow_residual(
         else:
             normH = scaled.normH
             if np.any(normH <= TOL_H):
-                raise VanishingMeanCurvature(pts[int(np.argmin(normH))])
+                raise VanishingMeanCurvature(base.points[int(np.argmin(normH))])
             res = np.linalg.norm(vel_normal + scaled.H / normH[:, None] ** 2, axis=1)
         sup_by_time.append(float(res.max()))
     sup = max(sup_by_time) if sup_by_time else 0.0
@@ -296,8 +292,7 @@ def wmp_probe(
     there, together with the inequality the near-sup points must satisfy."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pts = resolve_samples(imm, samples, count, seed)
-    g = geometry(imm, pts)
+    g = sample_geometry(imm, samples, count, seed)
     g = g.select(g.r > exclusion)
     n = imm.dim
 

@@ -168,20 +168,56 @@ def test_rank_deficient_chart_rejected():
         geometry(imm, np.array([[0.2, 0.1]]))
 
 
-@pytest.mark.parametrize("eps,accepted", [(1e-9, True), (1e-11, False)])
-def test_rank_threshold_on_nearly_degenerate_chart(eps, accepted):
+def _sheared(eps):
     # J = [[1, 0], [1, eps], [0, 0]] has singular values ~ sqrt(2) and ~ eps/sqrt(2),
     # so eps = 1e-9 sits above RANK_TOL = 1e-10 of the largest and 1e-11 below
-    chart = chart_from_sources(
-        2, 3, ["u1", f"u1 + {eps!r}*u2", "0"], [ParamSpec("u1", -1, 1), ParamSpec("u2", -1, 1)]
-    )
+    return ["u1", f"u1 + {eps!r}*u2", "0"]
+
+
+def _flattened(eps):
+    # J = diag(1, 1, eps) in R^4: kappa_2 = 1/eps but kappa_F ~ sqrt(2)/eps, so
+    # the Frobenius bound cannot decide eps = 1.2e-10 (kappa_F RANK_TOL = 1.18,
+    # accepted) nor 8e-11 (1.77, rejected) and the SVD does
+    return ["u1", "u2", f"{eps!r}*u3", "0"]
+
+
+@pytest.mark.parametrize(
+    "coords,eps,accepted",
+    [
+        pytest.param(coords, eps, accepted, id=f"{eps!r}-{accepted}")
+        for coords, eps, accepted in [
+            (_sheared, 1e-9, True),
+            (_sheared, 1e-11, False),
+            (_flattened, 1.2e-10, True),
+            (_flattened, 8e-11, False),
+        ]
+    ],
+)
+def test_rank_threshold_on_nearly_degenerate_chart(coords, eps, accepted):
+    sources = coords(eps)
+    dim = len(sources) - 1
+    params = [ParamSpec(f"u{i + 1}", -1, 1) for i in range(dim)]
+    chart = chart_from_sources(dim, dim + 1, sources, params)
     imm = Immersion(chart, properness_radius=1.0, name="nearly degenerate")
-    p = np.array([[0.2, 0.1]])
+    p = np.array([[0.2, 0.1, 0.3][:dim]])
     if accepted:
         np.testing.assert_allclose(geometry(imm, p).sqrt_det, eps, rtol=1e-6)
     else:
         with pytest.raises(RankDeficient):
             geometry(imm, p)
+
+
+def test_rank_deficiency_reports_the_first_rejected_point():
+    # J = diag(1, 1, u1) at u3 = 0: full rank, accepted by the SVD, then rejected twice
+    chart = chart_from_sources(
+        3, 4, ["u1", "u2", "u1*u3", "0"], [ParamSpec(f"u{i}", -1, 1) for i in (1, 2, 3)]
+    )
+    imm = Immersion(chart, properness_radius=1.0, name="degenerate at u1 = 0")
+    p = np.array([[0.5, 0.1, 0.0], [1.2e-10, 0.2, 0.0], [8e-11, 0.3, 0.0], [1e-12, 0.4, 0.0]])
+    np.testing.assert_allclose(geometry(imm, p[:2]).sqrt_det, p[:2, 0], rtol=1e-6)
+    with pytest.raises(RankDeficient) as err:
+        geometry(imm, p)
+    np.testing.assert_array_equal(err.value.point, p[2])
 
 
 def test_scaled_immersion_geometry():
