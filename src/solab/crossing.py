@@ -135,21 +135,24 @@ def level_crossings(imm: Immersion, a, b, ra, rb, level):
 
 def pencil_scan(imm: Immersion, prefix, scan):
     """Abscissas and radii (both (m, 2K)) of a polyline along the pencils
-    (prefix, x), x on the K scan nodes: each node followed by a slot.  At
-    each discrete extremum of r on the scan one parabolic step goes to the
-    fitted vertex and takes the slot on its side, so a chord shorter than
-    the scan step still shows a sign change; an empty slot repeats its node.
+    (prefix, x), x on the K scan nodes, shared or one row of nodes per
+    pencil: each node followed by a slot.  At each discrete extremum of r on
+    the scan one parabolic step goes to the fitted vertex and takes the slot
+    on its side, so a chord shorter than the scan step still shows a sign
+    change; an empty slot repeats its node.
     """
-    m, count = len(prefix), len(scan)
-    pts = np.column_stack([np.repeat(prefix, count, axis=0), np.tile(scan, m)])
+    m = len(prefix)
+    scan = np.broadcast_to(scan, (m, np.shape(scan)[-1]))
+    count = scan.shape[1]
+    pts = np.column_stack([np.repeat(prefix, count, axis=0), scan.ravel()])
     r = radius_values(imm, pts).reshape(m, count)
     d = np.diff(r, axis=1)
     p, i = np.nonzero(d[:, :-1] * d[:, 1:] < 0.0)
     i += 1
-    step = 0.5 * (scan[1] - scan[0]) * (r[p, i - 1] - r[p, i + 1])
-    step = scan[i] + step / (r[p, i - 1] - 2.0 * r[p, i] + r[p, i + 1])
-    x, rx = np.repeat(np.tile(scan, (m, 1)), 2, axis=1), np.repeat(r, 2, axis=1)
-    slot = 2 * i - 1 + 2 * (step > scan[i])
+    step = 0.5 * (scan[p, 1] - scan[p, 0]) * (r[p, i - 1] - r[p, i + 1])
+    step = scan[p, i] + step / (r[p, i - 1] - 2.0 * r[p, i] + r[p, i + 1])
+    x, rx = np.repeat(scan, 2, axis=1), np.repeat(r, 2, axis=1)
+    slot = 2 * i - 1 + 2 * (step > scan[p, i])
     x[p, slot], rx[p, slot] = step, radius_values(imm, np.column_stack([prefix[p], step]))
     return x, rx
 

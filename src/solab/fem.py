@@ -162,7 +162,7 @@ def _mesh_segments(imm, region, h):
 
 
 def _mesh_triangles(imm, region, h):
-    bounds = _region_bounds(imm, region, 4096, 37, 0.05)
+    bounds = _region_bounds(imm, [region], 4096, 37, 0.05)[0]
     if bounds is None:
         raise MeshFailure(
             f"{imm.name}: the region {region.rho} < r < {region.R} is empty"
@@ -673,6 +673,12 @@ def soliton_from_exit_time(
 # --- export ------------------------------------------------------------------------
 
 
+def _rows(row_fmt, table) -> str:
+    """The lines np.savetxt writes for a 2-D table with this row format,
+    formatted in one pass over the flattened table."""
+    return (row_fmt * len(table)) % tuple(table.ravel().tolist())
+
+
 def export_off(mesh: Mesh, path) -> None:
     """OFF file with vertices at their ambient positions (first 3 coordinates)."""
     X = evaluate_chart(mesh.imm.chart, mesh.vertices, order=0)[1][:, :3]
@@ -681,8 +687,8 @@ def export_off(mesh: Mesh, path) -> None:
     faces = np.insert(mesh.simplices, 0, mesh.simplices.shape[1], axis=1)  # size, then indices
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"OFF\n{mesh.vertex_count} {len(mesh.simplices)} 0\n")
-        np.savetxt(fh, X, fmt="%.17g")
-        np.savetxt(fh, faces, fmt="%d")
+        fh.write(_rows("%.17g %.17g %.17g\n", X))
+        fh.write(_rows(" ".join(["%d"] * faces.shape[1]) + "\n", faces))
 
 
 def export_solution_csv(field_: ExitTimeField | DirichletSolution, path) -> None:
@@ -690,5 +696,6 @@ def export_solution_csv(field_: ExitTimeField | DirichletSolution, path) -> None
     n = mesh.vertices.shape[1]
     table = np.column_stack([np.arange(mesh.vertex_count), mesh.vertices, mesh.r, field_.values])
     header = ",".join(["vertex"] + [f"u{i + 1}" for i in range(n)] + ["r", "value"])
-    np.savetxt(path, table, fmt=["%d"] + ["%.17g"] * (n + 2), delimiter=",", header=header,
-               comments="", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.write(_rows(",".join(["%d"] + ["%.17g"] * (n + 2)) + "\n", table))

@@ -23,7 +23,7 @@ from .geometry import (
     sphere_volume,
 )
 from .levelset import boundary_area_and_flux
-from .quadrature import ExtrinsicRegion, region_integral
+from .quadrature import ExtrinsicRegion, RegionJob, region_integrals
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_geometry
 from .solitons import imcf_residual, mcf_residual
 
@@ -54,12 +54,18 @@ def _verify_soliton(imm, kind, constant, seed):
         )
 
 
-def _ball_pieces(imm, R):
-    region = ExtrinsicRegion(imm, 0.0, R)
-    vol = region_integral(imm, region)
-    h2 = region_integral(imm, region, point_fn=lambda g: g.normH**2)
-    boundary = boundary_area_and_flux(imm, R)
-    return vol, h2, boundary
+def _ball_pieces(imm, radii, curvature):
+    """Per radius R: the volume of D_R, the integral of |H|^2 over it (None
+    without `curvature`) and its boundary; all integrals in one pass."""
+    jobs = []
+    for R in radii:
+        region = ExtrinsicRegion(imm, 0.0, R)
+        jobs.append(RegionJob(region))
+        if curvature:
+            jobs.append(RegionJob(region, point_fn=lambda g: g.normH**2))
+    res = iter(region_integrals(imm, jobs))
+    return [(next(res), next(res) if curvature else None, boundary_area_and_flux(imm, R))
+            for R in radii]
 
 
 def isoperimetric_mcf(imm, lam, radii, seed=DEFAULT_SEED) -> list[InequalityMargin]:
@@ -67,22 +73,20 @@ def isoperimetric_mcf(imm, lam, radii, seed=DEFAULT_SEED) -> list[InequalityMarg
     reference, plus nonnegativity of the discount factor, per radius."""
     _verify_soliton(imm, "mcf", lam, seed)
     n = imm.dim
+    if imm.constant_radius is not None:
+        return [
+            InequalityMargin(
+                f"isoperimetric(R={R:g})", math.nan, math.nan, math.nan, 0.0, "SKIPPED",
+                (
+                    "compact image saturated: the ball has no boundary"
+                    if R > imm.constant_radius
+                    else "extrinsic ball is empty below the image radius",
+                ),
+            )
+            for R in radii
+        ]
     out = []
-    for R in radii:
-        if imm.constant_radius is not None:
-            why = (
-                "compact image saturated: the ball has no boundary"
-                if R > imm.constant_radius
-                else "extrinsic ball is empty below the image radius"
-            )
-            out.append(
-                InequalityMargin(
-                    f"isoperimetric(R={R:g})", math.nan, math.nan, math.nan, 0.0,
-                    "SKIPPED", (why,),
-                )
-            )
-            continue
-        vol, h2, boundary = _ball_pieces(imm, R)
+    for R, (vol, h2, boundary) in zip(radii, _ball_pieces(imm, radii, curvature=True)):
         if vol.value <= 0.0:
             out.append(
                 InequalityMargin(
@@ -124,17 +128,16 @@ def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[InequalityMargi
         )
     _verify_soliton(imm, "imcf", c, seed)
     factor = (c * n - 1.0) / (c * n)
-    out = []
-    for R in radii:
-        if imm.constant_radius is not None:
-            out.append(
-                InequalityMargin(
-                    f"isoperimetric-inverse(R={R:g})", math.nan, math.nan, math.nan,
-                    0.0, "SKIPPED", ("spherical image: the ball boundary degenerates",),
-                )
+    if imm.constant_radius is not None:
+        return [
+            InequalityMargin(
+                f"isoperimetric-inverse(R={R:g})", math.nan, math.nan, math.nan,
+                0.0, "SKIPPED", ("spherical image: the ball boundary degenerates",),
             )
-            continue
-        vol, _, boundary = _ball_pieces(imm, R)
+            for R in radii
+        ]
+    out = []
+    for R, (vol, _, boundary) in zip(radii, _ball_pieces(imm, radii, curvature=False)):
         if vol.value <= 0.0:
             out.append(
                 InequalityMargin(
@@ -180,8 +183,8 @@ def volume_growth_monotonicity(imm, c, radii, seed=DEFAULT_SEED) -> TrendReport:
     exponent = (c * n - 1.0) / (c * n)
     radii = np.asarray(radii, dtype=float)
     vals, errs = [], []
-    for t in radii:
-        vol = region_integral(imm, ExtrinsicRegion(imm, 0.0, t))
+    vols = region_integrals(imm, [RegionJob(ExtrinsicRegion(imm, 0.0, t)) for t in radii])
+    for t, vol in zip(radii, vols):
         vals.append(vol.value / ball_volume(n, t) ** exponent)
         errs.append(vol.error / ball_volume(n, t) ** exponent)
     vals = np.asarray(vals)

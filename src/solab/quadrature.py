@@ -37,7 +37,9 @@ __all__ = [
     "QuadratureResult",
     "PsiCurve",
     "region_volume",
+    "RegionJob",
     "region_integral",
+    "region_integrals",
     "gaussian_volume",
     "second_moment",
     "weighted_identity_check",
@@ -60,10 +62,6 @@ class ExtrinsicRegion:
         if not (0.0 <= self.rho < self.R):
             raise ValueError(f"need 0 <= rho < R, got rho={self.rho}, R={self.R}")
 
-    def contains(self, r):
-        """rho < r < R; with rho = 0 the point r = 0 belongs too."""
-        return ((r > self.rho) | (self.rho == 0.0)) & (r < self.R)
-
 
 @dataclass
 class QuadratureResult:
@@ -78,6 +76,51 @@ class QuadratureResult:
 # --- dispatch ---------------------------------------------------------------
 
 
+def _ones(r):
+    return np.ones_like(r)
+
+
+@dataclass(frozen=True)
+class RegionJob:
+    """One integral of f dV over a region: f is radial_fn(r) if given, else
+    point_fn(geom); the volume when neither is."""
+
+    region: ExtrinsicRegion
+    radial_fn: object = None
+    point_fn: object = None
+
+    def __post_init__(self):
+        if self.radial_fn is None and self.point_fn is None:
+            object.__setattr__(self, "radial_fn", _ones)
+
+
+def region_integrals(
+    imm: Immersion, jobs, point_order: int = 2, method: str = "auto"
+) -> list[QuadratureResult]:
+    """Integrate each job's f dV over its region, one result per job.
+
+    On the pencil route all jobs run in one pass (see _pencil_integrals);
+    every result is bit-identical to integrating that job on its own."""
+    if method == "auto":
+        if imm.constant_radius is not None:
+            method = "constant"
+        elif imm.radial is not None:
+            method = "product"
+        else:
+            method = "pencil"
+    if method == "constant":
+        return [
+            _constant_radius_integral(imm, job.region, job.radial_fn, job.point_fn)
+            for job in jobs
+        ]
+    if method == "product":
+        return [
+            _product_integral(imm, job.region, job.radial_fn, job.point_fn, point_order)
+            for job in jobs
+        ]
+    return _pencil_integrals(imm, list(jobs), point_order)
+
+
 def region_integral(
     imm: Immersion,
     region: ExtrinsicRegion,
@@ -87,20 +130,8 @@ def region_integral(
     method: str = "auto",
 ) -> QuadratureResult:
     """Integrate f dV over {rho < r < R}; f is radial_fn(r) or point_fn(geom)."""
-    if radial_fn is None and point_fn is None:
-        radial_fn = lambda r: np.ones_like(r)
-    if method == "auto":
-        if imm.constant_radius is not None:
-            method = "constant"
-        elif imm.radial is not None:
-            method = "product"
-        else:
-            method = "pencil"
-    if method == "constant":
-        return _constant_radius_integral(imm, region, radial_fn, point_fn)
-    if method == "product":
-        return _product_integral(imm, region, radial_fn, point_fn, point_order)
-    return _pencil_integral(imm, region, radial_fn, point_fn, point_order)
+    job = RegionJob(region, radial_fn, point_fn)
+    return region_integrals(imm, [job], point_order, method)[0]
 
 
 def region_volume(region: ExtrinsicRegion, method: str = "auto"):
@@ -225,7 +256,23 @@ _LIMIT = 128  # active panels of one integral before they are accepted as they s
 _SCAN = 128  # scan segments along a pencil
 
 
-def _gauss_kronrod(f, lo, hi, owner, count):
+def _dot(a, w, part, cols=slice(None)):
+    """a[:, cols] @ w, with the rows of each part multiplied on their own.
+    BLAS rounds a row's product by the row's place in the batch, so this
+    gives each part the bits it would get from a batch of its rows alone."""
+    if not len(part) or part.min() == part.max():
+        return a[:, cols] @ w
+    order = np.argsort(part, kind="stable")
+    a, counts = a[order], np.bincount(part)
+    stops = np.cumsum(counts)
+    out = np.empty(len(order))
+    out[order] = np.concatenate(
+        [a[s - c : s, cols] @ w for s, c in zip(stops, counts) if c]
+    )
+    return out
+
+
+def _gauss_kronrod(f, lo, hi, owner, count, part=None):
     """Adaptive Gauss-Kronrod (7, 15) quadrature of `count` integrals at once.
 
     Panel [lo[p], hi[p]] belongs to integral owner[p].  Each round calls
@@ -239,19 +286,25 @@ def _gauss_kronrod(f, lo, hi, owner, count):
     are noise-limited and halving cannot help (QUADPACK's roundoff test).
     An integral with more than _LIMIT active panels, or still active after
     _ROUNDS halvings, keeps its panels as they stand (QUADPACK's limit).
+    Integral i belongs to part[i] (all to one part by default): the rule's
+    sums run on each part's panels on their own (see _dot), and all else is
+    decided per integral, so a part's results are those of running it alone.
     Returns the values, the errors (panel estimates plus the carried errors
-    they weigh) and the number of panels accepted.
+    they weigh) and the number of panels accepted, per integral.
     """
+    part = np.zeros(count, int) if part is None else part
     width = np.bincount(owner, hi - lo, count)
-    spent, scale, parts = np.zeros(count), np.zeros(count), []
+    spent, scale, accepted = np.zeros(count), np.zeros(count), []
     for rnd in range(_ROUNDS + 1):
         half = 0.5 * (hi - lo)
         x = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_X
         v, e = (a.reshape(x.shape) for a in f(x.ravel(), np.repeat(owner, 15)))
-        kron = half * (v @ _GK_W)
-        absk = half * (np.abs(v) @ _GK_W)
-        asc = half * (np.abs(v - (v @ _GK_W / 2.0)[:, None]) @ _GK_W)
-        err = np.abs(kron - half * (v[:, 1::2] @ _GK_G))
+        grp = part[owner]
+        vk = _dot(v, _GK_W, grp)
+        kron = half * vk
+        absk = half * _dot(np.abs(v), _GK_W, grp)
+        asc = half * _dot(np.abs(v - (vk / 2.0)[:, None]), _GK_W, grp)
+        err = np.abs(kron - half * _dot(v, _GK_G, grp, slice(1, None, 2)))
         with np.errstate(divide="ignore", invalid="ignore"):
             err = np.where(asc > 0.0, asc * np.minimum(1.0, (200.0 * err / asc) ** 1.5), err)
         err = np.maximum(err, 50.0 * np.finfo(float).eps * absk)
@@ -264,7 +317,8 @@ def _gauss_kronrod(f, lo, hi, owner, count):
             pair_k, pair_err = kron[:n] + kron[n:], err[:n] + err[n:]
             noise = np.abs(pair_k - parent_k) <= 1e-5 * np.abs(pair_k)
             done |= np.tile(noise & (pair_err > 0.75 * parent_err), 2)
-        parts.append((owner[done], kron[done], err[done] + half[done] * (e[done] @ _GK_W)))
+        carried = _dot(e[done], _GK_W, grp[done])
+        accepted.append((owner[done], kron[done], err[done] + half[done] * carried))
         spent += np.bincount(owner[done], err[done], count)
         scale += np.bincount(owner[done], absk[done], count)
         lo, hi, owner = lo[~done], hi[~done], owner[~done]
@@ -273,14 +327,19 @@ def _gauss_kronrod(f, lo, hi, owner, count):
             break
         mid = 0.5 * (lo + hi)
         lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
-    owner, kron, err = (np.concatenate(a) for a in zip(*parts))
-    return np.bincount(owner, kron, count), np.bincount(owner, err, count), len(kron)
+    owner, kron, err = (np.concatenate(a) for a in zip(*accepted))
+    return (
+        np.bincount(owner, kron, count),
+        np.bincount(owner, err, count),
+        np.bincount(owner, minlength=count),
+    )
 
 
-def _region_bounds(imm, region, count, seed, pad):
-    """Tight parameter-space bounding box of the region, or None if empty:
-    the box of the `count` Halton samples (scrambled with `seed`) inside it,
-    grown by `pad` times the chart box on each side and clamped to that box.
+def _region_bounds(imm, regions, count, seed, pad):
+    """Tight parameter-space bounding box of each region, or None where it is
+    empty: the box of the `count` Halton samples (scrambled with `seed`)
+    inside it, grown by `pad` times the chart box on each side and clamped to
+    that box.  One sample set and one radius evaluation serve all regions.
 
     Pencil panels and PDE meshes are laid inside this box; thin spikes past
     the sampling resolution plus pad would be missed, which the pads in use
@@ -288,36 +347,89 @@ def _region_bounds(imm, region, count, seed, pad):
     """
     pts = sample_box(imm.chart, count, seed)
     r = radius_values(imm, pts)
-    mask = (r > region.rho) & (r < region.R)
-    if not mask.any():
-        return None
     lo, hi = imm.chart.box
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     grow = pad * (hi - lo)
-    return (
-        np.maximum(lo, pts[mask].min(axis=0) - grow),
-        np.minimum(hi, pts[mask].max(axis=0) + grow),
-    )
+    out = []
+    for region in regions:
+        mask = (r > region.rho) & (r < region.R)
+        out.append(
+            (
+                np.maximum(lo, pts[mask].min(axis=0) - grow),
+                np.minimum(hi, pts[mask].max(axis=0) + grow),
+            )
+            if mask.any()
+            else None
+        )
+    return out
 
 
-def _topology_breaks(imm, region, bounds, prefix):
+@dataclass(frozen=True)
+class _Boxes:
+    """The regions of one pass and their parameter boxes, one row per job;
+    `box` numbers the distinct boxes, so that jobs sharing one also share
+    its scans."""
+
+    rho: np.ndarray
+    R: np.ndarray
+    lo: np.ndarray  # (jobs, dim)
+    hi: np.ndarray
+    box: np.ndarray
+
+    @classmethod
+    def build(cls, regions, bounds):
+        lo = np.array([b[0] for b in bounds])
+        hi = np.array([b[1] for b in bounds])
+        box = np.unique(np.column_stack([lo, hi]), axis=0, return_inverse=True)[1]
+        return cls(
+            np.array([region.rho for region in regions], dtype=float),
+            np.array([region.R for region in regions], dtype=float),
+            lo,
+            hi,
+            box.reshape(-1),
+        )
+
+    def contains(self, r, job):
+        """rho < r < R for the (rows, ...) radii r, each row against the
+        region of its job; with rho = 0 the point r = 0 belongs too."""
+        rho = self.rho[job].reshape(-1, *[1] * (r.ndim - 1))
+        R = self.R[job].reshape(rho.shape)
+        return ((r > rho) | (rho == 0.0)) & (r < R)
+
+
+def _scan(imm, boxes, pencils, job):
+    """pencil_scan of each row's pencil across its job's box on the last
+    axis, each distinct (box, pencil) scanned once: returns the abscissas and
+    radii of the distinct scans and each row's index into them."""
+    key = np.column_stack([boxes.box[job], pencils])
+    _, first, inv = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    t = job[first]
+    nodes = np.linspace(boxes.lo[t, -1], boxes.hi[t, -1], _SCAN + 1, axis=-1)
+    x, r = pencil_scan(imm, pencils[first], nodes)
+    return x, r, inv.reshape(-1)
+
+
+def _topology_breaks(imm, boxes, prefix, job):
     """Where the number of runs inside the region along the pencils changes
     (level sets tangent to them) on the axis before the last, for each row
     of prefix: returns the rows and the abscissas, where the panels of that
     axis split so that no panel hides the edge of the region.  Candidates
     come off a grid and are sharpened by bisection, all in lockstep."""
     m, k = prefix.shape
-    scan = np.linspace(bounds[0][-1], bounds[1][-1], _SCAN + 1)
 
     def run_counts(rows, us):
-        pencils = np.column_stack([prefix[rows], us])
-        inside = region.contains(pencil_scan(imm, pencils, scan)[1])
-        return (np.diff(inside.astype(int), axis=1) == 1).sum(axis=1) + inside[:, 0]
+        _, r, at = _scan(imm, boxes, np.column_stack([prefix[rows], us]), job[rows])
+        counts = np.empty(len(rows), int)
+        for s in range(0, len(rows), 1024):  # blocks of rows bound the memory
+            block = slice(s, s + 1024)
+            inside = boxes.contains(r[at[block]], job[rows[block]])
+            counts[block] = (inside[:, 1:] & ~inside[:, :-1]).sum(axis=1) + inside[:, 0]
+        return counts
 
-    u = np.linspace(bounds[0][k], bounds[1][k], 257)
-    runs = run_counts(np.repeat(np.arange(m), len(u)), np.tile(u, m)).reshape(m, len(u))
+    u = np.linspace(boxes.lo[job, k], boxes.hi[job, k], 257, axis=-1)
+    runs = run_counts(np.repeat(np.arange(m), u.shape[1]), u.ravel()).reshape(u.shape)
     q, i = np.nonzero(np.diff(runs, axis=1) != 0)
-    a, b, ca = u[i], u[i + 1], runs[q, i]
+    a, b, ca = u[q, i], u[q, i + 1], runs[q, i]
     for _ in range(48 if q.size else 0):  # no run count changes: nothing to sharpen
         mid = 0.5 * (a + b)
         same = run_counts(q, mid) == ca
@@ -333,68 +445,95 @@ def _panels(owner, ends):
     return ends[:-1][keep], ends[1:][keep], owner[:-1][keep]
 
 
-def _pencil_spans(imm, region, prefix, a, b):
-    """The parts of [a, b] inside the region along the pencils (prefix, x):
-    returns the spans' ends and the row of prefix each belongs to.  A scan
-    segment is cut where one end has r < level and the other r >= level,
-    and all cuts of all pencils are solved in one batch."""
-    levels = np.array([lv for lv in (region.rho, region.R) if 0.0 < lv < math.inf])
-    x, r = pencil_scan(imm, prefix, np.linspace(a, b, _SCAN + 1))
-    below = r < levels[:, None, None]
-    k, q, j = np.nonzero(below[..., :-1] != below[..., 1:])
-    left, right = np.column_stack([prefix[q], x[q, j]]), np.column_stack([prefix[q], x[q, j + 1]])
-    roots, _ = level_crossings(imm, left, right, r[q, j], r[q, j + 1], levels[k])
+def _pencil_spans(imm, boxes, prefix, job):
+    """The parts of [a, b], the last axis of each row's box, inside the row's
+    region along the pencils (prefix, x): returns the spans' ends and the row
+    of prefix each belongs to.  A scan segment is cut where one end has
+    r < level and the other r >= level, and all cuts of all pencils and
+    levels are solved in one batch."""
+    a, b = boxes.lo[job, -1], boxes.hi[job, -1]
+    levels = np.stack([boxes.rho[job], boxes.R[job]])
+    x, r, at = _scan(imm, boxes, prefix, job)
+    below = r[at] < levels[..., None]
+    cut = (below[..., :-1] != below[..., 1:]) & ((0.0 < levels) & (levels < math.inf))[..., None]
+    k, q, j = np.nonzero(cut)
+    left = np.column_stack([prefix[q], x[at[q], j]])
+    right = np.column_stack([prefix[q], x[at[q], j + 1]])
+    roots, _ = level_crossings(imm, left, right, r[at[q], j], r[at[q], j + 1], levels[k, q])
     m = len(prefix)
-    ends = np.concatenate([np.full(m, a), np.full(m, b), roots[:, -1]])
+    ends = np.concatenate([a, b, roots[:, -1]])
     lo, hi, owner = _panels(np.concatenate([np.arange(m), np.arange(m), q]), ends)
-    keep = hi - lo > 1e-14 * max(1.0, abs(b - a))
+    keep = hi - lo > 1e-14 * np.maximum(1.0, np.abs(b - a))[owner]
     lo, hi, owner = lo[keep], hi[keep], owner[keep]
     mids = np.column_stack([prefix[owner], 0.5 * (lo + hi)])
-    inside = region.contains(radius_values(imm, mids))
+    inside = boxes.contains(radius_values(imm, mids), job[owner])
     return lo[inside], hi[inside], owner[inside]
 
 
-def _pencil_integral(imm, region, radial_fn, point_fn, point_order):
-    """Iterated integral, last axis innermost, with one batched adaptive rule
-    per axis: an outer axis integrates the next one at all nodes of a round
-    at once (the axis before the last split at its topology breaks), the
-    innermost f dV over the spans of its pencils."""
+def _pencil_integrals(imm, jobs, point_order):
+    """Iterated integrals, last axis innermost, of all jobs in one pass, with
+    one batched adaptive rule per axis: an outer axis integrates the next one
+    at all nodes of a round at once (the axis before the last split at its
+    topology breaks), the innermost f dV over the spans of its pencils.
+
+    Every row of every axis carries its job.  The jobs share one bounds
+    sample, every scan of a distinct (box, pencil), one root batch per
+    innermost call and one geometry call per derivative order per round; a
+    job's panels, decisions and sums are those of the job run on its own,
+    so the results are bit-identical to it."""
     if imm.dim > 3:
         raise ImproperWindow(
             f"generic quadrature supports dim <= 3; {imm.name} has dim {imm.dim} "
             "and declares no product structure"
         )
-    bounds = _region_bounds(imm, region, 2048, 31, 0.08)
-    if bounds is None:
-        return QuadratureResult(
-            0.0, 0.0, 0, method="pencil", notes=("region empty by sampling",)
-        )
-    order = max(point_order if point_fn is not None else 1, 1)
-    cells = [0]
+    out = [
+        QuadratureResult(0.0, 0.0, 0, method="pencil", notes=("region empty by sampling",))
+        for _ in jobs
+    ]
+    bounds = _region_bounds(imm, [job.region for job in jobs], 2048, 31, 0.08)
+    live = [t for t, box in enumerate(bounds) if box is not None]
+    if not live:
+        return out
+    jobs = [jobs[t] for t in live]
+    boxes = _Boxes.build([job.region for job in jobs], [bounds[t] for t in live])
+    orders = np.array([1 if job.point_fn is None else max(point_order, 1) for job in jobs])
+    cells = np.zeros(len(jobs))
 
-    def axis(prefix):
+    def axis(prefix, job):
         m, k = prefix.shape
-        a, b = bounds[0][k], bounds[1][k]
         if k < imm.dim - 1:
-            owner, ends = np.repeat(np.arange(m), 2), np.tile([a, b], m)
+            owner = np.repeat(np.arange(m), 2)
+            ends = np.column_stack([boxes.lo[job, k], boxes.hi[job, k]]).ravel()
             if k == imm.dim - 2:
-                q, u = _topology_breaks(imm, region, bounds, prefix)
+                q, u = _topology_breaks(imm, boxes, prefix, job)
                 owner, ends = np.concatenate([owner, q]), np.concatenate([ends, u])
             lo, hi, owner = _panels(owner, ends)
-            inner = lambda x, i: axis(np.column_stack([prefix[i], x]))
-            return _gauss_kronrod(inner, lo, hi, owner, m)[:2]
+            inner = lambda x, i: axis(np.column_stack([prefix[i], x]), job[i])
+            return _gauss_kronrod(inner, lo, hi, owner, m, job)[:2]
 
         def f(x, i):
-            g = geometry(imm, np.column_stack([prefix[i], x]), order=order)
-            vals = (radial_fn(g.r) if radial_fn is not None else point_fn(g)) * g.sqrt_det
+            vals, of = np.empty(len(x)), job[i]
+            for order in np.unique(orders[of]):
+                at = np.flatnonzero(orders[of] == order)
+                g = geometry(imm, np.column_stack([prefix[i[at]], x[at]]), order=int(order))
+                for t in np.unique(of[at]):
+                    sel = of[at] == t
+                    fn = jobs[t]
+                    if fn.radial_fn is not None:
+                        v = fn.radial_fn(g.r[sel])
+                    else:
+                        v = fn.point_fn(g.select(sel))
+                    vals[at[sel]] = v * g.sqrt_det[sel]
             return vals, np.zeros_like(vals)
 
-        value, error, panels = _gauss_kronrod(f, *_pencil_spans(imm, region, prefix, a, b), m)
-        cells[0] += panels
+        value, error, panels = _gauss_kronrod(f, *_pencil_spans(imm, boxes, prefix, job), m, job)
+        cells[:] += np.bincount(job, panels, len(jobs))
         return value, error
 
-    value, error = axis(np.empty((1, 0)))
-    return QuadratureResult(float(value[0]), float(error[0]), cells[0], method="pencil")
+    value, error = axis(np.empty((len(jobs), 0)), np.arange(len(jobs)))
+    for t, v, e, c in zip(live, value, error, cells):
+        out[t] = QuadratureResult(float(v), float(e), int(c), method="pencil")
+    return out
 
 
 # --- Gaussian-weighted volumes ----------------------------------------------------
@@ -409,27 +548,24 @@ def _gamma_tail(p: float, a: float, x: float) -> float:
 def _euclidean_majorant(imm: Immersion) -> float:
     """Fit c with Vol(D_t) <= c t^n on the computed window (x10 safety)."""
     n = imm.dim
-    window = imm.properness_radius
-    best = 0.0
-    for frac in (0.35, 0.6, 0.85):
-        t = frac * window
-        if t <= 0:
-            continue
-        vol = region_volume(ExtrinsicRegion(imm, 0.0, t)).value
-        best = max(best, vol / t**n)
+    radii = [t for t in (frac * imm.properness_radius for frac in (0.35, 0.6, 0.85)) if t > 0]
+    for t in radii:
+        imm.require_window(t)
+    vols = region_integrals(imm, [RegionJob(ExtrinsicRegion(imm, 0.0, t)) for t in radii])
+    best = max([0.0] + [vol.value / t**n for vol, t in zip(vols, radii)])
     if best <= 0.0:
         raise TruncationFailure(
             f"{imm.name}: no extrinsic ball volume inside the covered window "
-            f"(radius {window:.3g}); cannot fit a growth majorant"
+            f"(radius {imm.properness_radius:.3g}); cannot fit a growth majorant"
         )
     return 10.0 * best
 
 
-def _truncation_radius(imm: Immersion, lam: float, power: int, tol: float):
+def _truncation_radius(imm: Immersion, lam: float, power: int, tol: float, c: float):
     """Smallest R with the fitted tail bound below tol; the bound is
-    c * n * integral over (R, inf) of t^(n-1+power) exp(-lam t^2/2) dt."""
+    c * n * integral over (R, inf) of t^(n-1+power) exp(-lam t^2/2) dt, with
+    c from _euclidean_majorant."""
     n = imm.dim
-    c = _euclidean_majorant(imm)
     a = lam / 2.0
 
     def tail(R):
@@ -448,32 +584,38 @@ def _truncation_radius(imm: Immersion, lam: float, power: int, tol: float):
     return R, tail(R)
 
 
-def _weighted_integral(imm: Immersion, lam: float, power: int, tol: float):
+def _weighted_integrals(imm: Immersion, lam: float, powers, tol: float):
+    """Integrals of r^p exp(-lam r^2 / 2) dV over the whole immersion, one per
+    power p: one majorant fit and one region_integrals pass for all."""
     if lam <= 0:
         raise ValueError("the Gaussian weight needs lam > 0")
-    weight = lambda r: r**power * np.exp(-lam * r**2 / 2.0)
+    weights = [lambda r, p=p: r**p * np.exp(-lam * r**2 / 2.0) for p in powers]
     if imm.constant_radius is not None:
-        res = region_integral(
-            imm, ExtrinsicRegion(imm, 0.0, math.inf), radial_fn=weight, method="constant"
-        )
-        res.notes = ("compact: no truncation needed",)
-        return res
-    R_max, tail = _truncation_radius(imm, lam, power, tol)
-    res = region_integral(imm, ExtrinsicRegion(imm, 0.0, R_max), radial_fn=weight)
-    res.tail = tail
-    res.error += tail
-    res.notes = (f"truncated at R={R_max:.6g}",)
-    return res
+        whole = ExtrinsicRegion(imm, 0.0, math.inf)
+        out = [region_integral(imm, whole, radial_fn=w, method="constant") for w in weights]
+        for res in out:
+            res.notes = ("compact: no truncation needed",)
+        return out
+    c = _euclidean_majorant(imm)
+    cuts = [_truncation_radius(imm, lam, p, tol, c) for p in powers]
+    out = region_integrals(
+        imm, [RegionJob(ExtrinsicRegion(imm, 0.0, R), w) for (R, _), w in zip(cuts, weights)]
+    )
+    for res, (R_max, tail) in zip(out, cuts):
+        res.tail = tail
+        res.error += tail
+        res.notes = (f"truncated at R={R_max:.6g}",)
+    return out
 
 
 def gaussian_volume(imm: Immersion, lam: float, tol: float = 1e-10) -> QuadratureResult:
     """Integral of exp(-lam r^2 / 2) dV over the whole immersion."""
-    return _weighted_integral(imm, lam, 0, tol)
+    return _weighted_integrals(imm, lam, (0,), tol)[0]
 
 
 def second_moment(imm: Immersion, lam: float, tol: float = 1e-10) -> QuadratureResult:
     """Integral of r^2 exp(-lam r^2 / 2) dV over the whole immersion."""
-    return _weighted_integral(imm, lam, 2, tol)
+    return _weighted_integrals(imm, lam, (2,), tol)[0]
 
 
 @dataclass
@@ -488,9 +630,9 @@ class IdentityMargin:
 
 
 def weighted_identity_check(imm: Immersion, lam: float, tol: float = 1e-3) -> IdentityMargin:
-    """Relative defect of lam * second_moment = n * gaussian_volume."""
-    m0 = gaussian_volume(imm, lam)
-    m2 = second_moment(imm, lam)
+    """Relative defect of lam * second_moment = n * gaussian_volume; both
+    moments share one majorant fit and one quadrature pass."""
+    m0, m2 = _weighted_integrals(imm, lam, (0, 2), 1e-10)
     n = imm.dim
     lhs = lam * m2.value
     rhs = n * m0.value
@@ -527,29 +669,22 @@ def psi(imm: Immersion, lam: float, radii, tol: float = 1e-10) -> PsiCurve:
         raise ValueError("psi needs lam > 0")
     radii = np.asarray(radii, dtype=float)
     weight = lambda r: r**2 * np.exp(-lam * r**2 / 2.0)
-    values, errors, tails = [], [], []
     if imm.constant_radius is not None:
         R0, vol = imm.constant_radius, imm.total_volume
-        for R in radii:
-            values.append(weight(np.array([R0]))[0] * vol if R < R0 else 0.0)
-            errors.append(0.0)
-            tails.append(0.0)
-        return PsiCurve(radii, np.array(values), np.array(errors), np.array(tails))
-    R_max, tail = _truncation_radius(imm, lam, 2, tol)
-    for R in radii:
-        if R >= R_max:
-            values.append(0.0)
-            errors.append(tail)
-            tails.append(tail)
-            continue
-        res = region_integral(imm, ExtrinsicRegion(imm, R, R_max), radial_fn=weight)
-        values.append(res.value)
-        errors.append(res.error + tail)
-        tails.append(tail)
+        values = [weight(np.array([R0]))[0] * vol if R < R0 else 0.0 for R in radii]
+        return PsiCurve(radii, np.array(values), np.zeros(len(radii)), np.zeros(len(radii)))
+    R_max, tail = _truncation_radius(imm, lam, 2, tol, _euclidean_majorant(imm))
+    inner = radii < R_max
+    shells = region_integrals(
+        imm, [RegionJob(ExtrinsicRegion(imm, R, R_max), weight) for R in radii[inner]]
+    )
+    values, errors = np.zeros(len(radii)), np.full(len(radii), tail)
+    values[inner] = [res.value for res in shells]
+    errors[inner] = [res.error + tail for res in shells]
     closed = None
     if imm.radial is not None:
         closed = np.array([cylinder_psi_closed_form(imm, lam, R) for R in radii])
-    return PsiCurve(radii, np.array(values), np.array(errors), np.array(tails), closed)
+    return PsiCurve(radii, values, errors, np.full(len(radii), tail), closed)
 
 
 def cylinder_psi_closed_form(imm: Immersion, lam: float, R: float) -> float:
@@ -629,28 +764,18 @@ def flux_identity_check(
     n = imm.dim
     region = ExtrinsicRegion(imm, 0.0, R)
     method = "pencil" if (imm.dim <= 2 and imm.constant_radius is None) else "auto"
-    lhs = region_integral(
-        imm,
-        region,
-        radial_fn=lambda r: np.exp(-lam * r**2 / 2.0) * (n - lam * r**2),
-        method=method,
-    ).value
+    jobs = [
+        RegionJob(region, lambda r: np.exp(-lam * r**2 / 2.0) * (n - lam * r**2)),
+        RegionJob(region),
+        RegionJob(region, point_fn=lambda g: g.normH**2),
+        RegionJob(region, lambda r: (1.0 - lam * r**2 / n) * np.exp(lam * (R**2 - r**2) / 2.0)),
+    ]
+    lhs, vol, h2, avg = (res.value for res in region_integrals(imm, jobs, method=method))
     boundary = boundary_area_and_flux(imm, R)
     rhs = R * math.exp(-lam * R**2 / 2.0) * boundary.flux
-    vol = region_integral(imm, region, method=method).value
     scale = max(abs(rhs), abs(lhs), 1e-9 * n * vol)
     margin = abs(lhs - rhs) / scale
-
-    h2 = region_integral(
-        imm, region, point_fn=lambda g: g.normH**2, method=method
-    ).value
     factor_lhs = 1.0 - h2 / (n * lam * vol) if lam != 0 else math.nan
-    avg = region_integral(
-        imm,
-        region,
-        radial_fn=lambda r: (1.0 - lam * r**2 / n) * np.exp(lam * (R**2 - r**2) / 2.0),
-        method=method,
-    ).value
     factor_rhs = avg / vol
     factor_margin = abs(factor_lhs - factor_rhs) / max(1.0, abs(factor_rhs))
     ok = margin < tol and factor_margin < tol

@@ -29,7 +29,14 @@ from solab.fem import (
     solve_exit_time,
     soliton_from_exit_time,
 )
-from solab.geometry import Immersion, RadialFunction, geometry, radial_laplacian, radius_values
+from solab.geometry import (
+    Immersion,
+    RadialFunction,
+    evaluate_chart,
+    geometry,
+    radial_laplacian,
+    radius_values,
+)
 from solab.levelset import boundary_area_and_flux
 from solab.quadrature import ExtrinsicRegion
 from solab.solitons import SolitonSpec
@@ -386,3 +393,49 @@ def test_exports(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "vertex,u1,u2,r,value"
     assert len(lines) == field.mesh.vertex_count + 1
+
+
+def _savetxt_exports(field, off, csv):
+    """The two exports as np.savetxt writes them, row by row."""
+    mesh = field.mesh
+    X = evaluate_chart(mesh.imm.chart, mesh.vertices, order=0)[1][:, :3]
+    if X.shape[1] < 3:
+        X = np.column_stack([X, np.zeros((len(X), 3 - X.shape[1]))])
+    faces = np.insert(mesh.simplices, 0, mesh.simplices.shape[1], axis=1)
+    with open(off, "w", encoding="utf-8") as fh:
+        fh.write(f"OFF\n{mesh.vertex_count} {len(mesh.simplices)} 0\n")
+        np.savetxt(fh, X, fmt="%.17g")
+        np.savetxt(fh, faces, fmt="%d")
+    n = mesh.vertices.shape[1]
+    table = np.column_stack([np.arange(mesh.vertex_count), mesh.vertices, mesh.r, field.values])
+    header = ",".join(["vertex"] + [f"u{i + 1}" for i in range(n)] + ["r", "value"])
+    np.savetxt(csv, table, fmt=["%d"] + ["%.17g"] * (n + 2), delimiter=",", header=header,
+               comments="", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "make,R,h",
+    [
+        (lambda: catalog("plane", n=2)[0], 1.5, 0.1),
+        # a curve in the plane: its OFF vertices are padded with a zero z
+        (
+            lambda: Immersion(
+                chart_from_sources(
+                    1, 2, ["cos(u1)", "2*sin(u1)"],
+                    [ParamSpec("u1", 0.0, 2 * math.pi, periodic=True)],
+                ),
+                properness_radius=math.inf,
+            ),
+            1.5,
+            0.02,
+        ),
+    ],
+    ids=["plane2", "curve"],
+)
+def test_exports_match_savetxt_bytes(tmp_path, make, R, h):
+    field = solve_exit_time(make(), R, h=h)
+    export_off(field.mesh, tmp_path / "mesh.off")
+    export_solution_csv(field, tmp_path / "field.csv")
+    _savetxt_exports(field, tmp_path / "ref.off", tmp_path / "ref.csv")
+    assert (tmp_path / "mesh.off").read_bytes() == (tmp_path / "ref.off").read_bytes()
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -14,6 +14,8 @@ from solab.geometry import Immersion, geometry, radius_values
 import solab.quadrature as quadrature
 from solab.quadrature import (
     ExtrinsicRegion,
+    RegionJob,
+    _Boxes,
     _pencil_spans,
     _topology_breaks,
     cylinder_psi_closed_form,
@@ -22,6 +24,7 @@ from solab.quadrature import (
     parabolicity_integral,
     psi,
     region_integral,
+    region_integrals,
     region_volume,
     second_moment,
     weighted_identity_check,
@@ -138,7 +141,8 @@ def test_topology_breaks_match_per_candidate_bisection():
                 b = m
         expected.append(0.5 * (a + b))
     assert len(expected) >= 4
-    rows, breaks = _topology_breaks(imm, region, bounds, np.empty((1, 0)))
+    boxes = _Boxes.build([region], [bounds])
+    rows, breaks = _topology_breaks(imm, boxes, np.empty((1, 0)), np.zeros(1, int))
     assert not rows.any()
     assert breaks.tolist() == expected
 
@@ -253,9 +257,131 @@ def test_innermost_spans_keep_the_centre_and_short_chords():
     u1 = np.array([0.0, 0.5, 0.9999])
     for a, b in ((-8.0, 8.0), (-8.0, 7.0)):
         assert (b - a) / quadrature._SCAN > 2 * math.sqrt(1 - 0.9999**2)
-        lo, hi, owner = _pencil_spans(imm, region, u1[:, None], a, b)
+        boxes = _Boxes.build([region], [(np.array([-8.0, a]), np.array([8.0, b]))])
+        lo, hi, owner = _pencil_spans(imm, boxes, u1[:, None], np.zeros(len(u1), int))
         chords = np.bincount(owner, hi - lo, len(u1))
         assert chords == pytest.approx(2 * np.sqrt(1 - u1**2), rel=0, abs=1e-12)
+
+
+def cylinder_chart():
+    """S^1 x R as a user chart: no product structure, so the 2-D pencil route."""
+    chart = chart_from_sources(
+        2,
+        3,
+        ["cos(u1)", "sin(u1)", "u2"],
+        [ParamSpec("u1", 0.0, 2 * math.pi, periodic=True), ParamSpec("u2", -8.0, 8.0)],
+    )
+    return Immersion(chart, properness_radius=math.sqrt(65.0), name="cylinder-chart")
+
+
+def _cylinder_jobs(imm):
+    # five Psi shells, an empty region in mid-batch and the four integrands
+    # of flux_identity_check(lam=1, R=2), |H|^2 among them
+    weight = lambda r: r**2 * np.exp(-(r**2) / 2.0)
+    shells = [
+        RegionJob(ExtrinsicRegion(imm, rho, 6.5), weight) for rho in (1.5, 2.2, 3.0, 3.9, 4.8)
+    ]
+    ball = ExtrinsicRegion(imm, 0.0, 2.0)
+    flux = [
+        RegionJob(ball, lambda r: np.exp(-(r**2) / 2.0) * (2 - r**2)),
+        RegionJob(ball),
+        RegionJob(ball, point_fn=lambda g: g.normH**2),
+        RegionJob(ball, lambda r: (1.0 - r**2 / 2) * np.exp((4.0 - r**2) / 2.0)),
+    ]
+    return shells[:3] + [RegionJob(ExtrinsicRegion(imm, 0.0, 0.5))] + shells[3:] + flux
+
+
+def _s1xr2_jobs(imm):
+    # breaks on axis 1 for every outer node, shared by two integrands
+    ball = ExtrinsicRegion(imm, 0.0, 1.3)
+    return [RegionJob(ball), RegionJob(ball, lambda r: np.exp(-(r**2) / 2.0))]
+
+
+def _line_jobs(imm):
+    return [
+        RegionJob(ExtrinsicRegion(imm, 0.0, 3.0)),
+        RegionJob(ExtrinsicRegion(imm, 0.0, 0.5)),  # r >= 1 on the line
+        RegionJob(ExtrinsicRegion(imm, 1.2, 5.0), lambda r: r**2 * np.exp(-(r**2) / 2.0)),
+        RegionJob(ExtrinsicRegion(imm, 0.0, 3.0), point_fn=lambda g: 1.0 + g.normH**2),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make,jobs",
+    [(cylinder_chart, _cylinder_jobs), (s1_times_r2, _s1xr2_jobs), (_line, _line_jobs)],
+    ids=["cylinder-chart", "s1xr2", "line"],
+)
+def test_region_integrals_match_one_at_a_time(make, jobs):
+    # one pass over all jobs gives every job's value, error, cells and notes
+    # bit for bit as integrating it on its own
+    imm = make()
+    jobs = jobs(imm)
+    batched = region_integrals(imm, jobs)
+    alone = [region_integral(imm, job.region, job.radial_fn, job.point_fn) for job in jobs]
+    assert all(res.method == "pencil" for res in batched)
+    empty = [res.notes == ("region empty by sampling",) for res in batched]
+    assert any(empty) == (make is not s1_times_r2)
+    assert batched == alone
+
+
+def _counting(monkeypatch, name, record):
+    """Replace quadrature.<name> by a wrapper that records its arguments."""
+    original = getattr(quadrature, name)
+
+    def wrapper(*args):
+        record(*args)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, name, wrapper)
+
+
+def test_psi_shells_share_one_bounds_sample_and_one_scan(monkeypatch):
+    imm = cylinder_chart()
+    draws, scans, in_breaks = [], [], []
+    _counting(monkeypatch, "sample_box", lambda chart, count, seed: draws.append(count))
+    c = quadrature._euclidean_majorant(imm)
+    assert draws.count(2048) == 1  # the three balls of the majorant fit
+    # the shells of psi on 33 radii: one bounds sample, one top-level scan
+    monkeypatch.setattr(quadrature, "_euclidean_majorant", lambda imm: c)
+    breaks = quadrature._topology_breaks
+
+    def tracked(*args):
+        in_breaks.append(True)
+        try:
+            return breaks(*args)
+        finally:
+            in_breaks.pop()
+
+    monkeypatch.setattr(quadrature, "_topology_breaks", tracked)
+
+    def scanned(imm, prefix, scan):
+        if in_breaks:
+            scans.append(len(prefix))
+
+    _counting(monkeypatch, "pencil_scan", scanned)
+    draws.clear()
+    curve = psi(imm, 1.0, np.linspace(1.5, 0.7 * imm.properness_radius, 33))
+    assert draws.count(2048) == 1
+    assert scans == [257]
+    assert np.all(curve.values > 0.0)
+
+
+def test_flux_identity_runs_one_top_level_rule(monkeypatch):
+    rule, depth, top = quadrature._gauss_kronrod, [0], []
+
+    def nested(f, lo, hi, owner, count, part=None):
+        if not depth[0]:
+            top.append(count)
+        depth[0] += 1
+        try:
+            return rule(f, lo, hi, owner, count, part)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(quadrature, "_gauss_kronrod", nested)
+    rep = flux_identity_check(cylinder_chart(), 1.0, 2.0)
+    assert top == [4]  # the four integrands of the identity, one pass
+    assert rep.verdict == "PASS"
 
 
 # --- Gaussian-weighted volumes ----------------------------------------------------
