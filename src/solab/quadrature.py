@@ -1,19 +1,21 @@
 """Integration over extrinsic balls, annuli and the whole submanifold.
 
-Two routes coexist:
+One batched adaptive Gauss-Kronrod rule integrates on two routes:
 
 * product immersions (cylinders, planes) reduce every radial integral to one
   dimension through their fiber decomposition, and pointwise integrands are
-  verified to be radial before using the same reduction;
-* generic charts are integrated by pencil decomposition: one batched
-  adaptive Gauss-Kronrod rule runs along every chart axis, and along the
-  innermost axis the sublevel conditions rho < r < R are resolved into
-  subintervals by root finding before quadrature.
+  verified to be radial before using the same reduction; the rule runs over
+  the distance t from the axis, all jobs at once;
+* generic charts are integrated by pencil decomposition: the rule runs along
+  every chart axis, and along the innermost axis the sublevel conditions
+  rho < r < R are resolved into subintervals by root finding before
+  quadrature.
 
 Improper Gaussian-weighted integrals are truncated at a radius where a fitted
 Euclidean-growth majorant c * t^n pushes the analytic tail below tolerance;
-the tail bound is carried in every result.  All reductions run in a fixed
-order, so results are reproducible bit for bit.
+the tail bound is carried in every result.  All reductions, the rule's node
+sums among them, run in a fixed order, so results are reproducible bit for
+bit and independent of the batch they are computed in.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import gammaincc
 
@@ -94,12 +95,29 @@ class RegionJob:
             object.__setattr__(self, "radial_fn", _ones)
 
 
-def region_integrals(
-    imm: Immersion, jobs, point_order: int = 2, method: str = "auto"
-) -> list[QuadratureResult]:
+def _job_values(imm, jobs, pts, of):
+    """f at each row of pts for its job jobs[of[row]], radial_fn(r) from a
+    first-order geometry and point_fn(geom) from a second-order one, with
+    one geometry call per order; returns f and sqrt(det g) at the rows."""
+    vals, sqrt_det = np.empty(len(pts)), np.empty(len(pts))
+    orders = np.array([1 if job.radial_fn is not None else 2 for job in jobs])[of]
+    for order in np.unique(orders):
+        at = np.flatnonzero(orders == order)
+        g = geometry(imm, pts[at], order=int(order))
+        sqrt_det[at] = g.sqrt_det
+        for t in np.unique(of[at]):
+            sel, job = of[at] == t, jobs[t]
+            if job.radial_fn is not None:
+                vals[at[sel]] = job.radial_fn(g.r[sel])
+            else:
+                vals[at[sel]] = job.point_fn(g.select(sel))
+    return vals, sqrt_det
+
+
+def region_integrals(imm: Immersion, jobs, method: str = "auto") -> list[QuadratureResult]:
     """Integrate each job's f dV over its region, one result per job.
 
-    On the pencil route all jobs run in one pass (see _pencil_integrals);
+    On the product and pencil routes all jobs run in one pass of the rule;
     every result is bit-identical to integrating that job on its own."""
     if method == "auto":
         if imm.constant_radius is not None:
@@ -114,11 +132,8 @@ def region_integrals(
             for job in jobs
         ]
     if method == "product":
-        return [
-            _product_integral(imm, job.region, job.radial_fn, job.point_fn, point_order)
-            for job in jobs
-        ]
-    return _pencil_integrals(imm, list(jobs), point_order)
+        return _product_integrals(imm, list(jobs))
+    return _pencil_integrals(imm, list(jobs))
 
 
 def region_integral(
@@ -126,12 +141,11 @@ def region_integral(
     region: ExtrinsicRegion,
     radial_fn=None,
     point_fn=None,
-    point_order: int = 2,
     method: str = "auto",
 ) -> QuadratureResult:
     """Integrate f dV over {rho < r < R}; f is radial_fn(r) or point_fn(geom)."""
     job = RegionJob(region, radial_fn, point_fn)
-    return region_integrals(imm, [job], point_order, method)[0]
+    return region_integrals(imm, [job], method)[0]
 
 
 def region_volume(region: ExtrinsicRegion, method: str = "auto"):
@@ -170,54 +184,56 @@ def _constant_radius_integral(imm, region, radial_fn, point_fn):
 
 
 def _t_range(rad, region):
+    """The distances t from the axis inside the region, or None if empty."""
+    if not math.isfinite(region.R):
+        raise ImproperWindow(
+            f"{region.imm.name}: R = inf on the product route has no tail bound; "
+            "truncate first"
+        )
     c = rad.offset
     t_lo = math.sqrt(max(region.rho**2 - c**2, 0.0))
-    if region.R <= c:
-        return None
-    t_hi = math.sqrt(region.R**2 - c**2) if math.isfinite(region.R) else math.inf
-    if t_hi <= t_lo:
-        return None
-    return t_lo, t_hi
+    t_hi = math.sqrt(max(region.R**2 - c**2, 0.0))
+    return (t_lo, t_hi) if t_hi > t_lo else None
 
 
-def _product_integral(imm, region, radial_fn, point_fn, point_order):
+def _product_integrals(imm, jobs):
+    """The t-ranges of all jobs in one pass of the rule: f dV is f at the
+    profile point rep(t) times fiber_volume * vol(S^(q-1)) * t^(q-1) dt."""
     rad = imm.radial
-    rng = _t_range(rad, region)
-    if rng is None:
-        return QuadratureResult(0.0, 0.0, 0, method="product")
-    t_lo, t_hi = rng
-    c, q = rad.offset, rad.euclid_dim
+    out = [QuadratureResult(0.0, 0.0, 0, method="product") for _ in jobs]
+    ranges = [_t_range(rad, job.region) for job in jobs]
+    live = [t for t, rng in enumerate(ranges) if rng is not None]
+    if not live:
+        return out
+    jobs = [jobs[t] for t in live]
+    lo, hi = np.array([ranges[t] for t in live]).T
+    rep = _profile_point_factory(imm)
+    for job, t_lo, t_hi in zip(jobs, lo, hi):
+        if job.radial_fn is None:
+            _check_fiber_homogeneity(imm, job.point_fn, rep, t_lo, t_hi)
+    q = rad.euclid_dim
+
+    def f(x, i):
+        vals, _ = _job_values(imm, jobs, rep(x), i)
+        return vals * x ** (q - 1), np.zeros_like(x)
+
+    value, error, panels = _gauss_kronrod(f, lo, hi, np.arange(len(jobs)), len(jobs))
     factor = rad.fiber_volume * unit_sphere_volume(q - 1)
-    if radial_fn is not None:
-        fn = lambda t: radial_fn(np.array([math.hypot(c, t)]))[0] * t ** (q - 1)
-    else:
-        rep = _profile_point_factory(imm)
-        _check_fiber_homogeneity(imm, point_fn, rep, t_lo, t_hi)
-        fn = (
-            lambda t: point_fn(geometry(imm, rep(t).reshape(1, -1), order=point_order))[0]
-            * t ** (q - 1)
-        )
-    value, err, neval = _quad(fn, t_lo, t_hi)
-    return QuadratureResult(factor * value, factor * err, neval, method="product")
-
-
-def _quad(fn, lo, hi):
-    value, err, info = integrate.quad(
-        fn, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200, full_output=True
-    )[:3]
-    return value, err, int(info["neval"])
+    for t, v, e, c in zip(live, value, error, panels):
+        out[t] = QuadratureResult(float(factor * v), float(factor * e), int(c), method="product")
+    return out
 
 
 def _profile_point_factory(imm):
-    """Parameter point sitting at Euclidean-block distance t from the axis."""
+    """Parameter points sitting at Euclidean-block distances t from the axis."""
     rad = imm.radial
     lo, hi = imm.chart.box
     base = 0.5 * (np.asarray(lo) + np.asarray(hi))
 
     def rep(t):
-        p = base.copy()
-        p[rad.euclid_start :] = 0.0
-        p[rad.euclid_start] = t
+        p = np.tile(base, (len(t), 1))
+        p[:, rad.euclid_start :] = 0.0
+        p[:, rad.euclid_start] = t
         return p
 
     return rep
@@ -225,12 +241,11 @@ def _profile_point_factory(imm):
 
 def _check_fiber_homogeneity(imm, point_fn, rep, t_lo, t_hi):
     """The product reduction of pointwise integrands needs fiber-invariance."""
-    span = (t_hi - t_lo) if math.isfinite(t_hi) else 2.0
-    t_probe = t_lo + 0.5 * min(span, 2.0)
+    t_probe = t_lo + 0.5 * min(t_hi - t_lo, 2.0)
     pts = sample_box(imm.chart, 8, 29)
     pts[:, imm.radial.euclid_start :] = 0.0
     pts[:, imm.radial.euclid_start] = t_probe
-    ref = point_fn(geometry(imm, rep(t_probe).reshape(1, -1)))[0]
+    ref = point_fn(geometry(imm, rep(np.array([t_probe]))))[0]
     vals = point_fn(geometry(imm, pts))
     if np.abs(vals - ref).max() > 1e-8 * max(1.0, abs(ref)):
         raise ImproperWindow(
@@ -239,7 +254,7 @@ def _check_fiber_homogeneity(imm, point_fn, rep, t_lo, t_hi):
         )
 
 
-# --- generic pencil quadrature ---------------------------------------------------
+# --- the batched adaptive Gauss-Kronrod rule --------------------------------------
 
 # The Gauss-Kronrod (7, 15) rule on [-1, 1] of QUADPACK's qk15 (Piessens et
 # al., 1983): the Kronrod nodes, with the 7 Gauss nodes at odd positions, and
@@ -256,23 +271,16 @@ _LIMIT = 128  # active panels of one integral before they are accepted as they s
 _SCAN = 128  # scan segments along a pencil
 
 
-def _dot(a, w, part, cols=slice(None)):
-    """a[:, cols] @ w, with the rows of each part multiplied on their own.
-    BLAS rounds a row's product by the row's place in the batch, so this
-    gives each part the bits it would get from a batch of its rows alone."""
-    if not len(part) or part.min() == part.max():
-        return a[:, cols] @ w
-    order = np.argsort(part, kind="stable")
-    a, counts = a[order], np.bincount(part)
-    stops = np.cumsum(counts)
-    out = np.empty(len(order))
-    out[order] = np.concatenate(
-        [a[s - c : s, cols] @ w for s, c in zip(stops, counts) if c]
-    )
+def _dot(a, w):
+    """a @ w summed column by column, a[:, 0] w[0] + a[:, 1] w[1] + ..., so
+    a row's bits depend on the row alone: not on its batch, nor on BLAS."""
+    out = a[:, 0] * w[0]
+    for j in range(1, len(w)):
+        out = out + a[:, j] * w[j]
     return out
 
 
-def _gauss_kronrod(f, lo, hi, owner, count, part=None):
+def _gauss_kronrod(f, lo, hi, owner, count):
     """Adaptive Gauss-Kronrod (7, 15) quadrature of `count` integrals at once.
 
     Panel [lo[p], hi[p]] belongs to integral owner[p].  Each round calls
@@ -286,25 +294,22 @@ def _gauss_kronrod(f, lo, hi, owner, count, part=None):
     are noise-limited and halving cannot help (QUADPACK's roundoff test).
     An integral with more than _LIMIT active panels, or still active after
     _ROUNDS halvings, keeps its panels as they stand (QUADPACK's limit).
-    Integral i belongs to part[i] (all to one part by default): the rule's
-    sums run on each part's panels on their own (see _dot), and all else is
-    decided per integral, so a part's results are those of running it alone.
+    The node sums run in a fixed order (see _dot) and all else is decided
+    per integral, so an integral's results are those of running it alone.
     Returns the values, the errors (panel estimates plus the carried errors
     they weigh) and the number of panels accepted, per integral.
     """
-    part = np.zeros(count, int) if part is None else part
     width = np.bincount(owner, hi - lo, count)
     spent, scale, accepted = np.zeros(count), np.zeros(count), []
     for rnd in range(_ROUNDS + 1):
         half = 0.5 * (hi - lo)
         x = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_X
         v, e = (a.reshape(x.shape) for a in f(x.ravel(), np.repeat(owner, 15)))
-        grp = part[owner]
-        vk = _dot(v, _GK_W, grp)
+        vk = _dot(v, _GK_W)
         kron = half * vk
-        absk = half * _dot(np.abs(v), _GK_W, grp)
-        asc = half * _dot(np.abs(v - (vk / 2.0)[:, None]), _GK_W, grp)
-        err = np.abs(kron - half * _dot(v, _GK_G, grp, slice(1, None, 2)))
+        absk = half * _dot(np.abs(v), _GK_W)
+        asc = half * _dot(np.abs(v - (vk / 2.0)[:, None]), _GK_W)
+        err = np.abs(kron - half * _dot(v[:, 1::2], _GK_G))
         with np.errstate(divide="ignore", invalid="ignore"):
             err = np.where(asc > 0.0, asc * np.minimum(1.0, (200.0 * err / asc) ** 1.5), err)
         err = np.maximum(err, 50.0 * np.finfo(float).eps * absk)
@@ -317,7 +322,7 @@ def _gauss_kronrod(f, lo, hi, owner, count, part=None):
             pair_k, pair_err = kron[:n] + kron[n:], err[:n] + err[n:]
             noise = np.abs(pair_k - parent_k) <= 1e-5 * np.abs(pair_k)
             done |= np.tile(noise & (pair_err > 0.75 * parent_err), 2)
-        carried = _dot(e[done], _GK_W, grp[done])
+        carried = _dot(e[done], _GK_W)
         accepted.append((owner[done], kron[done], err[done] + half[done] * carried))
         spent += np.bincount(owner[done], err[done], count)
         scale += np.bincount(owner[done], absk[done], count)
@@ -333,6 +338,9 @@ def _gauss_kronrod(f, lo, hi, owner, count, part=None):
         np.bincount(owner, err, count),
         np.bincount(owner, minlength=count),
     )
+
+
+# --- generic pencil quadrature ---------------------------------------------------
 
 
 def _region_bounds(imm, regions, count, seed, pad):
@@ -470,7 +478,7 @@ def _pencil_spans(imm, boxes, prefix, job):
     return lo[inside], hi[inside], owner[inside]
 
 
-def _pencil_integrals(imm, jobs, point_order):
+def _pencil_integrals(imm, jobs):
     """Iterated integrals, last axis innermost, of all jobs in one pass, with
     one batched adaptive rule per axis: an outer axis integrates the next one
     at all nodes of a round at once (the axis before the last split at its
@@ -496,7 +504,6 @@ def _pencil_integrals(imm, jobs, point_order):
         return out
     jobs = [jobs[t] for t in live]
     boxes = _Boxes.build([job.region for job in jobs], [bounds[t] for t in live])
-    orders = np.array([1 if job.point_fn is None else max(point_order, 1) for job in jobs])
     cells = np.zeros(len(jobs))
 
     def axis(prefix, job):
@@ -509,24 +516,13 @@ def _pencil_integrals(imm, jobs, point_order):
                 owner, ends = np.concatenate([owner, q]), np.concatenate([ends, u])
             lo, hi, owner = _panels(owner, ends)
             inner = lambda x, i: axis(np.column_stack([prefix[i], x]), job[i])
-            return _gauss_kronrod(inner, lo, hi, owner, m, job)[:2]
+            return _gauss_kronrod(inner, lo, hi, owner, m)[:2]
 
         def f(x, i):
-            vals, of = np.empty(len(x)), job[i]
-            for order in np.unique(orders[of]):
-                at = np.flatnonzero(orders[of] == order)
-                g = geometry(imm, np.column_stack([prefix[i[at]], x[at]]), order=int(order))
-                for t in np.unique(of[at]):
-                    sel = of[at] == t
-                    fn = jobs[t]
-                    if fn.radial_fn is not None:
-                        v = fn.radial_fn(g.r[sel])
-                    else:
-                        v = fn.point_fn(g.select(sel))
-                    vals[at[sel]] = v * g.sqrt_det[sel]
-            return vals, np.zeros_like(vals)
+            vals, sqrt_det = _job_values(imm, jobs, np.column_stack([prefix[i], x]), job[i])
+            return vals * sqrt_det, np.zeros_like(x)
 
-        value, error, panels = _gauss_kronrod(f, *_pencil_spans(imm, boxes, prefix, job), m, job)
+        value, error, panels = _gauss_kronrod(f, *_pencil_spans(imm, boxes, prefix, job), m)
         cells[:] += np.bincount(job, panels, len(jobs))
         return value, error
 

@@ -11,6 +11,7 @@ from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
 from solab.errors import ImproperWindow, PsiUnderflow
 from solab.geometry import Immersion, geometry, radius_values
+from solab.inequalities import isoperimetric_mcf
 import solab.quadrature as quadrature
 from solab.quadrature import (
     ExtrinsicRegion,
@@ -306,31 +307,65 @@ def _line_jobs(imm):
     ]
 
 
+def catalog_cylinder():
+    """S^1(1) x R^2 from the catalog: its regions take the product route."""
+    return catalog("generalized_cylinder", n=3, k=1, rho=1.0)[0]
+
+
 @pytest.mark.parametrize(
-    "make,jobs",
-    [(cylinder_chart, _cylinder_jobs), (s1_times_r2, _s1xr2_jobs), (_line, _line_jobs)],
-    ids=["cylinder-chart", "s1xr2", "line"],
+    "make,jobs,method",
+    [
+        (cylinder_chart, _cylinder_jobs, "pencil"),
+        (s1_times_r2, _s1xr2_jobs, "pencil"),
+        (_line, _line_jobs, "pencil"),
+        (catalog_cylinder, _cylinder_jobs, "product"),
+    ],
+    ids=["cylinder-chart", "s1xr2", "line", "catalog-cylinder"],
 )
-def test_region_integrals_match_one_at_a_time(make, jobs):
+def test_region_integrals_match_one_at_a_time(make, jobs, method):
     # one pass over all jobs gives every job's value, error, cells and notes
     # bit for bit as integrating it on its own
     imm = make()
     jobs = jobs(imm)
     batched = region_integrals(imm, jobs)
     alone = [region_integral(imm, job.region, job.radial_fn, job.point_fn) for job in jobs]
-    assert all(res.method == "pencil" for res in batched)
-    empty = [res.notes == ("region empty by sampling",) for res in batched]
+    assert all(res.method == method for res in batched)
+    empty = [res.cells == 0 for res in batched]
     assert any(empty) == (make is not s1_times_r2)
+    if method == "pencil":
+        assert [res.notes == ("region empty by sampling",) for res in batched] == empty
     assert batched == alone
+
+
+def test_dot_is_a_left_fold_over_the_nodes():
+    # each row's sum is the plain sum in node order, whatever batch holds it
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((64, 15)) * 10.0 ** rng.integers(-6, 7, (64, 15))
+    w = quadrature._GK_W
+
+    def fold(row):
+        s = row[0] * float(w[0])
+        for x, wj in zip(row[1:], w[1:].tolist()):
+            s = s + x * wj
+        return s
+
+    expected = [fold(row) for row in a.tolist()]
+    alone = [quadrature._dot(a[i : i + 1], w)[0] for i in range(len(a))]
+    perm = rng.permutation(len(a))
+    shuffled = quadrature._dot(a[perm], w)
+    batch = quadrature._dot(np.vstack([a[::-1], a, rng.standard_normal((37, 15))]), w)
+    assert alone == expected
+    assert shuffled.tolist() == [expected[i] for i in perm]
+    assert batch[64:128].tolist() == expected
 
 
 def _counting(monkeypatch, name, record):
     """Replace quadrature.<name> by a wrapper that records its arguments."""
     original = getattr(quadrature, name)
 
-    def wrapper(*args):
-        record(*args)
-        return original(*args)
+    def wrapper(*args, **kwargs):
+        record(*args, **kwargs)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, name, wrapper)
 
@@ -366,22 +401,70 @@ def test_psi_shells_share_one_bounds_sample_and_one_scan(monkeypatch):
     assert np.all(curve.values > 0.0)
 
 
-def test_flux_identity_runs_one_top_level_rule(monkeypatch):
+def _top_level_rules(monkeypatch):
+    """Record the integral count of each _gauss_kronrod call not nested in
+    another one; returns the list it appends to."""
     rule, depth, top = quadrature._gauss_kronrod, [0], []
 
-    def nested(f, lo, hi, owner, count, part=None):
+    def nested(f, lo, hi, owner, count):
         if not depth[0]:
             top.append(count)
         depth[0] += 1
         try:
-            return rule(f, lo, hi, owner, count, part)
+            return rule(f, lo, hi, owner, count)
         finally:
             depth[0] -= 1
 
     monkeypatch.setattr(quadrature, "_gauss_kronrod", nested)
+    return top
+
+
+def test_flux_identity_runs_one_top_level_rule(monkeypatch):
+    top = _top_level_rules(monkeypatch)
     rep = flux_identity_check(cylinder_chart(), 1.0, 2.0)
     assert top == [4]  # the four integrands of the identity, one pass
     assert rep.verdict == "PASS"
+
+
+def test_product_route_runs_one_rule_on_batched_points(monkeypatch):
+    # psi's shells and the isoperimetric balls each take one pass of the
+    # rule; only the fiber check's reference point is a one-point geometry
+    imm, entry = catalog("generalized_cylinder", n=3, k=1, rho=1.0)
+    lam = entry.constants["lam"]
+    c = quadrature._euclidean_majorant(imm)
+    monkeypatch.setattr(quadrature, "_euclidean_majorant", lambda imm: c)
+    top = _top_level_rules(monkeypatch)
+    check, in_check, one_point = quadrature._check_fiber_homogeneity, [], []
+
+    def checked(*args):
+        in_check.append(True)
+        try:
+            return check(*args)
+        finally:
+            in_check.pop()
+
+    monkeypatch.setattr(quadrature, "_check_fiber_homogeneity", checked)
+    _counting(
+        monkeypatch,
+        "geometry",
+        lambda imm, points, order=2: one_point.append(len(points) == 1 and not in_check),
+    )
+    curve = psi(imm, lam, [1.5, 2.0, 3.0])
+    assert top == [3]
+    top.clear()
+    margins = isoperimetric_mcf(imm, lam, [1.5, 2.0, 3.0])
+    assert top == [6]  # a volume and an |H|^2 integral per ball
+    assert one_point and not any(one_point)
+    assert np.all(curve.values > 0.0)
+    assert all(m.verdict == "PASS" for m in margins)
+
+
+def test_product_route_rejects_an_untruncated_region():
+    # R = inf would carry no tail bound; whole-immersion integrals truncate
+    imm = catalog_cylinder()
+    weight = lambda r: np.exp(-(r**2) / 2.0)
+    with pytest.raises(ImproperWindow, match="truncate first"):
+        region_integral(imm, ExtrinsicRegion(imm, 2.0, math.inf), weight)
 
 
 # --- Gaussian-weighted volumes ----------------------------------------------------
