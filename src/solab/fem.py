@@ -1,18 +1,19 @@
 """Dirichlet solves on extrinsic regions with the induced metric.
 
-Meshing: the triangles of a structured parameter-space grid are clipped
-against the level sets r = rho and r = R by levelset.clip, the pass that also
-extracts level sets.  Grid vertices close to a level set are snapped onto it
-by root finding along grid edges; remaining crossings cut triangles at edge
+Meshing: the triangles of a structured parameter-space grid
+(levelset.grid_triangles, the Kuhn split that the level-set marcher also
+cuts) are clipped against the level sets r = rho and r = R by
+levelset.clip.  Grid vertices close to a level set are snapped onto it by
+root finding along grid edges; remaining crossings cut triangles at edge
 roots, so the mesh conforms to the curved boundary.  Each level's edge roots
 are solved in one batch (crossing.level_crossings).  Periodic chart axes, and
 the two ends of a periodic curve, are identified.  Boundary vertices carry
 tags: "inner" (r = rho), "outer" (r = R), and "cut" where a non-proper window
 truncates the region.
 
-Assembly: piecewise-linear Galerkin with the per-simplex induced metric
-(centroid value), so the discrete Dirichlet energy is
-  sum_T area_T sqrt(det g) grad^T g^{-1} grad.
+Assembly: piecewise-linear Galerkin on segments or triangles with the
+per-simplex induced metric (centroid value), so the discrete Dirichlet energy is
+  sum_T vol_T sqrt(det g) grad^T g^{-1} grad.
 The capacity solve minimizes exactly this energy; the solver is conjugate
 gradients with diagonal preconditioning.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy import sparse
@@ -46,11 +48,9 @@ SNAP_FRACTION = 0.3  # grid vertices closer than this (in edge units) snap onto 
 @dataclass
 class Mesh:
     imm: Immersion
-    region: ExtrinsicRegion
     vertices: np.ndarray  # (V, n) parameter coordinates
     simplices: np.ndarray  # (S, n+1)
     tags: dict  # "inner" | "outer" | "cut" -> sorted vertex index arrays
-    h: float
     metric: np.ndarray  # (S, n, n) induced metric at simplex centroids
     sqrt_det: np.ndarray  # (S,)
     r: np.ndarray  # (V,) extrinsic radius at the vertices
@@ -71,21 +71,12 @@ class Mesh:
             out.extend(self.tags.get(key, ()))
         return np.unique(np.asarray(out, dtype=int))
 
-    def edge_set(self):
-        edges = set()
-        for s in self.simplices:
-            m = len(s)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    edges.add((min(s[i], s[j]), max(s[i], s[j])))
-        return edges
-
     def euler_characteristic(self):
-        dof_edges = {
-            (min(self.dof_map[a], self.dof_map[b]), max(self.dof_map[a], self.dof_map[b]))
-            for a, b in self.edge_set()
-        }
-        return self.dof_count - len(dof_edges) + len(self.simplices)
+        """V - E + S over the degrees of freedom."""
+        dofs = self.dof_map[self.simplices]
+        pairs = dofs[:, list(combinations(range(dofs.shape[1]), 2))].reshape(-1, 2)
+        edges = np.unique(np.sort(pairs, axis=1), axis=0)
+        return self.dof_count - len(edges) + len(self.simplices)
 
 
 def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh:
@@ -149,11 +140,9 @@ def _mesh_segments(imm, region, h):
     g = geometry(imm, cent, order=1)
     return Mesh(
         imm,
-        region,
         verts,
         simplices,
         {k: np.asarray(sorted(v), dtype=int) for k, v in tags.items()},
-        h,
         g.metric,
         g.sqrt_det,
         rv,
@@ -249,11 +238,9 @@ def _mesh_triangles(imm, region, h):
     g = geometry(imm, cent, order=1)
     return Mesh(
         imm,
-        region,
         final_verts,
         tris,
         tags,
-        h,
         g.metric,
         g.sqrt_det,
         rv_final,
@@ -335,50 +322,37 @@ def _tie_periodic_seams(verts, wraps, wlo, whi):
 
 # --- assembly and solves -----------------------------------------------------------
 
-_REF_GRAD = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # barycentric gradients
+def _simplex_gradients(verts, simplices):
+    """Volumes |det M| / d! of (S, d+1) simplices, M's columns their edges,
+    and the (S, d, d+1) parameter-space gradients of their barycentric
+    coordinates, M^-T [-1 ... -1; I]^T."""
+    M = (verts[simplices[:, 1:]] - verts[simplices[:, :1]]).transpose(0, 2, 1)
+    d = M.shape[1]
+    ref = np.vstack([-np.ones(d), np.eye(d)])
+    vol = np.abs(np.linalg.det(M)) / math.factorial(d)
+    # C order: einsum's sums over these rows, and so their last bits, follow
+    # the operands' memory layout
+    return vol, np.einsum("ski,vk->siv", np.linalg.inv(M), ref, order="C")
 
 
 def assemble(mesh: Mesh):
     """Stiffness matrix, Poisson load (f = 1) and lumped mass, induced metric."""
-    if mesh.vertices.shape[1] == 1:
-        return _assemble_segments(mesh)
-    verts, tris = mesh.vertices, mesh.simplices
-    p0, p1, p2 = (verts[tris[:, k]] for k in range(3))
-    M = np.stack([p1 - p0, p2 - p0], axis=2)  # (S, 2, 2), columns are edges
-    det = np.linalg.det(M)
-    area = 0.5 * np.abs(det)
-    Minv = np.linalg.inv(M)
-    G = np.einsum("ski,vk->svi", Minv, _REF_GRAD)  # (S, 3, 2) param-space gradients
+    simplices = mesh.simplices
+    k = simplices.shape[1]
+    vol, G = _simplex_gradients(mesh.vertices, simplices)
     ginv = np.linalg.inv(mesh.metric)
     Kloc = np.einsum(
-        "s,svi,sij,swj->svw", area * mesh.sqrt_det, G, ginv, G
+        "s,siv,sij,sjw->svw", vol * mesh.sqrt_det, G, ginv, G
     )
-    dofs = mesh.dof_map[tris]
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
+    dofs = mesh.dof_map[simplices]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
     K = sparse.coo_matrix(
         (Kloc.ravel(), (rows, cols)), shape=(mesh.dof_count,) * 2
     ).tocsr()
-    lump = area * mesh.sqrt_det / 3.0
+    lump = vol * mesh.sqrt_det / k
     load = np.zeros(mesh.dof_count)
-    np.add.at(load, dofs.ravel(), np.repeat(lump, 3))
-    return K, load
-
-
-def _assemble_segments(mesh: Mesh):
-    verts, segs = mesh.vertices, mesh.simplices
-    lengths = np.abs(verts[segs[:, 1], 0] - verts[segs[:, 0], 0])
-    ginv = 1.0 / mesh.metric[:, 0, 0]
-    w = mesh.sqrt_det * ginv / lengths
-    V = mesh.dof_count
-    dofs = mesh.dof_map[segs]
-    rows = np.concatenate([dofs[:, 0], dofs[:, 1], dofs[:, 0], dofs[:, 1]])
-    cols = np.concatenate([dofs[:, 0], dofs[:, 1], dofs[:, 1], dofs[:, 0]])
-    vals = np.concatenate([w, w, -w, -w])
-    K = sparse.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
-    lump = mesh.sqrt_det * lengths / 2.0
-    load = np.zeros(V)
-    np.add.at(load, dofs.ravel(), np.repeat(lump, 2))
+    np.add.at(load, dofs.ravel(), np.repeat(lump, k))
     return K, load
 
 
@@ -474,29 +448,24 @@ def capacity(imm: Immersion, rho: float, R: float, h: float = 0.05) -> CapacityR
 
 
 def _boundary_gradient_integral(mesh: Mesh, u, tag):
-    """Integral of |grad u| along the tagged boundary (per-simplex gradients)."""
-    if mesh.vertices.shape[1] == 1:  # the boundary is a set of points
-        segs, t = mesh.simplices, mesh.vertices[:, 0]
-        touch = np.isin(segs, mesh.tags.get(tag, ())).any(axis=1)
-        slope = np.abs(u[segs[:, 1]] - u[segs[:, 0]]) / np.abs(t[segs[:, 1]] - t[segs[:, 0]])
-        return float(math.fsum((slope / mesh.sqrt_det)[touch]))
-    tris, verts = mesh.simplices, mesh.vertices
-    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    _, inverse, count = np.unique(
-        edges[:, 0] * len(verts) + edges[:, 1], return_inverse=True, return_counts=True
-    )
-    tagged = np.zeros(len(verts), dtype=bool)
-    tagged[np.asarray(mesh.tags.get(tag, ()), dtype=int)] = True
-    on = (count[inverse] == 1) & tagged[edges].all(axis=1)
-    s = np.nonzero(on)[0] // 3  # the one triangle owning each boundary edge
-    p0 = verts[tris[s, 0]]
-    M = np.stack([verts[tris[s, 1]] - p0, verts[tris[s, 2]] - p0], axis=2)
-    G = np.linalg.inv(M).transpose(0, 2, 1) @ _REF_GRAD.T  # (k, 2, 3)
-    grad = np.einsum("kij,kj->ki", G, u[tris[s]])
+    """Integral of |grad u| over the tagged boundary (per-simplex gradients):
+    each facet, a d-vertex face whose vertices are all tagged, counts once for
+    every simplex that owns it, measured in that simplex's metric.  So a
+    level the region meets from both sides, like a tangent inner level, gets
+    the flux of both."""
+    simplices, verts = mesh.simplices, mesh.vertices
+    d = verts.shape[1]
+    facets = simplices[:, list(combinations(range(d + 1), d))].reshape(-1, d)
+    on = np.isin(facets, mesh.tags.get(tag, ())).all(axis=1)
+    s = np.nonzero(on)[0] // (d + 1)  # the simplex owning each tagged facet
+    _, G = _simplex_gradients(verts, simplices[s])
+    grad = np.einsum("kiv,kv->ki", G, u[simplices[s]])
     norm2 = np.einsum("ki,kij,kj->k", grad, np.linalg.inv(mesh.metric[s]), grad)
-    d = verts[edges[on, 1]] - verts[edges[on, 0]]
-    length = np.sqrt(np.einsum("ki,kij,kj->k", d, mesh.metric[s], d))
-    return float(math.fsum((np.sqrt(np.maximum(norm2, 0.0)) * length).tolist()))
+    # a facet has at most one edge (d <= 2), so its Gram determinant is that
+    # edge's squared length, or the empty product 1
+    e = verts[facets[on, 1:]] - verts[facets[on, :1]]
+    measure = np.sqrt(np.einsum("kai,kij,kai->ka", e, mesh.metric[s], e).prod(axis=1))
+    return float(math.fsum((np.sqrt(np.maximum(norm2, 0.0)) * measure).tolist()))
 
 
 @dataclass

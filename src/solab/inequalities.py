@@ -22,7 +22,7 @@ from .geometry import (
     scale_immersion,
     sphere_volume,
 )
-from .levelset import boundary_area_and_flux
+from .levelset import level_boundaries
 from .quadrature import ExtrinsicRegion, RegionJob, region_integrals
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_geometry
 from .solitons import imcf_residual, mcf_residual
@@ -64,8 +64,8 @@ def _ball_pieces(imm, radii, curvature):
         if curvature:
             jobs.append(RegionJob(region, point_fn=lambda g: g.normH**2))
     res = iter(region_integrals(imm, jobs))
-    return [(next(res), next(res) if curvature else None, boundary_area_and_flux(imm, R))
-            for R in radii]
+    return [(next(res), next(res) if curvature else None, boundary)
+            for boundary in level_boundaries(imm, radii)]
 
 
 def isoperimetric_mcf(imm, lam, radii, seed=DEFAULT_SEED) -> list[InequalityMargin]:

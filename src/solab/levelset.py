@@ -1,21 +1,25 @@
 """Extraction of extrinsic-distance level sets {r = R} in parameter space.
 
-n = 1 gives isolated points by root finding, n = 2 a polyline contour by
-clipping the grid triangles to the sign of r - R, n = 3 a triangulated
-isosurface by marching tetrahedra.  The 2-D pass (`grid_triangles`, `clip`)
-is the one fem also meshes its regions with.  Product immersions (cylinders,
-planes) additionally admit a closed reduction of all boundary integrals, used
-for n >= 3 catalog runs.
+n = 1 gives isolated points by root finding along the curve.  On 2- and
+3-parameter charts one marcher (`level_segments`) cuts the Kuhn simplices of
+a structured grid, triangles or tetrahedra, by the sign of r - R into a
+polyline contour or a triangulated isosurface; it evaluates r on the grid
+once and solves the cut edges of all radii of a call in one crossing batch.
+fem meshes its regions by clipping the same grid triangles
+(`grid_triangles`, `clip`).  Product immersions (cylinders, planes)
+additionally admit a closed reduction of all boundary integrals, used for
+n >= 3 catalog runs.
 
-Boundary integrals use the induced metric: a parameter-space segment d at
-midpoint m contributes sqrt(d^T g(m) d), a triangle half the square root of
-the Gram determinant of its edges.
+Boundary integrals use the induced metric: a point counts 1, a segment with
+edge e at its midpoint m contributes sqrt(e^T g(m) e), and a triangle half
+the square root of the Gram determinant of its edges at its centroid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -39,17 +43,14 @@ class BoundaryData:
     notes: tuple = field(default=())
 
 
-def _radius_on_grid(imm, axes):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    return pts, radius_values(imm, pts).reshape(mesh[0].shape)
-
-
-def boundary_area_and_flux(
-    imm: Immersion, R: float, resolution: int = 256, method: str = "auto"
-) -> BoundaryData:
-    """Area of the level set r = R plus the flux and co-area integrals."""
-    imm.require_window(R)
+def level_boundaries(
+    imm: Immersion, radii, resolution: int = 256, method: str = "auto"
+) -> list:
+    """Area of the level set r = R plus the flux and co-area integrals, for
+    each R in radii.  A marched chart evaluates its grid once and solves the
+    crossings of all radii in one batch."""
+    for R in radii:
+        imm.require_window(R)
     if method == "auto":
         if imm.constant_radius is not None:
             method = "constant"
@@ -65,18 +66,31 @@ def boundary_area_and_flux(
             )
     if method == "constant":
         R0 = imm.constant_radius
-        if abs(R - R0) <= 1e-9 * max(1.0, R0):
-            raise NonRegularLevel(R, "the whole image sits at this radius")
-        return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method=method)
+        for R in radii:
+            if abs(R - R0) <= 1e-9 * max(1.0, R0):
+                raise NonRegularLevel(R, "the whole image sits at this radius")
+        return [BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method=method)
+                for R in radii]
     if method == "product":
-        return _product_boundary(imm, R)
+        return [_product_boundary(imm, R) for R in radii]
     if imm.dim == 1:
-        return _points_boundary(imm, R, resolution)
-    if imm.dim == 2:
-        return _marching_triangles(imm, [R], resolution)[0]
-    if imm.dim == 3:
-        return _marching_tetrahedra(imm, R, max(resolution // 6, 24))
+        return [_points_boundary(imm, R, resolution) for R in radii]
+    if imm.dim in (2, 3):
+        method, where = _LABELS[imm.dim]
+        cells = resolution if imm.dim == 2 else max(resolution // 6, 24)
+        return [
+            _from_elements(imm, R, elements, method, where) if len(elements)
+            else BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="marching")
+            for R, elements in zip(radii, level_segments(imm, radii, cells))
+        ]
     raise DimensionUnsupported(f"dim {imm.dim}")
+
+
+def boundary_area_and_flux(
+    imm: Immersion, R: float, resolution: int = 256, method: str = "auto"
+) -> BoundaryData:
+    """level_boundaries at one radius."""
+    return level_boundaries(imm, [R], resolution, method)[0]
 
 
 def _product_boundary(imm: Immersion, R: float) -> BoundaryData:
@@ -102,12 +116,26 @@ def _points_boundary(imm: Immersion, R: float, resolution: int) -> BoundaryData:
         raise NonRegularLevel(R, "radius is constant along the curve")
     if not len(roots):
         return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="points")
-    grads = geometry(imm, roots, order=1).grad_r_norm
-    return _from_elements(R, np.ones(len(roots)), grads, "points", "at a boundary point")
+    return _from_elements(imm, R, roots[:, None], "points", "at a boundary point")
 
 
-def _from_elements(R, sizes, grads, method, where):
-    """BoundaryData of a level set from its elements' sizes and |grad r|."""
+def _from_elements(imm, R, elements, method, where):
+    """BoundaryData of a level set from its (E, k+1, n) element vertices.
+    An element carries |grad r| at its centroid and measures the square root
+    of the Gram determinant of its edges in the metric there, 1 for a point."""
+    g = geometry(imm, elements.mean(axis=1), order=1)
+    e = elements[:, 1:] - elements[:, :1]
+
+    def gram(a, b):
+        return np.einsum("ni,nij,nj->n", e[:, a], g.metric, e[:, b])
+
+    if e.shape[1] == 0:
+        sizes = np.ones(len(e))
+    elif e.shape[1] == 1:
+        sizes = np.sqrt(gram(0, 0))
+    else:
+        sizes = 0.5 * np.sqrt(np.maximum(gram(0, 0) * gram(1, 1) - gram(0, 1) ** 2, 0.0))
+    grads = g.grad_r_norm
     if grads.min() < GRAD_R_FLOOR:
         raise NonRegularLevel(R, f"vanishing tangential gradient {where}")
     return BoundaryData(
@@ -121,13 +149,33 @@ def _from_elements(R, sizes, grads, method, where):
     )
 
 
+# The Kuhn-Freudenthal split of a grid cell (Kuhn 1960): corner c of a cell
+# sits at offset (c >> a) & 1 along axis a, and each simplex follows one
+# monotone path of corners from 0 to 2^d - 1.  Neighbouring cells split
+# their shared faces alike.
+_KUHN = {
+    2: ((0, 1, 3), (0, 3, 2)),
+    3: ((0, 1, 3, 7), (0, 1, 7, 5), (0, 5, 7, 4), (0, 3, 2, 7), (0, 2, 6, 7), (0, 6, 4, 7)),
+}
+# a marched level's BoundaryData.method, and where a critical level sits
+_LABELS = {2: ("marching", "on the contour"), 3: ("marching-tets", "on the level set")}
+
+
+def _cell_corners(shape) -> np.ndarray:
+    """The (cells, 2^d) corner vertices of a grid whose vertices are numbered
+    in C order, cells in C order too."""
+    vid = np.arange(math.prod(shape)).reshape(shape)
+    return np.column_stack([
+        vid[tuple(np.s_[c >> a & 1 : n - 1 + (c >> a & 1)] for a, n in enumerate(shape))].ravel()
+        for c in range(2 ** len(shape))
+    ])
+
+
 def grid_triangles(shape) -> np.ndarray:
-    """The (T, 3) diagonal split of a grid whose vertex (i, j) is numbered
+    """The (T, 3) Kuhn split of a grid whose vertex (i, j) is numbered
     i * shape[1] + j: cell by cell, (i,j),(i+1,j),(i+1,j+1) then
     (i,j),(i+1,j+1),(i,j+1)."""
-    vid = np.arange(shape[0] * shape[1]).reshape(shape)
-    q0, q1, q2, q3 = (q.ravel() for q in (vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]))
-    return np.column_stack([q0, q1, q2, q0, q2, q3]).reshape(-1, 3)
+    return _cell_corners(shape)[:, _KUHN[2]].reshape(-1, 3)
 
 
 def grid_edges(shape) -> np.ndarray:
@@ -190,117 +238,49 @@ def clip(polys: np.ndarray, phi: np.ndarray, eps: float):
 
 
 def level_segments(imm: Immersion, levels, resolution: int = 256) -> list:
-    """Segments of {r = R} for each R in levels, on a 2-parameter chart
-    (marching triangles).
+    """The (E, d, d) element vertices of {r = R} for each R in levels on a
+    d = 2- or 3-parameter chart, marched over the Kuhn simplices of a grid
+    of `resolution` cells per axis: the segments of a contour or the
+    triangles of an isosurface.
 
-    r is evaluated on the grid once.  For each level the grid triangles are
-    clipped to the sign of r - R (-1 where r < R, +1 elsewhere), so an edge
-    is cut when one end has r < R and the other r >= R, and a cut triangle
-    holds two crossings, its segment.  The cut edges of all levels are
-    solved in one batch; returns one (S, 2, 2) array of segment endpoints
-    per level.
+    r is evaluated on the grid once.  A level cuts the cells whose corners
+    have r < R and r >= R, and an edge of their simplices when its ends do.
+    A simplex is cut on d edges (one element) or, in 3-D, on 4 (a quad, two
+    triangles); the cut edges in local edge order put the crossings that
+    share an uncut edge next to each other, so the two triangles of a quad
+    do not cross.  The cut edges of all levels are solved in one batch.
     """
-    (lo0, lo1), (hi0, hi1) = imm.chart.box
-    ax0 = np.linspace(lo0, hi0, resolution + 1)
-    ax1 = np.linspace(lo1, hi1, resolution + 1)
-    pts, r = _radius_on_grid(imm, (ax0, ax1))
-    r = r.ravel()
-    tris = grid_triangles((resolution + 1,) * 2)
-    crossings, cuts = [], []
+    d = imm.dim
+    lo, hi = imm.chart.box
+    axes = [np.linspace(a, b, resolution + 1) for a, b in zip(lo, hi)]
+    pts = np.column_stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")])
+    r = radius_values(imm, pts)
+    corners = _cell_corners((resolution + 1,) * d)
+    rmin, rmax = r[corners].min(axis=1), r[corners].max(axis=1)
+    pairs = list(combinations(range(d + 1), 2))
+    cuts, keys, inverses = [], [], []
     for R in levels:
         if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
             raise NonRegularLevel(R, "radius is constant on the chart")
-        rows, cut = clip(tris, np.where(r - R < 0.0, -1.0, 1.0), 0.0)
-        crossings.append(rows[rows >= len(r)] - len(r) + sum(map(len, cuts)))
+        simplices = corners[(rmin < R) & (rmax >= R)][:, _KUHN[d]].reshape(-1, d + 1)
+        ends = np.sort(simplices[:, pairs], axis=2)  # lower index first
+        below = r[ends] - R < 0.0
+        cut = below[..., 0] != below[..., 1]
+        key, inverse = np.unique(ends[cut] @ [r.size, 1], return_inverse=True)
+        inverses.append(inverse + sum(map(len, keys)))
         cuts.append(cut)
-    i, j = np.concatenate(cuts).T
-    level = np.repeat(levels, list(map(len, cuts)))
+        keys.append(key)
+    key = np.concatenate(keys)
+    i, j = key // r.size, key % r.size
+    level = np.repeat(levels, list(map(len, keys)))
     roots, _ = level_crossings(imm, pts[i], pts[j], r[i], r[j], level)
-    return [roots[k].reshape(-1, 2, 2) for k in crossings]
-
-
-def _marching_triangles(imm: Immersion, levels, resolution: int) -> list:
     out = []
-    for R, segments in zip(levels, level_segments(imm, levels, resolution)):
-        if not len(segments):
-            out.append(BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="marching"))
-            continue
-        a, b = segments[:, 0], segments[:, 1]
-        mid = 0.5 * (a + b)
-        g = geometry(imm, mid, order=1)
-        d = b - a
-        lengths = np.sqrt(np.einsum("ni,nij,nj->n", d, g.metric, d))
-        out.append(_from_elements(R, lengths, g.grad_r_norm, "marching", "on the contour"))
+    for cut, inverse in zip(cuts, inverses):
+        x = roots[inverse]  # the crossings, simplex by simplex in local edge order
+        count = cut.sum(axis=1)
+        elements = []
+        for k in range(d, 2 * d - 1):  # d cut edges, or 4 in a tetrahedron
+            p = x[np.repeat(count == k, count)].reshape(-1, k, d)
+            elements += [p[:, s : s + d] for s in range(k - d + 1)]
+        out.append(np.concatenate(elements))
     return out
-
-
-def level_boundaries(imm: Immersion, radii, resolution: int = 256) -> list:
-    """boundary_area_and_flux at each radius; on a surface that is marched,
-    all radii share one grid evaluation and one crossing batch."""
-    if imm.dim != 2 or imm.constant_radius is not None:
-        return [boundary_area_and_flux(imm, R, resolution) for R in radii]
-    for R in radii:
-        imm.require_window(R)
-    return _marching_triangles(imm, radii, resolution)
-
-
-_CUBE_TETS = (  # six tetrahedra per cube, consistent across neighbors
-    (0, 1, 3, 7),
-    (0, 1, 7, 5),
-    (0, 5, 7, 4),
-    (0, 3, 2, 7),
-    (0, 2, 6, 7),
-    (0, 6, 4, 7),
-)
-_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _marching_tetrahedra(imm: Immersion, R: float, resolution: int) -> BoundaryData:
-    (lo0, lo1, lo2), (hi0, hi1, hi2) = imm.chart.box
-    axes = [
-        np.linspace(lo0, hi0, resolution + 1),
-        np.linspace(lo1, hi1, resolution + 1),
-        np.linspace(lo2, hi2, resolution + 1),
-    ]
-    pts, r = _radius_on_grid(imm, axes)
-    if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
-        raise NonRegularLevel(R, "radius is constant on the chart")
-    below = r - R < 0.0
-    # corner c of a cube sits at offset (c & 1, c >> 1 & 1, c >> 2 & 1); only
-    # cubes with corners on both sides are marched
-    m = resolution
-    offsets = [(c & 1, c >> 1 & 1, c >> 2 & 1) for c in range(8)]
-    cube = [np.s_[i : i + m, j : j + m, k : k + m] for i, j, k in offsets]
-    mixed = np.logical_or.reduce([below[c] for c in cube])
-    mixed &= ~np.logical_and.reduce([below[c] for c in cube])
-    # vertex indices of the corners; C-order indices sort like (i, j, k)
-    index = np.arange(r.size).reshape(r.shape)
-    corners = np.stack([index[c][mixed] for c in cube], axis=1)
-    below = below.ravel()
-    tets = corners[:, _CUBE_TETS].reshape(-1, 4)
-    ends = np.sort(tets[:, _TET_EDGES], axis=2)  # (T, 6, 2), lower index first
-    cut = below[ends[..., 0]] != below[ends[..., 1]]
-    keys, inverse = np.unique(ends[cut] @ [r.size, 1], return_inverse=True)
-    lo, hi = keys // r.size, keys % r.size
-    roots, _ = level_crossings(imm, pts[lo], pts[hi], r.ravel()[lo], r.ravel()[hi], R)
-    x = np.zeros(cut.shape + (3,))
-    x[cut] = roots[inverse]
-    count = cut.sum(axis=1)
-    quads = x[count == 4][cut[count == 4]].reshape(-1, 4, 3)
-    # a tet has 0, 3 or 4 cut edges; cut edges in _TET_EDGES order put the
-    # vertices sharing an uncut edge next to each other, so the two triangles
-    # of a quad do not cross
-    tri = np.concatenate(
-        [x[count == 3][cut[count == 3]].reshape(-1, 3, 3), quads[:, :3], quads[:, 1:]]
-    )
-    if not len(tri):
-        return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="marching")
-    cent = tri.mean(axis=1)
-    g = geometry(imm, cent, order=1)
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    g11 = np.einsum("ni,nij,nj->n", e1, g.metric, e1)
-    g22 = np.einsum("ni,nij,nj->n", e2, g.metric, e2)
-    g12 = np.einsum("ni,nij,nj->n", e1, g.metric, e2)
-    areas = 0.5 * np.sqrt(np.maximum(g11 * g22 - g12**2, 0.0))
-    return _from_elements(R, areas, g.grad_r_norm, "marching-tets", "on the level set")

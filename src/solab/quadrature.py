@@ -705,8 +705,6 @@ class ParabolicityReport:
     value: float  # integral of t e^(-lam t^2/2) / Psi(t) over [R0, R_max]
     trend: str  # DIVERGENT-LIKE | CONVERGENT-LIKE
     log_slope: float
-    grid: np.ndarray
-    integrand: np.ndarray
     notes: tuple = ("trend classification is a diagnostic, not a proof",)
 
 
@@ -720,7 +718,7 @@ def parabolicity_integral(
     """
     grid = np.linspace(R0, R_max, grid_points)
     curve = psi(imm, lam, grid)
-    if np.any(curve.values <= 0.0) or np.any(curve.values < 1e-300):
+    if np.any(curve.values < 1e-300):
         bad = grid[int(np.argmin(curve.values))]
         raise PsiUnderflow(
             f"Psi underflows at R={bad:.6g} before R_max={R_max:.6g}"
@@ -730,7 +728,7 @@ def parabolicity_integral(
     k = max(grid_points // 3, 4)
     slope = np.polyfit(np.log(grid[-k:]), np.log(integrand[-k:]), 1)[0]
     trend = "DIVERGENT-LIKE" if slope >= -1.5 else "CONVERGENT-LIKE"
-    return ParabolicityReport(value, trend, float(slope), grid, integrand)
+    return ParabolicityReport(value, trend, float(slope))
 
 
 # --- the flux identity -------------------------------------------------------------

@@ -166,7 +166,7 @@ def _immersion_from_chart(chart, name):
         constant_radius = float(interior.mean())
         if chart.dim <= 3:  # chart-box volume backs the constant-radius route
             total_volume = quadrature.region_integral(
-                probe, quadrature.ExtrinsicRegion(probe, 0.0, math.inf), method="pencil"
+                probe, quadrature.ExtrinsicRegion(probe, 0.0, math.inf)
             ).value
     return Immersion(
         chart,

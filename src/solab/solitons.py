@@ -67,15 +67,13 @@ class ResidualReport:
     sample_count: int
     tol: float
     verdict: str
-    descriptor: str = ""
-    notes: tuple = field(default=())
 
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
 
-def _report(kind, constant, residuals, tol, descriptor, notes=()):
+def _report(kind, constant, residuals, tol):
     residuals = np.asarray(residuals)
     sup = float(residuals.max()) if residuals.size else 0.0
     mean = float(math.fsum(residuals.tolist()) / max(residuals.size, 1))
@@ -88,8 +86,6 @@ def _report(kind, constant, residuals, tol, descriptor, notes=()):
         sample_count=int(residuals.size),
         tol=tol,
         verdict="PASS" if sup < tol else "FAIL",
-        descriptor=descriptor,
-        notes=tuple(notes),
     )
 
 
@@ -104,7 +100,7 @@ def mcf_residual(
     """sup over samples of |H + lambda * Xperp|."""
     g = sample_geometry(imm, samples, count, seed)
     res = np.linalg.norm(g.H + lam * g.Xperp, axis=1)
-    return _report("mcf", lam, res, tol, f"{imm.name}, {len(g.points)} Halton samples")
+    return _report("mcf", lam, res, tol)
 
 
 def imcf_residual(
@@ -122,7 +118,7 @@ def imcf_residual(
     if np.any(normH <= tol_h):
         raise VanishingMeanCurvature(g.points[int(np.argmin(normH))])
     res = np.linalg.norm(g.H / normH[:, None] ** 2 + c * g.Xperp, axis=1)
-    return _report("imcf", c, res, tol, f"{imm.name}, {len(g.points)} Halton samples")
+    return _report("imcf", c, res, tol)
 
 
 @dataclass
@@ -161,7 +157,7 @@ def infer_constant(
     if perp2 <= tol_h * len(g.points):
         if kind == "mcf" and float(np.abs(field_vec).max(initial=0.0)) <= tol_h:
             # totally geodesic through the origin: H = Xperp = 0 identically
-            report = _report("mcf", 0.0, np.zeros(len(g.points)), tol, imm.name)
+            report = _report("mcf", 0.0, np.zeros(len(g.points)), tol)
             return InferredConstant("mcf", 0.0, report)
         raise DegenerateNormalPosition(
             "normal position vanishes on the samples; the least-squares "
@@ -170,7 +166,7 @@ def infer_constant(
     cross = float(np.einsum("na,na->", field_vec, g.Xperp))
     constant = -cross / perp2
     res = np.linalg.norm(field_vec + constant * g.Xperp, axis=1)
-    report = _report(kind, constant, res, tol, f"{imm.name}, least-squares fit")
+    report = _report(kind, constant, res, tol)
     return InferredConstant(kind, constant, report)
 
 

@@ -232,6 +232,19 @@ def test_line_capacity_flux_form_and_closed_form():
     assert res.cap == pytest.approx(closed, rel=1e-9)
 
 
+@pytest.mark.parametrize("curve", [True, False])
+def test_boundary_flux_form_counts_both_sides_of_a_tangent_inner_level(curve):
+    # rho = 1 is the minimum of r on the line y = 1 and on S^1(1) x R, so the
+    # region 1 < r < R lies on both sides of the inner level
+    if curve:
+        chart = chart_from_sources(1, 2, ["u1", "1"], [ParamSpec("u1", -6, 6)])
+        imm, R = Immersion(chart, properness_radius=math.sqrt(37.0), name="line"), 3.0
+    else:
+        imm, R = catalog("generalized_cylinder", n=2, k=1, rho=1.0)[0], 2.0
+    res = capacity(imm, 1.0, R, h=0.05)
+    assert res.boundary_flux_form == pytest.approx(res.cap, rel=1e-9)
+
+
 def test_cg_reports_iterations_used():
     imm, _ = catalog("plane", n=2)
     sol = capacity(imm, 1.0, math.e, h=0.1).solution

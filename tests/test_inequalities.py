@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import solab.levelset as levelset
 from solab.catalog import catalog
 from solab.errors import InvalidParams
+from solab.geometry import radius_values
 from solab.inequalities import (
+    _ball_pieces,
     isoperimetric_imcf,
     isoperimetric_mcf,
     rimoldi_criterion,
@@ -39,6 +42,22 @@ def test_isoperimetric_factor_in_unit_interval(n, k):
         assert -m.tol <= m.lhs <= 1.0 + m.tol
         # closed form on cylinders: factor = (n - k)/n
         assert m.lhs == pytest.approx((n - k) / n, rel=1e-6)
+
+
+def test_ball_pieces_evaluate_the_marching_grid_once(monkeypatch):
+    imm, _ = catalog("plane", n=2)
+    calls = []
+
+    def counting(imm, points):
+        calls.append(len(points))
+        return radius_values(imm, points)
+
+    monkeypatch.setattr(levelset, "radius_values", counting)
+    pieces = _ball_pieces(imm, [0.5, 1.0, 1.5, 2.0], curvature=False)
+    assert calls == [257**2]
+    assert [b.area for _, _, b in pieces] == pytest.approx(
+        [2 * math.pi * R for R in (0.5, 1.0, 1.5, 2.0)], rel=1e-3
+    )
 
 
 def test_isoperimetric_mcf_sphere_saturated_radius_skipped():

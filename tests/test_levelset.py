@@ -5,11 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import solab.levelset as levelset
 from solab.catalog import catalog
 from solab.charts import chart_from_dict
+from solab.crossing import level_crossings
 from solab.errors import NonRegularLevel
-from solab.geometry import Immersion
-from solab.levelset import boundary_area_and_flux, clip, grid_edges, grid_triangles
+from solab.geometry import Immersion, geometry, radius_values
+from solab.levelset import (
+    BoundaryData,
+    boundary_area_and_flux,
+    clip,
+    grid_edges,
+    grid_triangles,
+    level_boundaries,
+)
 from solab.quadrature import ExtrinsicRegion, region_volume
 
 
@@ -192,3 +201,82 @@ def test_clip_two_levels_on_a_square():
     rows, cuts = clip(rows, y - 0.5, 0.0)
     assert cuts.tolist() == [[0, 3]]
     assert rows.tolist() == [[0, 4, 5, -1], [0, 5, 7, -1]]
+
+
+def _clipped_boundaries(imm, levels, resolution):
+    """Reference: marching triangles by clipping the grid triangles to the
+    sign of r - R, each level's segment measured at its midpoint."""
+    (lo0, lo1), (hi0, hi1) = imm.chart.box
+    axes = np.linspace(lo0, hi0, resolution + 1), np.linspace(lo1, hi1, resolution + 1)
+    pts = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    r = radius_values(imm, pts)
+    tris = grid_triangles((resolution + 1,) * 2)
+    crossings, cuts = [], []
+    for R in levels:
+        rows, cut = clip(tris, np.where(r - R < 0.0, -1.0, 1.0), 0.0)
+        crossings.append(rows[rows >= len(r)] - len(r) + sum(map(len, cuts)))
+        cuts.append(cut)
+    i, j = np.concatenate(cuts).T
+    level = np.repeat(levels, list(map(len, cuts)))
+    roots, _ = level_crossings(imm, pts[i], pts[j], r[i], r[j], level)
+    out = []
+    for R, k in zip(levels, crossings):
+        a, b = roots[k].reshape(-1, 2, 2).transpose(1, 0, 2)
+        if not len(a):
+            out.append(BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="marching"))
+            continue
+        g = geometry(imm, 0.5 * (a + b), order=1)
+        lengths = np.sqrt(np.einsum("ni,nij,nj->n", b - a, g.metric, b - a))
+        grads = g.grad_r_norm
+        sums = [math.fsum(v.tolist()) for v in (lengths, lengths * grads, lengths / grads)]
+        out.append(BoundaryData(R, *sums, len(a), float(grads.min()), method="marching"))
+    return out
+
+
+@pytest.mark.parametrize("resolution", [64, 160, 256])
+@pytest.mark.parametrize("name,params", [
+    ("plane", {"n": 2}),
+    ("castro_lerma", {}),
+    ("generalized_cylinder", {"n": 2, "k": 1, "rho": 1.0}),
+])
+def test_kuhn_marcher_matches_clipped_triangles(name, params, resolution):
+    imm, _ = catalog(name, **params)
+    levels = [1.5, 2.0, 3.0]
+    marched = level_boundaries(imm, levels, resolution, method="marching")
+    assert marched == _clipped_boundaries(imm, levels, resolution)
+
+
+def _s1_times_r2():
+    """S^1 x R^2 in R^4 as a user chart, with no declared product structure."""
+    chart = chart_from_dict({
+        "dim": 3,
+        "codim_total": 4,
+        "params": [
+            {"name": "u1", "min": 0.0, "max": 2 * math.pi, "periodic": True},
+            {"name": "u2", "min": -4.0, "max": 4.0, "periodic": False},
+            {"name": "u3", "min": -4.0, "max": 4.0, "periodic": False},
+        ],
+        "coords": ["cos(u1)", "sin(u1)", "u2", "u3"],
+    })
+    return Immersion(chart, properness_radius=math.sqrt(17.0), name="s1xr2")
+
+
+def test_three_parameter_levels_share_one_grid(monkeypatch):
+    imm, radii = _s1_times_r2(), [1.5, 2.0, 3.0]
+    alone = [boundary_area_and_flux(imm, R) for R in radii]
+    calls = []
+
+    def counting(imm, points):
+        calls.append(len(points))
+        return radius_values(imm, points)
+
+    monkeypatch.setattr(levelset, "radius_values", counting)
+    batched = level_boundaries(imm, radii)
+    assert calls == [43**3]  # resolution 256 marches a 42-cell grid per axis
+    assert batched == alone
+    # the values of the marching-tetrahedra pass this marcher replaced
+    assert [(repr(b.area), repr(b.flux), repr(b.coarea)) for b in batched] == [
+        ("44.10675447550051", "32.84741931509395", "59.22554873648156"),
+        ("68.3614383755048", "59.19281337088532", "78.95023158204921"),
+        ("111.64926587596231", "105.26042697828461", "118.42587890302462"),
+    ]
