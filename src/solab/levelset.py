@@ -39,7 +39,6 @@ class BoundaryData:
     element_count: int
     min_grad_r: float
     empty: bool = False
-    method: str = ""
     notes: tuple = field(default=())
 
 
@@ -69,18 +68,16 @@ def level_boundaries(
         for R in radii:
             if abs(R - R0) <= 1e-9 * max(1.0, R0):
                 raise NonRegularLevel(R, "the whole image sits at this radius")
-        return [BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method=method)
-                for R in radii]
+        return [BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True) for R in radii]
     if method == "product":
         return [_product_boundary(imm, R) for R in radii]
     if imm.dim == 1:
         return [_points_boundary(imm, R, resolution) for R in radii]
     if imm.dim in (2, 3):
-        method, where = _LABELS[imm.dim]
         cells = resolution if imm.dim == 2 else max(resolution // 6, 24)
         return [
-            _from_elements(imm, R, elements, method, where) if len(elements)
-            else BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="marching")
+            _from_elements(imm, R, elements, _WHERE[imm.dim]) if len(elements)
+            else BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True)
             for R, elements in zip(radii, level_segments(imm, radii, cells))
         ]
     raise DimensionUnsupported(f"dim {imm.dim}")
@@ -97,15 +94,13 @@ def _product_boundary(imm: Immersion, R: float) -> BoundaryData:
     rad = imm.radial
     c, q = rad.offset, rad.euclid_dim
     if R <= c:
-        return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="product")
+        return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True)
     t = math.sqrt(R**2 - c**2)
     if t <= GRAD_R_FLOOR * R:
         raise NonRegularLevel(R, "level tangent to the compact fiber")
     area = rad.fiber_volume * unit_sphere_volume(q - 1) * t ** (q - 1)
     grad = t / R  # |X^T|/r on the product
-    return BoundaryData(
-        R, area, area * grad, area / grad, 1, grad, method="product"
-    )
+    return BoundaryData(R, area, area * grad, area / grad, 1, grad)
 
 
 def _points_boundary(imm: Immersion, R: float, resolution: int) -> BoundaryData:
@@ -115,11 +110,11 @@ def _points_boundary(imm: Immersion, R: float, resolution: int) -> BoundaryData:
     if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
         raise NonRegularLevel(R, "radius is constant along the curve")
     if not len(roots):
-        return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="points")
-    return _from_elements(imm, R, roots[:, None], "points", "at a boundary point")
+        return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True)
+    return _from_elements(imm, R, roots[:, None], "at a boundary point")
 
 
-def _from_elements(imm, R, elements, method, where):
+def _from_elements(imm, R, elements, where):
     """BoundaryData of a level set from its (E, k+1, n) element vertices.
     An element carries |grad r| at its centroid and measures the square root
     of the Gram determinant of its edges in the metric there, 1 for a point."""
@@ -145,7 +140,6 @@ def _from_elements(imm, R, elements, method, where):
         math.fsum((sizes / grads).tolist()),
         len(sizes),
         float(grads.min()),
-        method=method,
     )
 
 
@@ -157,8 +151,8 @@ _KUHN = {
     2: ((0, 1, 3), (0, 3, 2)),
     3: ((0, 1, 3, 7), (0, 1, 7, 5), (0, 5, 7, 4), (0, 3, 2, 7), (0, 2, 6, 7), (0, 6, 4, 7)),
 }
-# a marched level's BoundaryData.method, and where a critical level sits
-_LABELS = {2: ("marching", "on the contour"), 3: ("marching-tets", "on the level set")}
+# where a critical level of a marched chart sits
+_WHERE = {2: "on the contour", 3: "on the level set"}
 
 
 def _cell_corners(shape) -> np.ndarray:

@@ -11,11 +11,11 @@ One batched adaptive Gauss-Kronrod rule integrates on two routes:
   rho < r < R are resolved into subintervals by root finding before
   quadrature.
 
-Improper Gaussian-weighted integrals are truncated at a radius where a fitted
-Euclidean-growth majorant c * t^n pushes the analytic tail below tolerance;
-the tail bound is carried in every result.  All reductions, the rule's node
-sums among them, run in a fixed order, so results are reproducible bit for
-bit and independent of the batch they are computed in.
+Improper Gaussian-weighted integrals run up to the properness window W, and
+the analytic tail past W of a fitted Euclidean-growth majorant c * t^n, which
+must lie below tolerance, is carried in every result.  All reductions, the
+rule's node sums among them, run in a fixed order, so results are
+reproducible bit for bit and independent of the batch they are computed in.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaincc
 
 from .crossing import level_crossings, pencil_scan
@@ -290,8 +289,10 @@ def _gauss_kronrod(f, lo, hi, owner, count):
     _EPSREL times its integral of |f|; until then a panel within half that
     budget, pro rata to length, is accepted and the rest are halved.  The two
     halves of a panel are also accepted when their sum agrees with the
-    panel's value to 1e-5 while their estimates keep 3/4 of its: the values
-    are noise-limited and halving cannot help (QUADPACK's roundoff test).
+    panel's value to 1e-5, by a change no smaller than 1e-3 of their
+    estimates, while these keep 3/4 of the panel's: the values are
+    noise-limited and halving cannot help (QUADPACK's roundoff test).  On an
+    under-resolved peak the change is far below the estimates instead.
     An integral with more than _LIMIT active panels, or still active after
     _ROUNDS halvings, keeps its panels as they stand (QUADPACK's limit).
     The node sums run in a fixed order (see _dot) and all else is decided
@@ -320,7 +321,8 @@ def _gauss_kronrod(f, lo, hi, owner, count):
         if rnd:  # the halves of parent k sit at k and k + n
             n = len(parent_err)
             pair_k, pair_err = kron[:n] + kron[n:], err[:n] + err[n:]
-            noise = np.abs(pair_k - parent_k) <= 1e-5 * np.abs(pair_k)
+            change = np.abs(pair_k - parent_k)
+            noise = (change <= 1e-5 * np.abs(pair_k)) & (change >= 1e-3 * pair_err)
             done |= np.tile(noise & (pair_err > 0.75 * parent_err), 2)
         carried = _dot(e[done], _GK_W)
         accepted.append((owner[done], kron[done], err[done] + half[done] * carried))
@@ -557,61 +559,51 @@ def _euclidean_majorant(imm: Immersion) -> float:
     return 10.0 * best
 
 
-def _truncation_radius(imm: Immersion, lam: float, power: int, tol: float, c: float):
-    """Smallest R with the fitted tail bound below tol; the bound is
-    c * n * integral over (R, inf) of t^(n-1+power) exp(-lam t^2/2) dt, with
-    c from _euclidean_majorant."""
-    n = imm.dim
-    a = lam / 2.0
+def _gaussian_tails(imm: Immersion, lam: float, tails, tol: float):
+    """Integrals of r^p exp(-lam r^2/2) dV over {r > R}, one per (R, p) in
+    tails, in one region_integrals pass.
 
-    def tail(R):
-        return c * n * _gamma_tail(n - 1 + power, a, R)
-
-    R_hi = imm.properness_radius
-    if tail(R_hi) > tol:
-        raise TruncationFailure(
-            f"{imm.name}: tail bound {tail(R_hi):.3e} at the properness window "
-            f"{R_hi:.3g} exceeds tolerance {tol:.1e}"
-        )
-    R_lo = 1e-3 * R_hi
-    if tail(R_lo) <= tol:
-        return R_lo, tail(R_lo)
-    R = brentq(lambda s: tail(s) - tol, R_lo, R_hi, xtol=1e-10)
-    return R, tail(R)
-
-
-def _weighted_integrals(imm: Immersion, lam: float, powers, tol: float):
-    """Integrals of r^p exp(-lam r^2 / 2) dV over the whole immersion, one per
-    power p: one majorant fit and one region_integrals pass for all."""
+    A constant-radius image is integrated over (R, inf).  Any other image is
+    integrated up to its properness window W, and each result carries the
+    bound c * n * integral over (W, inf) of t^(n-1+p) exp(-lam t^2/2) dt on
+    the rest, with c from _euclidean_majorant, as its tail and in its error;
+    a radius at or past W gets 0 and that bound."""
     if lam <= 0:
         raise ValueError("the Gaussian weight needs lam > 0")
-    weights = [lambda r, p=p: r**p * np.exp(-lam * r**2 / 2.0) for p in powers]
     if imm.constant_radius is not None:
-        whole = ExtrinsicRegion(imm, 0.0, math.inf)
-        out = [region_integral(imm, whole, radial_fn=w, method="constant") for w in weights]
-        for res in out:
-            res.notes = ("compact: no truncation needed",)
-        return out
-    c = _euclidean_majorant(imm)
-    cuts = [_truncation_radius(imm, lam, p, tol, c) for p in powers]
-    out = region_integrals(
-        imm, [RegionJob(ExtrinsicRegion(imm, 0.0, R), w) for (R, _), w in zip(cuts, weights)]
-    )
-    for res, (R_max, tail) in zip(out, cuts):
-        res.tail = tail
-        res.error += tail
-        res.notes = (f"truncated at R={R_max:.6g}",)
+        W, bounds = math.inf, [0.0] * len(tails)
+    else:
+        n, W = imm.dim, imm.properness_radius
+        c = _euclidean_majorant(imm)
+        bounds = [c * n * _gamma_tail(n - 1 + p, lam / 2.0, W) for _, p in tails]
+    for bound in bounds:
+        if bound > tol:
+            raise TruncationFailure(
+                f"{imm.name}: tail bound {bound:.3e} at the properness window "
+                f"{W:.3g} exceeds tolerance {tol:.1e}"
+            )
+    inner = [t for t, (R, _) in enumerate(tails) if R < W]
+    jobs = [
+        RegionJob(ExtrinsicRegion(imm, R, W), lambda r, p=p: r**p * np.exp(-lam * r**2 / 2.0))
+        for R, p in (tails[t] for t in inner)
+    ]
+    out = [QuadratureResult(0.0, 0.0, 0) for _ in tails]
+    for t, res in zip(inner, region_integrals(imm, jobs)):
+        out[t] = res
+    for res, bound in zip(out, bounds):
+        res.tail = bound
+        res.error += bound
     return out
 
 
 def gaussian_volume(imm: Immersion, lam: float, tol: float = 1e-10) -> QuadratureResult:
     """Integral of exp(-lam r^2 / 2) dV over the whole immersion."""
-    return _weighted_integrals(imm, lam, (0,), tol)[0]
+    return _gaussian_tails(imm, lam, [(0.0, 0)], tol)[0]
 
 
 def second_moment(imm: Immersion, lam: float, tol: float = 1e-10) -> QuadratureResult:
     """Integral of r^2 exp(-lam r^2 / 2) dV over the whole immersion."""
-    return _weighted_integrals(imm, lam, (2,), tol)[0]
+    return _gaussian_tails(imm, lam, [(0.0, 2)], tol)[0]
 
 
 @dataclass
@@ -628,7 +620,7 @@ class IdentityMargin:
 def weighted_identity_check(imm: Immersion, lam: float, tol: float = 1e-3) -> IdentityMargin:
     """Relative defect of lam * second_moment = n * gaussian_volume; both
     moments share one majorant fit and one quadrature pass."""
-    m0, m2 = _weighted_integrals(imm, lam, (0, 2), 1e-10)
+    m0, m2 = _gaussian_tails(imm, lam, [(0.0, 0), (0.0, 2)], 1e-10)
     n = imm.dim
     lhs = lam * m2.value
     rhs = n * m0.value
@@ -659,28 +651,18 @@ class PsiCurve:
 
 def psi(imm: Immersion, lam: float, radii, tol: float = 1e-10) -> PsiCurve:
     """Tail weighted second moment Psi(R) = integral over {r > R} of
-    r^2 exp(-lam r^2/2) dV, with truncation tails; cylinders also carry the
-    closed form for cross-checking."""
-    if lam <= 0:
-        raise ValueError("psi needs lam > 0")
+    r^2 exp(-lam r^2/2) dV, each with the bound on its part past the
+    properness window; cylinders also carry the closed form for
+    cross-checking."""
     radii = np.asarray(radii, dtype=float)
-    weight = lambda r: r**2 * np.exp(-lam * r**2 / 2.0)
-    if imm.constant_radius is not None:
-        R0, vol = imm.constant_radius, imm.total_volume
-        values = [weight(np.array([R0]))[0] * vol if R < R0 else 0.0 for R in radii]
-        return PsiCurve(radii, np.array(values), np.zeros(len(radii)), np.zeros(len(radii)))
-    R_max, tail = _truncation_radius(imm, lam, 2, tol, _euclidean_majorant(imm))
-    inner = radii < R_max
-    shells = region_integrals(
-        imm, [RegionJob(ExtrinsicRegion(imm, R, R_max), weight) for R in radii[inner]]
-    )
-    values, errors = np.zeros(len(radii)), np.full(len(radii), tail)
-    values[inner] = [res.value for res in shells]
-    errors[inner] = [res.error + tail for res in shells]
+    shells = _gaussian_tails(imm, lam, [(R, 2) for R in radii], tol)
+    values = np.array([res.value for res in shells], dtype=float)
+    errors = np.array([res.error for res in shells], dtype=float)
+    tails = np.array([res.tail for res in shells], dtype=float)
     closed = None
     if imm.radial is not None:
         closed = np.array([cylinder_psi_closed_form(imm, lam, R) for R in radii])
-    return PsiCurve(radii, values, errors, np.full(len(radii), tail), closed)
+    return PsiCurve(radii, values, errors, tails, closed)
 
 
 def cylinder_psi_closed_form(imm: Immersion, lam: float, R: float) -> float:

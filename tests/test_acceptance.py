@@ -243,7 +243,8 @@ def test_criterion_10_deterministic_reports(tmp_path, capsys):
         "report", "--catalog", "generalized_cylinder", "--n", "2", "--k", "1",
         "--rho", "1", "--kind", "mcf", "--lambda", "1", "--seed", "24301",
         "--checks",
-        "soliton-residual,flow-residual,separation,second-form,weighted-volume,psi,volume-growth",
+        "soliton-residual,flow-residual,separation,second-form,weighted-volume,psi,"
+        "parabolicity-integral,volume-growth",
     ]
     texts = []
     for sub in ("first", "second"):

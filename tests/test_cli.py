@@ -1,11 +1,14 @@
 """CLI behavior: exit codes, outputs, determinism, config handling."""
 
+import ast
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
+import solab
 from solab.charts import chart_from_sources, save_chart
 from solab.cli import main
 from solab.errors import ConfigError
@@ -321,3 +324,17 @@ def test_report_config_rejects_unknown_checks_before_running(tmp_path, capsys):
     assert code == 2
     assert "bogus" in err
     assert out == ""
+
+
+def test_no_module_imports_scipy_optimize():
+    # solab's root solves are its own batched crossings; scipy.optimize
+    # would only add import time
+    for path in sorted(Path(solab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(name.startswith("scipy.optimize") for name in names), path.name

@@ -223,13 +223,13 @@ def _clipped_boundaries(imm, levels, resolution):
     for R, k in zip(levels, crossings):
         a, b = roots[k].reshape(-1, 2, 2).transpose(1, 0, 2)
         if not len(a):
-            out.append(BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True, method="marching"))
+            out.append(BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True))
             continue
         g = geometry(imm, 0.5 * (a + b), order=1)
         lengths = np.sqrt(np.einsum("ni,nij,nj->n", b - a, g.metric, b - a))
         grads = g.grad_r_norm
         sums = [math.fsum(v.tolist()) for v in (lengths, lengths * grads, lengths / grads)]
-        out.append(BoundaryData(R, *sums, len(a), float(grads.min()), method="marching"))
+        out.append(BoundaryData(R, *sums, len(a), float(grads.min())))
     return out
 
 

@@ -237,6 +237,18 @@ def test_gauss_kronrod_stops_halving_noise(monkeypatch):
     assert abs(value[0] - exact) <= error[0]
 
 
+def test_gauss_kronrod_halves_an_under_resolved_peak():
+    # r^2 e^(-r^2) over (1.2, W) on S^2 x R^2: at the first halving the two
+    # halves sum to their parent's value within 2e-6 but their estimate
+    # grows 4x; that is a peak the first panel did not resolve, not noise
+    imm = catalog("generalized_cylinder", n=4, k=2, rho=1.0)[0]
+    region = ExtrinsicRegion(imm, 1.2, imm.properness_radius)
+    res = region_integral(imm, region, lambda r: r**2 * np.exp(-(r**2)))
+    assert res.error <= 1e-9
+    assert res.cells > 2
+    assert res.value == pytest.approx(cylinder_psi_closed_form(imm, 2.0, 1.2), rel=1e-12)
+
+
 def test_gauss_kronrod_caps_the_panels_of_one_integral(monkeypatch):
     # an integrand no panel count resolves: each integral keeps at most
     # 2 * _LIMIT panels and carries an error that still bounds the truth
@@ -573,6 +585,29 @@ def test_parabolicity_trend_codim_four_flat_factor():
     rep = parabolicity_integral(imm, 1.0, 1.5, 6.0)
     assert rep.trend == "CONVERGENT-LIKE"
     assert rep.log_slope < -1.5
+
+
+def test_psi_keeps_relative_accuracy_up_to_the_report_grid_end():
+    # S^2 x R^2 at lam = 2 (n = 4, parabolic): every shell runs to the
+    # properness window W, where the tail bound is about 1e-30, so Psi stays
+    # accurate across the whole report grid and the trend fit sees no zero
+    imm = catalog("generalized_cylinder", n=4, k=2, rho=1.0)[0]
+    grid = np.linspace(1.5, 0.7 * imm.properness_radius, 33)
+    curve = psi(imm, 2.0, grid)
+    np.testing.assert_allclose(curve.values, curve.closed_form, rtol=1e-9, atol=0.0)
+    assert np.all(curve.tails < 1e-25)
+    rep = parabolicity_integral(imm, 2.0, 1.5, 0.7 * imm.properness_radius)
+    assert rep.trend == "DIVERGENT-LIKE"
+
+
+def test_psi_at_or_past_the_window_is_its_tail_bound():
+    imm = catalog_cylinder()
+    W = imm.properness_radius
+    curve = psi(imm, 1.0, [2.0, W, W + 1.0])
+    assert curve.values[0] > 0.0
+    assert list(curve.values[1:]) == [0.0, 0.0]
+    assert list(curve.errors[1:]) == list(curve.tails[1:])
+    assert np.all(curve.tails == curve.tails[0]) and 0.0 < curve.tails[0] <= 1e-10
 
 
 def test_parabolicity_sphere_underflows():
