@@ -21,6 +21,8 @@ reproducible bit for bit and independent of the batch they are computed in.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +49,11 @@ __all__ = [
     "cylinder_psi_closed_form",
     "parabolicity_integral",
     "flux_identity_check",
+    "shared_majorant_fit",
 ]
+
+# id(immersion) -> (immersion, majorant constant) while a memo is open
+_MAJORANTS: ContextVar[dict | None] = ContextVar("solab_majorants", default=None)
 
 
 @dataclass(frozen=True)
@@ -543,7 +549,29 @@ def _gamma_tail(p: float, a: float, x: float) -> float:
     return 0.5 * math.gamma(s) * a ** (-s) * float(gammaincc(s, a * x * x))
 
 
+@contextmanager
+def shared_majorant_fit():
+    """Within the block, ``_euclidean_majorant`` fits each immersion's
+    majorant once and hands out that constant; the memo is dropped when the
+    block ends."""
+    token = _MAJORANTS.set({})
+    try:
+        yield
+    finally:
+        _MAJORANTS.reset(token)
+
+
 def _euclidean_majorant(imm: Immersion) -> float:
+    """The growth majorant of imm, fitted once per open memo."""
+    memo = _MAJORANTS.get()
+    if memo is None:
+        return _fit_majorant(imm)
+    if id(imm) not in memo:  # the memo holds imm, so its id stays unique
+        memo[id(imm)] = (imm, _fit_majorant(imm))
+    return memo[id(imm)][1]
+
+
+def _fit_majorant(imm: Immersion) -> float:
     """Fit c with Vol(D_t) <= c t^n on the computed window (x10 safety)."""
     n = imm.dim
     radii = [t for t in (frac * imm.properness_radius for frac in (0.35, 0.6, 0.85)) if t > 0]
@@ -567,7 +595,8 @@ def _gaussian_tails(imm: Immersion, lam: float, tails, tol: float):
     integrated up to its properness window W, and each result carries the
     bound c * n * integral over (W, inf) of t^(n-1+p) exp(-lam t^2/2) dt on
     the rest, with c from _euclidean_majorant, as its tail and in its error;
-    a radius at or past W gets 0 and that bound."""
+    a radius at or past W gets 0 and that bound.  TruncationFailure is raised
+    when a bound exceeds both tol and tol times its integral over {R < r < W}."""
     if lam <= 0:
         raise ValueError("the Gaussian weight needs lam > 0")
     if imm.constant_radius is not None:
@@ -576,12 +605,6 @@ def _gaussian_tails(imm: Immersion, lam: float, tails, tol: float):
         n, W = imm.dim, imm.properness_radius
         c = _euclidean_majorant(imm)
         bounds = [c * n * _gamma_tail(n - 1 + p, lam / 2.0, W) for _, p in tails]
-    for bound in bounds:
-        if bound > tol:
-            raise TruncationFailure(
-                f"{imm.name}: tail bound {bound:.3e} at the properness window "
-                f"{W:.3g} exceeds tolerance {tol:.1e}"
-            )
     inner = [t for t, (R, _) in enumerate(tails) if R < W]
     jobs = [
         RegionJob(ExtrinsicRegion(imm, R, W), lambda r, p=p: r**p * np.exp(-lam * r**2 / 2.0))
@@ -591,6 +614,12 @@ def _gaussian_tails(imm: Immersion, lam: float, tails, tol: float):
     for t, res in zip(inner, region_integrals(imm, jobs)):
         out[t] = res
     for res, bound in zip(out, bounds):
+        if bound > tol * max(1.0, abs(res.value)):
+            raise TruncationFailure(
+                f"{imm.name}: tail bound {bound:.3e} at the properness window "
+                f"{W:.3g} exceeds tolerance {tol:.1e} and {tol:.1e} of the "
+                f"integral {res.value:.6g} inside it"
+            )
         res.tail = bound
         res.error += bound
     return out

@@ -509,9 +509,10 @@ _EXIT_OF_VERDICT = {"ERROR": EXIT_NUMERICAL, "FAIL": EXIT_CHECK_FAILED, "PASS": 
 
 def run(cfg: RunConfig):
     """Execute the configured checks in order; returns (report, exit_code).
-    The checks share one geometry per default sample set, for this run only."""
+    The checks share one geometry per default sample set and one majorant
+    fit per immersion, for this run only."""
     imm, entry = build_immersion(cfg)
-    with shared_sample_geometry():
+    with shared_sample_geometry(), quadrature.shared_majorant_fit():
         spec, source = _spec_from_config(cfg, imm, entry)
         checks = cfg.checks or FULL_CHECKS
         results = [run_check(name, cfg, imm, entry, spec) for name in checks]

@@ -3,12 +3,12 @@ sample-set geometry the pointwise checks share."""
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import fields
 
 import numpy as np
-from scipy.stats import qmc
 
 from .geometry import geometry
 
@@ -19,6 +19,51 @@ DEFAULT_SAMPLES = 512
 _SHARED: ContextVar[dict | None] = ContextVar("solab_shared_samples", default=None)
 
 
+def _primes(count: int) -> list[int]:
+    """The first count primes, by trial division."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
+    """The first count points of the randomized Halton sequence (Owen,
+    arXiv:1706.02808) in [0, 1)^dim.
+
+    Coordinate k is a van der Corput sequence in the k-th prime base b whose
+    j-th digit goes through its own random permutation of range(b).  The
+    permutations are drawn, and the digits summed, in the order of
+    ``scipy.stats.qmc.Halton(dim, scramble=True, seed=seed).random(count)``,
+    so the points are that call's bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, dim))
+    for k, base in enumerate(_primes(dim)):
+        # one permutation per digit j with base^-(j+1) > 2^-54 in doubles
+        digits = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], digits, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        perms = perms.astype(float)
+        q, top = np.arange(count), count - 1  # top: the largest quotient
+        v = np.zeros(count)
+        scale = 1.0 / base
+        for j in range(digits):
+            if top > 0:
+                q, digit = np.divmod(q, base)
+                v += perms[j].take(digit) * scale
+            else:  # every remaining digit is 0
+                v += perms[j, 0] * scale
+            top //= base
+            scale /= base
+        out[:, k] = v
+    return out
+
+
 def sample_box(chart, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Halton points mapped into the chart's parameter box.
 
@@ -27,9 +72,7 @@ def sample_box(chart, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) ->
     """
     lo, hi = chart.box
     lo, hi = np.asarray(lo), np.asarray(hi)
-    engine = qmc.Halton(d=chart.dim, scramble=True, seed=seed)
-    unit = engine.random(count)
-    return lo + unit * (hi - lo)
+    return lo + _scrambled_halton(chart.dim, count, seed) * (hi - lo)
 
 
 @contextmanager

@@ -3,7 +3,10 @@
 import ast
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -338,3 +341,36 @@ def test_no_module_imports_scipy_optimize():
             else:
                 continue
             assert not any(name.startswith("scipy.optimize") for name in names), path.name
+
+
+def test_no_module_imports_scipy_stats():
+    # the scrambled Halton sequence is solab's own numpy code; scipy.stats
+    # (which loads scipy.optimize) would only add import time
+    for path in sorted(Path(solab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(name.startswith("scipy.stats") for name in names), path.name
+
+
+def test_full_report_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
+    # a fresh interpreter, since the test session itself imports both
+    script = (
+        "import sys\n"
+        "import solab.cli\n"
+        "code = solab.cli.main(['report', '--catalog', 'plane', '--n', '2', '--full',\n"
+        "                       '--out', sys.argv[1]])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.startswith(('scipy.stats', 'scipy.optimize'))))\n"
+    )
+    src = str(Path(solab.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.splitlines()[-1] == "0 []"

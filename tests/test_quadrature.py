@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
-from solab.errors import ImproperWindow, PsiUnderflow
+from solab.errors import ImproperWindow, PsiUnderflow, TruncationFailure
 from solab.geometry import Immersion, geometry, radius_values
 from solab.inequalities import isoperimetric_mcf
 import solab.quadrature as quadrature
@@ -519,6 +519,24 @@ def test_weighted_identity_on_the_plane_holds_for_any_lam():
     imm, _ = catalog("plane", n=2)
     check = weighted_identity_check(imm, 1.0)
     assert check.margin < 1e-9
+
+
+def test_plane_three_truncates_relative_to_its_integral():
+    # the majorant's bound past W = 8 (8.5e-10 on the second moment, ten times
+    # the true tail) is above 1e-10 but far below 1e-10 of the integral
+    imm, _ = catalog("plane", n=3)
+    exact = (2.0 * math.pi) ** 1.5
+    m0, m2 = gaussian_volume(imm, 1.0), second_moment(imm, 1.0)
+    assert 1e-10 < m2.tail < 1e-10 * m2.value
+    assert abs(m0.value - exact) <= m0.error
+    assert abs(m2.value - 3.0 * exact) <= m2.error
+    assert weighted_identity_check(imm, 1.0).verdict == "PASS"
+
+
+def test_truncation_fails_when_the_tail_bound_is_large_against_the_integral():
+    imm, _ = catalog("plane", n=2, extent=3.0)
+    with pytest.raises(TruncationFailure, match="of the integral"):
+        gaussian_volume(imm, 1.0)
 
 
 def test_weighted_identity_negative_control():

@@ -1,12 +1,15 @@
-"""One sample-set geometry per report: shared inside `report.run`, never across runs."""
+"""One sample-set geometry and one majorant fit per report: shared inside
+`report.run`, never across runs."""
 
+import json
+import math
 import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from solab import report
+from solab import quadrature, report, solitons
 from solab.catalog import catalog
 from solab.sampling import sample_box, sample_geometry, shared_sample_geometry
 
@@ -73,3 +76,33 @@ def test_shared_geometry_is_read_only_and_scoped():
                 with pytest.raises(ValueError):
                     value.flat[0] = 0.0
     assert sample_geometry(imm, count=64, seed=3) is not g
+
+
+def test_full_report_fits_the_majorant_once(tmp_path, monkeypatch):
+    path = tmp_path / "cylinder.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "codim_total": 3,
+        "params": [
+            {"name": "u1", "min": 0.0, "max": 2 * math.pi, "periodic": True},
+            {"name": "u2", "min": -8.0, "max": 8.0, "periodic": False},
+        ],
+        "coords": ["cos(u1)", "sin(u1)", "u2"],
+    }))
+    cfg = report.RunConfig.from_dict(
+        {"immersion": {"chart": str(path)}, "soliton": {"kind": "mcf", "constant": 1.0}}
+    )
+    fits, fit = [], quadrature._fit_majorant
+    monkeypatch.setattr(quadrature, "_fit_majorant", lambda imm: fits.append(imm) or fit(imm))
+    imm, entry = built = report.build_immersion(cfg)
+    monkeypatch.setattr(report, "build_immersion", lambda cfg: built)
+    rep, code = report.run(cfg)
+    assert code == 0
+    assert fits == [imm]
+    # outside a run each check fits again, and gets the same bits
+    checks = {c.name: c for c in rep.checks}
+    for name in ("weighted-volume", "psi", "parabolicity-integral"):
+        alone = report.run_check(name, cfg, imm, entry, solitons.SolitonSpec("mcf", 1.0))
+        assert alone.status == checks[name].status == "PASS"
+        assert report.json_dumps(alone.details) == report.json_dumps(checks[name].details)
+    assert fits == [imm] * 4
