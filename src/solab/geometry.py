@@ -12,8 +12,9 @@ curvature vector H and whose squared Frobenius norm is |A|^2.  The position
 split X = X^T + X^perp and the extrinsic radius r = |X| feed all
 radial-function calculus.
 
-Operations are batched over sample points and pure, so concurrent evaluation
-on a shared immersion is safe.
+Operations are batched over sample points and pure (``geometry_of_jets``
+projects the Hessians it is handed in place), so concurrent evaluation on a
+shared immersion is safe.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class Immersion:
 
 
 def scale_immersion(imm: Immersion, c: float) -> Immersion:
-    """The immersion c*X, built from rescaled coordinate expressions."""
+    """The immersion c*X, built from rescaled coordinate expressions (the
+    reference ``sampling.homothetic_geometries`` is tested against)."""
     if c <= 0:
         raise ValueError("scale factor must be positive")
     old = imm.chart
@@ -197,7 +199,15 @@ def evaluate_chart(chart: ChartDefinition, points, order: int = 2):
 
 def geometry(imm: Immersion, points, order: int = 2) -> PointGeometry:
     """Fundamental forms, curvature and position splits at a batch of points."""
-    points, X, J, S = evaluate_chart(imm.chart, points, order=max(order, 1))
+    return geometry_of_jets(*evaluate_chart(imm.chart, points, order=max(order, 1)), order)
+
+
+def geometry_of_jets(points, X, J, S, order: int = 2) -> PointGeometry:
+    """The kernel of ``geometry`` on stacked chart jets (see ``evaluate_chart``).
+
+    S is projected onto the normal space in place and kept as ``alpha``, so
+    the caller hands over an array nothing else reads.
+    """
     frame, Rf = np.linalg.qr(J)  # J = frame Rf, orthonormal tangent columns
     R_inv = _checked_inverse(Rf, points)
 

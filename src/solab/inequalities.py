@@ -16,15 +16,13 @@ import numpy as np
 from .errors import InvalidParams
 from .geometry import (
     ball_volume,
-    geometry,
     radial_laplacian,
     RadialFunction,
-    scale_immersion,
     sphere_volume,
 )
 from .levelset import level_boundaries
 from .quadrature import ExtrinsicRegion, RegionJob, region_integrals
-from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_geometry
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, homothetic_geometries, sample_geometry
 from .solitons import imcf_residual, mcf_residual
 
 BOUNDARY_REL_ERR = 1e-3  # validated marching accuracy at default resolution
@@ -268,9 +266,8 @@ def second_form_threshold(
     trace correction)."""
     _verify_soliton(imm, "mcf", lam, seed)
     n = imm.dim
-    g = sample_geometry(imm, samples, count, seed)
+    g, scaled = homothetic_geometries(imm, [1.0, math.sqrt(lam / n)], samples, count, seed)
     ratio = g.normA2 / lam
-    scaled = geometry(scale_immersion(imm, math.sqrt(lam / n)), g.points)
     tilde = scaled.normA2 - n  # shape tensor within the unit sphere
     target = (n / lam) * g.normA2 - n
     rescale = float(np.abs(tilde - target).max())

@@ -285,9 +285,14 @@ def _needs_inverse_constant(cfg, imm, entry, spec):
         return "no inverse-flow constant available"
 
 
-def _needs_shrinker_if_direct(cfg, imm, entry, spec):
+def _needs_isoperimetric_constant(cfg, imm, entry, spec):
     if spec.kind == "mcf":
         return _needs_shrinker(cfg, imm, entry, spec)
+    if 0.0 <= spec.constant <= 1.0 / imm.dim:
+        return (
+            "inverse-flow constant in [0, 1/n]: the comparison factor "
+            "(Cn - 1)/(Cn) is not positive"
+        )
 
 
 def _soliton_residual(cfg, imm, entry, spec):
@@ -456,7 +461,7 @@ CHECKS = {  # in report order
     "flux-identity": Check(_needs_shrinker, _flux_identity),
     "capacity": Check(_needs_curve_or_surface, _capacity),
     "exit-time": Check(_needs_curve_or_surface, _exit_time),
-    "isoperimetric": Check(_needs_shrinker_if_direct, _isoperimetric),
+    "isoperimetric": Check(_needs_isoperimetric_constant, _isoperimetric),
     "volume-growth": Check(_needs_inverse_constant, _volume_growth),
 }
 FULL_CHECKS = list(CHECKS)

@@ -1,5 +1,5 @@
 """Deterministic low-discrepancy sampling over chart parameter boxes, and the
-sample-set geometry the pointwise checks share."""
+sample-set geometry (and chart jets) the pointwise checks share."""
 
 from __future__ import annotations
 
@@ -10,12 +10,13 @@ from dataclasses import fields
 
 import numpy as np
 
-from .geometry import geometry
+from .geometry import evaluate_chart, geometry_of_jets
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_SAMPLES = 512
 
-# (id(immersion), count, seed) -> (immersion, PointGeometry) while a memo is open
+# (id(immersion), count, seed) -> (immersion, PointGeometry, unprojected jets
+# (X, J, S)) while a memo is open
 _SHARED: ContextVar[dict | None] = ContextVar("solab_shared_samples", default=None)
 
 
@@ -77,9 +78,10 @@ def sample_box(chart, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) ->
 
 @contextmanager
 def shared_sample_geometry():
-    """Within the block, ``sample_geometry`` computes the geometry of each
-    default sample set (immersion, count, seed) once and hands out that one
-    read-only ``PointGeometry``; the memo is dropped when the block ends."""
+    """Within the block, ``sample_geometry`` and ``homothetic_geometries``
+    evaluate the chart jets of each default sample set (immersion, count,
+    seed) once and hand out one read-only ``PointGeometry`` and the read-only
+    jets behind it; the memo is dropped when the block ends."""
     token = _SHARED.set({})
     try:
         yield
@@ -87,20 +89,45 @@ def shared_sample_geometry():
         _SHARED.reset(token)
 
 
+def _evaluate(imm, points):
+    """Order-2 geometry at the points, and the chart jets (X, J, S) it came from."""
+    points, X, J, S = evaluate_chart(imm.chart, points)
+    return geometry_of_jets(points, X, J, S.copy()), (X, J, S)
+
+
+def _sample_set(imm, samples, count, seed):
+    if samples is not None:
+        return _evaluate(imm, samples)
+    memo = _SHARED.get()
+    if memo is None:
+        return _evaluate(imm, sample_box(imm.chart, count, seed))
+    key = (id(imm), count, seed)  # the memo holds imm, so its id stays unique
+    if key not in memo:
+        g, jets = _evaluate(imm, sample_box(imm.chart, count, seed))
+        for value in (*(getattr(g, f.name) for f in fields(g)), *jets):
+            if value is not None:
+                value.flags.writeable = False
+        memo[key] = (imm, g, jets)
+    return memo[key][1:]
+
+
 def sample_geometry(imm, samples=None, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
     """Order-2 geometry at explicit sample points, or at the default
     deterministic Halton set of the given count and seed."""
-    if samples is not None:
-        return geometry(imm, samples)
-    memo = _SHARED.get()
-    if memo is None:
-        return geometry(imm, sample_box(imm.chart, count, seed))
-    key = (id(imm), count, seed)  # the memo holds imm, so its id stays unique
-    if key not in memo:
-        g = geometry(imm, sample_box(imm.chart, count, seed))
-        for f in fields(g):
-            value = getattr(g, f.name)
-            if value is not None:
-                value.flags.writeable = False
-        memo[key] = (imm, g)
-    return memo[key][1]
+    return _sample_set(imm, samples, count, seed)[0]
+
+
+def homothetic_geometries(
+    imm, scales, samples=None, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
+):
+    """Yield the order-2 geometry of the image c*X at the sample set (as in
+    ``sample_geometry``) for each c in scales, one at a time.
+
+    The chart language evaluates a rescaled chart (c)*(X) as c times every
+    jet, so the jets of c*X are exactly c*X, c*J and c*S of the set's own:
+    only the kernel runs again, and H, |A|^2 and the frame are recomputed,
+    not rescaled by their laws.  c == 1.0 yields the set's geometry itself.
+    """
+    base, (X, J, S) = _sample_set(imm, samples, count, seed)
+    for c in scales:
+        yield base if c == 1.0 else geometry_of_jets(base.points, c * X, c * J, c * S)

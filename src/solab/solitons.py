@@ -28,11 +28,9 @@ from .geometry import (
     Immersion,
     PointGeometry,
     RadialFunction,
-    geometry,
     radial_laplacian,
-    scale_immersion,
 )
-from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_geometry
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, homothetic_geometries, sample_geometry
 
 TOL_H = 1e-10  # below this |H| the immersion counts as minimal at the sample
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -218,13 +216,14 @@ def homothety_flow_residual(
     and compared against the mean curvature of the scaled chart, which is
     recomputed numerically and checked against the exact scaling law H/c.
     """
-    base = sample_geometry(imm, samples, count, seed)
+    scales = [_scale_factor(spec, float(t)) for t in times]
+    geometries = homothetic_geometries(imm, [1.0, *scales], samples, count, seed)
+    base = next(geometries)
     sup_by_time = []
     consistency = 0.0
-    for t in times:
-        c = _scale_factor(spec, float(t))
+    for t, c in zip(times, scales):
         rate = _scale_rate(spec, float(t), c)
-        scaled = geometry(scale_immersion(imm, c), base.points)
+        scaled = next(geometries)
         consistency = max(
             consistency, float(np.abs(scaled.H - base.H / c).max())
         )
@@ -238,6 +237,7 @@ def homothety_flow_residual(
                 raise VanishingMeanCurvature(base.points[int(np.argmin(normH))])
             res = np.linalg.norm(vel_normal + scaled.H / normH[:, None] ** 2, axis=1)
         sup_by_time.append(float(res.max()))
+        del scaled  # freed before the next scale's geometry is built
     sup = max(sup_by_time) if sup_by_time else 0.0
     return FlowResidualReport(
         kind=spec.kind,

@@ -184,6 +184,21 @@ def test_report_determinism_byte_identical(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("n, c", [("2", "0.5"), ("3", repr(1.0 / 3.0))])
+def test_inverse_flow_sphere_full_report_skips_isoperimetric(tmp_path, capsys, n, c):
+    # C = 1/n is the sphere's inverse-flow constant, where the comparison factor vanishes
+    code, _, _ = run_cli(
+        ["report", "--catalog", "sphere", "--n", n, "--c", c, "--full", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    records = json.loads((tmp_path / "report.json").read_text())["checks"]
+    checks = {record["name"]: record for record in records}
+    assert checks["isoperimetric"]["status"] == "SKIPPED"
+    assert "(Cn - 1)/(Cn)" in checks["isoperimetric"]["details"]["why"]
+    assert {record["status"] for record in records} <= {"PASS", "SKIPPED"}
+
+
 def test_report_config_file_round_trip(tmp_path, capsys):
     cfg = {
         "immersion": {"catalog": "sphere", "params": {"n": 2, "R": 1.0}},

@@ -1,31 +1,42 @@
-"""One sample-set geometry and one majorant fit per report: shared inside
-`report.run`, never across runs."""
+"""One chart evaluation per sample set and one majorant fit per report:
+shared inside `report.run`, never across runs."""
 
+import contextlib
+import gc
 import json
 import math
 import sys
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from solab import quadrature, report, solitons
+from solab import quadrature, report, sampling, solitons
 from solab.catalog import catalog
-from solab.sampling import sample_box, sample_geometry, shared_sample_geometry
+from solab.charts import ParamSpec, chart_from_sources
+from solab.geometry import Immersion, geometry, scale_immersion
+from solab.sampling import (
+    homothetic_geometries,
+    sample_box,
+    sample_geometry,
+    shared_sample_geometry,
+)
 
 GEOMETRY = sys.modules["solab.geometry"]
 
 
 @pytest.fixture
-def geometry_calls(monkeypatch):
-    """Record (immersion name, point count) of every geometry call, through
-    every solab module that bound the kernel by name."""
+def chart_evaluations(monkeypatch):
+    """Record the point count of every order-2 chart evaluation, through
+    every solab module that bound ``evaluate_chart`` by name."""
     calls = []
-    original = GEOMETRY.geometry
+    original = GEOMETRY.evaluate_chart
 
-    def counted(imm, points, order=2):
-        calls.append((imm.name, len(np.atleast_2d(points))))
-        return original(imm, points, order)
+    def counted(chart, points, order=2):
+        if order == 2:
+            calls.append(len(np.atleast_2d(points)))
+        return original(chart, points, order)
 
     for name, module in list(sys.modules.items()):
         if name == "solab" or name.startswith("solab."):
@@ -41,24 +52,23 @@ def clifford_config():
     )
 
 
-def test_full_report_computes_each_sample_geometry_once(geometry_calls):
+def test_full_report_computes_each_sample_geometry_once(chart_evaluations):
     _, code = report.run(clifford_config())
     assert code == 0
-    # one call per default sample set (4096 and the 512 of the soliton check),
-    # and one per rescaled chart: four flow times and the second-form rescale
-    assert len(geometry_calls) == 9
-    assert geometry_calls.count(("clifford(2,2)", 4096)) == 1
-    assert geometry_calls.count(("clifford(2,2)", 512)) == 1
+    # one evaluation per sample set: the 4096 of the pointwise checks, the 512
+    # of the soliton verification and the 5 of the constant-radius integral;
+    # the flow times and the second-form rescale reuse the 4096 set's jets
+    assert sorted(chart_evaluations) == [5, 512, 4096]
 
 
-def test_second_report_recomputes_its_sample_geometry(geometry_calls, monkeypatch):
+def test_second_report_recomputes_its_sample_geometry(chart_evaluations, monkeypatch):
     cfg = clifford_config()
     cfg.checks = ["soliton-residual", "wmp-probe"]
     built = report.build_immersion(cfg)  # both runs see the same immersion object
     monkeypatch.setattr(report, "build_immersion", lambda cfg: built)
     report.run(cfg)
     report.run(cfg)
-    assert geometry_calls == [("clifford(2,2)", 4096)] * 2
+    assert chart_evaluations == [4096] * 2
 
 
 def test_shared_geometry_is_read_only_and_scoped():
@@ -70,12 +80,53 @@ def test_shared_geometry_is_read_only_and_scoped():
         explicit = sample_geometry(imm, sample_box(imm.chart, 64, 3))
         assert explicit is not g and explicit.H.flags.writeable
         np.testing.assert_array_equal(explicit.H, g.H)
-        for f in fields(g):
-            value = getattr(g, f.name)
+        _, held, jets = sampling._SHARED.get()[(id(imm), 64, 3)]
+        assert held is g and jets[0] is g.X
+        for value in (*(getattr(g, f.name) for f in fields(g)), *jets):
             if value is not None:
                 with pytest.raises(ValueError):
                     value.flat[0] = 0.0
+        # J and S are held by the memo alone (g keeps X and the projected alpha)
+        memo_only = [weakref.ref(a) for a in jets[1:]]
+        del held, jets, value
+    gc.collect()
+    assert sampling._SHARED.get() is None
+    assert [ref() for ref in memo_only] == [None, None]
     assert sample_geometry(imm, count=64, seed=3) is not g
+
+
+def _constant_coordinate_chart():
+    params = [ParamSpec("u1", -1.0, 1.0), ParamSpec("u2", 0.5, 2.0)]
+    chart = chart_from_sources(2, 4, ["u1", "u2*cos(u1)", "u2*sin(u1)", "0.75"], params)
+    return Immersion(chart, properness_radius=0.75, name="constant coordinate")
+
+
+HOMOTHETIC_CASES = {
+    "sphere": lambda: catalog("sphere", n=2, R=1.0)[0],
+    "veronese": lambda: catalog("veronese")[0],
+    "clifford(2,2)": lambda: catalog("clifford", k=2, nk=2)[0],
+    "cylinder(4,2,1)": lambda: catalog("cylinder", n=4, k=2, rho=1.0)[0],
+    "constant coordinate": _constant_coordinate_chart,
+}
+SCALES = (1.0, 0.5, math.sqrt(0.8), math.exp(0.25))
+
+
+@pytest.mark.parametrize("where", ["memo", "outside", "explicit"])
+@pytest.mark.parametrize("case", sorted(HOMOTHETIC_CASES))
+def test_homothetic_geometries_equal_the_rescaled_charts(case, where):
+    imm = HOMOTHETIC_CASES[case]()
+    points = sample_box(imm.chart, 64, 3)
+    kwargs = {"samples": points} if where == "explicit" else {"count": 64, "seed": 3}
+    with shared_sample_geometry() if where == "memo" else contextlib.nullcontext():
+        got = homothetic_geometries(imm, SCALES, **kwargs)
+        for c, scaled in zip(SCALES, got):
+            expected = geometry(scale_immersion(imm, c), points)
+            for f in fields(expected):
+                np.testing.assert_array_equal(
+                    getattr(scaled, f.name), getattr(expected, f.name), err_msg=f"{c} {f.name}"
+                )
+            if where == "memo" and c == 1.0:
+                assert scaled is sample_geometry(imm, count=64, seed=3)
 
 
 def test_full_report_fits_the_majorant_once(tmp_path, monkeypatch):
