@@ -31,6 +31,7 @@ from .errors import NonRegularLevel
 from .geometry import Immersion, radius_values
 
 TOLERANCES = {"xatol": 1e-15, "xrtol": 8.9e-16}  # on t in [0, 1]
+SCAN_BLOCK = 256  # pencils per radius_values call of a scan: bounds its memory
 _TINY = np.finfo(float).smallest_normal
 _MAXITER = math.log2(np.finfo(float).max) - math.log2(_TINY)
 
@@ -144,8 +145,11 @@ def pencil_scan(imm: Immersion, prefix, scan):
     m = len(prefix)
     scan = np.broadcast_to(scan, (m, np.shape(scan)[-1]))
     count = scan.shape[1]
-    pts = np.column_stack([np.repeat(prefix, count, axis=0), scan.ravel()])
-    r = radius_values(imm, pts).reshape(m, count)
+    r = np.empty((m, count))
+    for s in range(0, m, SCAN_BLOCK):  # r is pointwise, so blocks change no bit
+        block = slice(s, s + SCAN_BLOCK)
+        pts = np.column_stack([np.repeat(prefix[block], count, axis=0), scan[block].ravel()])
+        r[block] = radius_values(imm, pts).reshape(-1, count)
     d = np.diff(r, axis=1)
     p, i = np.nonzero(d[:, :-1] * d[:, 1:] < 0.0)
     i += 1

@@ -52,6 +52,7 @@ class Mesh:
     simplices: np.ndarray  # (S, n+1)
     tags: dict  # "inner" | "outer" | "cut" -> sorted vertex index arrays
     metric: np.ndarray  # (S, n, n) induced metric at simplex centroids
+    metric_inv: np.ndarray  # (S, n, n) its inverse, from the geometry kernel
     sqrt_det: np.ndarray  # (S,)
     r: np.ndarray  # (V,) extrinsic radius at the vertices
     dof_map: np.ndarray  # vertex -> degree of freedom (ties periodic seams)
@@ -144,6 +145,7 @@ def _mesh_segments(imm, region, h):
         simplices,
         {k: np.asarray(sorted(v), dtype=int) for k, v in tags.items()},
         g.metric,
+        g.metric_inv,
         g.sqrt_det,
         rv,
         dof_map,
@@ -242,6 +244,7 @@ def _mesh_triangles(imm, region, h):
         tris,
         tags,
         g.metric,
+        g.metric_inv,
         g.sqrt_det,
         rv_final,
         dof_map,
@@ -340,9 +343,8 @@ def assemble(mesh: Mesh):
     simplices = mesh.simplices
     k = simplices.shape[1]
     vol, G = _simplex_gradients(mesh.vertices, simplices)
-    ginv = np.linalg.inv(mesh.metric)
     Kloc = np.einsum(
-        "s,siv,sij,sjw->svw", vol * mesh.sqrt_det, G, ginv, G
+        "s,siv,sij,sjw->svw", vol * mesh.sqrt_det, G, mesh.metric_inv, G
     )
     dofs = mesh.dof_map[simplices]
     rows = np.repeat(dofs, k, axis=1).ravel()
@@ -460,7 +462,7 @@ def _boundary_gradient_integral(mesh: Mesh, u, tag):
     s = np.nonzero(on)[0] // (d + 1)  # the simplex owning each tagged facet
     _, G = _simplex_gradients(verts, simplices[s])
     grad = np.einsum("kiv,kv->ki", G, u[simplices[s]])
-    norm2 = np.einsum("ki,kij,kj->k", grad, np.linalg.inv(mesh.metric[s]), grad)
+    norm2 = np.einsum("ki,kij,kj->k", grad, mesh.metric_inv[s], grad)
     # a facet has at most one edge (d <= 2), so its Gram determinant is that
     # edge's squared length, or the empty product 1
     e = verts[facets[on, 1:]] - verts[facets[on, :1]]

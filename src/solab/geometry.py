@@ -1,20 +1,23 @@
 """Differential-geometric kernel for parametric immersions.
 
-Everything is computed from exact chart jets and one reduced QR
-factorization J = QR of the Jacobian (Golub & Van Loan, Matrix
-Computations, 5.2).  Q is the orthonormal tangent frame; the n x n factor R
-has the singular values of J, which decide the rank (computed only where the
-Frobenius condition number of R cannot decide it), gives sqrt(det g) as
-|prod diag R| and g^-1 = R^-1 R^-T.  The normal projection of the second
-derivatives is the vector-valued second fundamental form alpha; in the
-orthonormal frame it reads B = R^-T alpha R^-1, whose trace is the mean
-curvature vector H and whose squared Frobenius norm is |A|^2.  The position
-split X = X^T + X^perp and the extrinsic radius r = |X| feed all
-radial-function calculus.
+Everything is computed from exact chart jets and one Householder QR
+factorization J = QR of the Jacobian (Golub & Van Loan, Matrix Computations,
+5.1-5.2), run over the whole sample batch at once: the batch sits on the last
+axis, so each reflector step is a few vector operations over all points and
+no LAPACK call or small matmul runs per point.  The first n columns of Q are
+the orthonormal tangent frame and the others an orthonormal normal frame.
+The n x n factor R has the singular values of J, which decide the rank
+(computed only where the Frobenius condition number of R cannot decide it),
+gives sqrt(det g) as |prod diag R| and, by back substitution, R^-1 and
+g^-1 = R^-1 R^-T.  The normal projection of the second derivatives is the
+vector-valued second fundamental form alpha; in the orthonormal frames it
+reads B = R^-T alpha R^-1, whose trace is the mean curvature vector H and
+whose squared Frobenius norm is |A|^2.  The position split X = X^T + X^perp
+and the extrinsic radius r = |X| feed all radial-function calculus.
 
-Operations are batched over sample points and pure (``geometry_of_jets``
-projects the Hessians it is handed in place), so concurrent evaluation on a
-shared immersion is safe.
+The kernel reads the jets it is handed and writes none of them, and a
+point's values do not depend on the batch it comes in, so concurrent
+evaluation on a shared immersion is safe.
 """
 
 from __future__ import annotations
@@ -164,8 +167,8 @@ class PointGeometry:
         return np.linalg.norm(self.H, axis=1)
 
     def tangential(self, V) -> np.ndarray:
-        """Tangential part Q Q^T V of ambient vectors V, (N, A) or (N, A, K)."""
-        return _tangential(self.frame, V)
+        """Tangential part Q Q^T V of (N, A) ambient vectors V."""
+        return _project(self.frame.transpose(2, 1, 0), V.T).T
 
     def select(self, mask) -> "PointGeometry":
         """Restrict the batch to the masked points."""
@@ -173,27 +176,30 @@ class PointGeometry:
         return PointGeometry(**{f.name: pick(getattr(self, f.name)) for f in fields(self)})
 
 
-def _tangential(frame, V):
-    if V.ndim == 2:
-        return _tangential(frame, V[..., None])[..., 0]
-    return frame @ (np.swapaxes(frame, 1, 2) @ V)
-
-
 def evaluate_chart(chart: ChartDefinition, points, order: int = 2):
-    """Stack per-coordinate jets into X (N,A), J (N,A,n) and S (N,A,n,n)."""
+    """Stack per-coordinate jets into X (N,A), J (N,A,n) and S (N,A,n,n).
+
+    J and S are views of batch-last arrays, (n, A, N) and (A, n, n, N), so
+    that each Jacobian column and each Hessian entry of the whole batch is
+    contiguous, as ``geometry_of_jets`` reads them.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     npts, dim = points.shape
     amb = chart.ambient_dim
     X = np.empty((npts, amb))
-    J = np.empty((npts, amb, dim)) if order >= 1 else None
-    S = np.empty((npts, amb, dim, dim)) if order >= 2 else None
+    J = np.empty((dim, amb, npts)) if order >= 1 else None
+    S = np.empty((amb, dim, dim, npts)) if order >= 2 else None
     for a, expr in enumerate(chart.coords):
         jet = dsl.eval_jet(expr, points, order=order)
         X[:, a] = jet.value
         if order >= 1:
-            J[:, a, :] = jet.grad
+            J[:, a] = jet.grad.T
         if order >= 2:
-            S[:, a, :, :] = jet.hess
+            S[a] = jet.hess.transpose(1, 2, 0)
+    if order >= 1:
+        J = J.transpose(2, 1, 0)
+    if order >= 2:
+        S = S.transpose(3, 0, 1, 2)
     return points, X, J, S
 
 
@@ -203,54 +209,132 @@ def geometry(imm: Immersion, points, order: int = 2) -> PointGeometry:
 
 
 def geometry_of_jets(points, X, J, S, order: int = 2) -> PointGeometry:
-    """The kernel of ``geometry`` on stacked chart jets (see ``evaluate_chart``).
+    """The kernel of ``geometry`` on stacked chart jets (see ``evaluate_chart``);
+    it reads X, J and S and writes none of them.
 
-    S is projected onto the normal space in place and kept as ``alpha``, so
-    the caller hands over an array nothing else reads.
+    A Jacobian column, a Hessian entry or a frame vector of the batch is one
+    contiguous (A, N) array and an entry of R or R^-1 one (N,) array; every
+    step is an elementwise operation or an einsum whose inner loop runs
+    along the batch.  ``alpha`` is a batch-first view of such an array, the
+    other fields are C-ordered copies.
     """
-    frame, Rf = np.linalg.qr(J)  # J = frame Rf, orthonormal tangent columns
-    R_inv = _checked_inverse(Rf, points)
-
-    XT = _tangential(frame, X)
+    if len(points) == 1:
+        # einsum drops a batch axis of length one and then sums in another
+        # order; as a pair, the point gets the values it has in any batch
+        twice = lambda a: None if a is None else np.concatenate([a, a])
+        return geometry_of_jets(*map(twice, (points, X, J, S)), order).select(slice(1))
+    dim = J.shape[2]
+    # column k of every J, (n, A, N); contiguous, since einsum's order of
+    # summation follows the operands' layout
+    cols = np.ascontiguousarray(J.transpose(2, 1, 0))
+    Q, R = _householder(cols)
+    R_inv = _checked_inverse(R, points)
+    tangent, normal = Q[:dim], Q[dim:]
+    XT = _batch_first(_project(tangent, np.ascontiguousarray(X.T)))
     geom = PointGeometry(
         points=points,
         X=X,
-        metric=np.einsum("nai,naj->nij", J, J),
-        metric_inv=R_inv @ np.swapaxes(R_inv, 1, 2),
-        sqrt_det=np.abs(np.prod(np.diagonal(Rf, axis1=1, axis2=2), axis=1)),
-        frame=frame,
+        metric=_batch_first(np.einsum("ian,jan->ijn", cols, cols)),
+        metric_inv=_batch_first(np.einsum("ikn,jkn->ijn", R_inv, R_inv)),
+        sqrt_det=np.abs(np.prod(np.diagonal(R), axis=-1)),
+        frame=_batch_first(tangent.transpose(1, 0, 2)),
         r=np.linalg.norm(X, axis=1),
         XT=XT,
         Xperp=X - XT,
     )
     if order >= 2:
-        npts, amb, dim = J.shape
-        S -= _tangential(frame, S.reshape(npts, amb, dim * dim)).reshape(S.shape)
-        geom.alpha = S  # the normal part of the Hessians
-        # the second fundamental form in the orthonormal frame Q
-        B = np.swapaxes(R_inv, 1, 2)[:, None] @ S @ R_inv[:, None]
-        geom.H = np.trace(B, axis1=2, axis2=3)
-        geom.normA2 = np.einsum("naij,naij->n", B, B)
+        # the normal part alpha of the Hessians in the orthonormal normal
+        # frame, alpha = normal nu
+        nu = np.einsum("man,aijn->mijn", normal, np.ascontiguousarray(S.transpose(1, 2, 3, 0)))
+        # the second fundamental form in both frames, B = R^-T nu R^-1: its
+        # trace is H and its squared norm |A|^2
+        B = np.einsum("kin,mkjn->mijn", R_inv, np.einsum("mkln,ljn->mkjn", nu, R_inv))
+        geom.H = _batch_first(np.einsum("man,miin->an", normal, B))
+        geom.normA2 = np.einsum("mijn,mijn->n", B, B)
+        del B  # freed before the largest array, alpha, is built
+        geom.alpha = np.einsum("man,mijn->aijn", normal, nu).transpose(3, 0, 1, 2)
     return geom
 
 
-def _checked_inverse(Rf, points) -> np.ndarray:
-    """Rf^-1, after the rank test sigma_min <= RANK_TOL sigma_max on the
-    singular values of Rf (those of J) has passed at every point.
+def _batch_first(a) -> np.ndarray:
+    """A C-ordered copy of a with its last (batch) axis moved to the front."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
-    kappa_2 <= kappa_F = |Rf|_F |Rf^-1|_F (Golub & Van Loan, 2.3), so a
-    point with kappa_F RANK_TOL < 1/2 passes for certain (the half absorbs
-    rounding in kappa_F and in the singular values).  The SVD runs only on
-    the other points: kappa_F past that bound, non-finite kappa_F, or a zero
-    diagonal of Rf, which ``inv`` cannot take and which is replaced by the
-    identity there until the SVD has rejected the point.
+
+def _project(Q, V) -> np.ndarray:
+    """Q Q^T V (A, N) for frames Q (n, A, N) and vectors V (A, N)."""
+    return np.einsum("kan,kn->an", Q, np.einsum("kan,an->kn", Q, V))
+
+
+def _reflect(Y, v, tau) -> None:
+    """Apply I - tau u u^T, u = (1, v), to the columns Y[k] (m, N) in place."""
+    w = tau * (Y[:, 0] + np.einsum("an,kan->kn", v, Y[:, 1:]))
+    for y, w_k in zip(Y, w):  # one column at a time keeps the temporaries small
+        y[0] -= w_k
+        y[1:] -= v * w_k
+
+
+def _householder(cols):
+    """Householder QR (Golub & Van Loan, Matrix Computations, Algorithm
+    5.2.1) of the A x n matrices with columns cols[k] (A, N): returns the
+    orthogonal Q (A, A, N), column k being Q[k], whose first n columns span
+    the tangent space and whose others the normal space, and the upper
+    triangular R (n, n, N), so that cols = Q[:n] R.
+
+    Each reflector is LAPACK's (dlarfg): it maps x to beta e_1 with
+    beta = -sign(x_1)|x|, and is the identity where x vanishes below its
+    first entry, so R and Q are those of numpy.linalg.qr up to rounding.
+    Q is accumulated backwards from the reflectors, as in dorg2r.
     """
-    pivots = np.all(np.diagonal(Rf, axis1=1, axis2=2) != 0, axis=1)
-    R_inv = np.linalg.inv(np.where(pivots[:, None, None], Rf, np.eye(Rf.shape[-1])))
-    kappa_f = np.sqrt(np.einsum("nij,nij->n", Rf, Rf) * np.einsum("nij,nij->n", R_inv, R_inv))
-    unsure = np.flatnonzero(~(kappa_f * RANK_TOL < 0.5) | ~pivots)
+    dim, amb, npts = cols.shape
+    W = cols.copy()  # reduced to R column by column
+    R = np.zeros((dim, dim, npts))
+    reflectors = []
+    for j in range(dim):
+        x1, x = W[j, j], W[j, j + 1 :]
+        below = np.einsum("an,an->n", x, x)
+        reflect = below != 0.0
+        beta = np.where(reflect, np.copysign(np.sqrt(x1 * x1 + below), -x1), x1)
+        # where nothing is reflected x = 0 and beta = x1, so tau = 0 and v = 0
+        tau = (beta - x1) / np.where(reflect, beta, 1.0)
+        v = x / np.where(reflect, x1 - beta, 1.0)
+        _reflect(W[j + 1 :, j:], v, tau)
+        R[j, j] = beta
+        R[j, j + 1 :] = W[j + 1 :, j]
+        reflectors.append((v, tau))
+    Q = np.zeros((amb, amb, npts))
+    Q[range(amb), range(amb)] = 1.0
+    for j in reversed(range(dim)):
+        _reflect(Q[j:, j:], *reflectors[j])
+    return Q, R
+
+
+def _checked_inverse(R, points) -> np.ndarray:
+    """R^-1 (n, n, N) of the upper triangular R (n, n, N) by back
+    substitution, after the rank test sigma_min <= RANK_TOL sigma_max on the
+    singular values of R (those of J) has passed at every point.
+
+    kappa_2 <= kappa_F = |R|_F |R^-1|_F (Golub & Van Loan, 2.3), so a point
+    with kappa_F RANK_TOL < 1/2 passes for certain (the half absorbs rounding
+    in kappa_F and in the singular values).  The SVD runs only on the other
+    points: kappa_F past that bound, non-finite kappa_F, or a zero diagonal
+    of R, which is taken as 1 there until the SVD has rejected the point.
+    """
+    dim = len(R)
+    diag = np.diagonal(R).T
+    full = np.all(diag != 0.0, axis=0)
+    pivots = np.where(full, diag, 1.0)
+    R_inv = np.zeros_like(R)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite goes to the SVD
+        for k in range(dim):
+            R_inv[k, k] = 1.0 / pivots[k]
+            for i in reversed(range(k)):
+                row = np.einsum("ln,ln->n", R[i, i + 1 : k + 1], R_inv[i + 1 : k + 1, k])
+                R_inv[i, k] = -row / pivots[i]
+        kappa_f = np.sqrt(np.einsum("ijn,ijn->n", R, R) * np.einsum("ijn,ijn->n", R_inv, R_inv))
+    unsure = np.flatnonzero(~(kappa_f * RANK_TOL < 0.5) | ~full)
     if unsure.size:
-        sv = np.linalg.svd(Rf[unsure], compute_uv=False)
+        sv = np.linalg.svd(R[..., unsure].transpose(2, 0, 1), compute_uv=False)
         bad = sv[:, -1] <= RANK_TOL * sv[:, 0]
         if np.any(bad):
             raise RankDeficient(points[unsure[np.argmax(bad)]])

@@ -26,6 +26,16 @@ from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, homothetic_geometries, samp
 from .solitons import imcf_residual, mcf_residual
 
 BOUNDARY_REL_ERR = 1e-3  # validated marching accuracy at default resolution
+# Relative tolerance within which an inverse-flow constant counts as 1/n.  An
+# inferred constant carries the geometry kernel's rounding, a few ulps, and
+# no residual check (tolerance 1e-8) tells constants 1e-12 apart, so the
+# excluded windows below do not hang on the last bits of a fit.
+INVERSE_CONSTANT_RTOL = 1e-12
+
+
+def is_one_over_n(c: float, n: int) -> bool:
+    """Whether the inverse-flow constant c is 1/n within INVERSE_CONSTANT_RTOL."""
+    return math.isclose(c, 1.0 / n, rel_tol=INVERSE_CONSTANT_RTOL)
 
 
 @dataclass
@@ -120,7 +130,7 @@ def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[InequalityMargi
     """Inverse-flow isoperimetric comparison; equality would force a totally
     geodesic piece, so the verdict also records strictness."""
     n = imm.dim
-    if 0.0 <= c <= 1.0 / n:
+    if 0.0 <= c <= 1.0 / n or is_one_over_n(c, n):
         raise InvalidParams(
             f"inverse-flow constant {c} lies in the excluded window [0, 1/{n}]"
         )
@@ -173,7 +183,7 @@ def volume_growth_monotonicity(imm, c, radii, seed=DEFAULT_SEED) -> TrendReport:
     decrease along the grid.  C = 1/n (closed spherical solitons) is allowed:
     the exponent degenerates to zero and the trend is the plain volume."""
     n = imm.dim
-    if 0.0 <= c < 1.0 / n:
+    if 0.0 <= c < 1.0 / n and not is_one_over_n(c, n):
         raise InvalidParams(
             f"inverse-flow constant {c} lies in the excluded window [0, 1/{n})"
         )

@@ -255,7 +255,9 @@ def _write_csv(path, header, rows):
 def _inverse_constant(imm, entry, spec):
     """The inverse-flow constant volume growth runs with, or None."""
     c = spec.constant if spec.kind == "imcf" else (entry.constants.get("imcf_c") if entry else None)
-    if c is None or imm.constant_radius is not None and c != 1.0 / imm.dim:
+    if c is None:
+        return None
+    if imm.constant_radius is not None and not inequalities.is_one_over_n(c, imm.dim):
         return None
     return c
 
@@ -288,7 +290,8 @@ def _needs_inverse_constant(cfg, imm, entry, spec):
 def _needs_isoperimetric_constant(cfg, imm, entry, spec):
     if spec.kind == "mcf":
         return _needs_shrinker(cfg, imm, entry, spec)
-    if 0.0 <= spec.constant <= 1.0 / imm.dim:
+    c = spec.constant
+    if 0.0 <= c <= 1.0 / imm.dim or inequalities.is_one_over_n(c, imm.dim):
         return (
             "inverse-flow constant in [0, 1/n]: the comparison factor "
             "(Cn - 1)/(Cn) is not positive"

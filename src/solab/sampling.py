@@ -92,7 +92,7 @@ def shared_sample_geometry():
 def _evaluate(imm, points):
     """Order-2 geometry at the points, and the chart jets (X, J, S) it came from."""
     points, X, J, S = evaluate_chart(imm.chart, points)
-    return geometry_of_jets(points, X, J, S.copy()), (X, J, S)
+    return geometry_of_jets(points, X, J, S), (X, J, S)
 
 
 def _sample_set(imm, samples, count, seed):

@@ -199,6 +199,22 @@ def test_inverse_flow_sphere_full_report_skips_isoperimetric(tmp_path, capsys, n
     assert {record["status"] for record in records} <= {"PASS", "SKIPPED"}
 
 
+def test_inferred_inverse_flow_sphere_constant_counts_as_one_over_n(tmp_path, capsys):
+    # the fitted C misses 1/2 in its last bits; volume growth still runs with it
+    code, _, _ = run_cli(
+        ["report", "--catalog", "sphere", "--n", "2", "--radius", "2", "--kind", "imcf",
+         "--full", "--seed", "3", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["soliton"]["source"] == "inferred"
+    assert report["soliton"]["constant"] == pytest.approx(0.5, rel=1e-12)
+    checks = {record["name"]: record for record in report["checks"]}
+    assert checks["volume-growth"]["status"] == "PASS"
+    assert checks["isoperimetric"]["status"] == "SKIPPED"
+
+
 def test_report_config_file_round_trip(tmp_path, capsys):
     cfg = {
         "immersion": {"catalog": "sphere", "params": {"n": 2, "R": 1.0}},

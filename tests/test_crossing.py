@@ -1,15 +1,18 @@
 """The batched level-crossing engine against scalar root finding."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from solab import crossing
 from solab.catalog import catalog
+from solab.charts import ParamSpec, chart_from_sources
 from solab.crossing import level_crossings
 from solab.errors import SolabError
 from solab.fem import mesh_region
-from solab.geometry import radius_values
+from solab.geometry import Immersion, radius_values
 from solab.quadrature import ExtrinsicRegion
 
 
@@ -181,3 +184,35 @@ def test_one_chart_call_per_iteration_and_none_at_the_endpoints(monkeypatch):
     batches.clear()
     level_crossings(imm, a, b, ra, rb, ra)  # every root on an endpoint
     assert batches == []
+
+
+def test_blocked_pencil_scan_matches_one_shot(monkeypatch):
+    # S^1 x R^2 pencils along u3, with a radius minimum at u3 = 0 on every one,
+    # in more pencils than one block and a last block that is not full
+    chart = chart_from_sources(
+        3, 4, ["cos(u1)", "sin(u1)", "u2", "u3"],
+        [ParamSpec("u1", 0.0, 2 * math.pi, periodic=True), ParamSpec("u2", -4.0, 4.0),
+         ParamSpec("u3", -4.0, 4.0)],
+    )
+    imm = Immersion(chart, properness_radius=math.sqrt(17.0), name="s1xr2")
+    count = 2 * crossing.SCAN_BLOCK + 37
+    prefix = np.column_stack([np.linspace(0.0, 2 * math.pi, count), np.linspace(-4.0, 4.0, count)])
+    shared = np.linspace(-4.0, 4.0, 129)
+    rows = np.linspace(-4.0, 4.0, 129) * np.linspace(0.5, 1.0, count)[:, None]
+    calls = []
+
+    def counted(imm, points):
+        calls.append(len(points))
+        return radius_values(imm, points)
+
+    monkeypatch.setattr(crossing, "radius_values", counted)
+    for scan in (shared, rows):
+        calls.clear()
+        blocked = crossing.pencil_scan(imm, prefix, scan)
+        assert calls[:3] == [crossing.SCAN_BLOCK * 129] * 2 + [37 * 129]
+        assert np.any(blocked[0][:, 1::2] != blocked[0][:, ::2])  # tangency steps taken
+        with monkeypatch.context() as patch:
+            patch.setattr(crossing, "SCAN_BLOCK", count)
+            one_shot = crossing.pencil_scan(imm, prefix, scan)
+        for got, want in zip(blocked, one_shot):
+            np.testing.assert_array_equal(got, want)

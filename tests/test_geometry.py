@@ -1,8 +1,13 @@
 """Geometry kernel checks: fundamental forms, position splits, radial calculus."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import solab
 from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
 from solab.errors import OriginSingularity, RankDeficient
@@ -16,6 +21,8 @@ from solab.geometry import (
     scale_immersion,
 )
 from solab.sampling import sample_box
+
+GEOMETRY = importlib.import_module("solab.geometry")  # the package re-exports geometry()
 
 
 def halton(imm, count=64, seed=7):
@@ -227,3 +234,103 @@ def test_scaled_immersion_geometry():
     np.testing.assert_allclose(g.r, 2.0, rtol=1e-14)
     # curvature scales inversely
     np.testing.assert_allclose(g.H, -0.5 * g.X, atol=1e-13)
+
+
+# --- the batched Householder kernel against LAPACK --------------------------------
+
+
+def _reference_geometry(X, J, S):
+    """The fields of PointGeometry from numpy.linalg.qr and per-point inverses."""
+    npts, amb, dim = J.shape
+    Q, R = np.linalg.qr(J)
+    R_inv = np.linalg.inv(R)
+
+    def tangential(V):
+        return Q @ (np.swapaxes(Q, 1, 2) @ V)
+
+    XT = tangential(X[..., None])[..., 0]
+    alpha = S - tangential(S.reshape(npts, amb, dim * dim)).reshape(S.shape)
+    B = np.swapaxes(R_inv, 1, 2)[:, None] @ alpha @ R_inv[:, None]
+    return {
+        "metric": np.swapaxes(J, 1, 2) @ J,
+        "metric_inv": R_inv @ np.swapaxes(R_inv, 1, 2),
+        "sqrt_det": np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1)),
+        "frame": Q,
+        "r": np.linalg.norm(X, axis=1),
+        "XT": XT,
+        "Xperp": X - XT,
+        "alpha": alpha,
+        "H": np.trace(B, axis1=2, axis2=3),
+        "normA2": np.einsum("naij,naij->n", B, B),
+    }
+
+
+def _jets(dim, amb, kind, npts=64, seed=3):
+    rng = np.random.default_rng([dim, amb, seed])
+    J = rng.standard_normal((npts, amb, dim))
+    if kind == "graded":  # column scales 1 down to 1e-8, so kappa(J) is about 1e8
+        J *= np.logspace(0, -8, dim) if dim > 1 else 1e-8
+    elif kind == "triangular":  # nothing below the diagonal: LAPACK reflects nothing
+        J *= np.arange(amb)[:, None] <= np.arange(dim)
+    J[::2, 0, :] = -np.abs(J[::2, 0, :])  # negative leading entries
+    S = rng.standard_normal((npts, amb, dim, dim))
+    return rng.standard_normal((npts, amb)), J, S + np.swapaxes(S, 2, 3)
+
+
+KERNEL_CASES = [
+    pytest.param(dim, amb, kind, id=f"n{dim}-A{amb}-{kind}")
+    for dim in (1, 2, 3, 4)
+    for amb in range(dim + 1, dim + 4)
+    for kind in ("random", "graded", "triangular")
+]
+
+
+@pytest.mark.parametrize("dim,amb,kind", KERNEL_CASES)
+def test_householder_factors_the_jacobians(dim, amb, kind):
+    _, J, _ = _jets(dim, amb, kind)
+    Q, R = GEOMETRY._householder(J.transpose(2, 1, 0))
+    Q, R = Q.transpose(2, 1, 0), R.transpose(2, 0, 1)  # batch first, Q[:, :, k] column k
+    eye = np.broadcast_to(np.eye(amb), (len(J), amb, amb))
+    np.testing.assert_allclose(np.swapaxes(Q, 1, 2) @ Q, eye, rtol=0, atol=1e-13)
+    scale = np.linalg.norm(J, axis=1, keepdims=True)  # each column against its own norm
+    np.testing.assert_allclose((Q[:, :, :dim] @ R) / scale, J / scale, rtol=0, atol=1e-13)
+    assert np.all(np.tril(R, -1) == 0.0)
+
+
+@pytest.mark.parametrize("dim,amb,kind", KERNEL_CASES)
+def test_kernel_matches_the_lapack_reference(dim, amb, kind):
+    X, J, S = _jets(dim, amb, kind)
+    points = np.zeros((len(J), dim))
+    for array in (X, J, S):
+        array.flags.writeable = False
+    copies = [a.copy() for a in (X, J, S)]
+    g = GEOMETRY.geometry_of_jets(points, X, J, S, order=2)
+    for array, copy in zip((X, J, S), copies):
+        np.testing.assert_array_equal(array, copy)
+    for name, ref in _reference_geometry(X, J, S).items():
+        got = getattr(g, name)
+        assert got.shape == ref.shape, name
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max(), err_msg=name)
+
+
+def test_a_point_gets_the_same_bits_in_any_batch():
+    imm, _ = catalog("clifford_torus", k=2, nk=2)
+    pts = halton(imm, 16)
+    batch = geometry(imm, pts)
+    for k in (0, 5):
+        for part, rows in ((geometry(imm, pts[k : k + 1]), slice(k, k + 1)),
+                           (geometry(imm, pts[k : k + 3]), slice(k, k + 3))):
+            for name in ("metric", "metric_inv", "sqrt_det", "frame", "XT", "alpha", "H", "normA2"):
+                np.testing.assert_array_equal(getattr(part, name), getattr(batch, name)[rows])
+
+
+def test_no_module_calls_linalg_qr():
+    # the kernel's batched Householder QR replaced the per-point LAPACK path
+    for path in sorted(Path(solab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "qr":
+                owner = node.value
+                owner = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", "")
+                assert owner != "linalg", path.name
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                assert "qr" not in {alias.name for alias in node.names}, path.name
