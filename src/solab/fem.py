@@ -1,18 +1,24 @@
 """Dirichlet solves on extrinsic regions with the induced metric.
 
-Meshing: the triangles of a structured parameter-space grid
-(levelset.grid_triangles, the Kuhn split that the level-set marcher also
-cuts) are clipped against the level sets r = rho and r = R by
-levelset.clip.  Grid vertices close to a level set are snapped onto it by
-root finding along grid edges; remaining crossings cut triangles at edge
-roots, so the mesh conforms to the curved boundary.  Each level's edge roots
-are solved in one batch (crossing.level_crossings).  Periodic chart axes, and
-the two ends of a periodic curve, are identified.  Boundary vertices carry
-tags: "inner" (r = rho), "outer" (r = R), and "cut" where a non-proper window
-truncates the region.
+Meshing, one path for curves, surfaces and 3-parameter charts: the Kuhn
+simplices of a structured parameter-space grid (the split that the level-set
+marcher also cuts) are cut against the level sets r = R and r = rho, one
+level at a time, by cut-and-snap (Labelle & Shewchuk, "Isosurface
+stuffing", 2007).  Grid vertices close to a level set are first snapped onto
+it by root finding along grid edges.  A simplex then keeps its part on the
+region's side of the level, a product of two simplices spanned by its inside
+vertices and the crossings on its cut edges, split by the staircase
+triangulation; sorting vertices by global id makes neighbours split shared
+faces alike, so the mesh conforms.  Each level's edge roots are solved in
+one batch (crossing.level_crossings).  Periodic chart axes take their full
+range, and the copies of a seam vertex share one degree of freedom by grid
+index.  Boundary vertices carry tags: "inner" (r = rho), "outer" (r = R),
+and "cut" where a non-proper window truncates the region.  Charts of four
+or more parameters are not meshed.
 
-Assembly: piecewise-linear Galerkin on segments or triangles with the
-per-simplex induced metric (centroid value), so the discrete Dirichlet energy is
+Assembly: piecewise-linear Galerkin on segments, triangles or tetrahedra
+with the per-simplex induced metric (centroid value), so the discrete
+Dirichlet energy is
   sum_T vol_T sqrt(det g) grad^T g^{-1} grad.
 The capacity solve minimizes exactly this energy; the solver is conjugate
 gradients with diagonal preconditioning.
@@ -29,7 +35,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import cg
 
-from .crossing import level_crossings, polyline_crossings
+from .crossing import level_crossings
 from .errors import (
     DimensionUnsupported,
     DisconnectedRegion,
@@ -38,7 +44,7 @@ from .errors import (
     SolverDivergence,
 )
 from .geometry import Immersion, evaluate_chart, geometry, radius_values
-from .levelset import clip, grid_edges, grid_triangles, level_boundaries
+from .levelset import _KUHN, _cell_corners, grid_edges, level_boundaries
 from .quadrature import ExtrinsicRegion, _region_bounds
 from .solitons import SolitonSpec, imcf_residual
 
@@ -73,159 +79,92 @@ class Mesh:
         return np.unique(np.asarray(out, dtype=int))
 
     def euler_characteristic(self):
-        """V - E + S over the degrees of freedom."""
+        """The alternating sum of face counts, V - E + F - ..., over the
+        degrees of freedom."""
         dofs = self.dof_map[self.simplices]
-        pairs = dofs[:, list(combinations(range(dofs.shape[1]), 2))].reshape(-1, 2)
-        edges = np.unique(np.sort(pairs, axis=1), axis=0)
-        return self.dof_count - len(edges) + len(self.simplices)
+        chi = 0
+        for k in range(1, dofs.shape[1] + 1):  # faces of k vertices
+            faces = np.sort(dofs[:, list(combinations(range(dofs.shape[1]), k))], axis=2)
+            chi -= (-1) ** k * len(np.unique(faces.reshape(-1, k), axis=0))
+        return chi
 
 
 def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh:
     """Conforming simplicial mesh of {rho < r < R} in parameter space."""
     imm.require_window(region.R)
-    if imm.dim == 1:
-        return _mesh_segments(imm, region, h)
-    if imm.dim == 2:
-        return _mesh_triangles(imm, region, h)
-    raise DimensionUnsupported(
-        f"PDE solves run on curves and surfaces; {imm.name} has dim {imm.dim}"
-    )
-
-
-def _mesh_segments(imm, region, h):
-    (lo,), (hi,) = imm.chart.box
-    m = max(int(math.ceil((hi - lo) / h)), 8)
-    levels = [level for level in (region.rho, region.R) if level > 0]
-    roots, _ = polyline_crossings(imm, np.linspace(lo, hi, m + 1), levels)
-    breaks = [lo, hi] + roots[:, 0].tolist()
-    breaks = sorted(set(breaks))
-    mid_r = radius_values(imm, (0.5 * (np.array(breaks[:-1]) + breaks[1:]))[:, None])
-    verts, segs = [], []
-    tags = {"inner": [], "outer": [], "cut": []}
-
-    def vert_id(x):
-        verts.append(x)
-        return len(verts) - 1
-
-    ids = {}
-    for left, right, rm in zip(breaks[:-1], breaks[1:], mid_r):
-        if not (region.rho < rm < region.R):
-            continue
-        k = max(int(math.ceil((right - left) / h)), 1)
-        xs = np.linspace(left, right, k + 1)
-        idlist = []
-        for x in xs:
-            if x not in ids:
-                ids[x] = vert_id(x)
-            idlist.append(ids[x])
-        segs.extend([(a, b) for a, b in zip(idlist[:-1], idlist[1:])])
-    if not segs:
-        raise MeshFailure(f"{imm.name}: empty 1-d region")
-    verts = np.asarray(verts).reshape(-1, 1)
-    rv = radius_values(imm, verts)
-    periodic = imm.chart.params[0].periodic
-    at_end = [min(abs(x - lo), abs(x - hi)) < 1e-12 * (hi - lo) for x in verts[:, 0]]
-    for i, end in enumerate(at_end):
-        if abs(rv[i] - region.R) < 1e-9 * max(1.0, region.R):
-            tags["outer"].append(i)
-        elif region.rho > 0 and abs(rv[i] - region.rho) < 1e-9 * max(1.0, region.rho):
-            tags["inner"].append(i)
-        elif end and not periodic:
-            tags["cut"].append(i)
-    # vertices come in increasing u1, so a periodic seam is the first and last one
-    dof_map = np.arange(len(verts))
-    if periodic and at_end[0] and at_end[-1]:
-        dof_map[-1] = 0
-    simplices = np.asarray(segs, dtype=int)
-    cent = verts[simplices].mean(axis=1)
-    g = geometry(imm, cent, order=1)
-    return Mesh(
-        imm,
-        verts,
-        simplices,
-        {k: np.asarray(sorted(v), dtype=int) for k, v in tags.items()},
-        g.metric,
-        g.metric_inv,
-        g.sqrt_det,
-        rv,
-        dof_map,
-    )
-
-
-def _mesh_triangles(imm, region, h):
+    d = imm.dim
+    if d not in _KUHN:
+        raise DimensionUnsupported(
+            f"PDE solves run on charts of 1 to 3 parameters; {imm.name} has dim {d}"
+        )
     bounds = _region_bounds(imm, [region], 4096, 37, 0.05)[0]
     if bounds is None:
         raise MeshFailure(
             f"{imm.name}: the region {region.rho} < r < {region.R} is empty"
         )
-    wlo, whi = bounds
     params = imm.chart.params
-    coords, wraps = [], []
-    for i, p in enumerate(params):
-        if p.periodic:  # the full range, not the sampled box
-            wlo[i], whi[i] = p.min, p.max
-        span = whi[i] - wlo[i]
-        m = max(int(round(span / h)), 8) if p.periodic else max(int(math.ceil(span / h)), 6)
-        # periodic axes get duplicated seam columns whose degrees of freedom
-        # are tied after meshing; geometry stays unwrapped
-        wraps.append(p.periodic and (whi[i] - wlo[i]) >= p.span * (1 - 1e-12))
-        coords.append(np.linspace(wlo[i], whi[i], m + 1))
+    coords = []
+    for p, lo, hi in zip(params, *bounds):
+        if p.periodic:  # the full range, whose two ends are tied
+            lo, hi = p.min, p.max
+        # a window of the chart box's own lattice, at least 6 cells across,
+        # so that a node such as the centre of a symmetric box stays a node
+        m = max(math.ceil(p.span / h), math.ceil(6 * p.span / (hi - lo)))
+        nodes = np.linspace(p.min, p.max, m + 1)
+        start, stop = np.searchsorted(nodes, lo, "right") - 1, np.searchsorted(nodes, hi)
+        coords.append(nodes[start : stop + 1])
     shape = [len(c) for c in coords]
     verts = np.column_stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")])
+    # a vertex's dof is the grid index of its lowest seam copy
+    index = np.indices(shape).reshape(d, -1)
+    for a, p in enumerate(params):
+        if p.periodic:
+            index[a] %= shape[a] - 1
+    dof = np.ravel_multi_index(index, shape)
 
     # keep phi <= 0: phi = r - R against the outer level, rho - r against the inner
     levels = [("outer", region.R, 1.0)]
     if region.rho > 0:
         levels.append(("inner", region.rho, -1.0))
-    on_level, rv = _snap_to_levels(imm, verts, grid_edges(shape), levels)
-
-    # clip pass, one level at a time, each level's cut edges in one batch
-    polys, all_verts, r_all = grid_triangles(shape), verts, rv
+    on_level, r = _snap_to_levels(imm, verts, grid_edges(shape), levels, dof)
+    simplices = _cell_corners(shape)[:, _KUHN[d]].reshape(-1, d + 1)
     for tag, level, sign in levels:
-        phi = sign * (r_all - level)
+        phi = sign * (r - level)
+        phi[np.abs(phi) <= 1e-13 * max(1.0, level)] = 0.0
         phi[[v for v, vtag in on_level.items() if vtag == tag]] = 0.0
-        polys, cuts = clip(polys, phi, 1e-13 * max(1.0, level))
-        i, j = cuts.T
-        points, _ = level_crossings(imm, all_verts[i], all_verts[j], r_all[i], r_all[j], level)
-        all_verts = np.vstack([all_verts, points])
-        r_all = np.concatenate([r_all, radius_values(imm, points)])
-    # fan each polygon from its first vertex
-    first = np.repeat(polys[:, :1], polys.shape[1] - 2, axis=1)
-    tris = np.stack([first, polys[:, 1:-1], polys[:, 2:]], axis=-1)[polys[:, 2:] >= 0]
-    if not len(tris):
+        simplices, (i, o) = _cut(simplices, phi)
+        # the seam copies of a cut edge share one solve, its r and its dof
+        pairs = dof[i] * len(dof) + dof[o]
+        _, first, tied = np.unique(pairs, return_index=True, return_inverse=True)
+        i0, o0 = i[first], o[first]
+        _, t = level_crossings(imm, verts[i0], verts[o0], r[i0], r[o0], level)
+        points = verts[i] + t[tied, None] * (verts[o] - verts[i])
+        r = np.concatenate([r, radius_values(imm, points[first])[tied]])
+        dof = np.concatenate([dof, len(verts) + first[tied]])
+        verts = np.vstack([verts, points])
+    if not len(simplices):
         raise MeshFailure(
             f"{imm.name}: no mesh cells inside {region.rho} < r < {region.R}"
         )
 
-    # drop degenerate slivers, reindex to used vertices
-    e1 = all_verts[tris[:, 1]] - all_verts[tris[:, 0]]
-    e2 = all_verts[tris[:, 2]] - all_verts[tris[:, 0]]
-    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    keep = np.abs(area2) > 1e-12 * h * h
-    tris = tris[keep]
-    area2 = area2[keep]
-    swap = area2 < 0  # positive orientation in parameter space
-    tris[swap] = tris[swap][:, [0, 2, 1]]
-
-    used = np.unique(tris)
-    remap = -np.ones(len(all_verts), dtype=int)
-    remap[used] = np.arange(len(used))
-    tris = remap[tris]
-    final_verts = all_verts[used]
-    rv_final = r_all[used]
+    used, simplices = np.unique(simplices, return_inverse=True)
+    simplices = simplices.reshape(-1, d + 1)
+    verts, r, dof = verts[used], r[used], dof[used]
+    # positive orientation in parameter space
+    edges = verts[simplices[:, 1:]] - verts[simplices[:, :1]]
+    flip = np.linalg.det(edges) < 0
+    simplices[flip, -2:] = simplices[flip, :-3:-1]
 
     tol_r = 1e-9
-    outer = np.abs(rv_final - region.R) < tol_r * max(1.0, region.R)
+    outer = np.abs(r - region.R) < tol_r * max(1.0, region.R)
     inner = ~outer & (region.rho > 0) & (
-        np.abs(rv_final - region.rho) < tol_r * max(1.0, region.rho)
+        np.abs(r - region.rho) < tol_r * max(1.0, region.rho)
     )
-    cut = np.zeros(len(final_verts), dtype=bool)
-    for axis in range(2):
-        if wraps[axis]:
-            continue
-        x = final_verts[:, axis]
-        for end in (imm.chart.params[axis].min, imm.chart.params[axis].max):
-            cut |= np.abs(x - end) < 1e-10 * max(1.0, abs(end))
+    cut = np.zeros(len(verts), dtype=bool)
+    for axis, p in enumerate(params):
+        if not p.periodic:
+            for end in (p.min, p.max):
+                cut |= np.abs(verts[:, axis] - end) < 1e-10 * max(1.0, abs(end))
     cut &= ~outer & ~inner
     tags = {k: np.nonzero(v)[0] for k, v in (("inner", inner), ("outer", outer), ("cut", cut))}
     notes = []
@@ -235,24 +174,80 @@ def _mesh_triangles(imm, region, h):
             "boundary data"
         )
 
-    dof_map = _tie_periodic_seams(final_verts, wraps, wlo, whi)
-    cent = final_verts[tris].mean(axis=1)
-    g = geometry(imm, cent, order=1)
+    g = geometry(imm, verts[simplices].mean(axis=1), order=1)
     return Mesh(
         imm,
-        final_verts,
-        tris,
+        verts,
+        simplices,
         tags,
         g.metric,
         g.metric_inv,
         g.sqrt_det,
-        rv_final,
-        dof_map,
+        r,
+        np.unique(dof, return_inverse=True)[1],
         tuple(notes),
     )
 
 
-def _snap_to_levels(imm, verts, edges, levels):
+def _staircase(p, q):
+    """The monotone lattice paths from (0, 0) to (p - 1, q), as flat indices
+    a (q + 1) + b of their points (a, b): the staircase triangulation of the
+    product of simplices Delta_(p-1) x Delta_q (De Loera, Rambau & Santos,
+    Triangulations, 6.2)."""
+    steps = range(p - 1 + q)
+    # a step in a moves q + 1 places along the flat indices, one in b one place
+    return np.array([
+        np.cumsum([0] + [q + 1 if step in rises else 1 for step in steps])
+        for rises in combinations(steps, p - 1)
+    ])
+
+
+def _cut(simplices, phi):
+    """The phi <= 0 parts of (S, d+1) simplices, cut at the crossings of their
+    edges (Labelle & Shewchuk, "Isosurface stuffing", 2007).
+
+    A simplex with inside vertices I (phi <= 0) and outside vertices O, each
+    sorted by vertex id, keeps the product of simplices spanned by the
+    lattice points (a, 0) = I[a] and (a, b >= 1) = the crossing on edge
+    (I[a], O[b - 1]); it is split along the monotone lattice paths.  Sorting
+    by global id makes neighbouring simplices split their shared faces alike.
+    A crossing next to a vertex with phi = 0 is that vertex, and a simplex
+    that repeats a vertex is dropped.  The crossing on the k-th cut edge, in
+    order of (inside, outside) ids, is vertex len(phi) + k.  Returns the
+    simplices and the cut edges, inside ends first.
+    """
+    V, width = len(phi), simplices.shape[1]
+    out = phi[simplices] > 0.0
+    outside = out.sum(axis=1)
+    mixed = (outside > 0) & (outside < width)
+    # inside vertices first, each part in order of vertex id
+    ranked = np.sort(simplices[mixed] + V * out[mixed], axis=1) % V
+    parts = [(k, ranked[outside[mixed] == width - k]) for k in range(1, width)]
+    ends = [np.broadcast_arrays(rows[:, :k, None], rows[:, None, k:]) for k, rows in parts]
+    i = np.concatenate([a.ravel() for a, _ in ends])
+    o = np.concatenate([b.ravel() for _, b in ends])
+    moved = phi[i] != 0.0
+    keys, number = np.unique(i[moved] * V + o[moved], return_inverse=True)
+    crossing = i.copy()
+    crossing[moved] = V + number
+    pieces = []
+    start = 0
+    for k, rows in parts:
+        q = width - k
+        lattice = np.concatenate(
+            [rows[:, :k, None], crossing[start : start + len(rows) * k * q].reshape(-1, k, q)],
+            axis=2,
+        )
+        start += len(rows) * k * q
+        paths = lattice.reshape(len(rows), k * (q + 1))[:, _staircase(k, q)]
+        pieces.append(paths.reshape(-1, width))
+    pieces = np.concatenate(pieces)
+    ordered = np.sort(pieces, axis=1)
+    pieces = pieces[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+    return np.concatenate([simplices[outside == 0], pieces]), (keys // V, keys % V)
+
+
+def _snap_to_levels(imm, verts, edges, levels, dof=None):
     """Move grid vertices within SNAP_FRACTION (in edge units) of a level set
     onto it, in place, visiting the cut edges in order; returns the
     {vertex: tag} map and r at the vertices.
@@ -260,8 +255,18 @@ def _snap_to_levels(imm, verts, edges, levels):
     Each level's cut edges are solved in one batch.  A snapped vertex gets
     phi = 0, which skips its later edges, so every edge still used has
     unmoved endpoints and the root a one-edge-at-a-time pass would find.
+    Vertices with one dof (the copies of a periodic seam, dof being the
+    index of the lowest copy) share one r and move together.
     """
-    rv = radius_values(imm, verts)
+    tie = np.arange(len(verts)) if dof is None else dof
+    groups = {}
+    for v in np.flatnonzero(tie != np.arange(len(tie))).tolist():
+        groups.setdefault(int(tie[v]), [int(tie[v])]).append(v)
+    # each seam copy -> all its copies, itself too, with their offsets from it
+    copies = {
+        v: [(c, verts[c] - verts[v]) for c in group] for group in groups.values() for v in group
+    }
+    rv = radius_values(imm, verts)[tie]
     on_level = {}
     for tag, level, sign in levels:
         phi = sign * (rv - level)
@@ -274,53 +279,13 @@ def _snap_to_levels(imm, verts, edges, levels):
                 continue
             for vtx, dist in ((a, t), (b, 1.0 - t)):
                 if dist < SNAP_FRACTION and vtx not in on_level:
-                    verts[vtx] = point
-                    on_level[vtx] = tag
-                    phi[vtx] = 0.0
+                    for c, offset in copies.get(vtx, ((vtx, 0.0),)):
+                        verts[c] = point + offset
+                        on_level[c] = tag
+                        phi[c] = 0.0
                     break
-        rv = radius_values(imm, verts)  # other level's phi sees moved vertices
+        rv = radius_values(imm, verts)[tie]  # other level's phi sees moved vertices
     return on_level, rv
-
-
-def _tie_periodic_seams(verts, wraps, wlo, whi):
-    """Identify duplicate seam vertices of periodic axes as shared dofs."""
-    V = len(verts)
-    parent = np.arange(V)
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for ax, per in enumerate(wraps):
-        if not per:
-            continue
-        span = whi[ax] - wlo[ax]
-        tol = 1e-9 * max(span, 1.0)
-        left = np.nonzero(np.abs(verts[:, ax] - wlo[ax]) < tol)[0]
-        right = np.nonzero(np.abs(verts[:, ax] - whi[ax]) < tol)[0]
-        other = [i for i in range(verts.shape[1]) if i != ax]
-        lkey = verts[np.ix_(left, other)].ravel()
-        rkey = verts[np.ix_(right, other)].ravel()
-        order_l = np.argsort(lkey)
-        order_r = np.argsort(rkey)
-        li, ri = 0, 0
-        while li < len(left) and ri < len(right):
-            a, b = lkey[order_l[li]], rkey[order_r[ri]]
-            if abs(a - b) < 1e-6 * max(1.0, abs(a)):
-                ra, rb = root(left[order_l[li]]), root(right[order_r[ri]])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-                li += 1
-                ri += 1
-            elif a < b:
-                li += 1
-            else:
-                ri += 1
-    reps = np.array([root(i) for i in range(V)])
-    uniq, dof = np.unique(reps, return_inverse=True)
-    return dof
 
 
 # --- assembly and solves -----------------------------------------------------------
@@ -463,10 +428,11 @@ def _boundary_gradient_integral(mesh: Mesh, u, tag):
     _, G = _simplex_gradients(verts, simplices[s])
     grad = np.einsum("kiv,kv->ki", G, u[simplices[s]])
     norm2 = np.einsum("ki,kij,kj->k", grad, mesh.metric_inv[s], grad)
-    # a facet has at most one edge (d <= 2), so its Gram determinant is that
-    # edge's squared length, or the empty product 1
+    # a facet measures the square root of the Gram determinant of its d - 1
+    # edges over (d - 1)!; a point's empty Gram matrix has determinant 1
     e = verts[facets[on, 1:]] - verts[facets[on, :1]]
-    measure = np.sqrt(np.einsum("kai,kij,kai->ka", e, mesh.metric[s], e).prod(axis=1))
+    gram = np.einsum("kai,kij,kbj->kab", e, mesh.metric[s], e)
+    measure = np.sqrt(np.linalg.det(gram)) / math.factorial(d - 1)
     return float(math.fsum((np.sqrt(np.maximum(norm2, 0.0)) * measure).tolist()))
 
 

@@ -227,7 +227,7 @@ def geometry_of_jets(points, X, J, S, order: int = 2) -> PointGeometry:
     # column k of every J, (n, A, N); contiguous, since einsum's order of
     # summation follows the operands' layout
     cols = np.ascontiguousarray(J.transpose(2, 1, 0))
-    Q, R = _householder(cols)
+    Q, R = _householder(cols, dim if order < 2 else None)
     R_inv = _checked_inverse(R, points)
     tangent, normal = Q[:dim], Q[dim:]
     XT = _batch_first(_project(tangent, np.ascontiguousarray(X.T)))
@@ -274,12 +274,13 @@ def _reflect(Y, v, tau) -> None:
         y[1:] -= v * w_k
 
 
-def _householder(cols):
+def _householder(cols, columns=None):
     """Householder QR (Golub & Van Loan, Matrix Computations, Algorithm
     5.2.1) of the A x n matrices with columns cols[k] (A, N): returns the
     orthogonal Q (A, A, N), column k being Q[k], whose first n columns span
     the tangent space and whose others the normal space, and the upper
-    triangular R (n, n, N), so that cols = Q[:n] R.
+    triangular R (n, n, N), so that cols = Q[:n] R.  With `columns` set,
+    only the first that many columns of Q are formed.
 
     Each reflector is LAPACK's (dlarfg): it maps x to beta e_1 with
     beta = -sign(x_1)|x|, and is the identity where x vanishes below its
@@ -302,8 +303,9 @@ def _householder(cols):
         R[j, j] = beta
         R[j, j + 1 :] = W[j + 1 :, j]
         reflectors.append((v, tau))
-    Q = np.zeros((amb, amb, npts))
-    Q[range(amb), range(amb)] = 1.0
+    kept = amb if columns is None else columns
+    Q = np.zeros((kept, amb, npts))
+    Q[range(kept), range(kept)] = 1.0
     for j in reversed(range(dim)):
         _reflect(Q[j:, j:], *reflectors[j])
     return Q, R

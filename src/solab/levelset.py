@@ -5,10 +5,10 @@ n = 1 gives isolated points by root finding along the curve.  On 2- and
 a structured grid, triangles or tetrahedra, by the sign of r - R into a
 polyline contour or a triangulated isosurface; it evaluates r on the grid
 once and solves the cut edges of all radii of a call in one crossing batch.
-fem meshes its regions by clipping the same grid triangles
-(`grid_triangles`, `clip`).  Product immersions (cylinders, planes)
-additionally admit a closed reduction of all boundary integrals, used for
-n >= 3 catalog runs.
+The same grid helpers (`_cell_corners`, `grid_edges`, and `_KUHN` for one
+to three axes) lay fem's meshes, which cut the same Kuhn simplices.
+Product immersions (cylinders, planes) additionally admit a closed
+reduction of all boundary integrals, used for n >= 3 catalog runs.
 
 Boundary integrals use the induced metric: a point counts 1, a segment with
 edge e at its midpoint m contributes sqrt(e^T g(m) e), and a triangle half
@@ -148,6 +148,7 @@ def _from_elements(imm, R, elements, where):
 # monotone path of corners from 0 to 2^d - 1.  Neighbouring cells split
 # their shared faces alike.
 _KUHN = {
+    1: ((0, 1),),
     2: ((0, 1, 3), (0, 3, 2)),
     3: ((0, 1, 3, 7), (0, 1, 7, 5), (0, 5, 7, 4), (0, 3, 2, 7), (0, 2, 6, 7), (0, 6, 4, 7)),
 }
@@ -165,70 +166,15 @@ def _cell_corners(shape) -> np.ndarray:
     ])
 
 
-def grid_triangles(shape) -> np.ndarray:
-    """The (T, 3) Kuhn split of a grid whose vertex (i, j) is numbered
-    i * shape[1] + j: cell by cell, (i,j),(i+1,j),(i+1,j+1) then
-    (i,j),(i+1,j+1),(i,j+1)."""
-    return _cell_corners(shape)[:, _KUHN[2]].reshape(-1, 3)
-
-
 def grid_edges(shape) -> np.ndarray:
-    """The (E, 2) axis-aligned edges of the grid numbered as in
-    `grid_triangles`: those along the first axis, then those along the second."""
-    vid = np.arange(shape[0] * shape[1]).reshape(shape)
+    """The (E, 2) axis-aligned edges of a grid whose vertices are numbered in
+    C order: those along the first axis, then those along the second, and so
+    on, each axis's edges in C order of their lower ends."""
+    vid = np.arange(math.prod(shape)).reshape(shape)
     return np.concatenate([
-        np.column_stack([vid[:-1, :].ravel(), vid[1:, :].ravel()]),
-        np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()]),
+        np.column_stack([np.delete(vid, -1, axis=a).ravel(), np.delete(vid, 0, axis=a).ravel()])
+        for a in range(len(shape))
     ])
-
-
-def clip(polys: np.ndarray, phi: np.ndarray, eps: float):
-    """The phi <= 0 parts of polygons, by one array Sutherland-Hodgman pass.
-
-    polys is a (P, C) array of vertex-index loops padded at the end with -1.
-    A row with every phi <= eps is kept whole and one with every phi >= -eps
-    is dropped.  Any other row keeps its vertices with phi <= eps and gets a
-    crossing vertex after a vertex whose edge to the next one has ends beyond
-    -eps and eps; a vertex with phi < -eps keeps itself and one entry on each
-    side, so no clipped row has fewer than 3.  The crossing on edge k in order
-    of first meeting (rows in order, edges along each loop) is vertex
-    len(phi) + k, and an edge shared by two rows gets one number.  Returns the
-    clipped rows, padded with -1, and the (k, 2) cut edges, lower index first.
-    """
-    cols = polys.shape[1]
-    # a pad takes its row's first vertex: the extremes stay, and the last
-    # vertex's successor is the first one
-    vals = phi[polys]
-    for c in range(3, cols):
-        pad = polys[:, c] < 0
-        vals[pad, c] = vals[pad, 0]
-    hi, lo = np.maximum(vals[:, 0], vals[:, 1]), np.minimum(vals[:, 0], vals[:, 1])
-    for c in range(2, cols):  # column by column: axis=1 reductions are slow
-        np.maximum(hi, vals[:, c], out=hi)
-        np.minimum(lo, vals[:, c], out=lo)
-    mixed = np.nonzero((hi > eps) & (lo < -eps))[0]
-    valid = polys[mixed] >= 0
-    a, va = np.where(valid, polys[mixed], polys[mixed, :1]), vals[mixed]
-    b, vb = np.roll(a, -1, axis=1), np.roll(va, -1, axis=1)
-    cut = (va < -eps) & (vb > eps) | (va > eps) & (vb < -eps)
-    ends = np.sort(np.stack([a[cut], b[cut]], axis=1), axis=1)
-    keys, first, inverse = np.unique(
-        ends[:, 0] * len(phi) + ends[:, 1], return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    number = np.empty(len(keys), dtype=int)
-    number[order] = len(phi) + np.arange(len(keys))
-    # each vertex slot is followed by a crossing slot
-    slots = np.full((len(mixed), 2 * cols), -1)
-    slots[:, 0::2] = np.where((va <= eps) & valid, a, -1)
-    slots[:, 1::2][cut] = number[inverse]
-    slots = np.take_along_axis(slots, np.argsort(slots < 0, axis=1, kind="stable"), axis=1)
-    width = max(cols, int((slots >= 0).any(axis=0).sum()))
-    rows = np.flatnonzero((hi <= eps) | (lo < -eps))
-    out = np.full((len(rows), width), -1)
-    out[:, :cols] = polys[rows]
-    out[np.searchsorted(rows, mixed)] = slots[:, :width]
-    return out, ends[first[order]]
 
 
 def level_segments(imm: Immersion, levels, resolution: int = 256) -> list:

@@ -478,7 +478,8 @@ def validate_checks(names) -> None:
 
 def run_check(name: str, cfg: RunConfig, imm: Immersion, entry, spec) -> CheckResult:
     """Run one check; a solab error becomes the check's record (a numerical
-    failure is ERROR, anything else FAIL) instead of ending the report."""
+    failure or running out of memory is ERROR, anything else FAIL) instead
+    of ending the report."""
     t0 = time.perf_counter()
     check = CHECKS[name]
     reason = check.skip(cfg, imm, entry, spec) if check.skip else None
@@ -486,8 +487,8 @@ def run_check(name: str, cfg: RunConfig, imm: Immersion, entry, spec) -> CheckRe
         return CheckResult(name, "SKIPPED", {"why": reason}, time.perf_counter() - t0)
     try:
         status, details, artifacts = check.run(cfg, imm, entry, spec)
-    except SolabError as err:
-        status = "ERROR" if isinstance(err, NUMERICAL_FAILURES) else "FAIL"
+    except (SolabError, MemoryError) as err:
+        status = "ERROR" if isinstance(err, (*NUMERICAL_FAILURES, MemoryError)) else "FAIL"
         details, artifacts = {"error": type(err).__name__, "detail": str(err)}, {}
     return CheckResult(name, status, details, time.perf_counter() - t0, artifacts)
 

@@ -15,7 +15,7 @@ import solab
 from solab.charts import chart_from_sources, save_chart
 from solab.cli import main
 from solab.errors import ConfigError
-from solab.report import RunConfig
+from solab.report import CHECKS, Check, RunConfig
 
 
 def run_cli(args, capsys):
@@ -334,6 +334,30 @@ def test_error_inside_a_check_is_recorded_and_report_written(tmp_path, capsys):
     assert checks["soliton-residual"]["status"] == "FAIL"
     assert checks["separation"]["status"] == "FAIL"
     assert checks["separation"]["details"]["error"] == "InvalidParams"
+
+
+def test_check_out_of_memory_is_recorded_and_report_written(tmp_path, capsys, monkeypatch):
+    # numpy's _ArrayMemoryError is a MemoryError: it becomes that check's
+    # ERROR record, and the checks around it keep theirs
+    def exhausted(cfg, imm, entry, spec):
+        raise MemoryError("Unable to allocate 33.2 GiB for an array")
+
+    monkeypatch.setitem(CHECKS, "separation", Check(None, exhausted))
+    out_dir = tmp_path / "rep"
+    code, _, _ = run_cli(
+        ["report", "--catalog", "generalized_cylinder", "--n", "2", "--k", "1", "--rho", "1",
+         "--checks", "soliton-residual,separation,second-form", "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 3
+    checks = {c["name"]: c for c in json.loads((out_dir / "report.json").read_text())["checks"]}
+    assert list(checks) == ["soliton-residual", "separation", "second-form"]
+    assert checks["separation"]["status"] == "ERROR"
+    assert checks["separation"]["details"] == {
+        "error": "MemoryError", "detail": "Unable to allocate 33.2 GiB for an array"
+    }
+    assert checks["soliton-residual"]["status"] == checks["second-form"]["status"] == "PASS"
+    assert "max_ratio" in checks["second-form"]["details"]
 
 
 def test_chart_leaving_its_domain_is_config_error(tmp_path, capsys):

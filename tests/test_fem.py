@@ -1,6 +1,7 @@
 """Meshing, induced-metric Galerkin solves, capacity and mean exit time."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from solab.errors import (
 )
 from solab.fem import (
     SNAP_FRACTION,
+    _simplex_gradients,
     _snap_to_levels,
     assemble,
     capacity,
@@ -88,9 +90,81 @@ def test_empty_region_is_a_mesh_failure():
 
 
 def test_pde_dimension_guard():
-    imm, _ = catalog("generalized_cylinder", n=3, k=1, rho=1.0)
+    # the Kuhn split is tabled for one to three parameters
+    imm, _ = catalog("generalized_cylinder", n=4, k=1, rho=1.0)
     with pytest.raises(DimensionUnsupported):
         mesh_region(imm, ExtrinsicRegion(imm, 0.0, 2.0), h=0.2)
+
+
+def flat_three_space():
+    chart = chart_from_sources(
+        3, 4, ["u1", "u2", "u3", "0"], [ParamSpec(f"u{i}", -1.5, 1.5) for i in (1, 2, 3)]
+    )
+    return Immersion(chart, properness_radius=1.5 * math.sqrt(3.0), name="flat3")
+
+
+def ellipse():
+    chart = chart_from_sources(
+        1, 2, ["cos(u1)", "2*sin(u1)"], [ParamSpec("u1", 0.0, 2 * math.pi, periodic=True)]
+    )
+    return Immersion(chart, properness_radius=math.inf, name="ellipse")
+
+
+def test_three_parameter_shell():
+    # 1/2 < r < 1 in flat 3-space: a shell, whose capacity is 4 pi / (1/rho - 1/R)
+    imm, rho, R = flat_three_space(), 0.5, 1.0
+    mesh = mesh_region(imm, ExtrinsicRegion(imm, rho, R), h=0.1)
+    assert mesh.euler_characteristic() == 2  # S^2 x [rho, R]
+    volume, _ = _simplex_gradients(mesh.vertices, mesh.simplices)
+    assert volume.sum() == pytest.approx(4 * math.pi * (R**3 - rho**3) / 3, rel=5e-3)
+    assert np.abs(mesh.r[mesh.tags["inner"]] - rho).max() < 1e-9
+    assert np.abs(mesh.r[mesh.tags["outer"]] - R).max() < 1e-9
+    cap = capacity(imm, rho, R, h=0.1).cap
+    assert cap == pytest.approx(4 * math.pi / (1 / rho - 1 / R), rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "make,rho,R,h",
+    [
+        (lambda: catalog("plane", n=1)[0], 1.0, 3.0, 0.05),
+        (lambda: Immersion(
+            chart_from_sources(1, 2, ["u1", "1"], [ParamSpec("u1", -6, 6)]),
+            properness_radius=math.sqrt(37.0),
+        ), 1.0, 3.0, 0.05),
+        (ellipse, 0.0, 1.5, 0.01),
+        (lambda: catalog("plane", n=2)[0], 1.0, math.e, 0.1),
+        (lambda: catalog("castro_lerma", delta=1.0, lam=-0.5)[0], 0.0, 3.0, 0.08),
+        (lambda: catalog("generalized_cylinder", n=2, k=1, rho=1.0)[0], 0.0, 2.0, 0.1),
+        # off the axis, r varies along the seam's own axis, so seam vertices snap across it
+        (lambda: Immersion(
+            chart_from_sources(
+                2, 3, ["cos(u1) + 0.3", "sin(u1) + 0.4", "u2"],
+                [ParamSpec("u1", 0.0, 2 * math.pi, periodic=True), ParamSpec("u2", -4, 4)],
+            ),
+            properness_radius=3.5,
+        ), 1.2, 2.5, 0.1),
+        (lambda: catalog("generalized_cylinder", n=3, k=1, rho=1.0)[0], math.sqrt(2.0), 3.0, 0.3),
+        (flat_three_space, 0.5, 1.0, 0.2),
+    ],
+    ids=["segments", "tangent-line", "ellipse-seam", "annulus", "castro-lerma-window",
+         "cylinder-seam", "offset-cylinder-seam", "s1xr2-seam", "shell"],
+)
+def test_mesh_is_conforming(make, rho, R, h):
+    # after the seams are tied, a facet is shared by two simplices or lies on
+    # the boundary, where each of its vertices carries a tag; the copies of a
+    # seam vertex are one point of the immersion
+    imm = make()
+    mesh = mesh_region(imm, ExtrinsicRegion(imm, rho, R), h=h)
+    X = evaluate_chart(imm.chart, mesh.vertices, order=0)[1]
+    first = np.unique(mesh.dof_map, return_index=True)[1][mesh.dof_map]
+    assert np.abs(X - X[first]).max() < 1e-12
+    assert np.array_equal(mesh.r, mesh.r[first])
+    dofs = mesh.dof_map[mesh.simplices]
+    d = imm.dim
+    facets = np.sort(dofs[:, list(combinations(range(d + 1), d))], axis=2).reshape(-1, d)
+    facets, owners = np.unique(facets, axis=0, return_counts=True)
+    assert owners.max() == 2
+    assert np.isin(facets[owners == 1], mesh.dof_map[mesh.boundary_vertices()]).all()
 
 
 def test_batched_snap_pass_matches_sequential_snapping():
@@ -141,10 +215,7 @@ def test_one_dimensional_mesh():
 def test_periodic_curve_seam_is_not_a_window_cut():
     # the ellipse (cos u, 2 sin u) meets r < 1.5 in two mirror arcs, around
     # u = 0 (across the parameter seam) and around u = pi
-    chart = chart_from_sources(
-        1, 2, ["cos(u1)", "2*sin(u1)"], [ParamSpec("u1", 0.0, 2 * math.pi, periodic=True)]
-    )
-    field = solve_exit_time(Immersion(chart, properness_radius=math.inf), 1.5, h=0.01)
+    field = solve_exit_time(ellipse(), 1.5, h=0.01)
     mesh = field.mesh
     assert len(mesh.tags["cut"]) == 0
     assert mesh.dof_count == mesh.vertex_count - 1

@@ -324,6 +324,21 @@ def test_a_point_gets_the_same_bits_in_any_batch():
                 np.testing.assert_array_equal(getattr(part, name), getattr(batch, name)[rows])
 
 
+@pytest.mark.parametrize("name,params", [
+    ("castro_lerma", {}),
+    ("clifford_torus", {"k": 2, "nk": 2}),
+    ("veronese", {}),
+])
+def test_first_order_fields_match_second_order_bit_for_bit(name, params):
+    # at order 1 the QR forms only the tangent columns of Q
+    imm, _ = catalog(name, **params)
+    pts = halton(imm, 500)
+    first, second = geometry(imm, pts, order=1), geometry(imm, pts, order=2)
+    for f in ("points", "X", "metric", "metric_inv", "sqrt_det", "frame", "r", "XT", "Xperp"):
+        np.testing.assert_array_equal(getattr(first, f), getattr(second, f), err_msg=f)
+    assert first.alpha is None and second.alpha is not None
+
+
 def test_no_module_calls_linalg_qr():
     # the kernel's batched Householder QR replaced the per-point LAPACK path
     for path in sorted(Path(solab.__file__).parent.glob("*.py")):

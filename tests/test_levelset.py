@@ -12,11 +12,11 @@ from solab.crossing import level_crossings
 from solab.errors import NonRegularLevel
 from solab.geometry import Immersion, geometry, radius_values
 from solab.levelset import (
+    _KUHN,
     BoundaryData,
+    _cell_corners,
     boundary_area_and_flux,
-    clip,
     grid_edges,
-    grid_triangles,
     level_boundaries,
 )
 from solab.quadrature import ExtrinsicRegion, region_volume
@@ -151,71 +151,40 @@ def _clip_one_at_a_time(polys, phi, eps, base):
     def crossing(a, b):
         return split.setdefault((min(a, b), max(a, b)), base + len(split))
 
-    rows = [[v for v in poly if v >= 0] for poly in polys.tolist()]
-    rows = [out for poly in rows if (out := _clip_polygon(poly, phi.tolist(), eps, crossing))]
+    rows, phi = [[v for v in poly if v >= 0] for poly in polys.tolist()], phi.tolist()
+    rows = [out for poly in rows if (out := _clip_polygon(poly, phi, eps, crossing))]
     return rows, [list(edge) for edge in split]
 
 
 def test_grid_triangles_and_edges_follow_the_vertex_numbering():
-    tris = grid_triangles((3, 4))  # vertex (i, j) is 4 i + j
-    assert tris.shape == (2 * 2 * 3, 3)
-    assert tris[:4].tolist() == [[0, 4, 5], [0, 5, 1], [1, 5, 6], [1, 6, 2]]
-    assert tris[-1].tolist() == [6, 11, 7]
-    edges = grid_edges((3, 4))  # along the first axis, then along the second
+    edges = grid_edges((3, 4))  # vertex (i, j) is 4 i + j: along the first axis, then the second
     assert edges.shape == (2 * 4 + 3 * 3, 2)
     assert edges[[0, 7, 8, -1]].tolist() == [[0, 4], [7, 11], [0, 1], [10, 11]]
-
-
-@pytest.mark.parametrize("width", [3, 4, 5])
-def test_clip_matches_one_polygon_at_a_time(width):
-    # a small vertex pool shares edges between rows; phi takes values exactly
-    # 0, inside and on +-eps, and well off the level
-    rng = np.random.default_rng(width)
-    eps, pool = 1e-3, 12
-    choices = np.array([0.0, 0.5e-3, -0.5e-3, 1e-3, -1e-3, 0.3, -0.3, 1.0, -2.0])
-    cut_rows = 0
-    for trial in range(300):
-        phi = rng.choice(choices, pool) * rng.uniform(0.5, 1.5, pool) ** (trial % 2)
-        sizes = rng.integers(3, min(width, 4) + 1, size=rng.integers(0, 9))
-        polys = np.full((len(sizes), width), -1)
-        for row, size in zip(polys, sizes):
-            row[:size] = rng.choice(pool, size, replace=False)
-        rows, cuts = clip(polys, phi, eps)
-        ref_rows, ref_cuts = _clip_one_at_a_time(polys, phi, eps, pool)
-        assert cuts.shape == (len(ref_cuts), 2) and cuts.tolist() == ref_cuts
-        assert [[v for v in row if v >= 0] for row in rows.tolist()] == ref_rows
-        assert all(sorted(row >= 0, reverse=True) == list(row >= 0) for row in rows)
-        assert rows.shape[1] >= width
-        cut_rows += sum(any(v >= pool for v in row) for row in ref_rows)
-    assert cut_rows > 300
-
-
-def test_clip_two_levels_on_a_square():
-    # the unit square as two triangles, clipped to x <= 1/2 and then y <= 1/2;
-    # the second level passes exactly through crossing vertex 5 = (1/2, 1/2)
-    x, y = np.array([0.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0])
-    rows, cuts = clip(np.array([[0, 1, 2], [0, 2, 3]]), x - 0.5, 0.0)
-    assert cuts.tolist() == [[0, 1], [0, 2], [2, 3]]
-    assert rows.tolist() == [[0, 4, 5, -1], [0, 5, 6, 3]]
-    y = np.append(y, [0.0, 0.5, 1.0])
-    rows, cuts = clip(rows, y - 0.5, 0.0)
-    assert cuts.tolist() == [[0, 3]]
-    assert rows.tolist() == [[0, 4, 5, -1], [0, 5, 7, -1]]
+    edges = grid_edges((2, 3, 2))  # vertex (i, j, k) is 6 i + 2 j + k
+    assert edges.shape == (6 + 2 * 2 * 2 + 3 * 2, 2)
+    assert edges[[0, 6, 13, 14, -1]].tolist() == [[0, 6], [0, 2], [9, 11], [0, 1], [10, 11]]
+    assert grid_edges((5,)).tolist() == [[0, 1], [1, 2], [2, 3], [3, 4]]
 
 
 def _clipped_boundaries(imm, levels, resolution):
-    """Reference: marching triangles by clipping the grid triangles to the
-    sign of r - R, each level's segment measured at its midpoint."""
+    """Reference: marching triangles by clipping the Kuhn triangles of the
+    grid one at a time to the sign of r - R, each level's segment measured
+    at its midpoint."""
     (lo0, lo1), (hi0, hi1) = imm.chart.box
     axes = np.linspace(lo0, hi0, resolution + 1), np.linspace(lo1, hi1, resolution + 1)
     pts = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
     r = radius_values(imm, pts)
-    tris = grid_triangles((resolution + 1,) * 2)
+    tris = _cell_corners((resolution + 1,) * 2)[:, _KUHN[2]].reshape(-1, 3)
     crossings, cuts = [], []
     for R in levels:
-        rows, cut = clip(tris, np.where(r - R < 0.0, -1.0, 1.0), 0.0)
-        crossings.append(rows[rows >= len(r)] - len(r) + sum(map(len, cuts)))
-        cuts.append(cut)
+        sign = np.where(r - R < 0.0, -1.0, 1.0)
+        mixed = tris[np.ptp(sign[tris], axis=1) > 0]  # the others hold no crossing
+        rows, cut = _clip_one_at_a_time(mixed, sign, 0.0, len(r))
+        crossings.append(
+            np.array([v for row in rows for v in row if v >= len(r)], dtype=int)
+            - len(r) + sum(map(len, cuts))
+        )
+        cuts.append(np.array(cut, dtype=int).reshape(-1, 2))
     i, j = np.concatenate(cuts).T
     level = np.repeat(levels, list(map(len, cuts)))
     roots, _ = level_crossings(imm, pts[i], pts[j], r[i], r[j], level)
