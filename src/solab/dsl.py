@@ -9,15 +9,20 @@ than unary minus)::
     power  := atom ('^' unary)?
     atom   := number | name | name '(' expr (',' expr)* ')' | '(' expr ')'
 
-Names are either declared chart parameters, the constants ``pi`` and ``e``,
-or one of the built-in functions.  Angles are radians; there is no implicit
-multiplication.  Parsed expressions are immutable (frozen dataclasses), so
-evaluation is reentrant and shared trees may be evaluated concurrently.
+Names are declared chart parameters, the constants ``pi`` and ``e``, or the
+functions of ``jets.FUNCTIONS``, whose key set is ``FUNCTIONS``.  Angles are
+radians; there is no implicit multiplication.  Evaluation walks the tree with
+an operator table (``+ - *`` of jets, ``jets.divide``, ``jets.power`` and
+``jets.call``), so every domain rule lives in ``jets``; a ``DomainError``
+names the innermost subexpression that broke one.  Parsed expressions are
+immutable (frozen dataclasses), so evaluation is reentrant and shared trees
+may be evaluated concurrently.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,18 +132,7 @@ class Call:
 
 Expr = Const | Param | Neg | BinOp | Call
 
-FUNCTIONS = {
-    "sin": jets.jsin,
-    "cos": jets.jcos,
-    "tan": jets.jtan,
-    "sinh": jets.jsinh,
-    "cosh": jets.jcosh,
-    "tanh": jets.jtanh,
-    "exp": jets.jexp,
-    "log": jets.jlog,
-    "sqrt": jets.jsqrt,
-    "abs": jets.jabs,
-}
+FUNCTIONS = jets.FUNCTIONS.keys()
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -295,6 +289,15 @@ def to_source(e: Expr) -> str:
 # --- evaluation ---------------------------------------------------------------
 
 
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": jets.divide,
+    "^": jets.power,
+}
+
+
 def _eval(e: Expr, env):
     if isinstance(e, Const):
         return e.value
@@ -304,29 +307,8 @@ def _eval(e: Expr, env):
         if isinstance(e, Neg):
             return -_eval(e.arg, env)
         if isinstance(e, Call):
-            return FUNCTIONS[e.name](_eval(e.args[0], env))
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if not isinstance(b, jets.Jet) and np.any(np.asarray(b) == 0.0):
-                raise DomainError(jets._NODE, "division by zero")
-            return a / b
-        if not isinstance(a, jets.Jet):
-            # constant base: integer exponents work for any sign, else need > 0
-            bv = b.value if isinstance(b, jets.Jet) else b
-            if isinstance(b, jets.Jet) or bv != round(bv):
-                if np.any(np.asarray(a) <= 0.0):
-                    raise DomainError(jets._NODE, "non-integer exponent needs positive base")
-            elif a == 0.0 and bv < 0:
-                raise DomainError(jets._NODE, "zero base with negative exponent")
-            return a ** b
-        return a ** b
+            return jets.call(e.name, _eval(e.args[0], env))
+        return _BINARY[e.op](_eval(e.left, env), _eval(e.right, env))
     except DomainError as err:
         if err.node == jets._NODE:
             raise DomainError(to_source(e), err.why) from None

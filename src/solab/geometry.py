@@ -364,18 +364,17 @@ class RadialFunction:
     f: callable
     df: callable
     ddf: callable
-    label: str = "F"
 
     @staticmethod
     def r_squared() -> "RadialFunction":
         return RadialFunction(
-            lambda s: s**2, lambda s: 2.0 * s, lambda s: np.full_like(s, 2.0), "r^2"
+            lambda s: s**2, lambda s: 2.0 * s, lambda s: np.full_like(s, 2.0)
         )
 
     @staticmethod
     def neg_r_squared() -> "RadialFunction":
         return RadialFunction(
-            lambda s: -(s**2), lambda s: -2.0 * s, lambda s: np.full_like(s, -2.0), "-r^2"
+            lambda s: -(s**2), lambda s: -2.0 * s, lambda s: np.full_like(s, -2.0)
         )
 
     @staticmethod
@@ -385,7 +384,6 @@ class RadialFunction:
             lambda s: (1.0 - s ** (-eps)) / eps,
             lambda s: s ** (-eps - 1.0),
             lambda s: -(eps + 1.0) * s ** (-eps - 2.0),
-            f"(1 - r^-{eps})/{eps}",
         )
 
 

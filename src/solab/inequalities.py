@@ -38,6 +38,12 @@ def is_one_over_n(c: float, n: int) -> bool:
     return math.isclose(c, 1.0 / n, rel_tol=INVERSE_CONSTANT_RTOL)
 
 
+def isoperimetric_excluded(c: float, n: int) -> bool:
+    """Whether c lies in the inverse-flow isoperimetric comparison's excluded
+    window [0, 1/n], where its factor (Cn - 1)/(Cn) is not positive."""
+    return 0.0 <= c <= 1.0 / n or is_one_over_n(c, n)
+
+
 @dataclass
 class InequalityMargin:
     name: str
@@ -130,7 +136,7 @@ def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[InequalityMargi
     """Inverse-flow isoperimetric comparison; equality would force a totally
     geodesic piece, so the verdict also records strictness."""
     n = imm.dim
-    if 0.0 <= c <= 1.0 / n or is_one_over_n(c, n):
+    if isoperimetric_excluded(c, n):
         raise InvalidParams(
             f"inverse-flow constant {c} lies in the excluded window [0, 1/{n}]"
         )

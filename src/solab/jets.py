@@ -1,14 +1,25 @@
-"""Two-level truncated Taylor algebra (batched forward-mode jets).
+"""Truncated Taylor arithmetic for the chart language: batched forward-mode
+jets (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
 
-A :class:`Jet` carries the value of a scalar expression together with its
-gradient and Hessian with respect to the chart parameters, propagated exactly
-through every arithmetic operation.  Values are vectorized over a batch of
-evaluation points: ``value`` has shape ``(N,)``, ``grad`` shape ``(N, n)`` and
-``hess`` shape ``(N, n, n)``.  Jets of order 0 or 1 drop the higher arrays,
-which keeps pure-value sweeps (quadrature grids, level-set scans) cheap.
+A :class:`Jet` carries the value of a scalar expression at a batch of points,
+``value`` of shape ``(N,)``, and up to its order the gradient ``(N, n)`` and
+Hessian ``(N, n, n)`` with respect to the chart parameters.  A jet of order 0
+or 1 holds no higher arrays and computes none, so value sweeps (quadrature
+grids, level-set scans, root solves) pay for values only.
 
-All operations allocate fresh arrays; jets are immutable in practice and safe
-to share across threads.
+Beyond the ring operations, each piece of the language is written once:
+
+* ``FUNCTIONS`` is the table of its functions.  A row holds f, f' and f''
+  (f' and f'' as functions of v and f(v), so ``sin`` reuses its value for
+  f'' and ``exp`` computes e^v once) and the row's domain rules; ``call``
+  applies a row to a constant or a jet, and ``Jet._compose`` calls f' only
+  for a jet with a gradient and f'' only for one with a Hessian.
+* ``divide`` and ``power`` hold the rules of ``/`` and ``^`` for constant
+  and jet operands alike.
+
+A broken rule raises :class:`DomainError` at the placeholder node ``_NODE``;
+``dsl`` re-raises it with the source of the failing subexpression.  Jets are
+never written after construction, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -108,69 +119,20 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            if other == 0:
-                raise DomainError(_NODE, "division by zero constant")
-            return self * (1.0 / other)
-        return self * other._reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def _reciprocal(self):
-        if np.any(self.value == 0.0):
-            raise DomainError(_NODE, "division by zero")
-        inv = 1.0 / self.value
-        return self._compose(inv, -inv * inv, 2.0 * inv**3)
-
-    def __pow__(self, other):
-        if isinstance(other, Jet):
-            varies = bool(other.value.size) and np.ptp(other.value) != 0.0
-            if other.grad is not None and np.any(other.grad != 0.0):
-                varies = True
-            if varies:
-                # parameter-dependent exponent: a^b = exp(b*log(a)), a > 0
-                if np.any(self.value <= 0.0):
-                    raise DomainError(
-                        _NODE, "power with non-constant exponent needs positive base"
-                    )
-                return jexp(other * jlog(self))
-            other = float(other.value.flat[0]) if other.value.size else 0.0
-        return self.pow_const(float(other))
-
-    def __rpow__(self, base):
-        if base <= 0.0:
-            raise DomainError(_NODE, "power with non-constant exponent needs positive base")
-        return jexp(self * np.log(base))
-
-    def pow_const(self, k: float) -> "Jet":
-        if k == round(k) and abs(k) < 1e9:
-            k = int(round(k))
-            if k < 0 and np.any(self.value == 0.0):
-                raise DomainError(_NODE, "zero base with negative exponent")
-            v = self.value
-            return self._compose(
-                v**k,
-                k * _safe_int_pow(v, k - 1),
-                k * (k - 1) * _safe_int_pow(v, k - 2),
-            )
-        if np.any(self.value <= 0.0):
-            raise DomainError(_NODE, "non-integer exponent needs positive base")
-        v = self.value
-        return self._compose(v**k, k * v ** (k - 1.0), k * (k - 1.0) * v ** (k - 2.0))
-
     # -- composition with a scalar function ----------------------------------
 
     def _compose(self, f, df, ddf):
-        """Chain rule through f: value f(v), gradient f'(v)∇v, and Hessian
-        f'(v)∇²v + f''(v)∇v∇vᵀ."""
-        grad = hess = None
-        if self.grad is not None:
-            grad = df[:, None] * self.grad
-        if self.hess is not None:
-            outer = self.grad[:, :, None] * self.grad[:, None, :]
-            hess = df[:, None, None] * self.hess + ddf[:, None, None] * outer
+        """Chain rule through a scalar function with value f = f(v): gradient
+        f'(v)∇v and Hessian f'(v)∇²v + f''(v)∇v∇vᵀ, where f' = df(v, f) and
+        f'' = ddf(v, f) are called only up to the jet's order."""
+        if self.grad is None:
+            return Jet(f)
+        d1 = df(self.value, f)
+        grad = d1[:, None] * self.grad
+        if self.hess is None:
+            return Jet(f, grad)
+        outer = self.grad[:, :, None] * self.grad[:, None, :]
+        hess = d1[:, None, None] * self.hess + ddf(self.value, f)[:, None, None] * outer
         return Jet(f, grad, hess)
 
 
@@ -181,93 +143,90 @@ def _safe_int_pow(v, k):
     return 1.0 / v ** (-k)
 
 
-# -- transcendental functions (accept Jet or plain ndarray/float) -------------
+# -- the function table --------------------------------------------------------
 
-def _as_value(x):
-    return x.value if isinstance(x, Jet) else x
-
-
-def jsin(x):
-    if isinstance(x, Jet):
-        v = x.value
-        return x._compose(np.sin(v), np.cos(v), -np.sin(v))
-    return np.sin(x)
-
-
-def jcos(x):
-    if isinstance(x, Jet):
-        v = x.value
-        return x._compose(np.cos(v), -np.sin(v), -np.cos(v))
-    return np.cos(x)
-
-
-def jtan(x):
-    v = _as_value(x)
-    c = np.cos(v)
-    if np.any(c == 0.0):
-        raise DomainError(_NODE, "tangent pole")
-    if not isinstance(x, Jet):
-        return np.tan(x)
-    t = np.tan(v)
-    d = 1.0 + t * t
-    return x._compose(t, d, 2.0 * t * d)
+# name: (f, f'(v, f(v)), f''(v, f(v)), domain rules as (broken(v, order), message)
+# pairs checked in turn; order 0 for a constant)
+FUNCTIONS = {
+    "sin": (np.sin, lambda v, s: np.cos(v), lambda v, s: -s, ()),
+    "cos": (np.cos, lambda v, c: -np.sin(v), lambda v, c: -c, ()),
+    "tan": (np.tan, lambda v, t: 1.0 + t * t, lambda v, t: 2.0 * t * (1.0 + t * t),
+            ((lambda v, order: np.cos(v) == 0.0, "tangent pole"),)),
+    "sinh": (np.sinh, lambda v, s: np.cosh(v), lambda v, s: s, ()),
+    "cosh": (np.cosh, lambda v, c: np.sinh(v), lambda v, c: c, ()),
+    "tanh": (np.tanh, lambda v, t: 1.0 - t * t, lambda v, t: -2.0 * t * (1.0 - t * t), ()),
+    "exp": (np.exp, lambda v, e: e, lambda v, e: e, ()),
+    "log": (np.log, lambda v, f: 1.0 / v, lambda v, f: -1.0 / (v * v),
+            ((lambda v, order: v <= 0.0, "logarithm of a nonpositive value"),)),
+    "sqrt": (np.sqrt, lambda v, s: 0.5 / s, lambda v, s: -0.25 / (s * v),
+             ((lambda v, order: v < 0.0, "square root of a negative value"),
+              (lambda v, order: order > 0 and v == 0.0,
+               "square root not differentiable at zero"))),
+    "abs": (np.abs, lambda v, a: np.sign(v), lambda v, a: np.zeros_like(v),
+            ((lambda v, order: order > 0 and v == 0.0,
+              "absolute value not differentiable at zero"),)),
+}
 
 
-def jsinh(x):
-    if isinstance(x, Jet):
-        v = x.value
-        return x._compose(np.sinh(v), np.cosh(v), np.sinh(v))
-    return np.sinh(x)
+def call(name: str, x):
+    """The table's function ``name`` at a constant or a jet."""
+    f, df, ddf, domain = FUNCTIONS[name]
+    jet = isinstance(x, Jet)
+    v = x.value if jet else x
+    for broken, why in domain:
+        if np.any(broken(v, x.order if jet else 0)):
+            raise DomainError(_NODE, why)
+    return x._compose(f(v), df, ddf) if jet else f(v)
 
 
-def jcosh(x):
-    if isinstance(x, Jet):
-        v = x.value
-        return x._compose(np.cosh(v), np.sinh(v), np.cosh(v))
-    return np.cosh(x)
+# -- division and powers -------------------------------------------------------
 
 
-def jtanh(x):
-    if isinstance(x, Jet):
-        t = np.tanh(x.value)
-        d = 1.0 - t * t
-        return x._compose(t, d, -2.0 * t * d)
-    return np.tanh(x)
+def divide(a, b):
+    """a / b for constants and jets; a zero divisor anywhere is an error."""
+    if np.any((b.value if isinstance(b, Jet) else b) == 0.0):
+        raise DomainError(_NODE, "division by zero")
+    if not isinstance(b, Jet):
+        return a * (1.0 / b) if isinstance(a, Jet) else a / b
+    inv = 1.0 / b.value
+    reciprocal = b._compose(inv, lambda v, i: -i * i, lambda v, i: 2.0 * i**3)
+    return a * reciprocal if isinstance(a, Jet) else reciprocal * a
 
 
-def jexp(x):
-    if isinstance(x, Jet):
-        e = np.exp(x.value)
-        return x._compose(e, e, e)
-    return np.exp(x)
+def power(a, b):
+    """a ^ b for constants and jets.
 
-
-def jlog(x):
-    v = _as_value(x)
-    if np.any(v <= 0.0):
-        raise DomainError(_NODE, "logarithm of a nonpositive value")
-    if not isinstance(x, Jet):
-        return np.log(x)
-    return x._compose(np.log(v), 1.0 / v, -1.0 / (v * v))
-
-
-def jsqrt(x):
-    v = _as_value(x)
-    if np.any(v < 0.0):
-        raise DomainError(_NODE, "square root of a negative value")
-    if not isinstance(x, Jet):
-        return np.sqrt(x)
-    if x.order > 0 and np.any(v == 0.0):
-        raise DomainError(_NODE, "square root not differentiable at zero")
-    s = np.sqrt(v)
-    return x._compose(s, 0.5 / s, -0.25 / (s * v))
-
-
-def jabs(x):
-    v = _as_value(x)
-    if not isinstance(x, Jet):
-        return np.abs(x)
-    if x.order > 0 and np.any(v == 0.0):
-        raise DomainError(_NODE, "absolute value not differentiable at zero")
-    sign = np.sign(v)
-    return x._compose(np.abs(v), sign, np.zeros_like(v))
+    A jet exponent that varies over the points of a jet base needs a
+    positive base and runs as exp(b log a); a constant-valued one counts as
+    its first value.  An integer exponent (under 1e9 in size over a jet
+    base) then takes any base but zero to a negative power; any other
+    exponent, and a jet exponent over a constant base, needs a positive
+    base."""
+    jet_base = isinstance(a, Jet)
+    v = a.value if jet_base else a
+    if jet_base and isinstance(b, Jet):
+        if (b.value.size and np.ptp(b.value) != 0.0) or (
+            b.grad is not None and np.any(b.grad != 0.0)
+        ):
+            if np.any(v <= 0.0):
+                raise DomainError(_NODE, "power with non-constant exponent needs positive base")
+            return call("exp", b * call("log", a))
+        b = float(b.value.flat[0]) if b.value.size else 0.0
+    integer = not isinstance(b, Jet) and b == round(b) and not (jet_base and abs(b) >= 1e9)
+    if not integer and np.any(v <= 0.0):
+        raise DomainError(_NODE, "non-integer exponent needs positive base")
+    if integer and b < 0 and np.any(v == 0.0):
+        raise DomainError(_NODE, "zero base with negative exponent")
+    if not jet_base:
+        return call("exp", b * np.log(a)) if isinstance(b, Jet) else a ** b
+    k = float(b)
+    if integer:
+        k = int(round(k))
+        return a._compose(
+            v**k,
+            lambda v, f: k * _safe_int_pow(v, k - 1),
+            lambda v, f: k * (k - 1) * _safe_int_pow(v, k - 2),
+        )
+    return a._compose(
+        v**k, lambda v, f: k * v ** (k - 1.0), lambda v, f: k * (k - 1.0) * v ** (k - 2.0)
+    )

@@ -100,22 +100,29 @@ class RegionJob:
             object.__setattr__(self, "radial_fn", _ones)
 
 
+GEOMETRY_BLOCK = 1 << 16  # rows per geometry call of a round: bounds its memory
+
+
 def _job_values(imm, jobs, pts, of):
     """f at each row of pts for its job jobs[of[row]], radial_fn(r) from a
     first-order geometry and point_fn(geom) from a second-order one, with
-    one geometry call per order; returns f and sqrt(det g) at the rows."""
+    one geometry call per order on each block of GEOMETRY_BLOCK rows; a
+    point's geometry does not depend on its batch, so blocks change no bit.
+    Returns f and sqrt(det g) at the rows."""
     vals, sqrt_det = np.empty(len(pts)), np.empty(len(pts))
     orders = np.array([1 if job.radial_fn is not None else 2 for job in jobs])[of]
-    for order in np.unique(orders):
-        at = np.flatnonzero(orders == order)
-        g = geometry(imm, pts[at], order=int(order))
-        sqrt_det[at] = g.sqrt_det
-        for t in np.unique(of[at]):
-            sel, job = of[at] == t, jobs[t]
-            if job.radial_fn is not None:
-                vals[at[sel]] = job.radial_fn(g.r[sel])
-            else:
-                vals[at[sel]] = job.point_fn(g.select(sel))
+    for start in range(0, len(pts), GEOMETRY_BLOCK):
+        block = orders[start : start + GEOMETRY_BLOCK]
+        for order in np.unique(block):
+            at = start + np.flatnonzero(block == order)
+            g = geometry(imm, pts[at], order=int(order))
+            sqrt_det[at] = g.sqrt_det
+            for t in np.unique(of[at]):
+                sel, job = of[at] == t, jobs[t]
+                if job.radial_fn is not None:
+                    vals[at[sel]] = job.radial_fn(g.r[sel])
+                else:
+                    vals[at[sel]] = job.point_fn(g.select(sel))
     return vals, sqrt_det
 
 

@@ -290,8 +290,7 @@ def _needs_inverse_constant(cfg, imm, entry, spec):
 def _needs_isoperimetric_constant(cfg, imm, entry, spec):
     if spec.kind == "mcf":
         return _needs_shrinker(cfg, imm, entry, spec)
-    c = spec.constant
-    if 0.0 <= c <= 1.0 / imm.dim or inequalities.is_one_over_n(c, imm.dim):
+    if inequalities.isoperimetric_excluded(spec.constant, imm.dim):
         return (
             "inverse-flow constant in [0, 1/n]: the comparison factor "
             "(Cn - 1)/(Cn) is not positive"

@@ -87,6 +87,15 @@ def _report(kind, constant, residuals, tol):
     )
 
 
+def _inverse_field(g: PointGeometry) -> np.ndarray:
+    """H/|H|^2, the inverse flow's curvature term; a minimal point (|H| at
+    most TOL_H) is an error."""
+    normH = g.normH
+    if np.any(normH <= TOL_H):
+        raise VanishingMeanCurvature(g.points[int(np.argmin(normH))])
+    return g.H / normH[:, None] ** 2
+
+
 def mcf_residual(
     imm: Immersion,
     lam: float,
@@ -108,14 +117,10 @@ def imcf_residual(
     tol: float = DEFAULT_RESIDUAL_TOL,
     count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    tol_h: float = TOL_H,
 ) -> ResidualReport:
     """sup over samples of |H/|H|^2 + C * Xperp|; minimal points are an error."""
     g = sample_geometry(imm, samples, count, seed)
-    normH = g.normH
-    if np.any(normH <= tol_h):
-        raise VanishingMeanCurvature(g.points[int(np.argmin(normH))])
-    res = np.linalg.norm(g.H / normH[:, None] ** 2 + c * g.Xperp, axis=1)
+    res = np.linalg.norm(_inverse_field(g) + c * g.Xperp, axis=1)
     return _report("imcf", c, res, tol)
 
 
@@ -133,7 +138,6 @@ def infer_constant(
     count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     tol: float = DEFAULT_RESIDUAL_TOL,
-    tol_h: float = TOL_H,
 ) -> InferredConstant:
     """Least-squares inversion of the soliton equation over the samples.
 
@@ -146,14 +150,11 @@ def infer_constant(
     if kind == "mcf":
         field_vec = g.H
     elif kind == "imcf":
-        normH = g.normH
-        if np.any(normH <= tol_h):
-            raise VanishingMeanCurvature(g.points[int(np.argmin(normH))])
-        field_vec = g.H / normH[:, None] ** 2
+        field_vec = _inverse_field(g)
     else:
         raise ValueError(f"unknown flow kind {kind!r}")
-    if perp2 <= tol_h * len(g.points):
-        if kind == "mcf" and float(np.abs(field_vec).max(initial=0.0)) <= tol_h:
+    if perp2 <= TOL_H * len(g.points):
+        if kind == "mcf" and float(np.abs(field_vec).max(initial=0.0)) <= TOL_H:
             # totally geodesic through the origin: H = Xperp = 0 identically
             report = _report("mcf", 0.0, np.zeros(len(g.points)), tol)
             return InferredConstant("mcf", 0.0, report)
@@ -232,10 +233,7 @@ def homothety_flow_residual(
         if spec.kind == "mcf":
             res = np.linalg.norm(vel_normal - scaled.H, axis=1)
         else:
-            normH = scaled.normH
-            if np.any(normH <= TOL_H):
-                raise VanishingMeanCurvature(base.points[int(np.argmin(normH))])
-            res = np.linalg.norm(vel_normal + scaled.H / normH[:, None] ** 2, axis=1)
+            res = np.linalg.norm(vel_normal + _inverse_field(scaled), axis=1)
         sup_by_time.append(float(res.max()))
         del scaled  # freed before the next scale's geometry is built
     sup = max(sup_by_time) if sup_by_time else 0.0

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from solab import dsl
+from solab import dsl, jets
 from solab.errors import (
     ArityMismatch,
     DomainError,
@@ -197,6 +197,65 @@ def test_batched_evaluation_matches_pointwise():
         assert jet.value[i] == v
         np.testing.assert_array_equal(jet.grad[i], g)
         np.testing.assert_array_equal(jet.hess[i], h)
+
+
+# --- the function table and the operators' domain rules ---------------------------
+
+LOWER_ORDER_SOURCES = [f"{name}(0.5 + u1*u2)" for name in dsl.FUNCTIONS] + [
+    "u1/u2", "2/u1", "u1/3", "u1^3", "u1^-2", "u1^0", "u1^1.5", "u1^u2", "2^u1", "u1^(u2 - u2)",
+]
+
+
+@pytest.mark.parametrize("src", LOWER_ORDER_SOURCES)
+def test_lower_orders_match_order_two_bit_for_bit(src):
+    # derivatives are computed only to the jet's order, from the same values
+    tree = dsl.parse(src)
+    pts = np.array([[0.3, 1.1], [1.7, 0.4], [0.9, 1.3], [1.2, 0.6]])
+    full = dsl.eval_jet(tree, pts, order=2)
+    first = dsl.eval_jet(tree, pts, order=1)
+    value = dsl.eval_jet(tree, pts, order=0)
+    assert value.grad is None and first.hess is None
+    assert value.value.tobytes() == first.value.tobytes() == full.value.tobytes()
+    assert first.grad.tobytes() == full.grad.tobytes()
+
+
+def test_unused_derivatives_are_not_computed():
+    # f' of sqrt and f'' of u1^1 divide by zero at 0; the suite turns that
+    # warning into an error, so neither may run below its order
+    jet = dsl.eval_jet(dsl.parse("sqrt(u1)"), [[0.0]], order=0)
+    assert jet.value.tolist() == [0.0] and jet.grad is None
+    jet = dsl.eval_jet(dsl.parse("u1^1"), [[0.0]], order=1)
+    assert jet.value.tolist() == [0.0] and jet.grad.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize(
+    "src,point,order,message",
+    [
+        ("log(u1)", [0.0], 0, "'log(u1)': logarithm of a nonpositive value"),
+        ("sqrt(u1)", [-1.0], 0, "'sqrt(u1)': square root of a negative value"),
+        ("sqrt(u1)", [0.0], 1, "'sqrt(u1)': square root not differentiable at zero"),
+        ("abs(u1)", [0.0], 1, "'abs(u1)': absolute value not differentiable at zero"),
+        ("u1/0", [1.0], 0, "'u1/0.0': division by zero"),
+        ("1/u1", [0.0], 0, "'1.0/u1': division by zero"),
+        ("u1^0.5", [-1.0], 0, "'u1^0.5': non-integer exponent needs positive base"),
+        ("(-2)^u1", [1.0], 0, "'(-2.0)^u1': non-integer exponent needs positive base"),
+        ("u1^-1", [0.0], 0, "'u1^-1.0': zero base with negative exponent"),
+        ("0^-1", [1.0], 0, "'0.0^-1.0': zero base with negative exponent"),
+        (
+            "u1^u2", [-1.0, 1.0], 1,
+            "'u1^u2': power with non-constant exponent needs positive base",
+        ),
+    ],
+)
+def test_domain_rule_messages(src, point, order, message):
+    with pytest.raises(DomainError) as err:
+        dsl.eval_jet(dsl.parse(src), [point], order)
+    assert str(err.value) == f"domain error in {message}"
+
+
+def test_tangent_rule_is_in_the_table():
+    # no double has cos(v) == 0, so no expression reaches this rule
+    assert [why for _, why in jets.FUNCTIONS["tan"][3]] == ["tangent pole"]
 
 
 # --- property suite (random expressions vs. finite differences) -----------------

@@ -349,6 +349,25 @@ def test_region_integrals_match_one_at_a_time(make, jobs, method):
     assert batched == alone
 
 
+def test_geometry_blocks_change_no_bit(monkeypatch):
+    # a round's geometry runs in blocks of GEOMETRY_BLOCK rows; blocks of 7
+    # split rows of both derivative orders and of several jobs, and change
+    # no value, error or cell count
+    imm = cylinder_chart()
+    jobs = _cylinder_jobs(imm)[-4:]
+    whole = region_integrals(imm, jobs)
+    sizes = []
+
+    def counting(imm, points, order=2):
+        sizes.append(len(points))
+        return geometry(imm, points, order)
+
+    monkeypatch.setattr(quadrature, "geometry", counting)
+    monkeypatch.setattr(quadrature, "GEOMETRY_BLOCK", 7)
+    assert region_integrals(imm, jobs) == whole
+    assert max(sizes) <= 7 and sum(sizes) > 1000
+
+
 def test_dot_is_a_left_fold_over_the_nodes():
     # each row's sum is the plain sum in node order, whatever batch holds it
     rng = np.random.default_rng(5)
