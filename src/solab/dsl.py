@@ -235,10 +235,10 @@ def default_param_names(dim: int) -> list[str]:
     return [f"u{i + 1}" for i in range(dim)]
 
 
-def parse(source: str, param_names=None, dim: int | None = None) -> Expr:
-    """Parse ``source`` against the declared parameter names (default u1..un)."""
+def parse(source: str, param_names=None) -> Expr:
+    """Parse ``source`` against the declared parameter names (default u1..u8)."""
     if param_names is None:
-        param_names = default_param_names(dim if dim is not None else 8)
+        param_names = default_param_names(8)
     return _Parser(tokenize(source), list(param_names)).parse()
 
 

@@ -49,6 +49,10 @@ from .quadrature import ExtrinsicRegion, _region_bounds
 from .solitons import SolitonSpec, imcf_residual
 
 SNAP_FRACTION = 0.3  # grid vertices closer than this (in edge units) snap onto the level
+BOUND_RADII = 21  # levels of the capacity bound's foliation integral
+BOUND_RESOLUTION = 160  # grid cells per axis of its marched levels
+EXIT_TIME_TOL = 1e-3  # slack of the direct-flow exit-time comparison
+PROPORTIONAL_TOL = 0.02  # relative spread of an exit-time ratio that counts as constant
 
 
 @dataclass
@@ -443,13 +447,11 @@ class CapacityBound:
     flux: np.ndarray
 
 
-def capacity_upper_bound(
-    imm: Immersion, rho: float, R: float, grid_points: int = 21, resolution: int = 160
-):
+def capacity_upper_bound(imm: Immersion, rho: float, R: float):
     """Dirichlet-energy bound from the radial foliation:
     cap <= ( integral of dt / flux(t) )^(-1) with flux(t) the level flux of r."""
-    radii = np.linspace(rho, R, grid_points)
-    flux = np.array([b.flux for b in level_boundaries(imm, radii, resolution)])
+    radii = np.linspace(rho, R, BOUND_RADII)
+    flux = np.array([b.flux for b in level_boundaries(imm, radii, BOUND_RESOLUTION)])
     if np.any(flux <= 0):
         raise MeshFailure("vanishing level flux inside the window")
     integral = np.trapezoid(1.0 / flux, radii)
@@ -518,7 +520,7 @@ class ExitTimeComparison:
 
 
 def exit_time_comparison(
-    imm: Immersion, spec: SolitonSpec, R: float, h: float = 0.05, tol: float = 1e-3,
+    imm: Immersion, spec: SolitonSpec, R: float, h: float = 0.05,
     field_: ExitTimeField | None = None,
 ) -> ExitTimeComparison:
     if field_ is None:
@@ -531,14 +533,14 @@ def exit_time_comparison(
             margin = float((field_.transplanted - field_.values).min())
         return ExitTimeComparison(
             R, "mcf", margin, None, None, field_.mesh.vertex_count,
-            "PASS" if margin >= -tol else "FAIL", notes,
+            "PASS" if margin >= -EXIT_TIME_TOL else "FAIL", notes,
         )
     target = spec.constant * imm.dim / (spec.constant * imm.dim - 1.0)
     ratio = _interior_ratio(field_, h)
     dev = float(np.abs(ratio / target - 1.0).max())
     return ExitTimeComparison(
         R, "imcf", None, target, dev, len(ratio),
-        "PASS" if dev < max(tol, 0.02) else "FAIL", notes,
+        "PASS" if dev < PROPORTIONAL_TOL else "FAIL", notes,
     )
 
 
@@ -562,9 +564,7 @@ class ExitTimeCharacterization:
     notes: tuple
 
 
-def soliton_from_exit_time(
-    imm: Immersion, radii, h: float = 0.05, proportional_tol: float = 0.02
-) -> ExitTimeCharacterization:
+def soliton_from_exit_time(imm: Immersion, radii, h: float = 0.05) -> ExitTimeCharacterization:
     """Estimate alpha with E_R = alpha * Ebar_R across extrinsic balls and
     invert it to an inverse-flow constant.
 
@@ -580,7 +580,7 @@ def soliton_from_exit_time(
         ratio = _interior_ratio(solve_exit_time(imm, R, h), h)
         med = float(np.median(ratio))
         spread = float(np.abs(ratio / med - 1.0).max())
-        if spread > proportional_tol:
+        if spread > PROPORTIONAL_TOL:
             raise NonProportional(
                 f"R={R}: exit-time ratio varies by {spread:.3f} over the ball; "
                 "the proportionality hypothesis fails"
@@ -588,7 +588,7 @@ def soliton_from_exit_time(
         alphas.append(med)
     alpha = float(np.mean(alphas))
     spread = float(np.ptp(alphas) / abs(alpha)) if len(alphas) > 1 else 0.0
-    if spread > proportional_tol:
+    if spread > PROPORTIONAL_TOL:
         raise NonProportional(
             f"exit-time ratio drifts across radii: alphas = {alphas}"
         )

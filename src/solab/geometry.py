@@ -97,6 +97,15 @@ class Immersion:
     def ambient_dim(self) -> int:
         return self.chart.ambient_dim
 
+    @property
+    def route(self) -> str:
+        """How radial integrals and level sets are computed, the one place
+        this is decided: "constant" on a spherical image, "product" where a
+        RadialStructure is declared (in every dimension), "chart" otherwise."""
+        if self.constant_radius is not None:
+            return "constant"
+        return "chart" if self.radial is None else "product"
+
     def require_window(self, R: float) -> None:
         if R > self.properness_radius * (1 + 1e-12) and not self.compact:
             raise ImproperWindow(
@@ -387,9 +396,7 @@ class RadialFunction:
         )
 
 
-def radial_laplacian(
-    geom: PointGeometry, F: RadialFunction, exclusion: float = ORIGIN_EXCLUSION
-) -> np.ndarray:
+def radial_laplacian(geom: PointGeometry, F: RadialFunction) -> np.ndarray:
     """Laplace-Beltrami of F(r) from the position split:
 
         (F''/r^2 - F'/r^3)|X^T|^2 + (F'/r)(n + <X, H>)
@@ -397,8 +404,8 @@ def radial_laplacian(
     if geom.H is None:
         raise ValueError("radial_laplacian needs order-2 geometry")
     r = geom.r
-    if np.any(r < exclusion):
-        raise OriginSingularity(float(r.min()), exclusion)
+    if np.any(r < ORIGIN_EXCLUSION):
+        raise OriginSingularity(float(r.min()), ORIGIN_EXCLUSION)
     n = geom.dim
     xt2 = np.einsum("na,na->n", geom.XT, geom.XT)
     return (F.ddf(r) / r**2 - F.df(r) / r**3) * xt2 + (F.df(r) / r) * (

@@ -31,6 +31,7 @@ BOUNDARY_REL_ERR = 1e-3  # validated marching accuracy at default resolution
 # no residual check (tolerance 1e-8) tells constants 1e-12 apart, so the
 # excluded windows below do not hang on the last bits of a fit.
 INVERSE_CONSTANT_RTOL = 1e-12
+SAMPLE_TOL = 1e-8  # the critical-sphere band and the rescaling identity's tolerance
 
 
 def is_one_over_n(c: float, n: int) -> bool:
@@ -87,7 +88,7 @@ def isoperimetric_mcf(imm, lam, radii, seed=DEFAULT_SEED) -> list[InequalityMarg
     reference, plus nonnegativity of the discount factor, per radius."""
     _verify_soliton(imm, "mcf", lam, seed)
     n = imm.dim
-    if imm.constant_radius is not None:
+    if imm.route == "constant":
         return [
             InequalityMargin(
                 f"isoperimetric(R={R:g})", math.nan, math.nan, math.nan, 0.0, "SKIPPED",
@@ -142,7 +143,7 @@ def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[InequalityMargi
         )
     _verify_soliton(imm, "imcf", c, seed)
     factor = (c * n - 1.0) / (c * n)
-    if imm.constant_radius is not None:
+    if imm.route == "constant":
         return [
             InequalityMargin(
                 f"isoperimetric-inverse(R={R:g})", math.nan, math.nan, math.nan,
@@ -225,7 +226,7 @@ class SeparationReport:
 
 
 def separation_check(
-    imm, lam, samples=None, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=1e-8
+    imm, lam, samples=None, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED
 ) -> SeparationReport:
     """Classify sampled radii against sqrt(n/lam).  A one-sided configuration
     forces a minimal spherical immersion, so the report then also measures
@@ -236,7 +237,7 @@ def separation_check(
         raise InvalidParams("separation concerns shrinkers (lam > 0)")
     g = sample_geometry(imm, samples, count, seed)
     crit = math.sqrt(imm.dim / lam)
-    band = tol * max(1.0, crit)
+    band = SAMPLE_TOL * max(1.0, crit)
     below = int((g.r < crit - band).sum())
     above = int((g.r > crit + band).sum())
     defect = None
@@ -274,7 +275,7 @@ class ShapeThresholdReport:
 
 
 def second_form_threshold(
-    imm, lam, samples=None, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=1e-8
+    imm, lam, samples=None, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED
 ) -> ShapeThresholdReport:
     """Shape-tensor magnitude against the classification landmarks 1, 5/3, 2,
     plus the rescaling identity |A~|^2 = (n/lam)|A|^2 - n checked directly on
@@ -301,7 +302,7 @@ def second_form_threshold(
     }
     return ShapeThresholdReport(
         float(ratio.max()), landmarks, rescale,
-        spherical, "PASS" if rescale < tol else "FAIL", notes,
+        spherical, "PASS" if rescale < SAMPLE_TOL else "FAIL", notes,
     )
 
 
@@ -317,7 +318,7 @@ class CurvatureParabolicityReport:
 
 
 def rimoldi_criterion(
-    imm, lam, samples=None, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED, r_cut=None
+    imm, lam, samples=None, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED
 ) -> CurvatureParabolicityReport:
     """Does |H| >= sqrt(n lam) hold outside a compact set?  Reported together
     with the sign of the radial Laplacian of r^2 there (nonpositive exactly
@@ -329,11 +330,10 @@ def rimoldi_criterion(
             0.0, 0, math.inf, math.sqrt(n * lam) if lam > 0 else None, -math.inf,
             "VACUOUS", ("compact image: the hypothesis holds outside itself",),
         )
-    if r_cut is None:
-        if lam > 0:
-            r_cut = min(3.0 * math.sqrt(n / lam), 0.75 * imm.properness_radius)
-        else:
-            r_cut = 0.5 * imm.properness_radius
+    if lam > 0:
+        r_cut = min(3.0 * math.sqrt(n / lam), 0.75 * imm.properness_radius)
+    else:
+        r_cut = 0.5 * imm.properness_radius
     g = sample_geometry(imm, samples, count, seed)
     far = g.r > r_cut
     if not far.any():

@@ -136,11 +136,12 @@ class Jet:
         return Jet(f, grad, hess)
 
 
-def _safe_int_pow(v, k):
-    """v**k for integer k, with negative powers guarded by the caller."""
-    if k >= 0:
-        return v ** k
-    return 1.0 / v ** (-k)
+def _monomial(c, v, k):
+    """c v^k for integer k, with negative powers guarded by the caller; a zero
+    coefficient gives zeros, so no unused power divides by a zero base."""
+    if c == 0:
+        return np.zeros_like(v)
+    return c * (v**k if k >= 0 else 1.0 / v ** (-k))
 
 
 # -- the function table --------------------------------------------------------
@@ -196,22 +197,18 @@ def divide(a, b):
 def power(a, b):
     """a ^ b for constants and jets.
 
-    A jet exponent that varies over the points of a jet base needs a
-    positive base and runs as exp(b log a); a constant-valued one counts as
-    its first value.  An integer exponent (under 1e9 in size over a jet
-    base) then takes any base but zero to a negative power; any other
-    exponent, and a jet exponent over a constant base, needs a positive
+    A jet exponent names a parameter, so it runs as exp(b log a) and needs a
+    positive base, whatever values it takes on a batch; a point's value
+    thus depends neither on its batch nor on the jet's order.  A constant
+    integer exponent (under 1e9 in size over a jet base) takes any base but
+    zero to a negative power; any other constant exponent needs a positive
     base."""
     jet_base = isinstance(a, Jet)
     v = a.value if jet_base else a
     if jet_base and isinstance(b, Jet):
-        if (b.value.size and np.ptp(b.value) != 0.0) or (
-            b.grad is not None and np.any(b.grad != 0.0)
-        ):
-            if np.any(v <= 0.0):
-                raise DomainError(_NODE, "power with non-constant exponent needs positive base")
-            return call("exp", b * call("log", a))
-        b = float(b.value.flat[0]) if b.value.size else 0.0
+        if np.any(v <= 0.0):
+            raise DomainError(_NODE, "power with non-constant exponent needs positive base")
+        return call("exp", b * call("log", a))
     integer = not isinstance(b, Jet) and b == round(b) and not (jet_base and abs(b) >= 1e9)
     if not integer and np.any(v <= 0.0):
         raise DomainError(_NODE, "non-integer exponent needs positive base")
@@ -224,8 +221,8 @@ def power(a, b):
         k = int(round(k))
         return a._compose(
             v**k,
-            lambda v, f: k * _safe_int_pow(v, k - 1),
-            lambda v, f: k * (k - 1) * _safe_int_pow(v, k - 2),
+            lambda v, f: _monomial(k, v, k - 1),
+            lambda v, f: _monomial(k * (k - 1), v, k - 2),
         )
     return a._compose(
         v**k, lambda v, f: k * v ** (k - 1.0), lambda v, f: k * (k - 1.0) * v ** (k - 2.0)

@@ -6,9 +6,10 @@ a structured grid, triangles or tetrahedra, by the sign of r - R into a
 polyline contour or a triangulated isosurface; it evaluates r on the grid
 once and solves the cut edges of all radii of a call in one crossing batch.
 The same grid helpers (`_cell_corners`, `grid_edges`, and `_KUHN` for one
-to three axes) lay fem's meshes, which cut the same Kuhn simplices.
-Product immersions (cylinders, planes) additionally admit a closed
-reduction of all boundary integrals, used for n >= 3 catalog runs.
+to three axes) lay fem's meshes, which cut the same Kuhn simplices.  The
+immersion's route picks the extraction: declared products (cylinders,
+planes) take the closed reduction of all boundary integrals in every
+dimension, spherical images have no regular level, and charts are marched.
 
 Boundary integrals use the induced metric: a point counts 1, a segment with
 edge e at its midpoint m contributes sqrt(e^T g(m) e), and a triangle half
@@ -42,34 +43,19 @@ class BoundaryData:
     notes: tuple = field(default=())
 
 
-def level_boundaries(
-    imm: Immersion, radii, resolution: int = 256, method: str = "auto"
-) -> list:
+def level_boundaries(imm: Immersion, radii, resolution: int = 256) -> list:
     """Area of the level set r = R plus the flux and co-area integrals, for
-    each R in radii.  A marched chart evaluates its grid once and solves the
-    crossings of all radii in one batch."""
+    each R in radii, on the immersion's route.  A marched chart evaluates
+    its grid once and solves the crossings of all radii in one batch."""
     for R in radii:
         imm.require_window(R)
-    if method == "auto":
-        if imm.constant_radius is not None:
-            method = "constant"
-        elif imm.dim <= 2:
-            method = "marching"
-        elif imm.radial is not None:
-            method = "product"
-        elif imm.dim == 3:
-            method = "marching"
-        else:
-            raise DimensionUnsupported(
-                f"no level-set extraction for generic dim {imm.dim}"
-            )
-    if method == "constant":
+    if imm.route == "constant":
         R0 = imm.constant_radius
         for R in radii:
             if abs(R - R0) <= 1e-9 * max(1.0, R0):
                 raise NonRegularLevel(R, "the whole image sits at this radius")
         return [BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True) for R in radii]
-    if method == "product":
+    if imm.route == "product":
         return [_product_boundary(imm, R) for R in radii]
     if imm.dim == 1:
         return [_points_boundary(imm, R, resolution) for R in radii]
@@ -80,14 +66,12 @@ def level_boundaries(
             else BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True)
             for R, elements in zip(radii, level_segments(imm, radii, cells))
         ]
-    raise DimensionUnsupported(f"dim {imm.dim}")
+    raise DimensionUnsupported(f"no level-set extraction for generic dim {imm.dim}")
 
 
-def boundary_area_and_flux(
-    imm: Immersion, R: float, resolution: int = 256, method: str = "auto"
-) -> BoundaryData:
+def boundary_area_and_flux(imm: Immersion, R: float, resolution: int = 256) -> BoundaryData:
     """level_boundaries at one radius."""
-    return level_boundaries(imm, [R], resolution, method)[0]
+    return level_boundaries(imm, [R], resolution)[0]
 
 
 def _product_boundary(imm: Immersion, R: float) -> BoundaryData:

@@ -1,13 +1,15 @@
 """Integration over extrinsic balls, annuli and the whole submanifold.
 
-One batched adaptive Gauss-Kronrod rule integrates on two routes:
+The immersion's route (``Immersion.route``) picks how: a spherical image
+multiplies its closed volume, and one batched adaptive Gauss-Kronrod rule
+integrates the other two routes:
 
-* product immersions (cylinders, planes) reduce every radial integral to one
+* declared products (cylinders, planes) reduce every radial integral to one
   dimension through their fiber decomposition, and pointwise integrands are
   verified to be radial before using the same reduction; the rule runs over
   the distance t from the axis, all jobs at once;
-* generic charts are integrated by pencil decomposition: the rule runs along
-  every chart axis, and along the innermost axis the sublevel conditions
+* charts are integrated by pencil decomposition: the rule runs along every
+  chart axis, and along the innermost axis the sublevel conditions
   rho < r < R are resolved into subintervals by root finding before
   quadrature.
 
@@ -51,6 +53,9 @@ __all__ = [
     "flux_identity_check",
     "shared_majorant_fit",
 ]
+
+TAIL_TOL = 1e-10  # a tail bound past the window must lie below this, absolute or relative
+PSI_GRID = 33  # radii of the parabolicity integral's Psi grid
 
 # id(immersion) -> (immersion, majorant constant) while a memo is open
 _MAJORANTS: ContextVar[dict | None] = ContextVar("solab_majorants", default=None)
@@ -126,62 +131,48 @@ def _job_values(imm, jobs, pts, of):
     return vals, sqrt_det
 
 
-def region_integrals(imm: Immersion, jobs, method: str = "auto") -> list[QuadratureResult]:
-    """Integrate each job's f dV over its region, one result per job.
+def region_integrals(imm: Immersion, jobs) -> list[QuadratureResult]:
+    """Integrate each job's f dV over its region, one result per job, on the
+    immersion's route.
 
-    On the product and pencil routes all jobs run in one pass of the rule;
+    On the product and chart routes all jobs run in one pass of the rule;
     every result is bit-identical to integrating that job on its own."""
-    if method == "auto":
-        if imm.constant_radius is not None:
-            method = "constant"
-        elif imm.radial is not None:
-            method = "product"
-        else:
-            method = "pencil"
-    if method == "constant":
-        return [
-            _constant_radius_integral(imm, job.region, job.radial_fn, job.point_fn)
-            for job in jobs
-        ]
-    if method == "product":
+    if imm.route == "constant":
+        return [_constant_radius_integral(imm, job) for job in jobs]
+    if imm.route == "product":
         return _product_integrals(imm, list(jobs))
     return _pencil_integrals(imm, list(jobs))
 
 
 def region_integral(
-    imm: Immersion,
-    region: ExtrinsicRegion,
-    radial_fn=None,
-    point_fn=None,
-    method: str = "auto",
+    imm: Immersion, region: ExtrinsicRegion, radial_fn=None, point_fn=None
 ) -> QuadratureResult:
     """Integrate f dV over {rho < r < R}; f is radial_fn(r) or point_fn(geom)."""
-    job = RegionJob(region, radial_fn, point_fn)
-    return region_integrals(imm, [job], method)[0]
+    return region_integrals(imm, [RegionJob(region, radial_fn, point_fn)])[0]
 
 
-def region_volume(region: ExtrinsicRegion, method: str = "auto"):
+def region_volume(region: ExtrinsicRegion):
     """Induced volume of the extrinsic region (integral of sqrt(det g))."""
     region.imm.require_window(region.R)
-    return region_integral(region.imm, region, method=method)
+    return region_integral(region.imm, region)
 
 
 # --- constant-radius (spherical) immersions -----------------------------------
 
 
-def _constant_radius_integral(imm, region, radial_fn, point_fn):
+def _constant_radius_integral(imm, job):
     R0 = imm.constant_radius
-    if not (region.rho < R0 < region.R):
+    if not (job.region.rho < R0 < job.region.R):
         return QuadratureResult(0.0, 0.0, 0, method="constant")
     if imm.total_volume is None:
         raise ImproperWindow(
             f"{imm.name}: no closed volume available for the constant-radius route"
         )
-    if radial_fn is not None:
-        value = float(radial_fn(np.array([R0]))[0]) * imm.total_volume
+    if job.radial_fn is not None:
+        value = float(job.radial_fn(np.array([R0]))[0]) * imm.total_volume
         return QuadratureResult(value, 0.0, 1, method="constant")
     pts = sample_box(imm.chart, 5, 13)
-    vals = point_fn(geometry(imm, pts))
+    vals = job.point_fn(geometry(imm, pts))
     if np.ptp(vals) > 1e-8 * max(1.0, np.abs(vals).max()):
         raise ImproperWindow(
             f"{imm.name}: pointwise integrand is not homogeneous; the "
@@ -594,7 +585,7 @@ def _fit_majorant(imm: Immersion) -> float:
     return 10.0 * best
 
 
-def _gaussian_tails(imm: Immersion, lam: float, tails, tol: float):
+def _gaussian_tails(imm: Immersion, lam: float, tails):
     """Integrals of r^p exp(-lam r^2/2) dV over {r > R}, one per (R, p) in
     tails, in one region_integrals pass.
 
@@ -603,15 +594,22 @@ def _gaussian_tails(imm: Immersion, lam: float, tails, tol: float):
     bound c * n * integral over (W, inf) of t^(n-1+p) exp(-lam t^2/2) dt on
     the rest, with c from _euclidean_majorant, as its tail and in its error;
     a radius at or past W gets 0 and that bound.  TruncationFailure is raised
-    when a bound exceeds both tol and tol times its integral over {R < r < W}."""
+    when a bound exceeds both TAIL_TOL and TAIL_TOL times its integral over
+    {R < r < W}: before any quadrature where it exceeds TAIL_TOL times the
+    majorant's bound c W^n max over [R, W] of t^p exp(-lam t^2/2) on that
+    integral, and after it otherwise."""
     if lam <= 0:
         raise ValueError("the Gaussian weight needs lam > 0")
-    if imm.constant_radius is not None:
+    if imm.route == "constant":
         W, bounds = math.inf, [0.0] * len(tails)
     else:
         n, W = imm.dim, imm.properness_radius
         c = _euclidean_majorant(imm)
         bounds = [c * n * _gamma_tail(n - 1 + p, lam / 2.0, W) for _, p in tails]
+        for (R, p), bound in zip(tails, bounds):
+            t = min(max(math.sqrt(p / lam), R), W)  # where the weight peaks on [R, W]
+            most = c * W**n * t**p * math.exp(-lam * t * t / 2.0) if R < W else 0.0
+            _check_tail(imm, W, bound, most, "at most ")
     inner = [t for t, (R, _) in enumerate(tails) if R < W]
     jobs = [
         RegionJob(ExtrinsicRegion(imm, R, W), lambda r, p=p: r**p * np.exp(-lam * r**2 / 2.0))
@@ -621,25 +619,31 @@ def _gaussian_tails(imm: Immersion, lam: float, tails, tol: float):
     for t, res in zip(inner, region_integrals(imm, jobs)):
         out[t] = res
     for res, bound in zip(out, bounds):
-        if bound > tol * max(1.0, abs(res.value)):
-            raise TruncationFailure(
-                f"{imm.name}: tail bound {bound:.3e} at the properness window "
-                f"{W:.3g} exceeds tolerance {tol:.1e} and {tol:.1e} of the "
-                f"integral {res.value:.6g} inside it"
-            )
+        _check_tail(imm, W, bound, res.value)
         res.tail = bound
         res.error += bound
     return out
 
 
-def gaussian_volume(imm: Immersion, lam: float, tol: float = 1e-10) -> QuadratureResult:
+def _check_tail(imm, W, bound, integral, qualifier=""):
+    """TruncationFailure when a tail bound exceeds both TAIL_TOL and TAIL_TOL
+    times the integral inside the window."""
+    if bound > TAIL_TOL * max(1.0, abs(integral)):
+        raise TruncationFailure(
+            f"{imm.name}: tail bound {bound:.3e} at the properness window "
+            f"{W:.3g} exceeds tolerance {TAIL_TOL:.1e} and {TAIL_TOL:.1e} of the "
+            f"integral {qualifier}{integral:.6g} inside it"
+        )
+
+
+def gaussian_volume(imm: Immersion, lam: float) -> QuadratureResult:
     """Integral of exp(-lam r^2 / 2) dV over the whole immersion."""
-    return _gaussian_tails(imm, lam, [(0.0, 0)], tol)[0]
+    return _gaussian_tails(imm, lam, [(0.0, 0)])[0]
 
 
-def second_moment(imm: Immersion, lam: float, tol: float = 1e-10) -> QuadratureResult:
+def second_moment(imm: Immersion, lam: float) -> QuadratureResult:
     """Integral of r^2 exp(-lam r^2 / 2) dV over the whole immersion."""
-    return _gaussian_tails(imm, lam, [(0.0, 2)], tol)[0]
+    return _gaussian_tails(imm, lam, [(0.0, 2)])[0]
 
 
 @dataclass
@@ -656,7 +660,7 @@ class IdentityMargin:
 def weighted_identity_check(imm: Immersion, lam: float, tol: float = 1e-3) -> IdentityMargin:
     """Relative defect of lam * second_moment = n * gaussian_volume; both
     moments share one majorant fit and one quadrature pass."""
-    m0, m2 = _gaussian_tails(imm, lam, [(0.0, 0), (0.0, 2)], 1e-10)
+    m0, m2 = _gaussian_tails(imm, lam, [(0.0, 0), (0.0, 2)])
     n = imm.dim
     lhs = lam * m2.value
     rhs = n * m0.value
@@ -685,18 +689,18 @@ class PsiCurve:
     notes: tuple = field(default=())
 
 
-def psi(imm: Immersion, lam: float, radii, tol: float = 1e-10) -> PsiCurve:
+def psi(imm: Immersion, lam: float, radii) -> PsiCurve:
     """Tail weighted second moment Psi(R) = integral over {r > R} of
     r^2 exp(-lam r^2/2) dV, each with the bound on its part past the
     properness window; cylinders also carry the closed form for
     cross-checking."""
     radii = np.asarray(radii, dtype=float)
-    shells = _gaussian_tails(imm, lam, [(R, 2) for R in radii], tol)
+    shells = _gaussian_tails(imm, lam, [(R, 2) for R in radii])
     values = np.array([res.value for res in shells], dtype=float)
     errors = np.array([res.error for res in shells], dtype=float)
     tails = np.array([res.tail for res in shells], dtype=float)
     closed = None
-    if imm.radial is not None:
+    if imm.route == "product":
         closed = np.array([cylinder_psi_closed_form(imm, lam, R) for R in radii])
     return PsiCurve(radii, values, errors, tails, closed)
 
@@ -727,14 +731,14 @@ class ParabolicityReport:
 
 
 def parabolicity_integral(
-    imm: Immersion, lam: float, R0: float, R_max: float, grid_points: int = 33
+    imm: Immersion, lam: float, R0: float, R_max: float
 ) -> ParabolicityReport:
     """Partial sufficient-condition integral and a decay-trend classification.
 
     The integrand behaves like t^(1-d) when Psi ~ poly(deg d) * exp(-lam t^2/2);
     a tail log-slope >= -1.5 (1/t or slower) is classified divergent-like.
     """
-    grid = np.linspace(R0, R_max, grid_points)
+    grid = np.linspace(R0, R_max, PSI_GRID)
     curve = psi(imm, lam, grid)
     if np.any(curve.values < 1e-300):
         bad = grid[int(np.argmin(curve.values))]
@@ -743,7 +747,7 @@ def parabolicity_integral(
         )
     integrand = grid * np.exp(-lam * grid**2 / 2.0) / curve.values
     value = float(np.trapezoid(integrand, grid))
-    k = max(grid_points // 3, 4)
+    k = max(PSI_GRID // 3, 4)
     slope = np.polyfit(np.log(grid[-k:]), np.log(integrand[-k:]), 1)[0]
     trend = "DIVERGENT-LIKE" if slope >= -1.5 else "CONVERGENT-LIKE"
     return ParabolicityReport(value, trend, float(slope))
@@ -775,14 +779,13 @@ def flux_identity_check(
     imm.require_window(R)
     n = imm.dim
     region = ExtrinsicRegion(imm, 0.0, R)
-    method = "pencil" if (imm.dim <= 2 and imm.constant_radius is None) else "auto"
     jobs = [
         RegionJob(region, lambda r: np.exp(-lam * r**2 / 2.0) * (n - lam * r**2)),
         RegionJob(region),
         RegionJob(region, point_fn=lambda g: g.normH**2),
         RegionJob(region, lambda r: (1.0 - lam * r**2 / n) * np.exp(lam * (R**2 - r**2) / 2.0)),
     ]
-    lhs, vol, h2, avg = (res.value for res in region_integrals(imm, jobs, method=method))
+    lhs, vol, h2, avg = (res.value for res in region_integrals(imm, jobs))
     boundary = boundary_area_and_flux(imm, R)
     rhs = R * math.exp(-lam * R**2 / 2.0) * boundary.flux
     scale = max(abs(rhs), abs(lhs), 1e-9 * n * vol)

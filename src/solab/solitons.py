@@ -25,6 +25,7 @@ from .errors import (
     VanishingMeanCurvature,
 )
 from .geometry import (
+    ORIGIN_EXCLUSION,
     Immersion,
     PointGeometry,
     RadialFunction,
@@ -34,6 +35,7 @@ from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, homothetic_geometries, samp
 
 TOL_H = 1e-10  # below this |H| the immersion counts as minimal at the sample
 DEFAULT_RESIDUAL_TOL = 1e-8
+NEAR_SUP = 0.01  # samples within this of a probe's sampled supremum are near it
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,6 @@ def infer_constant(
     samples=None,
     count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> InferredConstant:
     """Least-squares inversion of the soliton equation over the samples.
 
@@ -156,7 +157,7 @@ def infer_constant(
     if perp2 <= TOL_H * len(g.points):
         if kind == "mcf" and float(np.abs(field_vec).max(initial=0.0)) <= TOL_H:
             # totally geodesic through the origin: H = Xperp = 0 identically
-            report = _report("mcf", 0.0, np.zeros(len(g.points)), tol)
+            report = _report("mcf", 0.0, np.zeros(len(g.points)), DEFAULT_RESIDUAL_TOL)
             return InferredConstant("mcf", 0.0, report)
         raise DegenerateNormalPosition(
             "normal position vanishes on the samples; the least-squares "
@@ -165,7 +166,7 @@ def infer_constant(
     cross = float(np.einsum("na,na->", field_vec, g.Xperp))
     constant = -cross / perp2
     res = np.linalg.norm(field_vec + constant * g.Xperp, axis=1)
-    report = _report(kind, constant, res, tol)
+    report = _report(kind, constant, res, DEFAULT_RESIDUAL_TOL)
     return InferredConstant(kind, constant, report)
 
 
@@ -278,28 +279,26 @@ def wmp_probe(
     samples=None,
     count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    k: int = 100,
-    exclusion: float = 1e-6,
 ) -> ProbeReport:
     """Evaluate the bounded probes u = (1 - r^-eps)/eps and v = -r^2 on samples
-    within 1/k of their supremum and report the sign of the radial Laplacian
+    within NEAR_SUP of their supremum and report the sign of the radial Laplacian
     there, together with the inequality the near-sup points must satisfy."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     g = sample_geometry(imm, samples, count, seed)
-    g = g.select(g.r > exclusion)
+    g = g.select(g.r > ORIGIN_EXCLUSION)
     n = imm.dim
 
     F = RadialFunction.shifted_inverse_power(eps)
     u = F.f(g.r)
     sup_u = float(u.max())
     u_constant = bool(np.ptp(u) <= 1e-12 * max(1.0, abs(sup_u)))
-    near = np.ones_like(u, bool) if u_constant else (u > sup_u - 1.0 / k)
+    near = np.ones_like(u, bool) if u_constant else (u > sup_u - NEAR_SUP)
     lap_u = radial_laplacian(g.select(near), F)
 
     V = RadialFunction.neg_r_squared()
     v = -g.r**2
-    near_v = np.ones_like(u, bool) if u_constant else (v > v.max() - 1.0 / k)
+    near_v = np.ones_like(u, bool) if u_constant else (v > v.max() - NEAR_SUP)
     lap_v = radial_laplacian(g.select(near_v), V)
 
     bound_lhs = bound_rhs = None

@@ -1,11 +1,14 @@
 """Catalog entries carry the advertised constants and cross-identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from solab.catalog import catalog, catalog_rows, castro_lerma_normH
+from solab.charts import ParamSpec, chart_from_sources
 from solab.errors import InvalidParams, UnknownCatalogEntry
-from solab.geometry import geometry
+from solab.geometry import Immersion, geometry
 from solab.sampling import sample_box
 
 
@@ -107,3 +110,33 @@ def test_catalog_rows_lists_six_entries():
     assert byname["veronese_surface"]["normA2_over_lam"] == pytest.approx(5.0 / 3.0)
     assert byname["clifford_torus"]["normA2_over_lam"] == pytest.approx(2.0)
     assert byname["sphere"]["normA2_over_lam"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "name,params,route",
+    [
+        ("sphere", {}, "constant"),
+        ("clifford", {}, "constant"),
+        ("veronese", {}, "constant"),
+        ("plane", {"n": 1}, "product"),
+        ("plane", {"n": 2}, "product"),
+        ("plane", {"n": 3}, "product"),
+        ("cylinder", {"n": 2, "k": 1}, "product"),
+        ("cylinder", {"n": 3, "k": 1}, "product"),
+        ("cylinder", {"n": 4, "k": 2}, "product"),
+        ("castro_lerma", {}, "chart"),
+    ],
+)
+def test_route_follows_the_declared_structure(name, params, route):
+    # spherical image, declared product in every dimension, or a chart
+    imm, _ = catalog(name, **params)
+    assert imm.route == route
+
+
+def test_a_user_chart_takes_the_chart_route():
+    chart = chart_from_sources(
+        2, 3, ["u1", "u2", "u1*u2"], [ParamSpec("u1", -1.0, 1.0), ParamSpec("u2", -1.0, 1.0)]
+    )
+    assert Immersion(chart, properness_radius=1.0).route == "chart"
+    plane, _ = catalog("plane", n=2)
+    assert replace(plane, radial=None).route == "chart"

@@ -226,6 +226,30 @@ def test_unused_derivatives_are_not_computed():
     assert jet.value.tolist() == [0.0] and jet.grad is None
     jet = dsl.eval_jet(dsl.parse("u1^1"), [[0.0]], order=1)
     assert jet.value.tolist() == [0.0] and jet.grad.tolist() == [[1.0]]
+    # a zero coefficient k or k(k - 1) of an integer power gives a zero
+    # derivative at a zero base instead of 0 * (1/0)
+    jet = dsl.eval_jet(dsl.parse("u1^0"), [[0.0]], order=1)
+    assert jet.value.tolist() == [1.0] and jet.grad.tolist() == [[0.0]]
+    jet = dsl.eval_jet(dsl.parse("u1^0"), [[0.0]], order=2)
+    assert jet.grad.tolist() == [[0.0]] and jet.hess.tolist() == [[[0.0]]]
+    jet = dsl.eval_jet(dsl.parse("u1^1"), [[0.0]], order=2)
+    assert jet.grad.tolist() == [[1.0]] and jet.hess.tolist() == [[[0.0]]]
+
+
+def test_jet_exponent_ignores_the_batch_and_the_order():
+    # a parameter exponent always runs as exp(u2 log u1): the nonpositive
+    # base fails at every order, though u2 takes one value on the batch
+    tree = dsl.parse("u1^u2")
+    for order in (0, 1, 2):
+        with pytest.raises(DomainError, match="power with non-constant exponent needs positive base"):
+            dsl.eval_jet(tree, [[-0.7, 2.0], [0.5, 2.0]], order)
+    # and a single point gets the bits of order 2 at orders 0 and 1
+    for point in np.random.default_rng(5).uniform(0.1, 3.0, size=(200, 2)):
+        full = dsl.eval_jet(tree, [point], order=2)
+        first = dsl.eval_jet(tree, [point], order=1)
+        value = dsl.eval_jet(tree, [point], order=0)
+        assert value.value.tobytes() == first.value.tobytes() == full.value.tobytes()
+        assert first.grad.tobytes() == full.grad.tobytes()
 
 
 @pytest.mark.parametrize(

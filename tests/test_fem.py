@@ -1,6 +1,7 @@
 """Meshing, induced-metric Galerkin solves, capacity and mean exit time."""
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -273,8 +274,8 @@ def test_capacity_below_radial_foliation_bound():
 )
 def test_capacity_upper_bound_matches_per_radius_fluxes(name, params, rho, R):
     # one grid evaluation and one crossing batch for all radii give the
-    # per-radius level fluxes bit for bit
-    imm, _ = catalog(name, **params)
+    # per-radius level fluxes bit for bit; the plane is marched as a chart
+    imm = replace(catalog(name, **params)[0], radial=None)
     bound = capacity_upper_bound(imm, rho, R)
     radii = np.linspace(rho, R, 21)
     flux = np.array([boundary_area_and_flux(imm, t, resolution=160).flux for t in radii])

@@ -1,6 +1,7 @@
 """Inequality margins, separation, landmarks and the curvature probe."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ def test_isoperimetric_factor_in_unit_interval(n, k):
 
 
 def test_ball_pieces_evaluate_the_marching_grid_once(monkeypatch):
-    imm, _ = catalog("plane", n=2)
+    # the plane without its declared product structure is a marched chart
+    imm = replace(catalog("plane", n=2)[0], radial=None)
     calls = []
 
     def counting(imm, points):

@@ -1,6 +1,7 @@
 """Level-set extraction and boundary integrals of the extrinsic distance."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,9 +48,10 @@ def test_sphere_critical_level():
 
 
 def test_product_reduction_matches_marching():
+    # the cylinder without its declared product structure is a chart, marched
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
-    closed = boundary_area_and_flux(imm, 2.0, method="product")
-    marched = boundary_area_and_flux(imm, 2.0, method="marching")
+    closed = boundary_area_and_flux(imm, 2.0)
+    marched = boundary_area_and_flux(replace(imm, radial=None), 2.0)
     assert marched.area == pytest.approx(closed.area, rel=2e-4)
     assert marched.flux == pytest.approx(closed.flux, rel=2e-4)
 
@@ -57,11 +59,30 @@ def test_product_reduction_matches_marching():
 def test_marching_tetrahedra_on_three_dimensional_cylinder():
     # S^1(1) x R^2 in R^4 at R = 2: level set is a flat torus S^1(1) x S^1(sqrt 3)
     imm, _ = catalog("generalized_cylinder", n=3, k=1, rho=1.0)
-    closed = boundary_area_and_flux(imm, 2.0, method="product")
+    closed = boundary_area_and_flux(imm, 2.0)
     assert closed.area == pytest.approx(4 * math.pi**2 * math.sqrt(3), rel=1e-12)
-    marched = boundary_area_and_flux(imm, 2.0, method="marching", resolution=240)
+    marched = boundary_area_and_flux(replace(imm, radial=None), 2.0, resolution=240)
     assert marched.area == pytest.approx(closed.area, rel=5e-3)
     assert marched.flux == pytest.approx(closed.flux, rel=5e-3)
+
+
+def test_declared_products_take_the_closed_form(monkeypatch):
+    # plane(2) evaluates no radius; the same plane as a chart marches its
+    # grid once, and both give the circle's length
+    imm, _ = catalog("plane", n=2)
+    calls = []
+
+    def counting(imm, points):
+        calls.append(len(points))
+        return radius_values(imm, points)
+
+    monkeypatch.setattr(levelset, "radius_values", counting)
+    closed = level_boundaries(imm, [1.0, 2.0])
+    assert calls == []
+    assert [b.area for b in closed] == pytest.approx([2 * math.pi, 4 * math.pi], rel=1e-15)
+    marched = level_boundaries(replace(imm, radial=None), [1.0, 2.0])
+    assert calls == [257**2]
+    assert [b.area for b in marched] == pytest.approx([b.area for b in closed], rel=2e-4)
 
 
 def test_circle_points_boundary():
@@ -116,14 +137,15 @@ def test_level_met_twice_between_two_scan_nodes():
     ],
 )
 def test_coarea_consistency(maker, R):
-    # d/dR Vol(D_R) equals the boundary integral of 1/|grad r| within 5%
+    # d/dR Vol(D_R) by the product route equals the boundary integral of
+    # 1/|grad r| on the marched level of the same surface as a chart within 5%
     imm = maker()
     h = 0.01
     dvol = (
         region_volume(ExtrinsicRegion(imm, 0.0, R + h)).value
         - region_volume(ExtrinsicRegion(imm, 0.0, R - h)).value
     ) / (2 * h)
-    b = boundary_area_and_flux(imm, R)
+    b = boundary_area_and_flux(replace(imm, radial=None), R)
     assert dvol == pytest.approx(b.coarea, rel=0.05)
 
 
@@ -209,9 +231,9 @@ def _clipped_boundaries(imm, levels, resolution):
     ("generalized_cylinder", {"n": 2, "k": 1, "rho": 1.0}),
 ])
 def test_kuhn_marcher_matches_clipped_triangles(name, params, resolution):
-    imm, _ = catalog(name, **params)
+    imm = replace(catalog(name, **params)[0], radial=None)  # marched as a chart
     levels = [1.5, 2.0, 3.0]
-    marched = level_boundaries(imm, levels, resolution, method="marching")
+    marched = level_boundaries(imm, levels, resolution)
     assert marched == _clipped_boundaries(imm, levels, resolution)
 
 

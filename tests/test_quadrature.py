@@ -1,6 +1,7 @@
 """Region quadrature, Gaussian-weighted volumes, Psi and the flux identity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from solab.charts import ParamSpec, chart_from_sources
 from solab.errors import ImproperWindow, PsiUnderflow, TruncationFailure
 from solab.geometry import Immersion, geometry, radius_values
 from solab.inequalities import isoperimetric_mcf
+import solab.levelset as levelset
 import solab.quadrature as quadrature
 from solab.quadrature import (
     ExtrinsicRegion,
@@ -80,8 +82,11 @@ def test_cylinder_ball_volume():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
     res = region_volume(ExtrinsicRegion(imm, 0.0, 2.0))
     assert res.value == pytest.approx(2 * math.pi * 2 * math.sqrt(3), rel=1e-9)
-    # the generic pencil route agrees with the product reduction
-    gen = region_volume(ExtrinsicRegion(imm, 0.0, 2.0), method="pencil")
+    # the pencil route, on the same cylinder as a chart, agrees with the
+    # product reduction
+    chart = replace(imm, radial=None)
+    gen = region_volume(ExtrinsicRegion(chart, 0.0, 2.0))
+    assert gen.method == "pencil"
     assert gen.value == pytest.approx(res.value, rel=1e-5)
 
 
@@ -89,7 +94,9 @@ def test_plane_disk_volume():
     imm, _ = catalog("plane", n=2)
     res = region_volume(ExtrinsicRegion(imm, 0.0, 1.0))
     assert res.value == pytest.approx(math.pi, rel=1e-10)
-    gen = region_volume(ExtrinsicRegion(imm, 0.0, 1.0), method="pencil")
+    chart = replace(imm, radial=None)
+    gen = region_volume(ExtrinsicRegion(chart, 0.0, 1.0))
+    assert gen.method == "pencil"
     assert gen.value == pytest.approx(math.pi, rel=1e-5)
 
 
@@ -193,7 +200,7 @@ def _line():
     "make,rho,R,exact",
     [
         (_line, 0.0, 3.0, 2 * math.sqrt(8.0)),  # |u1| < sqrt(8)
-        (lambda: catalog("plane", n=2)[0], 0.0, 1.0, math.pi),
+        (lambda: replace(catalog("plane", n=2)[0], radial=None), 0.0, 1.0, math.pi),
         (polar_bowl, 0.5, 2.0, polar_bowl_volume(0.5, 2.0)),
         (saddle, 0.0, 2.0, saddle_area(2.0)),  # chords shorter than the scan step
         (s1_times_r2, 0.0, 3.0, 16 * math.pi**2),  # 2 pi times the disk of radius sqrt(8)
@@ -205,7 +212,8 @@ def _line():
 )
 def test_pencil_route_closed_forms(make, rho, R, exact):
     # one route for dimensions 1-3; its carried error bounds the true one
-    res = region_volume(ExtrinsicRegion(make(), rho, R), method="pencil")
+    res = region_volume(ExtrinsicRegion(make(), rho, R))
+    assert res.method == "pencil"
     assert abs(res.value - exact) <= res.error <= 1e-8 * abs(exact)
 
 
@@ -558,6 +566,23 @@ def test_truncation_fails_when_the_tail_bound_is_large_against_the_integral():
         gaussian_volume(imm, 1.0)
 
 
+def test_hopeless_tail_fails_before_any_quadrature(monkeypatch):
+    # past W = 3 the majorant's bound on plane(2) is about 0.7, more than
+    # 1e-10 times any integral it allows inside W: no shell is integrated
+    imm, _ = catalog("plane", n=2, extent=3.0)
+    c = quadrature._euclidean_majorant(imm)  # the fit itself integrates balls
+    monkeypatch.setattr(quadrature, "_euclidean_majorant", lambda imm: c)
+
+    def refuse(imm, jobs):
+        raise AssertionError("region_integrals ran")
+
+    monkeypatch.setattr(quadrature, "region_integrals", refuse)
+    with pytest.raises(TruncationFailure, match="of the integral at most"):
+        gaussian_volume(imm, 1.0)
+    with pytest.raises(TruncationFailure, match="of the integral at most"):
+        psi(imm, 1.0, [0.5, 1.0, 2.0])
+
+
 def test_weighted_identity_negative_control():
     # cylinder tested against the wrong constant: closed forms give
     # margin = |lam - 1| / 2 exactly (lam* = 1 for C_1(1))
@@ -663,6 +688,31 @@ def test_flux_identity_cylinder():
     assert rep.factor_margin < 1e-3
     assert rep.rhs_nonnegative
     assert rep.verdict == "PASS"
+
+
+def test_flux_identity_takes_the_product_route_on_cylinders(monkeypatch):
+    # cylinder(2,1) declares its product structure, so neither a pencil nor a
+    # level-set march runs; the same cylinder as a chart takes both routes
+    # to the same identity
+    imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
+    chart = flux_identity_check(replace(imm, radial=None), 1.0, 2.0)
+    product, counts = quadrature._product_integrals, []
+
+    def counting(imm, jobs):
+        counts.append(len(jobs))
+        return product(imm, jobs)
+
+    def refuse(*args):
+        raise AssertionError("a chart route ran")
+
+    monkeypatch.setattr(quadrature, "_product_integrals", counting)
+    monkeypatch.setattr(quadrature, "_pencil_integrals", refuse)
+    monkeypatch.setattr(levelset, "level_segments", refuse)
+    rep = flux_identity_check(imm, 1.0, 2.0)
+    assert counts == [4]
+    assert rep.verdict == chart.verdict == "PASS"
+    assert rep.lhs == pytest.approx(chart.lhs, rel=1e-6)
+    assert rep.rhs == pytest.approx(chart.rhs, rel=1e-3)
 
 
 def test_flux_identity_plane_hand_value():
