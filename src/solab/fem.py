@@ -21,7 +21,8 @@ with the per-simplex induced metric (centroid value), so the discrete
 Dirichlet energy is
   sum_T vol_T sqrt(det g) grad^T g^{-1} grad.
 The capacity solve minimizes exactly this energy; the solver is conjugate
-gradients with diagonal preconditioning.
+gradients with diagonal preconditioning, run on a row-padded sparse matrix
+(PaddedRows) in the order of operations of scipy.sparse.linalg.cg.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import cg
 
 from .crossing import level_crossings
 from .errors import (
@@ -297,14 +295,79 @@ def _snap_to_levels(imm, verts, edges, levels, dof=None):
 def _simplex_gradients(verts, simplices):
     """Volumes |det M| / d! of (S, d+1) simplices, M's columns their edges,
     and the (S, d, d+1) parameter-space gradients of their barycentric
-    coordinates, M^-T [-1 ... -1; I]^T."""
-    M = (verts[simplices[:, 1:]] - verts[simplices[:, :1]]).transpose(0, 2, 1)
-    d = M.shape[1]
-    ref = np.vstack([-np.ones(d), np.eye(d)])
-    vol = np.abs(np.linalg.det(M)) / math.factorial(d)
-    # C order: einsum's sums over these rows, and so their last bits, follow
-    # the operands' memory layout
-    return vol, np.einsum("ski,vk->siv", np.linalg.inv(M), ref, order="C")
+    coordinates, M^-T [-1 ... -1; I]^T.
+
+    The gradient of the v-th barycentric coordinate, v >= 1, is row v - 1 of
+    M^-1 = adj(M) / det M, in closed form for d = 1, 2, 3: the rows of adj(M)
+    are e2 x e3, e3 x e1 and e1 x e2 for edges e1, e2, e3, and for d = 2 they
+    are (e2[1], -e2[0]) and (-e1[1], e1[0]).  The gradients sum to zero."""
+    e = verts[simplices[:, 1:]] - verts[simplices[:, :1]]  # (S, d, d): edge k is e[:, k]
+    d = e.shape[1]
+    if d == 1:
+        adj = np.ones_like(e)
+        det = e[:, 0, 0]
+    elif d == 2:
+        (a, c), (b, f) = e[:, 0].T, e[:, 1].T
+        adj = np.stack([np.stack([f, -b], axis=1), np.stack([-c, a], axis=1)], axis=1)
+        det = a * f - b * c
+    else:
+        adj = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])
+        det = np.einsum("si,si->s", e[:, 0], adj[:, 0])
+    rows = adj / det[:, None, None]  # (S, d, d): rows of M^-1
+    G = np.empty((len(e), d, d + 1))
+    G[:, :, 1:] = rows.transpose(0, 2, 1)
+    G[:, :, 0] = -rows.sum(axis=1)
+    return np.abs(det) / math.factorial(d), G
+
+
+@dataclass(frozen=True)
+class PaddedRows:
+    """A square sparse matrix held by rows: column j of ``index`` and
+    ``value``, both (w, V), lists row j's entries in increasing column order,
+    padded with zeros on column 0 to the widest row's w entries.  ``A @ v``
+    sums each row in that order, as a CSR matrix-vector product does."""
+
+    index: np.ndarray  # (w, V) column indices
+    value: np.ndarray  # (w, V) entries, 0 past the end of a row
+
+    @classmethod
+    def assembled(cls, rows, cols, values, size):
+        """The size x size matrix of the (row, col, value) entries, with the
+        duplicates of an entry summed in the order they are given."""
+        keys, slot = np.unique(rows * size + cols, return_inverse=True)
+        summed = np.bincount(slot, weights=values, minlength=len(keys))
+        row = keys // size
+        place = np.arange(len(keys)) - np.searchsorted(row, row)  # position within its row
+        width = int(place.max()) + 1 if len(keys) else 0
+        index = np.zeros((width, size), dtype=np.intp)
+        value = np.zeros((width, size))
+        index[place, row] = keys % size
+        value[place, row] = summed
+        return cls(index, value)
+
+    @property
+    def size(self):
+        return self.index.shape[1]
+
+    def __matmul__(self, v):
+        return (self.value * v[self.index]).sum(axis=0)
+
+    def diagonal(self):
+        return np.where(self.index == np.arange(self.size), self.value, 0.0).sum(axis=0)
+
+    def restrict(self, keep):
+        """The submatrix of the rows and columns where keep holds, numbered in
+        order; zero entries are dropped."""
+        index, value = self.index[:, keep], self.value[:, keep]
+        live = keep[index] & (value != 0.0)
+        width = int(live.sum(axis=0).max(initial=0))
+        order = np.argsort(~live, axis=0, kind="stable")[:width]  # live entries first, in order
+        live = np.take_along_axis(live, order, axis=0)
+        number = np.cumsum(keep) - 1
+        return PaddedRows(
+            np.where(live, number[np.take_along_axis(index, order, axis=0)], 0),
+            np.where(live, np.take_along_axis(value, order, axis=0), 0.0),
+        )
 
 
 def assemble(mesh: Mesh):
@@ -312,18 +375,14 @@ def assemble(mesh: Mesh):
     simplices = mesh.simplices
     k = simplices.shape[1]
     vol, G = _simplex_gradients(mesh.vertices, simplices)
-    Kloc = np.einsum(
-        "s,siv,sij,sjw->svw", vol * mesh.sqrt_det, G, mesh.metric_inv, G
-    )
+    weight = vol * mesh.sqrt_det
+    Kloc = G.transpose(0, 2, 1) @ (mesh.metric_inv @ G) * weight[:, None, None]
     dofs = mesh.dof_map[simplices]
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
-    K = sparse.coo_matrix(
-        (Kloc.ravel(), (rows, cols)), shape=(mesh.dof_count,) * 2
-    ).tocsr()
-    lump = vol * mesh.sqrt_det / k
+    K = PaddedRows.assembled(rows, cols, Kloc.ravel(), mesh.dof_count)
     load = np.zeros(mesh.dof_count)
-    np.add.at(load, dofs.ravel(), np.repeat(lump, k))
+    np.add.at(load, dofs.ravel(), np.repeat(weight / k, k))
     return K, load
 
 
@@ -336,17 +395,61 @@ class DirichletSolution:
     mesh: Mesh
 
 
-def _check_components(mesh: Mesh, K, dirichlet_idx):
-    n_comp, labels = connected_components(K != 0, directed=False)
-    if n_comp <= 1:
-        return
-    with_bc = set(labels[dirichlet_idx])
-    missing = [c for c in range(n_comp) if c not in with_bc]
+def _check_components(K: PaddedRows, dirichlet_idx):
+    """Raise DisconnectedRegion for the components of K's graph (its nonzero
+    entries) without a Dirichlet dof, each numbered by the rank of its
+    smallest dof."""
+    linked = K.value != 0.0
+    rows = np.broadcast_to(np.arange(K.size), K.index.shape)[linked]
+    cols = K.index[linked]
+    ends, starts = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    label = np.arange(K.size)  # converges to the smallest dof of each component
+    while True:
+        low = label.copy()
+        np.minimum.at(low, ends, label[starts])
+        low = low[low]
+        if (low == label).all():
+            break
+        label = low
+    labels = np.unique(label, return_inverse=True)[1]
+    with_bc = set(labels[dirichlet_idx].tolist())
+    missing = [c for c in range(int(labels.max(initial=-1)) + 1) if c not in with_bc]
     if missing:
         raise DisconnectedRegion(missing)
 
 
-def solve_dirichlet(mesh: Mesh, K, rhs, bc_values: dict) -> DirichletSolution:
+def cg(A, b, inv_diag, maxiter, callback=None):
+    """Jacobi-preconditioned conjugate gradients for A x = b from x = 0, in
+    the order of operations of scipy.sparse.linalg.cg with M = diag(inv_diag):
+    it stops once |r| < 1e-10 |b| and calls callback(x) after each
+    iteration.  Returns x and 0, or maxiter when the tolerance is missed."""
+    x = np.zeros_like(b)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return b, 0
+    atol = 1e-10 * bnorm
+    r = b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = inv_diag * r
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
+
+
+def solve_dirichlet(mesh: Mesh, K: PaddedRows, rhs, bc_values: dict) -> DirichletSolution:
     """Reduce to the free dofs and solve by Jacobi-preconditioned CG.
 
     Boundary values are given per vertex; the returned field is also expanded
@@ -360,13 +463,12 @@ def solve_dirichlet(mesh: Mesh, K, rhs, bc_values: dict) -> DirichletSolution:
         u[mesh.dof_map[idx]] = val
     if not fixed.any():
         raise MeshFailure("Dirichlet problem without any boundary vertices")
-    _check_components(mesh, K, np.nonzero(fixed)[0])
+    _check_components(K, np.nonzero(fixed)[0])
     free = ~fixed
-    Kff = K[free][:, free]
-    b = rhs[free] - K[free][:, fixed] @ u[fixed]
+    Kff = K.restrict(free)
+    b = rhs[free] - (K @ u)[free]  # u vanishes on the free dofs
     diag = Kff.diagonal()
     diag[diag <= 0] = 1.0
-    precond = sparse.diags(1.0 / diag)
     cap = int(50 * math.sqrt(V)) + 10
     iterations = 0
 
@@ -374,7 +476,7 @@ def solve_dirichlet(mesh: Mesh, K, rhs, bc_values: dict) -> DirichletSolution:
         nonlocal iterations
         iterations += 1
 
-    x, info = cg(Kff, b, M=precond, rtol=1e-10, maxiter=cap, callback=count)
+    x, info = cg(Kff, b, 1.0 / diag, cap, callback=count)
     if info > 0:
         raise SolverDivergence(
             f"conjugate gradients missed 1e-10 within {cap} iterations"

@@ -152,7 +152,9 @@ FUNCTIONS = {
     "sin": (np.sin, lambda v, s: np.cos(v), lambda v, s: -s, ()),
     "cos": (np.cos, lambda v, c: -np.sin(v), lambda v, c: -c, ()),
     "tan": (np.tan, lambda v, t: 1.0 + t * t, lambda v, t: 2.0 * t * (1.0 + t * t),
-            ((lambda v, order: np.cos(v) == 0.0, "tangent pole"),)),
+            # |tan v| >= 2^52: the doubles nearest a pole
+            ((lambda v, order: np.abs(np.cos(v)) <= 2.0**-52 * np.abs(np.sin(v)),
+              "tangent pole"),)),
     "sinh": (np.sinh, lambda v, s: np.cosh(v), lambda v, s: s, ()),
     "cosh": (np.cosh, lambda v, c: np.sinh(v), lambda v, c: c, ()),
     "tanh": (np.tanh, lambda v, t: 1.0 - t * t, lambda v, t: -2.0 * t * (1.0 - t * t), ()),

@@ -28,7 +28,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .crossing import level_crossings, pencil_scan
 from .errors import ImproperWindow, PsiUnderflow, TruncationFailure
@@ -541,10 +540,27 @@ def _pencil_integrals(imm, jobs):
 # --- Gaussian-weighted volumes ----------------------------------------------------
 
 
-def _gamma_tail(p: float, a: float, x: float) -> float:
-    """Integral over (x, inf) of t^p * exp(-a t^2) dt via the incomplete gamma."""
-    s = (p + 1.0) / 2.0
-    return 0.5 * math.gamma(s) * a ** (-s) * float(gammaincc(s, a * x * x))
+def _gamma_tail(p: int, a: float, x: float) -> float:
+    """Integral over (x, inf) of t^p * exp(-a t^2) dt = Gamma(s, a x^2) / (2 a^s),
+    s = (p + 1) / 2, for an integer p >= 0.
+
+    The upper incomplete gamma is a sum of positive terms, so nothing cancels
+    (DLMF 8.4.8, 8.4.6, 8.8.2): Gamma(k, y) = (k - 1)! e^-y sum_{j<k} y^j / j!
+    for an integer k, and a half-integer s starts from
+    Gamma(1/2, y) = sqrt(pi) erfc(sqrt(y)) and recurs up by
+    Gamma(s + 1, y) = s Gamma(s, y) + y^s e^-y."""
+    y = a * x * x
+    if p % 2:
+        term = total = 1.0
+        for j in range(1, (p + 1) // 2):
+            term *= y / j
+            total += term
+        upper = math.factorial((p - 1) // 2) * math.exp(-y) * total
+    else:
+        upper = math.sqrt(math.pi) * math.erfc(math.sqrt(y))
+        for j in range(p // 2):
+            upper = (j + 0.5) * upper + y ** (j + 0.5) * math.exp(-y)
+    return 0.5 * a ** (-(p + 1) / 2) * upper
 
 
 @contextmanager

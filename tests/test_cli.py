@@ -412,6 +412,40 @@ def test_no_module_imports_scipy_stats():
             assert not any(name.startswith("scipy.stats") for name in names), path.name
 
 
+def test_no_module_imports_scipy():
+    # solab runs on numpy alone; scipy is the test suite's reference
+    for path in sorted(Path(solab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+
+@pytest.mark.parametrize(
+    "catalog_args", [["plane", "--n", "2"], ["sphere", "--n", "2", "--radius", "2"]]
+)
+def test_full_report_loads_no_scipy(tmp_path, catalog_args):
+    # a fresh interpreter, since the test session itself imports scipy
+    script = (
+        "import sys\n"
+        "import solab.cli\n"
+        "code = solab.cli.main(['report', '--catalog', *sys.argv[2:], '--full',\n"
+        "                       '--out', sys.argv[1]])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(solab.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), *catalog_args],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def test_full_report_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
     # a fresh interpreter, since the test session itself imports both
     script = (

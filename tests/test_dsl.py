@@ -277,6 +277,22 @@ def test_domain_rule_messages(src, point, order, message):
     assert str(err.value) == f"domain error in {message}"
 
 
+@pytest.mark.parametrize("point", [math.pi / 2, math.nextafter(math.pi / 2, math.inf)])
+def test_tangent_pole_is_a_domain_error(point):
+    # float(pi/2) misses the pole by 6e-17; tan there is 1.6e16, and the
+    # next double up gives -6.2e15
+    for order in (0, 1, 2):
+        with pytest.raises(DomainError) as err:
+            dsl.eval_jet(dsl.parse("tan(u1)"), [[point]], order)
+        assert str(err.value) == "domain error in 'tan(u1)': tangent pole"
+
+
+def test_tangent_evaluates_off_its_poles():
+    jet = dsl.eval_jet(dsl.parse("tan(u1)"), [[1.5]], 1)
+    assert jet.value[0] == math.tan(1.5)
+    assert jet.grad[0, 0] == pytest.approx(1.0 / math.cos(1.5) ** 2, rel=1e-12)
+
+
 def test_tangent_rule_is_in_the_table():
     # no double has cos(v) == 0, so no expression reaches this rule
     assert [why for _, why in jets.FUNCTIONS["tan"][3]] == ["tangent pole"]

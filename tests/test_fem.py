@@ -6,7 +6,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import brentq
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import cg as scipy_cg
 
 from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
@@ -18,12 +21,14 @@ from solab.errors import (
 )
 from solab.fem import (
     SNAP_FRACTION,
+    PaddedRows,
     _simplex_gradients,
     _snap_to_levels,
     assemble,
     capacity,
     capacity_ladder,
     capacity_upper_bound,
+    cg,
     exit_time_comparison,
     export_off,
     export_solution_csv,
@@ -122,6 +127,21 @@ def test_three_parameter_shell():
     assert np.abs(mesh.r[mesh.tags["outer"]] - R).max() < 1e-9
     cap = capacity(imm, rho, R, h=0.1).cap
     assert cap == pytest.approx(4 * math.pi / (1 / rho - 1 / R), rel=0.02)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simplex_gradients_match_the_inverse_edge_matrix(d):
+    # the closed forms against M^-T [-1 ... -1; I]^T by LU
+    rng = np.random.default_rng(d)
+    verts = rng.normal(size=(40 * (d + 1), d))
+    simplices = np.arange(len(verts)).reshape(-1, d + 1)
+    M = (verts[simplices[:, 1:]] - verts[simplices[:, :1]]).transpose(0, 2, 1)
+    ref = np.vstack([-np.ones(d), np.eye(d)])
+    vol, G = _simplex_gradients(verts, simplices)
+    np.testing.assert_allclose(vol, np.abs(np.linalg.det(M)) / math.factorial(d), rtol=1e-12)
+    expected = np.einsum("ski,vk->siv", np.linalg.inv(M), ref)
+    scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
+    assert (np.abs(G - expected) / scale).max() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -324,6 +344,54 @@ def test_cg_reports_iterations_used():
     assert 0 < sol.iterations < cap
 
 
+def _csr(A: PaddedRows):
+    """The same entries in scipy's CSR, each row padded as in A."""
+    w, V = A.index.shape
+    return sparse.csr_matrix((A.value.T.ravel(), A.index.T.ravel(), np.arange(V + 1) * w), (V, V))
+
+
+def test_padded_rows_match_scipy_sparse():
+    rng = np.random.default_rng(3)
+    size = 30
+    rows, cols = rng.integers(0, size, 400), rng.integers(0, size, 400)
+    values = rng.normal(size=400)
+    A = PaddedRows.assembled(rows, cols, values, size)
+    ref = sparse.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
+    np.testing.assert_allclose(_csr(A).toarray(), ref.toarray(), rtol=1e-14, atol=1e-14)
+    assert (np.diff(A.index, axis=0)[A.value[1:] != 0] > 0).all()  # rows in column order
+    v = rng.normal(size=size)
+    assert (A @ v).tobytes() == (_csr(A) @ v).tobytes()
+    np.testing.assert_array_equal(A.diagonal(), _csr(A).diagonal())
+    keep = rng.random(size) < 0.6
+    sub, ref_sub = A.restrict(keep), _csr(A)[keep][:, keep]
+    np.testing.assert_array_equal(_csr(sub).toarray(), ref_sub.toarray())
+    assert (sub @ v[keep]).tobytes() == (ref_sub @ v[keep]).tobytes()
+
+
+def test_cg_takes_the_steps_of_scipy_cg():
+    # the plane(2) capacity system, reduced to its free dofs
+    imm, _ = catalog("plane", n=2)
+    mesh = mesh_region(imm, ExtrinsicRegion(imm, 1.0, math.e), h=0.1)
+    K, _ = assemble(mesh)
+    fixed = np.zeros(mesh.dof_count, bool)
+    fixed[mesh.dof_map[mesh.boundary_vertices()]] = True
+    u = np.zeros(mesh.dof_count)
+    u[mesh.dof_map[mesh.tags["inner"]]] = 1.0
+    Kff = K.restrict(~fixed)
+    b = -(K @ u)[~fixed]
+    inv_diag = 1.0 / Kff.diagonal()
+    for cap in (1000, 5):  # converged, and stopped at the cap
+        ours, theirs = [], []
+        x, info = cg(Kff, b, inv_diag, cap, callback=ours.append)
+        y, scipy_info = scipy_cg(
+            _csr(Kff), b, M=sparse.diags(inv_diag), rtol=1e-10, maxiter=cap,
+            callback=theirs.append,
+        )
+        assert info == scipy_info == (0 if cap > 5 else 5)
+        assert len(ours) == len(theirs) >= 5
+        assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+
 def test_energy_identity_against_boundary_flux():
     imm, _ = catalog("plane", n=2)
     res = capacity(imm, 1.0, math.e, h=0.04)
@@ -360,8 +428,20 @@ def test_disconnected_component_without_boundary_rejected():
     mesh = mesh_region(imm, ExtrinsicRegion(imm, math.sqrt(2.0), 3.0), h=0.1)
     K, load = assemble(mesh)
     upper = mesh.tags["outer"][mesh.vertices[mesh.tags["outer"], 1] > 0]
-    with pytest.raises(DisconnectedRegion):
+    with pytest.raises(DisconnectedRegion) as err:
         solve_dirichlet(mesh, K, load, {int(i): 0.0 for i in upper})
+    # numbered as scipy numbers the components of the same graph
+    count, labels = connected_components(_csr(K) != 0, directed=False)
+    assert count == 2
+    assert err.value.components == [1 - labels[mesh.dof_map[upper[0]]]]
+
+
+def test_two_pieces_with_a_boundary_each_solve():
+    imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
+    mesh = mesh_region(imm, ExtrinsicRegion(imm, math.sqrt(2.0), 3.0), h=0.1)
+    K, load = assemble(mesh)
+    sol = solve_dirichlet(mesh, K, load, {int(i): 0.0 for i in mesh.tags["outer"]})
+    assert sol.residual < 1e-9 and sol.values.max() > 0.0
 
 
 def test_mesh_laplacian_matches_radial_laplacian():

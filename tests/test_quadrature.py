@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import erfc, gammaincc
 
 from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
@@ -19,6 +20,7 @@ from solab.quadrature import (
     ExtrinsicRegion,
     RegionJob,
     _Boxes,
+    _gamma_tail,
     _pencil_spans,
     _topology_breaks,
     cylinder_psi_closed_form,
@@ -613,6 +615,19 @@ def test_psi_closed_form_gamma_vs_printed_display():
             2.0 * math.exp(-R**2 / 2.0) * (2 * math.pi) ** 2 * (R**2 / 2.0 + 1.0)
         )
         assert cylinder_psi_closed_form(imm, 1.0, R) == pytest.approx(display, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", range(11))
+@pytest.mark.parametrize("a", [1.0, 0.5])
+def test_gamma_tail_matches_scipy(p, a):
+    # s = (p + 1)/2 runs over 1/2 ... 6 and y = a x^2 over [0, 50].  For
+    # s = 1/2 the reference is sqrt(pi) erfc(sqrt(y)) (DLMF 8.4.6): scipy's
+    # gammaincc(1/2, y) is itself 2.9e-14 off near y = 1, by a 40-digit check
+    s = (p + 1) / 2
+    for x in np.linspace(0.0, math.sqrt(50.0 / a), 101):
+        y = a * x * x
+        upper = math.gamma(s) * gammaincc(s, y) if p else math.sqrt(math.pi) * erfc(math.sqrt(y))
+        assert _gamma_tail(p, a, x) == pytest.approx(0.5 * a**-s * upper, rel=1e-14, abs=0.0)
 
 
 def test_psi_sphere_vanishes_beyond_radius():
