@@ -712,10 +712,23 @@ def soliton_from_exit_time(imm: Immersion, radii, h: float = 0.05) -> ExitTimeCh
 # --- export ------------------------------------------------------------------------
 
 
-def _rows(row_fmt, table) -> str:
-    """The lines np.savetxt writes for a 2-D table with this row format,
-    formatted in one pass over the flattened table."""
-    return (row_fmt * len(table)) % tuple(table.ravel().tolist())
+def _rows(table, formats, sep=" ") -> str:
+    """The lines np.savetxt writes for a 2-D table with these column formats
+    and delimiter, formatted in one pass over the table's cells.  A "%d"
+    column enters as ints; any other column is formatted once per distinct
+    bit pattern (lattice meshes repeat most coordinates), so 0.0 and -0.0
+    stay apart."""
+    cells = np.empty(table.shape, dtype=object)
+    row = list(formats)
+    for j, fmt in enumerate(formats):
+        if fmt == "%d":
+            cells[:, j] = table[:, j].astype(np.int64)
+        else:
+            bits, inverse = np.unique(table[:, j].view(np.uint64), return_inverse=True)
+            text = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
+            cells[:, j] = text[inverse]
+            row[j] = "%s"
+    return ((sep.join(row) + "\n") * len(table)) % tuple(cells.ravel().tolist())
 
 
 def export_off(mesh: Mesh, path) -> None:
@@ -726,8 +739,8 @@ def export_off(mesh: Mesh, path) -> None:
     faces = np.insert(mesh.simplices, 0, mesh.simplices.shape[1], axis=1)  # size, then indices
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"OFF\n{mesh.vertex_count} {len(mesh.simplices)} 0\n")
-        fh.write(_rows("%.17g %.17g %.17g\n", X))
-        fh.write(_rows(" ".join(["%d"] * faces.shape[1]) + "\n", faces))
+        fh.write(_rows(X, ["%.17g"] * 3))
+        fh.write(_rows(faces, ["%d"] * faces.shape[1]))
 
 
 def export_solution_csv(field_: ExitTimeField | DirichletSolution, path) -> None:
@@ -737,4 +750,4 @@ def export_solution_csv(field_: ExitTimeField | DirichletSolution, path) -> None
     header = ",".join(["vertex"] + [f"u{i + 1}" for i in range(n)] + ["r", "value"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.write(_rows(",".join(["%d"] + ["%.17g"] * (n + 2)) + "\n", table))
+        fh.write(_rows(table, ["%d"] + ["%.17g"] * (n + 2), sep=","))

@@ -15,15 +15,22 @@ reads B = R^-T alpha R^-1, whose trace is the mean curvature vector H and
 whose squared Frobenius norm is |A|^2.  The position split X = X^T + X^perp
 and the extrinsic radius r = |X| feed all radial-function calculus.
 
+Only the QR, R^-1 with its rank test and, at order 2, the normal projection
+of the second derivatives run when a geometry is made.  Each other field is
+formed from these stored factors on its first read and then kept, so a
+caller pays for the fields it reads and no more.
+
 The kernel reads the jets it is handed and writes none of them, and a
 point's values do not depend on the batch it comes in, so concurrent
-evaluation on a shared immersion is safe.
+evaluation on a shared immersion is safe; two readers that form the same
+field of one geometry at once form the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,22 +148,106 @@ def scale_immersion(imm: Immersion, c: float) -> Immersion:
 # --- pointwise geometry -------------------------------------------------------
 
 
-@dataclass
-class PointGeometry:
-    """Batched first/second-order data at sample points (leading axis = batch)."""
+class _Factors(NamedTuple):
+    """The kernel's stored factors over its batch, which sits on the last
+    axis (X, batch first, aside); a one-point geometry holds its point twice."""
 
-    points: np.ndarray  # (N, n)
-    X: np.ndarray  # (N, A) ambient positions
-    metric: np.ndarray  # (N, n, n)
-    metric_inv: np.ndarray
-    sqrt_det: np.ndarray  # (N,)
-    frame: np.ndarray  # (N, A, n) orthonormal tangent frame
-    r: np.ndarray  # (N,)
-    XT: np.ndarray  # (N, A) tangential part of the position
-    Xperp: np.ndarray  # (N, A) normal part
-    alpha: np.ndarray | None = None  # (N, A, n, n) second fundamental form
-    H: np.ndarray | None = None  # (N, A) mean curvature vector
-    normA2: np.ndarray | None = None  # (N,) squared norm of the shape tensor
+    X: np.ndarray  # (K, A)
+    cols: np.ndarray  # (n, A, K) the Jacobian columns
+    Q: np.ndarray  # (A, A, K), or (n, A, K) at order 1: column k is Q[k]
+    R: np.ndarray  # (n, n, K)
+    R_inv: np.ndarray  # (n, n, K)
+    nu: np.ndarray | None  # (A - n, n, n, K) the Hessians in the normal frame
+
+    @property
+    def tangent(self) -> np.ndarray:
+        return self.Q[: len(self.R)]
+
+    @property
+    def normal(self) -> np.ndarray:
+        return self.Q[len(self.R) :]
+
+
+def _tangent_split(f: _Factors) -> dict:
+    XT = _batch_first(_project(f.tangent, np.ascontiguousarray(f.X.T)))
+    return {"XT": XT, "Xperp": f.X - XT}
+
+
+def _curvature(f: _Factors) -> dict:
+    # the second fundamental form in both frames, B = R^-T nu R^-1: its trace
+    # is H and its squared norm |A|^2
+    B = np.einsum("kin,mkjn->mijn", f.R_inv, np.einsum("mkln,ljn->mkjn", f.nu, f.R_inv))
+    return {
+        "H": _batch_first(np.einsum("man,miin->an", f.normal, B)),
+        "normA2": np.einsum("mijn,mijn->n", B, B),
+    }
+
+
+# field -> how it is formed from the factors, with any field formed alongside
+_FORMERS = {
+    "metric": lambda f: {"metric": _batch_first(np.einsum("ian,jan->ijn", f.cols, f.cols))},
+    "metric_inv": lambda f: {
+        "metric_inv": _batch_first(np.einsum("ikn,jkn->ijn", f.R_inv, f.R_inv))
+    },
+    "sqrt_det": lambda f: {"sqrt_det": np.abs(np.prod(np.diagonal(f.R), axis=-1))},
+    "frame": lambda f: {"frame": _batch_first(f.tangent.transpose(1, 0, 2))},
+    "r": lambda f: {"r": np.linalg.norm(f.X, axis=1)},
+    "XT": _tangent_split,
+    "Xperp": _tangent_split,
+    # the normal part of the Hessians, alpha = normal nu
+    "alpha": lambda f: {
+        "alpha": np.einsum("man,mijn->aijn", f.normal, f.nu).transpose(3, 0, 1, 2)
+    },
+    "H": _curvature,
+    "normA2": _curvature,
+}
+
+
+class PointGeometry:
+    """Batched first/second-order data at sample points (leading axis = batch).
+
+    ``points`` (N, n) and ``X`` (N, A) are given.  Every other field is
+    formed from the kernel's factors on its first read and then kept:
+
+    - ``metric`` (N, n, n), ``metric_inv`` and ``sqrt_det`` (N,);
+    - ``frame`` (N, A, n), the orthonormal tangent frame;
+    - ``r`` (N,), and ``XT`` and ``Xperp`` (N, A), the tangential and normal
+      parts of the position;
+    - at order 2 ``alpha`` (N, A, n, n), the second fundamental form, ``H``
+      (N, A), the mean curvature vector, and ``normA2`` (N,), the squared norm
+      of the shape tensor; at order 1 these three are None.
+    """
+
+    FIELDS = ("points", "X", *_FORMERS)
+
+    def __init__(self, points, X, factors: _Factors):
+        self.points = points
+        self.X = X
+        self._factors = factors
+        self._read_only = False
+        if factors.nu is None:
+            self.alpha = self.H = self.normA2 = None
+
+    def __getattr__(self, name):
+        # reached only for a field not yet formed (or an unknown name)
+        if name not in _FORMERS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        count = len(self.points)
+        for key, value in _FORMERS[name](self._factors).items():
+            if len(value) != count:  # the pair of a one-point geometry
+                value = value[:count]
+            if self._read_only:
+                value.flags.writeable = False
+            self.__dict__[key] = value
+        return self.__dict__[name]
+
+    def freeze(self) -> None:
+        """Make the geometry's arrays, and the fields it forms from now on,
+        read-only."""
+        self._read_only = True
+        for value in (*self._factors, *(self.__dict__.get(f) for f in self.FIELDS)):
+            if value is not None:
+                value.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -180,9 +271,21 @@ class PointGeometry:
         return _project(self.frame.transpose(2, 1, 0), V.T).T
 
     def select(self, mask) -> "PointGeometry":
-        """Restrict the batch to the masked points."""
-        pick = lambda a: None if a is None else a[mask]
-        return PointGeometry(**{f.name: pick(getattr(self, f.name)) for f in fields(self)})
+        """Restrict the batch to the masked points; the fields formed so far
+        are restricted, the others are formed from the restricted factors."""
+        rows = np.arange(len(self.points))[mask]
+        if len(rows) == 1:
+            rows = np.repeat(rows, 2)
+        f = self._factors
+        factors = _Factors(
+            f.X[rows], *(None if a is None else np.take(a, rows, axis=-1) for a in f[1:])
+        )
+        out = PointGeometry(self.points[mask], self.X[mask], factors)
+        for name in _FORMERS:
+            value = self.__dict__.get(name)
+            if value is not None:
+                out.__dict__[name] = value[mask]
+        return out
 
 
 def evaluate_chart(chart: ChartDefinition, points, order: int = 2):
@@ -221,6 +324,11 @@ def geometry_of_jets(points, X, J, S, order: int = 2) -> PointGeometry:
     """The kernel of ``geometry`` on stacked chart jets (see ``evaluate_chart``);
     it reads X, J and S and writes none of them.
 
+    It runs the Householder QR of J, R^-1 with the rank test (so
+    ``RankDeficient`` is raised here) and at order 2 the normal projection nu
+    of S, and keeps these factors but not S; every other field is formed
+    from them on its first read (see ``PointGeometry``).
+
     A Jacobian column, a Hessian entry or a frame vector of the batch is one
     contiguous (A, N) array and an entry of R or R^-1 one (N,) array; every
     step is an elementwise operation or an einsum whose inner loop runs
@@ -238,31 +346,11 @@ def geometry_of_jets(points, X, J, S, order: int = 2) -> PointGeometry:
     cols = np.ascontiguousarray(J.transpose(2, 1, 0))
     Q, R = _householder(cols, dim if order < 2 else None)
     R_inv = _checked_inverse(R, points)
-    tangent, normal = Q[:dim], Q[dim:]
-    XT = _batch_first(_project(tangent, np.ascontiguousarray(X.T)))
-    geom = PointGeometry(
-        points=points,
-        X=X,
-        metric=_batch_first(np.einsum("ian,jan->ijn", cols, cols)),
-        metric_inv=_batch_first(np.einsum("ikn,jkn->ijn", R_inv, R_inv)),
-        sqrt_det=np.abs(np.prod(np.diagonal(R), axis=-1)),
-        frame=_batch_first(tangent.transpose(1, 0, 2)),
-        r=np.linalg.norm(X, axis=1),
-        XT=XT,
-        Xperp=X - XT,
-    )
+    nu = None
     if order >= 2:
-        # the normal part alpha of the Hessians in the orthonormal normal
-        # frame, alpha = normal nu
-        nu = np.einsum("man,aijn->mijn", normal, np.ascontiguousarray(S.transpose(1, 2, 3, 0)))
-        # the second fundamental form in both frames, B = R^-T nu R^-1: its
-        # trace is H and its squared norm |A|^2
-        B = np.einsum("kin,mkjn->mijn", R_inv, np.einsum("mkln,ljn->mkjn", nu, R_inv))
-        geom.H = _batch_first(np.einsum("man,miin->an", normal, B))
-        geom.normA2 = np.einsum("mijn,mijn->n", B, B)
-        del B  # freed before the largest array, alpha, is built
-        geom.alpha = np.einsum("man,mijn->aijn", normal, nu).transpose(3, 0, 1, 2)
-    return geom
+        # the Hessians in the orthonormal normal frame; S itself is not kept
+        nu = np.einsum("man,aijn->mijn", Q[dim:], np.ascontiguousarray(S.transpose(1, 2, 3, 0)))
+    return PointGeometry(points, X, _Factors(X, cols, Q, R, R_inv, nu))
 
 
 def _batch_first(a) -> np.ndarray:

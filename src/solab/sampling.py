@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import fields
 
 import numpy as np
 
@@ -80,8 +79,9 @@ def sample_box(chart, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) ->
 def shared_sample_geometry():
     """Within the block, ``sample_geometry`` and ``homothetic_geometries``
     evaluate the chart jets of each default sample set (immersion, count,
-    seed) once and hand out one read-only ``PointGeometry`` and the read-only
-    jets behind it; the memo is dropped when the block ends."""
+    seed) once and hand out one read-only ``PointGeometry``, whose fields are
+    read-only as they are formed, and the read-only jets behind it; the memo
+    is dropped when the block ends."""
     token = _SHARED.set({})
     try:
         yield
@@ -104,9 +104,9 @@ def _sample_set(imm, samples, count, seed):
     key = (id(imm), count, seed)  # the memo holds imm, so its id stays unique
     if key not in memo:
         g, jets = _evaluate(imm, sample_box(imm.chart, count, seed))
-        for value in (*(getattr(g, f.name) for f in fields(g)), *jets):
-            if value is not None:
-                value.flags.writeable = False
+        g.freeze()
+        for value in jets:
+            value.flags.writeable = False
         memo[key] = (imm, g, jets)
     return memo[key][1:]
 
@@ -125,8 +125,9 @@ def homothetic_geometries(
 
     The chart language evaluates a rescaled chart (c)*(X) as c times every
     jet, so the jets of c*X are exactly c*X, c*J and c*S of the set's own:
-    only the kernel runs again, and H, |A|^2 and the frame are recomputed,
-    not rescaled by their laws.  c == 1.0 yields the set's geometry itself.
+    only the kernel's factors and the fields read are computed again, and H,
+    |A|^2 and the frame are recomputed, not rescaled by their laws.  c == 1.0
+    yields the set's geometry itself.
     """
     base, (X, J, S) = _sample_set(imm, samples, count, seed)
     for c in scales:

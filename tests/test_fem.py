@@ -22,6 +22,7 @@ from solab.errors import (
 from solab.fem import (
     SNAP_FRACTION,
     PaddedRows,
+    _rows,
     _simplex_gradients,
     _snap_to_levels,
     assemble,
@@ -594,8 +595,10 @@ def _savetxt_exports(field, off, csv):
             1.5,
             0.02,
         ),
+        # a lattice cut by the chart window: most coordinates repeat
+        (lambda: catalog("castro_lerma")[0], 2.0, 0.05),
     ],
-    ids=["plane2", "curve"],
+    ids=["plane2", "curve", "castro_lerma"],
 )
 def test_exports_match_savetxt_bytes(tmp_path, make, R, h):
     field = solve_exit_time(make(), R, h=h)
@@ -604,3 +607,12 @@ def test_exports_match_savetxt_bytes(tmp_path, make, R, h):
     _savetxt_exports(field, tmp_path / "ref.off", tmp_path / "ref.csv")
     assert (tmp_path / "mesh.off").read_bytes() == (tmp_path / "ref.off").read_bytes()
     assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # the field's table with a column of repeats, both signed zeros and a NaN
+    mesh = field.mesh
+    table = np.column_stack([np.arange(mesh.vertex_count), mesh.vertices, field.values])
+    table[:, -1] = np.resize([0.0, -0.0, 1.5, -0.0, math.pi, 0.0, np.nan, 1e-300], len(table))
+    formats = ["%d"] + ["%.17g"] * (table.shape[1] - 1)
+    np.savetxt(tmp_path / "ref.txt", table, fmt=formats, delimiter=",")
+    text = _rows(table, formats, sep=",")
+    assert text.encode() == (tmp_path / "ref.txt").read_bytes()
+    assert ",-0\n" in text and ",0\n" in text

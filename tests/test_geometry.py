@@ -13,7 +13,9 @@ from solab.charts import ParamSpec, chart_from_sources
 from solab.errors import OriginSingularity, RankDeficient
 from solab.geometry import (
     Immersion,
+    PointGeometry,
     RadialFunction,
+    evaluate_chart,
     geometry,
     laplacian_divergence_form,
     point_geometry,
@@ -337,6 +339,107 @@ def test_first_order_fields_match_second_order_bit_for_bit(name, params):
     for f in ("points", "X", "metric", "metric_inv", "sqrt_det", "frame", "r", "XT", "Xperp"):
         np.testing.assert_array_equal(getattr(first, f), getattr(second, f), err_msg=f)
     assert first.alpha is None and second.alpha is not None
+
+
+def _eager_fields(points, X, J, S, order):
+    """Every field as the kernel formed them all at once when it was made."""
+    if len(points) == 1:
+        twice = lambda a: None if a is None else np.concatenate([a, a])
+        fields = _eager_fields(*map(twice, (points, X, J, S)), order)
+        return {name: None if a is None else a[:1] for name, a in fields.items()}
+    dim = J.shape[2]
+    cols = np.ascontiguousarray(J.transpose(2, 1, 0))
+    Q, R = GEOMETRY._householder(cols, dim if order < 2 else None)
+    R_inv = GEOMETRY._checked_inverse(R, points)
+    tangent, normal = Q[:dim], Q[dim:]
+    first = GEOMETRY._batch_first
+    XT = first(GEOMETRY._project(tangent, np.ascontiguousarray(X.T)))
+    fields = {
+        "points": points,
+        "X": X,
+        "metric": first(np.einsum("ian,jan->ijn", cols, cols)),
+        "metric_inv": first(np.einsum("ikn,jkn->ijn", R_inv, R_inv)),
+        "sqrt_det": np.abs(np.prod(np.diagonal(R), axis=-1)),
+        "frame": first(tangent.transpose(1, 0, 2)),
+        "r": np.linalg.norm(X, axis=1),
+        "XT": XT,
+        "Xperp": X - XT,
+        "alpha": None,
+        "H": None,
+        "normA2": None,
+    }
+    if order >= 2:
+        nu = np.einsum("man,aijn->mijn", normal, np.ascontiguousarray(S.transpose(1, 2, 3, 0)))
+        B = np.einsum("kin,mkjn->mijn", R_inv, np.einsum("mkln,ljn->mkjn", nu, R_inv))
+        fields["H"] = first(np.einsum("man,miin->an", normal, B))
+        fields["normA2"] = np.einsum("mijn,mijn->n", B, B)
+        fields["alpha"] = np.einsum("man,mijn->aijn", normal, nu).transpose(3, 0, 1, 2)
+    return fields
+
+
+def _assert_same_bits(got, want, name):
+    if want is None:
+        assert got is None, name
+        return
+    assert got.shape == want.shape and got.dtype == want.dtype, name
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64),
+        err_msg=name,
+    )
+
+
+def _catalog_jets(name, params):
+    def make(order):
+        imm, _ = catalog(name, **params)
+        return evaluate_chart(imm.chart, halton(imm, 96), order=order)
+    return make
+
+
+def _synthetic_jets(dim, amb, kind):
+    def make(order):
+        X, J, S = _jets(dim, amb, kind)
+        return np.zeros((len(J), dim)), X, J, S if order >= 2 else None
+    return make
+
+
+LAZY_CASES = [
+    pytest.param(_synthetic_jets(*case.values), id=case.id) for case in KERNEL_CASES
+] + [
+    pytest.param(_catalog_jets(name, params), id=name)
+    for name, params in [
+        ("clifford_torus", {"k": 2, "nk": 2}),
+        ("veronese", {}),
+        ("castro_lerma", {}),
+    ]
+]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("make", LAZY_CASES)
+def test_lazy_fields_keep_the_eager_bits(make, order):
+    jets = make(order)
+    eager = _eager_fields(*jets, order)
+    names = PointGeometry.FIELDS
+    pick = lambda a, rows: None if a is None else a[rows]
+    for read in (names, names[::-1]):
+        g = GEOMETRY.geometry_of_jets(*jets, order)
+        for name in read:
+            _assert_same_bits(getattr(g, name), eager[name], name)
+    # a point alone takes the single-point path
+    alone = GEOMETRY.geometry_of_jets(*(pick(a, slice(3, 4)) for a in jets), order)
+    for name in names:
+        _assert_same_bits(getattr(alone, name), pick(eager[name], slice(3, 4)), f"alone {name}")
+    # select before any read and after half of the fields were formed
+    mask = np.arange(len(jets[0])) % 3 != 1
+    for formed in ((), names[::2]):
+        g = GEOMETRY.geometry_of_jets(*jets, order)
+        for name in formed:
+            getattr(g, name)
+        part = g.select(mask)
+        one = part.select(slice(2, 3))  # the fourth point of the batch
+        for name in names:
+            _assert_same_bits(getattr(part, name), pick(eager[name], mask), name)
+            _assert_same_bits(getattr(one, name), pick(eager[name], slice(3, 4)), name)
 
 
 def test_no_module_calls_linalg_qr():

@@ -7,7 +7,6 @@ import json
 import math
 import sys
 import weakref
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ import pytest
 from solab import quadrature, report, sampling, solitons
 from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
-from solab.geometry import Immersion, geometry, scale_immersion
+from solab.geometry import Immersion, PointGeometry, geometry, scale_immersion
 from solab.sampling import (
     homothetic_geometries,
     sample_box,
@@ -61,6 +60,38 @@ def test_full_report_computes_each_sample_geometry_once(chart_evaluations):
     assert sorted(chart_evaluations) == [5, 512, 4096]
 
 
+def test_full_report_forms_only_the_fields_it_reads(monkeypatch):
+    # a field is formed on its first read: no check reads alpha, and the flow
+    # times and the second-form rescale read H, |A|^2 and the frame only
+    formed, scaled = [], []
+    form = PointGeometry.__getattr__
+
+    def counted(g, name):
+        if name in PointGeometry.FIELDS:
+            formed.append((g, name))
+        return form(g, name)
+
+    original = sampling.homothetic_geometries
+
+    def recorded(imm, scales, *args, **kwargs):
+        for c, g in zip(scales, original(imm, scales, *args, **kwargs)):
+            if c != 1.0:
+                scaled.append(g)
+            yield g
+
+    monkeypatch.setattr(PointGeometry, "__getattr__", counted)
+    for module in [m for name, m in sys.modules.items() if name.startswith("solab.")]:
+        if getattr(module, "homothetic_geometries", None) is original:
+            monkeypatch.setattr(module, "homothetic_geometries", recorded)
+    _, code = report.run(clifford_config())
+    assert code == 0
+    assert len(scaled) == 5
+    assert [name for _, name in formed].count("alpha") == 0
+    for geom in scaled:
+        read = {name for g, name in formed if g is geom}
+        assert read & {"H", "normA2"} and not read & {"metric", "metric_inv"}
+
+
 def test_second_report_recomputes_its_sample_geometry(chart_evaluations, monkeypatch):
     cfg = clifford_config()
     cfg.checks = ["soliton-residual", "wmp-probe"]
@@ -82,11 +113,13 @@ def test_shared_geometry_is_read_only_and_scoped():
         np.testing.assert_array_equal(explicit.H, g.H)
         _, held, jets = sampling._SHARED.get()[(id(imm), 64, 3)]
         assert held is g and jets[0] is g.X
-        for value in (*(getattr(g, f.name) for f in fields(g)), *jets):
+        # reading a field forms it, and a field formed on the shared g is read-only
+        for value in (*(getattr(g, name) for name in PointGeometry.FIELDS), *jets):
             if value is not None:
                 with pytest.raises(ValueError):
                     value.flat[0] = 0.0
-        # J and S are held by the memo alone (g keeps X and the projected alpha)
+        # J and S are held by the memo alone (g keeps X, the normal projection
+        # of S, and the Jacobian columns as another view of J's buffer)
         memo_only = [weakref.ref(a) for a in jets[1:]]
         del held, jets, value
     gc.collect()
@@ -121,9 +154,9 @@ def test_homothetic_geometries_equal_the_rescaled_charts(case, where):
         got = homothetic_geometries(imm, SCALES, **kwargs)
         for c, scaled in zip(SCALES, got):
             expected = geometry(scale_immersion(imm, c), points)
-            for f in fields(expected):
+            for name in PointGeometry.FIELDS:
                 np.testing.assert_array_equal(
-                    getattr(scaled, f.name), getattr(expected, f.name), err_msg=f"{c} {f.name}"
+                    getattr(scaled, name), getattr(expected, name), err_msg=f"{c} {name}"
                 )
             if where == "memo" and c == 1.0:
                 assert scaled is sample_geometry(imm, count=64, seed=3)
