@@ -179,6 +179,13 @@ def _soliton_config(args) -> dict | None:
     return {"kind": kind, "constant": constant}
 
 
+# flag -> the RunConfig field it overrides when given
+_FLAG_FIELDS = {
+    "seed": "seed", "tol": "tol", "samples": "samples", "big_r": "radius", "h": "h",
+    "r0": "r0", "rmax": "rmax",
+}
+
+
 def _float_list(text):
     return [float(x) for x in text.split(",") if x.strip()]
 
@@ -205,30 +212,18 @@ def _config_from_args(args) -> RunConfig:
             validate_checks(cfg.checks)
         elif not cfg.checks or getattr(args, "full", False):
             cfg.checks = list(FULL_CHECKS)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.samples is not None:
-        cfg.samples = args.samples
-    if getattr(args, "big_r", None) is not None:
-        cfg.radius = args.big_r
-    if getattr(args, "radii", None):
-        cfg.radii = _float_list(args.radii)
-    if getattr(args, "times", None):
-        cfg.times = _float_list(args.times)
-    if getattr(args, "h", None) is not None:
-        cfg.h = args.h
+    for flag, key in _FLAG_FIELDS.items():
+        if getattr(args, flag, None) is not None:
+            setattr(cfg, key, getattr(args, flag))
+    for key in ("radii", "times"):
+        if getattr(args, key, None):
+            setattr(cfg, key, _float_list(getattr(args, key)))
     if "rho" in leftover:
         cfg.rho = leftover["rho"]
-    if getattr(args, "r0", None) is not None:
-        cfg.r0 = args.r0
-    if getattr(args, "rmax", None) is not None:
-        cfg.rmax = args.rmax
     if args.out:
         cfg.out = args.out
     cfg.format = args.format
-    return cfg
+    return cfg.validate()
 
 
 def _emit_catalog(args) -> int:
@@ -269,13 +264,15 @@ def _write_or_print(out_dir, filename, text):
 
 
 def _report_csv(report) -> str:
+    """One row per check: its scalar details in one cell, then one cell per
+    margin with its name, margin, tol and verdict."""
     lines = ["check,status,detail"]
     for c in report.checks:
-        keys = [
-            f"{k}={v}" for k, v in c.details.items()
-            if isinstance(v, (int, float, str, bool))
-        ]
-        lines.append(f"{c.name},{c.status},\"{'; '.join(keys)}\"")
+        cells = [{k: v for k, v in c.details.items() if isinstance(v, (int, float, str, bool))}]
+        for m in c.details.get("margins", ()):
+            cells.append({k: m[k] for k in ("name", "margin", "tol", "verdict")})
+        quoted = ['"' + "; ".join(f"{k}={v}" for k, v in cell.items()) + '"' for cell in cells]
+        lines.append(",".join([c.name, c.status, *quoted]))
     lines.append(f"overall,{report.verdict},")
     return "\n".join(lines) + "\n"
 

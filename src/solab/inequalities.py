@@ -1,9 +1,12 @@
 """Isoperimetric inequalities, volume-growth monotonicity, separation by the
 critical sphere, shape-tensor landmarks and the curvature parabolicity probe.
 
-Margins are oriented so that PASS means margin >= -tol, with tolerances
-derived from the participating quadrature error estimates (twice their sum,
-floored), so discretization noise cannot fail a true inequality.
+The isoperimetric comparisons are `quadrature.Margin` records built by
+`quadrature.compare`: an inequality passes when lhs - rhs >= -tol, with tol
+twice the carried error of the compared quantities, floored at
+ROUNDING_FLOOR, so discretization noise cannot fail a true inequality.  The
+boundary's share of that error is BOUNDARY_REL_ERR of its area, a slack the
+margins name in their notes until the boundary integrals carry an estimate.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from .geometry import (
     sphere_volume,
 )
 from .levelset import level_boundaries
-from .quadrature import ExtrinsicRegion, RegionJob, region_integrals
+from .quadrature import ROUNDING_FLOOR, ExtrinsicRegion, Margin, RegionJob, compare, region_integrals
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, homothetic_geometries, sample_geometry
 from .solitons import imcf_residual, mcf_residual
 
 BOUNDARY_REL_ERR = 1e-3  # validated marching accuracy at default resolution
+BOUNDARY_SLACK = f"boundary error taken as BOUNDARY_REL_ERR = {BOUNDARY_REL_ERR:g} of its area"
 # Relative tolerance within which an inverse-flow constant counts as 1/n.  An
 # inferred constant carries the geometry kernel's rounding, a few ulps, and
 # no residual check (tolerance 1e-8) tells constants 1e-12 apart, so the
@@ -43,17 +47,6 @@ def isoperimetric_excluded(c: float, n: int) -> bool:
     """Whether c lies in the inverse-flow isoperimetric comparison's excluded
     window [0, 1/n], where its factor (Cn - 1)/(Cn) is not positive."""
     return 0.0 <= c <= 1.0 / n or is_one_over_n(c, n)
-
-
-@dataclass
-class InequalityMargin:
-    name: str
-    lhs: float
-    rhs: float
-    margin: float  # lhs - rhs; PASS means margin >= -tol
-    tol: float
-    verdict: str
-    notes: tuple = field(default=())
 
 
 def _verify_soliton(imm, kind, constant, seed):
@@ -83,57 +76,40 @@ def _ball_pieces(imm, radii, curvature):
             for boundary in level_boundaries(imm, radii)]
 
 
-def isoperimetric_mcf(imm, lam, radii, seed=DEFAULT_SEED) -> list[InequalityMargin]:
+def isoperimetric_mcf(imm, lam, radii, seed=DEFAULT_SEED) -> list[Margin]:
     """Boundary-to-volume ratio against the curvature-discounted Euclidean
     reference, plus nonnegativity of the discount factor, per radius."""
     _verify_soliton(imm, "mcf", lam, seed)
     n = imm.dim
     if imm.route == "constant":
         return [
-            InequalityMargin(
-                f"isoperimetric(R={R:g})", math.nan, math.nan, math.nan, 0.0, "SKIPPED",
-                (
-                    "compact image saturated: the ball has no boundary"
-                    if R > imm.constant_radius
-                    else "extrinsic ball is empty below the image radius",
-                ),
+            compare(
+                f"isoperimetric(R={R:g})", math.nan, math.nan,
+                skip="compact image saturated: the ball has no boundary"
+                if R > imm.constant_radius
+                else "extrinsic ball is empty below the image radius",
             )
             for R in radii
         ]
     out = []
     for R, (vol, h2, boundary) in zip(radii, _ball_pieces(imm, radii, curvature=True)):
+        name = f"isoperimetric(R={R:g})"
         if vol.value <= 0.0:
-            out.append(
-                InequalityMargin(
-                    f"isoperimetric(R={R:g})", math.nan, math.nan, math.nan, 0.0,
-                    "SKIPPED", ("empty extrinsic ball",),
-                )
-            )
+            out.append(compare(name, math.nan, math.nan, skip="empty extrinsic ball"))
             continue
         factor = 1.0 - h2.value / (n * lam * vol.value)
         lhs = boundary.area / vol.value
         euclid = sphere_volume(n - 1, R) / ball_volume(n, R)
-        rhs = factor * euclid
         dfac = (h2.error + (h2.value / vol.value) * vol.error) / (n * lam * vol.value)
         dlhs = (BOUNDARY_REL_ERR * boundary.area + lhs * vol.error) / vol.value
-        tol = max(1e-9, 2.0 * (dlhs + dfac * euclid))
         out.append(
-            InequalityMargin(
-                f"isoperimetric(R={R:g})", lhs, rhs, lhs - rhs, tol,
-                "PASS" if lhs - rhs >= -tol else "FAIL",
-            )
+            compare(name, lhs, factor * euclid, error=dlhs + dfac * euclid, notes=(BOUNDARY_SLACK,))
         )
-        ftol = max(1e-9, 2.0 * dfac)
-        out.append(
-            InequalityMargin(
-                f"factor-nonnegative(R={R:g})", factor, 0.0, factor, ftol,
-                "PASS" if factor >= -ftol else "FAIL",
-            )
-        )
+        out.append(compare(f"factor-nonnegative(R={R:g})", factor, 0.0, error=dfac))
     return out
 
 
-def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[InequalityMargin]:
+def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[Margin]:
     """Inverse-flow isoperimetric comparison; equality would force a totally
     geodesic piece, so the verdict also records strictness."""
     n = imm.dim
@@ -145,34 +121,25 @@ def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[InequalityMargi
     factor = (c * n - 1.0) / (c * n)
     if imm.route == "constant":
         return [
-            InequalityMargin(
-                f"isoperimetric-inverse(R={R:g})", math.nan, math.nan, math.nan,
-                0.0, "SKIPPED", ("spherical image: the ball boundary degenerates",),
+            compare(
+                f"isoperimetric-inverse(R={R:g})", math.nan, math.nan,
+                skip="spherical image: the ball boundary degenerates",
             )
             for R in radii
         ]
     out = []
     for R, (vol, _, boundary) in zip(radii, _ball_pieces(imm, radii, curvature=False)):
+        name = f"isoperimetric-inverse(R={R:g})"
         if vol.value <= 0.0:
-            out.append(
-                InequalityMargin(
-                    f"isoperimetric-inverse(R={R:g})", math.nan, math.nan, math.nan,
-                    0.0, "SKIPPED", ("empty extrinsic ball",),
-                )
-            )
+            out.append(compare(name, math.nan, math.nan, skip="empty extrinsic ball"))
             continue
         lhs = boundary.area / vol.value
         rhs = factor * sphere_volume(n - 1, R) / ball_volume(n, R)
         dlhs = (BOUNDARY_REL_ERR * boundary.area + lhs * vol.error) / vol.value
-        tol = max(1e-9, 2.0 * dlhs)
-        strict = lhs - rhs > tol
-        out.append(
-            InequalityMargin(
-                f"isoperimetric-inverse(R={R:g})", lhs, rhs, lhs - rhs, tol,
-                "PASS" if lhs - rhs >= -tol else "FAIL",
-                notes=("strict",) if strict else ("equality within tolerance",),
-            )
-        )
+        m = compare(name, lhs, rhs, error=dlhs, notes=(BOUNDARY_SLACK,))
+        strict = "strict" if m.margin > m.tol else "equality within tolerance"
+        m.notes = (strict, *m.notes)
+        out.append(m)
     return out
 
 
@@ -197,14 +164,11 @@ def volume_growth_monotonicity(imm, c, radii, seed=DEFAULT_SEED) -> TrendReport:
     _verify_soliton(imm, "imcf", c, seed)
     exponent = (c * n - 1.0) / (c * n)
     radii = np.asarray(radii, dtype=float)
-    vals, errs = [], []
     vols = region_integrals(imm, [RegionJob(ExtrinsicRegion(imm, 0.0, t)) for t in radii])
-    for t, vol in zip(radii, vols):
-        vals.append(vol.value / ball_volume(n, t) ** exponent)
-        errs.append(vol.error / ball_volume(n, t) ** exponent)
-    vals = np.asarray(vals)
-    rels = [e / v for e, v in zip(errs, vals) if v > 0]
-    tol_rel = max(1e-9, 2.0 * max(rels)) if rels else 1e-9
+    vals = np.array([vol.value / ball_volume(n, t) ** exponent for t, vol in zip(radii, vols)])
+    # the normalization scales a volume and its error alike
+    rels = [2.0 * vol.error / vol.value for vol in vols if vol.value > 0]
+    tol_rel = max([ROUNDING_FLOOR, *rels])
     ok = all(b >= a * (1.0 - tol_rel) for a, b in zip(vals, vals[1:]))
     return TrendReport(
         "volume-growth-monotonicity", radii, vals,

@@ -45,6 +45,8 @@ __all__ = [
     "region_integrals",
     "gaussian_volume",
     "second_moment",
+    "Margin",
+    "compare",
     "weighted_identity_check",
     "psi",
     "cylinder_psi_closed_form",
@@ -53,6 +55,8 @@ __all__ = [
     "shared_majorant_fit",
 ]
 
+ROUNDING_FLOOR = 1e-9  # the least tolerance of a comparison: rounding in its sums
+FLUX_SLACK = 1e-3  # relative slack of the flux identity: the boundary flux carries no error
 TAIL_TOL = 1e-10  # a tail bound past the window must lie below this, absolute or relative
 PSI_GRID = 33  # radii of the parabolicity integral's Psi grid
 
@@ -662,33 +666,60 @@ def second_moment(imm: Immersion, lam: float) -> QuadratureResult:
     return _gaussian_tails(imm, lam, [(0.0, 2)])[0]
 
 
+# --- comparisons ------------------------------------------------------------------
+
+
 @dataclass
-class IdentityMargin:
+class Margin:
+    """One comparison of two computed numbers and its verdict.
+
+    An identity's margin is |lhs - rhs| / scale and passes when it is at most
+    tol; an inequality's is (lhs - rhs) / scale and passes when it is at least
+    -tol.  error is the margin's carried error estimate, None where the
+    compared numbers carry none yet; notes then name the slack tol stands for.
+    """
+
     name: str
     lhs: float
     rhs: float
     margin: float
+    error: float | None
     tol: float
-    verdict: str
-    notes: tuple = field(default=())
+    verdict: str  # PASS | FAIL | SKIPPED
+    notes: tuple = ()
 
 
-def weighted_identity_check(imm: Immersion, lam: float, tol: float = 1e-3) -> IdentityMargin:
+def compare(
+    name, lhs, rhs, *, identity=False, scale=1.0, error=None, slack=None, tol=None,
+    notes=(), skip=None,
+) -> Margin:
+    """The one rule every comparison verdict takes: tol is the user's where
+    given, else max(ROUNDING_FLOOR, 2 * error), else the (value, reason) slack
+    the comparison rests on until it carries an error; `skip` gives the
+    reason a comparison does not apply."""
+    if skip is not None:
+        return Margin(name, lhs, rhs, math.nan, None, 0.0, "SKIPPED", (skip,))
+    margin = (abs(lhs - rhs) if identity else lhs - rhs) / scale
+    if tol is not None:
+        notes = (*notes, f"tol {tol:g} set by the user")
+    elif error is not None:
+        tol = max(ROUNDING_FLOOR, 2.0 * error)
+    else:
+        tol, reason = slack
+        notes = (*notes, f"slack {tol:g}: {reason}")
+    ok = margin <= tol if identity else margin >= -tol
+    return Margin(name, lhs, rhs, margin, error, tol, "PASS" if ok else "FAIL", tuple(notes))
+
+
+def weighted_identity_check(imm: Immersion, lam: float, tol: float | None = None) -> Margin:
     """Relative defect of lam * second_moment = n * gaussian_volume; both
     moments share one majorant fit and one quadrature pass."""
     m0, m2 = _gaussian_tails(imm, lam, [(0.0, 0), (0.0, 2)])
     n = imm.dim
-    lhs = lam * m2.value
     rhs = n * m0.value
-    margin = abs(lhs - rhs) / abs(rhs)
-    combined = max(tol, 4.0 * (lam * m2.error + n * m0.error) / abs(rhs))
-    return IdentityMargin(
-        name="weighted-volume-identity",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        tol=combined,
-        verdict="PASS" if margin < combined else "FAIL",
+    return compare(
+        "weighted-volume-identity", lam * m2.value, rhs, identity=True, scale=abs(rhs),
+        error=(lam * m2.error + n * m0.error) / abs(rhs), tol=tol,
     )
 
 
@@ -772,26 +803,13 @@ def parabolicity_integral(
 # --- the flux identity -------------------------------------------------------------
 
 
-@dataclass
-class FluxIdentityReport:
-    R: float
-    lhs: float  # volume integral of e^(-lam r^2/2)(n - lam r^2)
-    rhs: float  # R e^(-lam R^2/2) * boundary flux
-    margin: float
-    factor_lhs: float  # 1 - int |H|^2 / (n lam Vol)
-    factor_rhs: float  # int (1 - lam r^2/n) e^(lam (R^2 - r^2)/2) / Vol
-    factor_margin: float
-    rhs_nonnegative: bool
-    tol: float
-    verdict: str
-
-
 def flux_identity_check(
-    imm: Immersion, lam: float, R: float, tol: float = 1e-3
-) -> FluxIdentityReport:
+    imm: Immersion, lam: float, R: float, tol: float | None = None
+) -> list[Margin]:
     """Both sides of the divergence identity, computed independently:
     interior quadrature against level-set flux, plus the averaged form that
-    rewrites the curvature factor as a weighted volume ratio."""
+    rewrites the curvature factor as a weighted volume ratio, and the sign
+    of the flux side."""
     imm.require_window(R)
     n = imm.dim
     region = ExtrinsicRegion(imm, 0.0, R)
@@ -801,24 +819,24 @@ def flux_identity_check(
         RegionJob(region, point_fn=lambda g: g.normH**2),
         RegionJob(region, lambda r: (1.0 - lam * r**2 / n) * np.exp(lam * (R**2 - r**2) / 2.0)),
     ]
-    lhs, vol, h2, avg = (res.value for res in region_integrals(imm, jobs))
+    lhs, vol, h2, avg = region_integrals(imm, jobs)
     boundary = boundary_area_and_flux(imm, R)
     rhs = R * math.exp(-lam * R**2 / 2.0) * boundary.flux
-    scale = max(abs(rhs), abs(lhs), 1e-9 * n * vol)
-    margin = abs(lhs - rhs) / scale
-    factor_lhs = 1.0 - h2 / (n * lam * vol) if lam != 0 else math.nan
-    factor_rhs = avg / vol
-    factor_margin = abs(factor_lhs - factor_rhs) / max(1.0, abs(factor_rhs))
-    ok = margin < tol and factor_margin < tol
-    return FluxIdentityReport(
-        R=R,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        factor_lhs=factor_lhs,
-        factor_rhs=factor_rhs,
-        factor_margin=factor_margin,
-        rhs_nonnegative=rhs >= -tol * scale,
-        tol=tol,
-        verdict="PASS" if ok else "FAIL",
-    )
+    scale = max(abs(rhs), abs(lhs.value), 1e-9 * n * vol.value)
+    slack = (FLUX_SLACK, "the boundary flux carries no error estimate")
+    nlv = n * lam * vol.value
+    factor_lhs = 1.0 - h2.value / nlv if lam != 0 else math.nan
+    dlhs = (h2.error + abs(h2.value / vol.value) * vol.error) / abs(nlv) if lam != 0 else math.nan
+    factor_rhs = avg.value / vol.value
+    drhs = (avg.error + abs(factor_rhs) * vol.error) / vol.value
+    factor_scale = max(1.0, abs(factor_rhs))
+    return [
+        compare(
+            "flux-identity", lhs.value, rhs, identity=True, scale=scale, slack=slack, tol=tol
+        ),
+        compare(
+            "curvature-factor", factor_lhs, factor_rhs, identity=True, scale=factor_scale,
+            error=(dlhs + drhs) / factor_scale, tol=tol,
+        ),
+        compare("flux-nonnegative", rhs, 0.0, scale=scale, slack=slack, tol=tol),
+    ]

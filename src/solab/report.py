@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
 from .geometry import Immersion, radius_values
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_box, shared_sample_geometry
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # --- deterministic JSON -------------------------------------------------------
@@ -115,15 +116,26 @@ class RunConfig:
             if key in data and data[key] is not None:
                 setattr(cfg, key, data[key])
         validate_checks(cfg.checks)
-        cfg.seed = int(cfg.seed)
-        cfg.samples = int(cfg.samples)
         if cfg.radii is not None:
             cfg.radii = [float(x) for x in cfg.radii]
             if any(b <= a for a, b in zip(cfg.radii, cfg.radii[1:])):
                 raise ConfigError("radius grid must be strictly increasing")
         if cfg.times is not None:
             cfg.times = [float(x) for x in cfg.times]
-        return cfg
+        return cfg.validate()
+
+    def validate(self) -> "RunConfig":
+        """Fail closed on a seed, sample count, tolerance or mesh spacing that
+        no check can run with."""
+        for key, least in (("seed", 0), ("samples", 1)):
+            value = getattr(self, key)
+            if not _is_a(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+        for key in ("tol", "h") if self.tol is not None else ("h",):
+            value = getattr(self, key)
+            if not (_is_a(value, numbers.Real) and 0.0 < value < math.inf):
+                raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+        return self
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
@@ -132,6 +144,10 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+
+
+def _is_a(x, kind) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def build_immersion(cfg: RunConfig):
@@ -244,6 +260,15 @@ def _pick(rep, *names) -> dict:
     return {name: getattr(rep, name) for name in names}
 
 
+def _judged(margins, details=None, artifacts=None):
+    """A check's (status, details, artifacts) from its margins: FAIL if any
+    fails, SKIPPED if all are skipped, PASS otherwise; details gain every
+    margin's record under "margins"."""
+    verdicts = {m.verdict for m in margins}
+    status = "FAIL" if "FAIL" in verdicts else "SKIPPED" if verdicts == {"SKIPPED"} else "PASS"
+    return status, {**(details or {}), "margins": [asdict(m) for m in margins]}, artifacts or {}
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
@@ -351,8 +376,7 @@ def _rimoldi(cfg, imm, entry, spec):
 
 
 def _weighted_volume(cfg, imm, entry, spec):
-    check = quadrature.weighted_identity_check(imm, spec.constant, tol=cfg.tol or 1e-3)
-    return check.verdict, _pick(check, "lhs", "rhs", "margin", "tol"), {}
+    return _judged([quadrature.weighted_identity_check(imm, spec.constant, tol=cfg.tol)])
 
 
 def _psi(cfg, imm, entry, spec):
@@ -376,12 +400,7 @@ def _parabolicity_integral(cfg, imm, entry, spec):
 
 def _flux_identity(cfg, imm, entry, spec):
     R = _default_radius(imm, cfg)
-    rep = quadrature.flux_identity_check(imm, spec.constant, R, tol=cfg.tol or 1e-3)
-    details = _pick(
-        rep, "R", "lhs", "rhs", "margin", "factor_lhs", "factor_rhs", "factor_margin",
-        "rhs_nonnegative", "tol",
-    )
-    return rep.verdict, details, {}
+    return _judged(quadrature.flux_identity_check(imm, spec.constant, R, tol=cfg.tol), {"R": R})
 
 
 def _capacity(cfg, imm, entry, spec):
@@ -392,15 +411,18 @@ def _capacity(cfg, imm, entry, spec):
     details = {
         "rho": rho, "R": R, "cap": cap.cap,
         "boundary_flux_form": cap.boundary_flux_form,
-        "upper_bound": bound.bound,
         "solver_residual": cap.solution.residual,
         "notes": list(cap.solution.mesh.notes),
     }
+    margin = quadrature.compare(
+        "capacity-bound", bound.bound, cap.cap, scale=bound.bound,
+        slack=(fem.BOUND_SLACK, "the FEM capacity and its foliation bound carry no error estimate"),
+    )
     artifacts = {
         "capacity_potential.csv": lambda path: fem.export_solution_csv(cap.solution, path),
         "capacity_mesh.off": lambda path: fem.export_off(cap.solution.mesh, path),
     }
-    return ("PASS" if cap.cap <= bound.bound * 1.05 else "FAIL"), details, artifacts
+    return _judged([margin], details, artifacts)
 
 
 def _exit_time(cfg, imm, entry, spec):
@@ -420,18 +442,12 @@ def _exit_time(cfg, imm, entry, spec):
 
 def _isoperimetric(cfg, imm, entry, spec):
     radii = _default_radii(imm, cfg)
-    if spec.kind == "mcf":
-        margins = inequalities.isoperimetric_mcf(imm, spec.constant, radii, seed=cfg.seed)
-    else:
-        margins = inequalities.isoperimetric_imcf(imm, spec.constant, radii, seed=cfg.seed)
+    fn = inequalities.isoperimetric_mcf if spec.kind == "mcf" else inequalities.isoperimetric_imcf
+    margins = fn(imm, spec.constant, radii, seed=cfg.seed)
     columns = ("name", "lhs", "rhs", "margin", "tol", "verdict")
-    details = {"margins": [_pick(m, *columns) for m in margins]}
-    if any(m.verdict == "FAIL" for m in margins):
-        status = "FAIL"
-    else:
-        status = "PASS" if any(m.verdict != "SKIPPED" for m in margins) else "SKIPPED"
     rows = [[getattr(m, c) for c in columns] for m in margins]
-    return status, details, {"isoperimetric.csv": lambda path: _write_csv(path, columns, rows)}
+    artifacts = {"isoperimetric.csv": lambda path: _write_csv(path, columns, rows)}
+    return _judged(margins, artifacts=artifacts)
 
 
 def _volume_growth(cfg, imm, entry, spec):

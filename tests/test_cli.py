@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, outputs, determinism, config handling."""
 
 import ast
+import csv as csv_module
 import json
 import math
 import os
@@ -39,7 +40,7 @@ def test_catalog_lists_six_entries(capsys):
 def test_catalog_json(capsys):
     code, out, _ = run_cli(["catalog", "--format", "json"], capsys)
     data = json.loads(out)
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert len(data["entries"]) == 6
 
 
@@ -153,16 +154,30 @@ def test_report_writes_json_and_respects_format(tmp_path, capsys):
     out_dir = tmp_path / "rep"
     code, _, _ = run_cli(
         ["report", "--catalog", "sphere", "--n", "1", "--radius", "1",
-         "--checks", "soliton-residual,flow-residual", "--out", str(out_dir),
+         "--checks", "soliton-residual,flow-residual,flux-identity", "--out", str(out_dir),
          "--format", "csv"],
         capsys,
     )
     assert code == 0
     report = json.loads((out_dir / "report.json").read_text())
-    assert report["schema"] == 1
-    assert [c["name"] for c in report["checks"]] == ["soliton-residual", "flow-residual"]
+    assert report["schema"] == 2
+    assert [c["name"] for c in report["checks"]] == [
+        "soliton-residual", "flow-residual", "flux-identity"
+    ]
     csv = (out_dir / "report.csv").read_text().splitlines()
     assert csv[0] == "check,status,detail"
+    # one cell per margin after the scalar details
+    row = next(csv_module.reader([csv[3]]))
+    assert row[:3] == ["flux-identity", "PASS", "R=1.5"]
+    cells = [dict(kv.split("=") for kv in cell.split("; ")) for cell in row[3:]]
+    margins = report["checks"][2]["details"]["margins"]
+    assert [m["name"] for m in margins] == [c["name"] for c in cells] == [
+        "flux-identity", "curvature-factor", "flux-nonnegative"
+    ]
+    for m, c in zip(margins, cells):
+        assert (float(c["margin"]), float(c["tol"]), c["verdict"]) == (
+            m["margin"], m["tol"], m["verdict"]
+        )
 
 
 def strip_timing(text: str) -> str:
@@ -381,6 +396,44 @@ def test_report_config_rejects_unknown_checks_before_running(tmp_path, capsys):
     code, out, err = run_cli(["report", "--config", str(path)], capsys)
     assert code == 2
     assert "bogus" in err
+    assert out == ""
+
+
+_SPHERE_RUN = {
+    "immersion": {"catalog": "sphere", "params": {"n": 2, "R": 1.0}},
+    "checks": ["soliton-residual"],
+}
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"tol": "x"}, []),
+        ({"tol": 0}, []),
+        ({"samples": "x"}, []),
+        ({"samples": 2.5}, []),
+        ({"seed": "x"}, ["--dry-run"]),
+        ({"seed": True}, []),
+        ({"h": 0}, []),
+        ({}, ["--samples", "-5"]),
+        ({}, ["--samples", "0"]),
+        ({}, ["--seed", "-1"]),
+        ({}, ["--tol", "0"]),
+        ({}, ["--tol", "nan", "--dry-run"]),
+        ({}, ["--h", "inf"]),
+        (None, ["capacity", "--catalog", "plane", "--n", "2", "--h", "0"]),
+    ],
+)
+def test_bad_numeric_settings_are_config_errors(tmp_path, capsys, config, argv):
+    # tol and h must be finite and > 0, samples an integer >= 1 and seed an
+    # integer >= 0, from a config file or a flag, before anything runs
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**_SPHERE_RUN, **config}))
+        argv = ["report", "--config", str(path), *argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("configuration error")
     assert out == ""
 
 

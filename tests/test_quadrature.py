@@ -462,9 +462,9 @@ def _top_level_rules(monkeypatch):
 
 def test_flux_identity_runs_one_top_level_rule(monkeypatch):
     top = _top_level_rules(monkeypatch)
-    rep = flux_identity_check(cylinder_chart(), 1.0, 2.0)
+    margins = flux_identity_check(cylinder_chart(), 1.0, 2.0)
     assert top == [4]  # the four integrands of the identity, one pass
-    assert rep.verdict == "PASS"
+    assert [m.verdict for m in margins] == ["PASS"] * 3
 
 
 def test_product_route_runs_one_rule_on_batched_points(monkeypatch):
@@ -585,6 +585,36 @@ def test_hopeless_tail_fails_before_any_quadrature(monkeypatch):
         psi(imm, 1.0, [0.5, 1.0, 2.0])
 
 
+def test_weighted_identity_floor_passes_an_exact_route():
+    # the constant route carries no quadrature error, so only the rounding
+    # floor lets a margin of 1.3e-16 pass; 2 * error alone would be 0
+    imm, entry = catalog("veronese")
+    check = weighted_identity_check(imm, entry.constants["lam"])
+    assert check.error == 0.0
+    assert 0.0 < check.margin < 1e-15
+    assert check.tol == quadrature.ROUNDING_FLOOR == 1e-9
+    assert check.verdict == "PASS"
+
+
+def test_compare_rule():
+    # identities pass up to tol, inequalities down to -tol; the user's tol
+    # and a slack each leave a note, a carried error none
+    floor = quadrature.ROUNDING_FLOOR
+    exact = quadrature.compare("a", 1.0, 1.0 + 4e-10, identity=True, error=1e-10)
+    assert (exact.margin, exact.tol, exact.verdict, exact.notes) == (
+        pytest.approx(4e-10), floor, "PASS", ()
+    )
+    assert quadrature.compare("b", 1.0, 1.5, error=0.2).verdict == "FAIL"
+    assert quadrature.compare("b", 1.0, 1.3, error=0.2).tol == 0.4
+    slack = quadrature.compare("c", 2.0, 1.0, identity=True, scale=2.0, slack=(0.6, "why"))
+    assert (slack.margin, slack.error, slack.verdict) == (0.5, None, "PASS")
+    assert slack.notes == ("slack 0.6: why",)
+    user = quadrature.compare("d", 2.0, 1.0, identity=True, error=1.0, tol=0.1)
+    assert (user.tol, user.verdict, user.notes) == (0.1, "FAIL", ("tol 0.1 set by the user",))
+    skipped = quadrature.compare("e", math.nan, math.nan, skip="no ball")
+    assert (skipped.tol, skipped.verdict, skipped.notes) == (0.0, "SKIPPED", ("no ball",))
+
+
 def test_weighted_identity_negative_control():
     # cylinder tested against the wrong constant: closed forms give
     # margin = |lam - 1| / 2 exactly (lam* = 1 for C_1(1))
@@ -697,12 +727,20 @@ def test_parabolicity_sphere_underflows():
 
 
 def test_flux_identity_cylinder():
+    # three margins: the identity rests on the boundary flux's slack, the
+    # curvature factor takes its tolerance from the region integrals' errors
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
-    rep = flux_identity_check(imm, 1.0, 2.0)
-    assert rep.margin < 1e-3
-    assert rep.factor_margin < 1e-3
-    assert rep.rhs_nonnegative
-    assert rep.verdict == "PASS"
+    identity, factor, sign = flux_identity_check(imm, 1.0, 2.0)
+    assert [m.name for m in (identity, factor, sign)] == [
+        "flux-identity", "curvature-factor", "flux-nonnegative"
+    ]
+    assert identity.margin < 1e-3
+    assert identity.error is None and identity.tol == 1e-3
+    assert any(note.startswith("slack 0.001") for note in identity.notes)
+    assert factor.margin < 1e-3
+    assert factor.error is not None and factor.tol <= 1e-9
+    assert sign.lhs > 0.0
+    assert [m.verdict for m in (identity, factor, sign)] == ["PASS"] * 3
 
 
 def test_flux_identity_takes_the_product_route_on_cylinders(monkeypatch):
@@ -725,15 +763,15 @@ def test_flux_identity_takes_the_product_route_on_cylinders(monkeypatch):
     monkeypatch.setattr(levelset, "level_segments", refuse)
     rep = flux_identity_check(imm, 1.0, 2.0)
     assert counts == [4]
-    assert rep.verdict == chart.verdict == "PASS"
-    assert rep.lhs == pytest.approx(chart.lhs, rel=1e-6)
-    assert rep.rhs == pytest.approx(chart.rhs, rel=1e-3)
+    assert [m.verdict for m in rep] == [m.verdict for m in chart] == ["PASS"] * 3
+    assert rep[0].lhs == pytest.approx(chart[0].lhs, rel=1e-6)
+    assert rep[0].rhs == pytest.approx(chart[0].rhs, rel=1e-3)
 
 
 def test_flux_identity_plane_hand_value():
     # lhs = 2 pi * 9 e^(-4.5) by parts; rhs = 3 e^(-4.5) * 2 pi * 3
     imm, _ = catalog("plane", n=2)
-    rep = flux_identity_check(imm, 1.0, 3.0)
+    rep = flux_identity_check(imm, 1.0, 3.0)[0]
     hand = 18.0 * math.pi * math.exp(-4.5)
     assert rep.lhs == pytest.approx(hand, rel=1e-3)
     assert rep.rhs == pytest.approx(hand, rel=1e-3)
@@ -742,7 +780,7 @@ def test_flux_identity_plane_hand_value():
 
 def test_flux_identity_sphere_degenerate():
     imm, _ = catalog("sphere", n=2, R=1.0)
-    rep = flux_identity_check(imm, 2.0, 1.7)
-    assert abs(rep.lhs) < 1e-10
-    assert rep.rhs == 0.0
-    assert rep.verdict == "PASS"
+    margins = flux_identity_check(imm, 2.0, 1.7)
+    assert abs(margins[0].lhs) < 1e-10
+    assert margins[0].rhs == 0.0
+    assert [m.verdict for m in margins] == ["PASS"] * 3

@@ -162,7 +162,7 @@ def test_homothetic_geometries_equal_the_rescaled_charts(case, where):
                 assert scaled is sample_geometry(imm, count=64, seed=3)
 
 
-def test_full_report_fits_the_majorant_once(tmp_path, monkeypatch):
+def cylinder_chart_config(tmp_path):
     path = tmp_path / "cylinder.json"
     path.write_text(json.dumps({
         "dim": 2,
@@ -173,9 +173,34 @@ def test_full_report_fits_the_majorant_once(tmp_path, monkeypatch):
         ],
         "coords": ["cos(u1)", "sin(u1)", "u2"],
     }))
-    cfg = report.RunConfig.from_dict(
+    return report.RunConfig.from_dict(
         {"immersion": {"chart": str(path)}, "soliton": {"kind": "mcf", "constant": 1.0}}
     )
+
+
+def test_full_report_margins_name_their_slacks(tmp_path):
+    rep, code = report.run(cylinder_chart_config(tmp_path))
+    assert code == 0
+    checks = {c.name: c for c in rep.checks}
+    ported = ("weighted-volume", "flux-identity", "capacity", "isoperimetric")
+    margins = [m for name in ported for m in checks[name].details["margins"]]
+    assert len(margins) == 1 + 3 + 1 + 8
+    fields = ["name", "lhs", "rhs", "margin", "error", "tol", "verdict", "notes"]
+    for m in margins:
+        assert list(m) == fields
+        if m["error"] is None:  # a verdict resting on a slack says so
+            assert any(note.startswith("slack ") for note in m["notes"]), m["name"]
+        else:
+            assert m["tol"] == max(quadrature.ROUNDING_FLOOR, 2.0 * m["error"])
+    by_name = {m["name"]: m for m in margins}
+    assert by_name["weighted-volume-identity"]["tol"] <= 1e-9
+    assert by_name["curvature-factor"]["tol"] <= 1e-9
+    assert by_name["capacity-bound"]["tol"] == 0.05
+    assert checks["capacity"].details["cap"] == by_name["capacity-bound"]["rhs"]
+
+
+def test_full_report_fits_the_majorant_once(tmp_path, monkeypatch):
+    cfg = cylinder_chart_config(tmp_path)
     fits, fit = [], quadrature._fit_majorant
     monkeypatch.setattr(quadrature, "_fit_majorant", lambda imm: fits.append(imm) or fit(imm))
     imm, entry = built = report.build_immersion(cfg)
