@@ -186,10 +186,6 @@ _FLAG_FIELDS = {
 }
 
 
-def _float_list(text):
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
 def _config_from_args(args) -> RunConfig:
     data = {}
     if getattr(args, "config", None):
@@ -217,7 +213,7 @@ def _config_from_args(args) -> RunConfig:
             setattr(cfg, key, getattr(args, flag))
     for key in ("radii", "times"):
         if getattr(args, key, None):
-            setattr(cfg, key, _float_list(getattr(args, key)))
+            setattr(cfg, key, [x for x in getattr(args, key).split(",") if x.strip()])
     if "rho" in leftover:
         cfg.rho = leftover["rho"]
     if args.out:

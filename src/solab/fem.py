@@ -43,7 +43,7 @@ from .errors import (
 )
 from .geometry import Immersion, evaluate_chart, geometry, radius_values
 from .levelset import _KUHN, _cell_corners, grid_edges, level_boundaries
-from .quadrature import ExtrinsicRegion, _region_bounds
+from .quadrature import ExtrinsicRegion, Margin, _region_bounds, compare
 from .solitons import SolitonSpec, imcf_residual
 
 SNAP_FRACTION = 0.3  # grid vertices closer than this (in edge units) snap onto the level
@@ -610,42 +610,30 @@ def solve_exit_time(imm: Immersion, R: float, h: float = 0.05) -> ExitTimeField:
     return ExitTimeField(mesh, sol.values, transplanted, R)
 
 
-@dataclass
-class ExitTimeComparison:
-    R: float
-    kind: str
-    min_margin: float | None  # min of E - Ebar (direct flow comparison)
-    ratio_target: float | None  # Cn/(Cn-1) for the inverse flow
-    ratio_max_dev: float | None  # max relative deviation away from the boundary layer
-    interior_count: int
-    verdict: str
-    notes: tuple = field(default=())
-
-
 def exit_time_comparison(
     imm: Immersion, spec: SolitonSpec, R: float, h: float = 0.05,
     field_: ExitTimeField | None = None,
-) -> ExitTimeComparison:
+) -> Margin:
+    """The direct flow's min(E - Ebar) >= 0 (reversed for lam < 0) over the
+    mesh, or the inverse flow's E/Ebar against Cn/(Cn-1) at its worst vertex
+    off the boundary layer."""
     if field_ is None:
         field_ = solve_exit_time(imm, R, h)
     notes = tuple(field_.mesh.notes)
     if spec.kind == "mcf":
-        if spec.constant >= 0:
-            margin = float((field_.values - field_.transplanted).min())
-        else:
-            margin = float((field_.transplanted - field_.values).min())
-        return ExitTimeComparison(
-            R, "mcf", margin, None, None, field_.mesh.vertex_count,
-            "PASS" if margin >= -EXIT_TIME_TOL else "FAIL",
-            (*notes, f"slack EXIT_TIME_TOL = {EXIT_TIME_TOL:g}: the exit time carries no error"),
+        gap = field_.values - field_.transplanted
+        return compare(
+            "exit-time-comparison", float((gap if spec.constant >= 0 else -gap).min()), 0.0,
+            notes=(*notes, f"{field_.mesh.vertex_count} vertices compared"),
+            slack=(EXIT_TIME_TOL, "the exit time carries no error estimate"),
         )
     target = spec.constant * imm.dim / (spec.constant * imm.dim - 1.0)
     ratio = _interior_ratio(field_, h)
-    dev = float(np.abs(ratio / target - 1.0).max())
-    return ExitTimeComparison(
-        R, "imcf", None, target, dev, len(ratio),
-        "PASS" if dev < PROPORTIONAL_TOL else "FAIL",
-        (*notes, f"slack PROPORTIONAL_TOL = {PROPORTIONAL_TOL:g}: the ratio carries no error"),
+    worst = float(ratio[np.argmax(np.abs(ratio / target - 1.0))])
+    return compare(
+        "exit-time-ratio", worst, target, identity=True, scale=abs(target),
+        notes=(*notes, f"{len(ratio)} interior vertices compared"),
+        slack=(PROPORTIONAL_TOL, "the exit-time ratio carries no error estimate"),
     )
 
 
@@ -704,8 +692,8 @@ def soliton_from_exit_time(imm: Immersion, radii, h: float = 0.05) -> ExitTimeCh
             ("alpha = 1 means a minimal immersion: no inverse-flow constant exists",),
         )
     c_forward = alpha / ((alpha - 1.0) * n)
-    check = imcf_residual(imm, c_forward, tol=1e-6)
-    verdict = "CONSISTENT" if check.passed else "INCONSISTENT"
+    check = imcf_residual(imm, c_forward)
+    verdict = "CONSISTENT" if check.sup < 1e-6 else "INCONSISTENT"
     return ExitTimeCharacterization(
         alpha, spread, c_forward, -c_forward, verdict,
         (f"inverse-flow residual at the forward constant: {check.sup:.3e}",),

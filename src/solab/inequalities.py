@@ -24,7 +24,7 @@ from .geometry import (
     sphere_volume,
 )
 from .levelset import level_boundaries
-from .quadrature import ROUNDING_FLOOR, ExtrinsicRegion, Margin, RegionJob, compare, region_integrals
+from .quadrature import ExtrinsicRegion, Margin, RegionJob, compare, monotone_margins, region_integrals
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, homothetic_geometries, sample_geometry
 from .solitons import imcf_residual, mcf_residual
 
@@ -50,12 +50,8 @@ def isoperimetric_excluded(c: float, n: int) -> bool:
 
 
 def _verify_soliton(imm, kind, constant, seed):
-    rep = (
-        mcf_residual(imm, constant, seed=seed, tol=1e-6)
-        if kind == "mcf"
-        else imcf_residual(imm, constant, seed=seed, tol=1e-6)
-    )
-    if not rep.passed:
+    rep = (mcf_residual if kind == "mcf" else imcf_residual)(imm, constant, seed=seed)
+    if not rep.sup < 1e-6:
         raise InvalidParams(
             f"{imm.name} is not a {kind} soliton with constant {constant} "
             f"(sup residual {rep.sup:.3e})"
@@ -143,19 +139,11 @@ def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[Margin]:
     return out
 
 
-@dataclass
-class TrendReport:
-    name: str
-    grid: np.ndarray
-    values: np.ndarray
-    verdict: str
-    notes: tuple = field(default=())
-
-
-def volume_growth_monotonicity(imm, c, radii, seed=DEFAULT_SEED) -> TrendReport:
-    """The normalized volume Vol(D_t) / Vol(B^n(t))^((Cn-1)/(Cn)) must not
-    decrease along the grid.  C = 1/n (closed spherical solitons) is allowed:
-    the exponent degenerates to zero and the trend is the plain volume."""
+def volume_growth_monotonicity(imm, c, radii, seed=DEFAULT_SEED) -> tuple[np.ndarray, list[Margin]]:
+    """The normalized volume Vol(D_t) / Vol(B^n(t))^((Cn-1)/(Cn)) along the
+    grid and its margins: it must not decrease from one radius to the next.
+    C = 1/n (closed spherical solitons) is allowed: the exponent degenerates
+    to zero and the trend is the plain volume."""
     n = imm.dim
     if 0.0 <= c < 1.0 / n and not is_one_over_n(c, n):
         raise InvalidParams(
@@ -165,15 +153,11 @@ def volume_growth_monotonicity(imm, c, radii, seed=DEFAULT_SEED) -> TrendReport:
     exponent = (c * n - 1.0) / (c * n)
     radii = np.asarray(radii, dtype=float)
     vols = region_integrals(imm, [RegionJob(ExtrinsicRegion(imm, 0.0, t)) for t in radii])
-    vals = np.array([vol.value / ball_volume(n, t) ** exponent for t, vol in zip(radii, vols)])
+    norms = np.array([ball_volume(n, t) ** exponent for t in radii])
+    vals = np.array([vol.value for vol in vols]) / norms
     # the normalization scales a volume and its error alike
-    rels = [2.0 * vol.error / vol.value for vol in vols if vol.value > 0]
-    tol_rel = max([ROUNDING_FLOOR, *rels])
-    ok = all(b >= a * (1.0 - tol_rel) for a, b in zip(vals, vals[1:]))
-    return TrendReport(
-        "volume-growth-monotonicity", radii, vals,
-        "PASS" if ok else "FAIL",
-    )
+    errors = np.array([vol.error for vol in vols]) / norms
+    return vals, monotone_margins("volume-growth", radii, vals, errors, increasing=True)
 
 
 @dataclass
@@ -186,6 +170,7 @@ class SeparationReport:
     verdict: str  # SEPARATED | INSIDE | OUTSIDE | ON-SPHERE
     minimal_in_sphere_defect: float | None  # max |<X,H> + n| when one-sided
     radius_defect: float | None  # max |r - critical| when one-sided
+    margins: list  # one-sided: the radius defect against the critical sphere
     notes: tuple = field(default=())
 
 
@@ -194,8 +179,9 @@ def separation_check(
 ) -> SeparationReport:
     """Classify sampled radii against sqrt(n/lam).  A one-sided configuration
     forces a minimal spherical immersion, so the report then also measures
-    |r - sqrt(n/lam)| and <X, H> + n.  Sampling refutes, never proves: a
-    one-sided verdict only means no counterexample was found in the samples."""
+    |r - sqrt(n/lam)|, its one margin, and <X, H> + n.  Sampling refutes,
+    never proves: a one-sided verdict only means no counterexample was found
+    in the samples."""
     _verify_soliton(imm, "mcf", lam, seed)
     if lam <= 0:
         raise InvalidParams("separation concerns shrinkers (lam > 0)")
@@ -204,27 +190,29 @@ def separation_check(
     band = SAMPLE_TOL * max(1.0, crit)
     below = int((g.r < crit - band).sum())
     above = int((g.r > crit + band).sum())
-    defect = None
-    rdef = None
-    notes = ()
     if below and above:
-        verdict = "SEPARATED"
-    elif float(np.abs(g.r - crit).max()) < band:
+        return SeparationReport(
+            crit, below, above, float(g.r.min()), float(g.r.max()), "SEPARATED", None, None, []
+        )
+    defect = float(np.abs(g.x_dot_h + imm.dim).max())
+    rdef = float(np.abs(g.r - crit).max())
+    notes = ()
+    if rdef < band:
         verdict = "ON-SPHERE"
-        defect = float(np.abs(g.x_dot_h + imm.dim).max())
-        rdef = float(np.abs(g.r - crit).max())
     else:
         verdict = "INSIDE" if above == 0 else "OUTSIDE"
-        defect = float(np.abs(g.x_dot_h + imm.dim).max())
-        rdef = float(np.abs(g.r - crit).max())
         notes = (
             f"one-sided in {len(g.points)} samples (no counterexample found); a true "
             "one-sided shrinker must sit on the critical sphere, and the "
             "reported defects measure how far these samples are from that",
         )
+    sphere = compare(
+        "critical-sphere", rdef, 0.0, identity=True, scale=max(1.0, crit),
+        slack=(SAMPLE_TOL, "sampled radii carry no error estimate"),
+    )
     return SeparationReport(
         crit, below, above, float(g.r.min()), float(g.r.max()), verdict,
-        defect, rdef, notes,
+        defect, rdef, [sphere], notes,
     )
 
 
@@ -232,9 +220,8 @@ def separation_check(
 class ShapeThresholdReport:
     max_ratio: float  # sup of |A|^2 / lam over the samples
     landmarks: dict  # threshold -> bool (max_ratio below threshold + tol)
-    rescale_margin: float  # sup | |A~|^2 - ((n/lam)|A|^2 - n) |
     spherical: bool
-    verdict: str
+    margins: list  # sup | |A~|^2 - ((n/lam)|A|^2 - n) | against zero
     notes: tuple = field(default=())
 
 
@@ -251,7 +238,10 @@ def second_form_threshold(
     ratio = g.normA2 / lam
     tilde = scaled.normA2 - n  # shape tensor within the unit sphere
     target = (n / lam) * g.normA2 - n
-    rescale = float(np.abs(tilde - target).max())
+    rescale = compare(
+        "rescale-identity", float(np.abs(tilde - target).max()), 0.0, identity=True,
+        slack=(SAMPLE_TOL, "sampled shape tensors carry no error estimate"),
+    )
     spherical = bool(np.ptp(g.r) < 1e-8 * max(1.0, float(g.r.max())))
     notes = ()
     if not spherical:
@@ -264,10 +254,7 @@ def second_form_threshold(
         "5/3": bool(ratio.max() <= 5.0 / 3.0 + 1e-6),
         "2": bool(ratio.max() <= 2.0 + 1e-6),
     }
-    return ShapeThresholdReport(
-        float(ratio.max()), landmarks, rescale,
-        spherical, "PASS" if rescale < SAMPLE_TOL else "FAIL", notes,
-    )
+    return ShapeThresholdReport(float(ratio.max()), landmarks, spherical, [rescale], notes)
 
 
 @dataclass

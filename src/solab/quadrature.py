@@ -47,6 +47,7 @@ __all__ = [
     "second_moment",
     "Margin",
     "compare",
+    "monotone_margins",
     "weighted_identity_check",
     "psi",
     "cylinder_psi_closed_form",
@@ -711,6 +712,21 @@ def compare(
     return Margin(name, lhs, rhs, margin, error, tol, "PASS" if ok else "FAIL", tuple(notes))
 
 
+def monotone_margins(name, radii, values, errors, increasing=False) -> list[Margin]:
+    """One margin per neighbouring pair of a sequence that must not increase
+    (with `increasing`, not decrease): the step relative to the pair's first
+    value, whose tolerance comes from the two values' carried errors."""
+    out = []
+    for R0, R1, a, b, ea, eb in zip(radii, radii[1:], values, values[1:], errors, errors[1:]):
+        scale = abs(float(a)) or 1.0
+        lhs, rhs = (b, a) if increasing else (a, b)
+        out.append(
+            compare(f"{name}(R={R0:g}..{R1:g})", float(lhs), float(rhs), scale=scale,
+                    error=float(ea + eb) / scale)
+        )
+    return out
+
+
 def weighted_identity_check(imm: Immersion, lam: float, tol: float | None = None) -> Margin:
     """Relative defect of lam * second_moment = n * gaussian_volume; both
     moments share one majorant fit and one quadrature pass."""
@@ -809,7 +825,8 @@ def flux_identity_check(
     """Both sides of the divergence identity, computed independently:
     interior quadrature against level-set flux, plus the averaged form that
     rewrites the curvature factor as a weighted volume ratio, and the sign
-    of the flux side."""
+    of the flux side; a spherical image's ball has no boundary, so there
+    only the factor is judged."""
     imm.require_window(R)
     n = imm.dim
     region = ExtrinsicRegion(imm, 0.0, R)
@@ -820,23 +837,31 @@ def flux_identity_check(
         RegionJob(region, lambda r: (1.0 - lam * r**2 / n) * np.exp(lam * (R**2 - r**2) / 2.0)),
     ]
     lhs, vol, h2, avg = region_integrals(imm, jobs)
-    boundary = boundary_area_and_flux(imm, R)
-    rhs = R * math.exp(-lam * R**2 / 2.0) * boundary.flux
-    scale = max(abs(rhs), abs(lhs.value), 1e-9 * n * vol.value)
-    slack = (FLUX_SLACK, "the boundary flux carries no error estimate")
     nlv = n * lam * vol.value
     factor_lhs = 1.0 - h2.value / nlv if lam != 0 else math.nan
     dlhs = (h2.error + abs(h2.value / vol.value) * vol.error) / abs(nlv) if lam != 0 else math.nan
     factor_rhs = avg.value / vol.value
     drhs = (avg.error + abs(factor_rhs) * vol.error) / vol.value
     factor_scale = max(1.0, abs(factor_rhs))
+    factor = compare(
+        "curvature-factor", factor_lhs, factor_rhs, identity=True, scale=factor_scale,
+        error=(dlhs + drhs) / factor_scale, tol=tol,
+    )
+    if imm.route == "constant":
+        skip = "spherical image: the ball has no boundary"
+        return [
+            compare("flux-identity", math.nan, math.nan, skip=skip),
+            factor,
+            compare("flux-nonnegative", math.nan, math.nan, skip=skip),
+        ]
+    boundary = boundary_area_and_flux(imm, R)
+    rhs = R * math.exp(-lam * R**2 / 2.0) * boundary.flux
+    scale = max(abs(rhs), abs(lhs.value), 1e-9 * n * vol.value)
+    slack = (FLUX_SLACK, "the boundary flux carries no error estimate")
     return [
         compare(
             "flux-identity", lhs.value, rhs, identity=True, scale=scale, slack=slack, tol=tol
         ),
-        compare(
-            "curvature-factor", factor_lhs, factor_rhs, identity=True, scale=factor_scale,
-            error=(dlhs + drhs) / factor_scale, tol=tol,
-        ),
+        factor,
         compare("flux-nonnegative", rhs, 0.0, scale=scale, slack=slack, tol=tol),
     ]

@@ -8,6 +8,7 @@ fields, which consumers are expected to ignore when diffing.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -31,7 +32,7 @@ from .errors import (
 from .geometry import Immersion, radius_values
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_box, shared_sample_geometry
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # --- deterministic JSON -------------------------------------------------------
@@ -116,17 +117,11 @@ class RunConfig:
             if key in data and data[key] is not None:
                 setattr(cfg, key, data[key])
         validate_checks(cfg.checks)
-        if cfg.radii is not None:
-            cfg.radii = [float(x) for x in cfg.radii]
-            if any(b <= a for a, b in zip(cfg.radii, cfg.radii[1:])):
-                raise ConfigError("radius grid must be strictly increasing")
-        if cfg.times is not None:
-            cfg.times = [float(x) for x in cfg.times]
         return cfg.validate()
 
     def validate(self) -> "RunConfig":
-        """Fail closed on a seed, sample count, tolerance or mesh spacing that
-        no check can run with."""
+        """Fail closed on a seed, sample count, tolerance, mesh spacing or
+        grid that no check can run with; grids become lists of floats."""
         for key, least in (("seed", 0), ("samples", 1)):
             value = getattr(self, key)
             if not _is_a(value, numbers.Integral) or value < least:
@@ -135,6 +130,19 @@ class RunConfig:
             value = getattr(self, key)
             if not (_is_a(value, numbers.Real) and 0.0 < value < math.inf):
                 raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+        for key in ("radii", "times"):
+            grid = getattr(self, key)
+            if grid is None:
+                continue
+            values = None
+            if isinstance(grid, (list, tuple)) and not any(isinstance(x, bool) for x in grid):
+                with contextlib.suppress(TypeError, ValueError):
+                    values = [float(x) for x in grid]
+            if values is None or not all(map(math.isfinite, values)):
+                raise ConfigError(f"{key} must be a list of finite numbers, got {grid!r}")
+            if key == "radii" and any(b <= a for a, b in zip(values, values[1:])):
+                raise ConfigError("radius grid must be strictly increasing")
+            setattr(self, key, values)
         return self
 
     def echo(self) -> dict:
@@ -240,7 +248,7 @@ def _default_radius(imm: Immersion, cfg: RunConfig) -> float:
 
 def _default_radii(imm: Immersion, cfg: RunConfig):
     if cfg.radii is not None:
-        return [float(x) for x in cfg.radii]
+        return list(cfg.radii)
     if imm.constant_radius is not None:  # saturated regime of a spherical image
         R0 = imm.constant_radius
         return [1.25 * R0, 1.5 * R0, 1.75 * R0, 2.0 * R0]
@@ -260,13 +268,13 @@ def _pick(rep, *names) -> dict:
     return {name: getattr(rep, name) for name in names}
 
 
-def _judged(margins, details=None, artifacts=None):
-    """A check's (status, details, artifacts) from its margins: FAIL if any
-    fails, SKIPPED if all are skipped, PASS otherwise; details gain every
-    margin's record under "margins"."""
+def _judged(margins, details):
+    """A check's status from its margins: FAIL if any fails, SKIPPED if all
+    are skipped, PASS otherwise (also with none to compare); details gain
+    every margin's record under "margins"."""
     verdicts = {m.verdict for m in margins}
     status = "FAIL" if "FAIL" in verdicts else "SKIPPED" if verdicts == {"SKIPPED"} else "PASS"
-    return status, {**(details or {}), "margins": [asdict(m) for m in margins]}, artifacts or {}
+    return status, {**details, "margins": [asdict(m) for m in margins]}
 
 
 def _write_csv(path, header, rows):
@@ -324,19 +332,18 @@ def _needs_isoperimetric_constant(cfg, imm, entry, spec):
 
 def _soliton_residual(cfg, imm, entry, spec):
     fn = solitons.mcf_residual if spec.kind == "mcf" else solitons.imcf_residual
-    rep = fn(imm, spec.constant, count=cfg.samples, seed=cfg.seed, tol=cfg.tol or 1e-8)
+    rep = fn(imm, spec.constant, count=cfg.samples, seed=cfg.seed)
     details = _pick(rep, "kind", "constant", "sup", "mean")
-    details.update(samples=rep.sample_count, tol=rep.tol)
-    return rep.verdict, details, {}
+    details["samples"] = rep.sample_count
+    return [solitons.residual_margin("soliton-residual", rep.sup, cfg.tol)], details, {}
 
 
 def _flow_residual(cfg, imm, entry, spec):
     rep = solitons.homothety_flow_residual(
-        imm, spec, cfg.times or _flow_times(spec), count=cfg.samples, seed=cfg.seed,
-        tol=cfg.tol or 1e-8,
+        imm, spec, cfg.times or _flow_times(spec), count=cfg.samples, seed=cfg.seed
     )
-    details = _pick(rep, "times", "sup_by_time", "sup", "scaling_consistency", "tol")
-    return rep.verdict, details, {}
+    details = _pick(rep, "times", "sup_by_time", "sup", "scaling_consistency")
+    return [solitons.residual_margin("flow-residual", rep.sup, cfg.tol)], details, {}
 
 
 def _wmp_probe(cfg, imm, entry, spec):
@@ -345,9 +352,9 @@ def _wmp_probe(cfg, imm, entry, spec):
         **_pick(probe, "eps", "sup_u", "u_constant", "near_count"),
         "lap_u": [probe.lap_u_min, probe.lap_u_max],
         "lap_v": [probe.lap_v_min, probe.lap_v_max],
-        **_pick(probe, "bound_lhs", "bound_rhs", "verdict", "notes"),
+        **_pick(probe, "bound_lhs", "bound_rhs", "notes"),
     }
-    return ("FAIL" if probe.verdict == "INCONSISTENT" else "PASS"), details, {}
+    return probe.margins, details, {}
 
 
 def _separation(cfg, imm, entry, spec):
@@ -356,15 +363,14 @@ def _separation(cfg, imm, entry, spec):
         rep, "critical_radius", "verdict", "count_inside", "count_outside", "min_r",
         "max_r", "minimal_in_sphere_defect", "radius_defect", "notes",
     )
-    return ("PASS" if rep.verdict in ("SEPARATED", "ON-SPHERE") else "FAIL"), details, {}
+    return rep.margins, details, {}
 
 
 def _second_form(cfg, imm, entry, spec):
     rep = inequalities.second_form_threshold(
         imm, spec.constant, count=cfg.samples, seed=cfg.seed
     )
-    details = _pick(rep, "max_ratio", "landmarks", "rescale_margin", "spherical", "notes")
-    return rep.verdict, details, {}
+    return rep.margins, _pick(rep, "max_ratio", "landmarks", "spherical", "notes"), {}
 
 
 def _rimoldi(cfg, imm, entry, spec):
@@ -372,11 +378,11 @@ def _rimoldi(cfg, imm, entry, spec):
     details = _pick(
         rep, "r_cut", "far_count", "min_normH_far", "threshold", "max_lap_r2_far", "verdict"
     )
-    return "PASS", details, {}  # the criterion is a diagnostic
+    return [], details, {}  # the criterion is a diagnostic
 
 
 def _weighted_volume(cfg, imm, entry, spec):
-    return _judged([quadrature.weighted_identity_check(imm, spec.constant, tol=cfg.tol)])
+    return [quadrature.weighted_identity_check(imm, spec.constant, tol=cfg.tol)], {}, {}
 
 
 def _psi(cfg, imm, entry, spec):
@@ -384,23 +390,23 @@ def _psi(cfg, imm, entry, spec):
     details = _pick(curve, "radii", "values", "errors", "tails")
     if curve.closed_form is not None:
         details["closed_form"] = curve.closed_form
-    monotone = all(b <= a + 1e-12 for a, b in zip(curve.values, curve.values[1:]))
     header = ["R", "value", "error", "tail", "closed_form"][: len(details)]
     rows = list(zip(*details.values()))
     artifacts = {"psi.csv": lambda path: _write_csv(path, header, rows)}
-    return ("PASS" if monotone else "FAIL"), details, artifacts
+    margins = quadrature.monotone_margins("psi", curve.radii, curve.values, curve.errors)
+    return margins, details, artifacts
 
 
 def _parabolicity_integral(cfg, imm, entry, spec):
     r0 = cfg.r0 if cfg.r0 is not None else 1.5
     rmax = cfg.rmax if cfg.rmax is not None else 0.7 * imm.properness_radius
     rep = quadrature.parabolicity_integral(imm, spec.constant, r0, rmax)
-    return "PASS", _pick(rep, "value", "trend", "log_slope", "notes"), {}  # diagnostic trend
+    return [], _pick(rep, "value", "trend", "log_slope", "notes"), {}  # diagnostic trend
 
 
 def _flux_identity(cfg, imm, entry, spec):
     R = _default_radius(imm, cfg)
-    return _judged(quadrature.flux_identity_check(imm, spec.constant, R, tol=cfg.tol), {"R": R})
+    return quadrature.flux_identity_check(imm, spec.constant, R, tol=cfg.tol), {"R": R}, {}
 
 
 def _capacity(cfg, imm, entry, spec):
@@ -422,22 +428,18 @@ def _capacity(cfg, imm, entry, spec):
         "capacity_potential.csv": lambda path: fem.export_solution_csv(cap.solution, path),
         "capacity_mesh.off": lambda path: fem.export_off(cap.solution.mesh, path),
     }
-    return _judged([margin], details, artifacts)
+    return [margin], details, artifacts
 
 
 def _exit_time(cfg, imm, entry, spec):
     R = _default_radius(imm, cfg)
     field_ = fem.solve_exit_time(imm, R, h=cfg.h)
-    rep = fem.exit_time_comparison(imm, spec, R, h=cfg.h, field_=field_)
-    details = _pick(
-        rep, "R", "kind", "min_margin", "ratio_target", "ratio_max_dev", "interior_count",
-        "notes",
-    )
+    margin = fem.exit_time_comparison(imm, spec, R, h=cfg.h, field_=field_)
     artifacts = {
         "exit_time.csv": lambda path: fem.export_solution_csv(field_, path),
         "exit_time_mesh.off": lambda path: fem.export_off(field_.mesh, path),
     }
-    return rep.verdict, details, artifacts
+    return [margin], {"R": R, "kind": spec.kind}, artifacts
 
 
 def _isoperimetric(cfg, imm, entry, spec):
@@ -447,23 +449,23 @@ def _isoperimetric(cfg, imm, entry, spec):
     columns = ("name", "lhs", "rhs", "margin", "tol", "verdict")
     rows = [[getattr(m, c) for c in columns] for m in margins]
     artifacts = {"isoperimetric.csv": lambda path: _write_csv(path, columns, rows)}
-    return _judged(margins, artifacts=artifacts)
+    return margins, {}, artifacts
 
 
 def _volume_growth(cfg, imm, entry, spec):
     c = _inverse_constant(imm, entry, spec)
     radii = _default_radii(imm, cfg)
-    rep = inequalities.volume_growth_monotonicity(imm, c, radii, seed=cfg.seed)
-    details = {"constant": c, "grid": rep.grid, "values": rep.values}
-    rows = list(zip(rep.grid, rep.values))
+    values, margins = inequalities.volume_growth_monotonicity(imm, c, radii, seed=cfg.seed)
+    details = {"constant": c, "grid": radii, "values": values}
+    rows = list(zip(radii, values))
     artifacts = {"volume_growth.csv": lambda path: _write_csv(path, ("t", "value"), rows)}
-    return rep.verdict, details, artifacts
+    return margins, details, artifacts
 
 
 @dataclass(frozen=True)
 class Check:
     skip: Callable | None  # (cfg, imm, entry, spec) -> reason to skip, or None
-    run: Callable  # (cfg, imm, entry, spec) -> (status, details, artifacts)
+    run: Callable  # (cfg, imm, entry, spec) -> (margins, details, artifacts)
 
 
 CHECKS = {  # in report order
@@ -492,16 +494,17 @@ def validate_checks(names) -> None:
 
 
 def run_check(name: str, cfg: RunConfig, imm: Immersion, entry, spec) -> CheckResult:
-    """Run one check; a solab error becomes the check's record (a numerical
-    failure or running out of memory is ERROR, anything else FAIL) instead
-    of ending the report."""
+    """Run one check and take its status from its margins; a solab error
+    becomes the check's record (a numerical failure or running out of memory
+    is ERROR, anything else FAIL) instead of ending the report."""
     t0 = time.perf_counter()
     check = CHECKS[name]
     reason = check.skip(cfg, imm, entry, spec) if check.skip else None
     if reason is not None:
         return CheckResult(name, "SKIPPED", {"why": reason}, time.perf_counter() - t0)
     try:
-        status, details, artifacts = check.run(cfg, imm, entry, spec)
+        margins, details, artifacts = check.run(cfg, imm, entry, spec)
+        status, details = _judged(margins, details)
     except (SolabError, MemoryError) as err:
         status = "ERROR" if isinstance(err, (*NUMERICAL_FAILURES, MemoryError)) else "FAIL"
         details, artifacts = {"error": type(err).__name__, "detail": str(err)}, {}

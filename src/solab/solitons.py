@@ -31,6 +31,7 @@ from .geometry import (
     RadialFunction,
     radial_laplacian,
 )
+from .quadrature import Margin, compare
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, homothetic_geometries, sample_geometry
 
 TOL_H = 1e-10  # below this |H| the immersion counts as minimal at the sample
@@ -65,15 +66,16 @@ class ResidualReport:
     sup: float
     mean: float
     sample_count: int
-    tol: float
-    verdict: str
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
 
 
-def _report(kind, constant, residuals, tol):
+def residual_margin(name: str, sup: float, tol: float | None = None) -> Margin:
+    """A sampled residual's sup against zero: the samples carry no error, so
+    the verdict rests on DEFAULT_RESIDUAL_TOL unless the user sets tol."""
+    slack = (DEFAULT_RESIDUAL_TOL, "a sampled residual carries no error estimate")
+    return compare(name, sup, 0.0, identity=True, slack=slack, tol=tol)
+
+
+def _report(kind, constant, residuals):
     residuals = np.asarray(residuals)
     sup = float(residuals.max()) if residuals.size else 0.0
     mean = float(math.fsum(residuals.tolist()) / max(residuals.size, 1))
@@ -84,8 +86,6 @@ def _report(kind, constant, residuals, tol):
         sup=sup,
         mean=mean,
         sample_count=int(residuals.size),
-        tol=tol,
-        verdict="PASS" if sup < tol else "FAIL",
     )
 
 
@@ -102,28 +102,26 @@ def mcf_residual(
     imm: Immersion,
     lam: float,
     samples=None,
-    tol: float = DEFAULT_RESIDUAL_TOL,
     count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> ResidualReport:
     """sup over samples of |H + lambda * Xperp|."""
     g = sample_geometry(imm, samples, count, seed)
     res = np.linalg.norm(g.H + lam * g.Xperp, axis=1)
-    return _report("mcf", lam, res, tol)
+    return _report("mcf", lam, res)
 
 
 def imcf_residual(
     imm: Immersion,
     c: float,
     samples=None,
-    tol: float = DEFAULT_RESIDUAL_TOL,
     count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> ResidualReport:
     """sup over samples of |H/|H|^2 + C * Xperp|; minimal points are an error."""
     g = sample_geometry(imm, samples, count, seed)
     res = np.linalg.norm(_inverse_field(g) + c * g.Xperp, axis=1)
-    return _report("imcf", c, res, tol)
+    return _report("imcf", c, res)
 
 
 @dataclass
@@ -157,7 +155,7 @@ def infer_constant(
     if perp2 <= TOL_H * len(g.points):
         if kind == "mcf" and float(np.abs(field_vec).max(initial=0.0)) <= TOL_H:
             # totally geodesic through the origin: H = Xperp = 0 identically
-            report = _report("mcf", 0.0, np.zeros(len(g.points)), DEFAULT_RESIDUAL_TOL)
+            report = _report("mcf", 0.0, np.zeros(len(g.points)))
             return InferredConstant("mcf", 0.0, report)
         raise DegenerateNormalPosition(
             "normal position vanishes on the samples; the least-squares "
@@ -166,7 +164,7 @@ def infer_constant(
     cross = float(np.einsum("na,na->", field_vec, g.Xperp))
     constant = -cross / perp2
     res = np.linalg.norm(field_vec + constant * g.Xperp, axis=1)
-    report = _report(kind, constant, res, DEFAULT_RESIDUAL_TOL)
+    report = _report(kind, constant, res)
     return InferredConstant(kind, constant, report)
 
 
@@ -181,8 +179,6 @@ class FlowResidualReport:
     sup_by_time: list
     sup: float
     scaling_consistency: float  # sup |H_scaled_chart - H/c| over all samples/times
-    tol: float
-    verdict: str
 
 
 def _scale_factor(spec: SolitonSpec, t: float) -> float:
@@ -208,7 +204,6 @@ def homothety_flow_residual(
     spec: SolitonSpec,
     times,
     samples=None,
-    tol: float = DEFAULT_RESIDUAL_TOL,
     count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> FlowResidualReport:
@@ -245,8 +240,6 @@ def homothety_flow_residual(
         sup_by_time=sup_by_time,
         sup=sup,
         scaling_consistency=consistency,
-        tol=tol,
-        verdict="PASS" if sup < tol else "FAIL",
     )
 
 
@@ -268,7 +261,7 @@ class ProbeReport:
     lap_v_max: float
     bound_lhs: float | None  # min of lam*|Xperp|^2 (mcf) or 1/C (imcf) near the sup
     bound_rhs: float | None  # n - 2 - eps
-    verdict: str | None
+    margins: list  # the near-sup Laplacian's sign where the bound does not settle it
     notes: tuple = field(default=())
 
 
@@ -282,7 +275,9 @@ def wmp_probe(
 ) -> ProbeReport:
     """Evaluate the bounded probes u = (1 - r^-eps)/eps and v = -r^2 on samples
     within NEAR_SUP of their supremum and report the sign of the radial Laplacian
-    there, together with the inequality the near-sup points must satisfy."""
+    there, together with the inequality the near-sup points must satisfy: for
+    n > 2, where bound_lhs does not exceed bound_rhs, the least Laplacian of
+    u near its sup must be nonnegative, the probe's one margin."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     g = sample_geometry(imm, samples, count, seed)
@@ -302,7 +297,7 @@ def wmp_probe(
     lap_v = radial_laplacian(g.select(near_v), V)
 
     bound_lhs = bound_rhs = None
-    verdict = None
+    margins = []
     notes = []
     if spec is not None:
         bound_rhs = float(n - 2 - eps)
@@ -315,9 +310,11 @@ def wmp_probe(
             notes.append(
                 "dimension <= 2: the near-sup inequality is vacuous, raw values only"
             )
-        else:
-            ok = bound_lhs > bound_rhs or float(lap_u.min()) >= 0.0
-            verdict = "CONSISTENT" if ok else "INCONSISTENT"
+        elif bound_lhs <= bound_rhs:
+            margins.append(compare(
+                "near-sup-laplacian", float(lap_u.min()), 0.0,
+                slack=(0.0, "the sign of a sampled Laplacian admits none"),
+            ))
     if u_constant:
         notes.append("probe function is constant on the samples (spherical image)")
     return ProbeReport(
@@ -332,7 +329,7 @@ def wmp_probe(
         lap_v_max=float(lap_v.max()),
         bound_lhs=bound_lhs,
         bound_rhs=bound_rhs,
-        verdict=verdict,
+        margins=margins,
         notes=tuple(notes),
     )
 

@@ -492,15 +492,15 @@ def test_sphere_ball_swallows_boundary():
 def test_cylinder_imcf_exit_ratio():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
     rep = exit_time_comparison(imm, SolitonSpec("imcf", 1.0), 2.0, h=0.05)
-    assert rep.ratio_target == pytest.approx(2.0)
-    assert rep.ratio_max_dev < 0.02
+    assert rep.rhs == pytest.approx(2.0)
+    assert rep.margin < 0.02
     assert rep.verdict == "PASS"
 
 
 def test_cylinder_mcf_exit_comparison():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
     rep = exit_time_comparison(imm, SolitonSpec("mcf", 1.0), 2.0, h=0.05)
-    assert rep.min_margin >= -1e-3
+    assert rep.lhs >= -1e-3
     assert rep.verdict == "PASS"
 
 
@@ -509,7 +509,7 @@ def test_expander_exit_comparison_reverses():
     # window-truncated chart (extra grounded cuts only lower the solution)
     imm, _ = catalog("castro_lerma", delta=1.0, lam=-0.5)
     rep = exit_time_comparison(imm, SolitonSpec("mcf", -0.5), 3.0, h=0.08)
-    assert rep.min_margin >= -1e-9
+    assert rep.lhs >= -1e-9
     assert rep.verdict == "PASS"
     assert any("truncated" in n for n in rep.notes)
 
@@ -517,7 +517,7 @@ def test_expander_exit_comparison_reverses():
 def test_plane_exit_time_is_euclidean():
     imm, _ = catalog("plane", n=2)
     rep = exit_time_comparison(imm, SolitonSpec("mcf", 0.0), 1.0, h=0.05)
-    assert abs(rep.min_margin) < 1e-3
+    assert abs(rep.lhs) < 1e-3
 
 
 def test_exit_time_characterization_cylinder():

@@ -91,23 +91,23 @@ def test_isoperimetric_imcf_rejects_degenerate_window():
 
 def test_volume_growth_monotone_on_cylinder():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
-    rep = volume_growth_monotonicity(imm, 1.0, np.linspace(1.5, 4.0, 10))
-    assert rep.verdict == "PASS"
-    assert (np.diff(rep.values) >= -1e-9).all()
+    values, margins = volume_growth_monotonicity(imm, 1.0, np.linspace(1.5, 4.0, 10))
+    assert [m.verdict for m in margins] == ["PASS"] * 9
+    assert (np.diff(values) >= -1e-9).all()
 
 
 def test_volume_growth_single_point_vacuous():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
-    rep = volume_growth_monotonicity(imm, 1.0, [2.0])
-    assert rep.verdict == "PASS"
+    _, margins = volume_growth_monotonicity(imm, 1.0, [2.0])
+    assert margins == []
 
 
 def test_volume_growth_sphere_degenerate_exponent():
     # C = 1/n: the exponent is zero and the saturated volume is constant
     imm, _ = catalog("sphere", n=2, R=1.0)
-    rep = volume_growth_monotonicity(imm, 0.5, [1.5, 2.0, 3.0])
-    assert rep.verdict == "PASS"
-    assert np.ptp(rep.values) < 1e-9
+    values, margins = volume_growth_monotonicity(imm, 0.5, [1.5, 2.0, 3.0])
+    assert [m.verdict for m in margins] == ["PASS"] * 2
+    assert np.ptp(values) < 1e-9
 
 
 def test_separation_cylinder():
@@ -145,9 +145,10 @@ def test_shape_tensor_landmarks(maker, lam, ratio, tilde):
     imm = maker()
     rep = second_form_threshold(imm, lam)
     assert rep.max_ratio == pytest.approx(ratio, abs=1e-6)
-    assert rep.rescale_margin < 1e-8
+    (rescale,) = rep.margins
+    assert rescale.lhs < 1e-8
     assert rep.spherical
-    assert rep.verdict == "PASS"
+    assert rescale.verdict == "PASS"
     # the unit-sphere shape tensor value implied by the identity
     assert (2 / lam) * lam * ratio - 2 == pytest.approx(tilde, abs=1e-6)
 

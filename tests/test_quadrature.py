@@ -779,8 +779,9 @@ def test_flux_identity_plane_hand_value():
 
 
 def test_flux_identity_sphere_degenerate():
+    # the saturated ball of a spherical image has no boundary: only the
+    # curvature factor is compared
     imm, _ = catalog("sphere", n=2, R=1.0)
     margins = flux_identity_check(imm, 2.0, 1.7)
-    assert abs(margins[0].lhs) < 1e-10
-    assert margins[0].rhs == 0.0
-    assert [m.verdict for m in margins] == ["PASS"] * 3
+    assert [m.verdict for m in margins] == ["SKIPPED", "PASS", "SKIPPED"]
+    assert margins[0].notes == ("spherical image: the ball has no boundary",)

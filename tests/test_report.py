@@ -178,25 +178,62 @@ def cylinder_chart_config(tmp_path):
     )
 
 
+FULL_REPORT_CATALOG = (
+    {"catalog": "clifford", "params": {"k": 2, "nk": 2}},
+    {"catalog": "cylinder", "params": {"n": 4, "k": 2, "rho": 1.0}},
+    {"catalog": "plane", "params": {"n": 2}},
+)
+MARGIN_FIELDS = ["name", "lhs", "rhs", "margin", "error", "tol", "verdict", "notes"]
+
+
 def test_full_report_margins_name_their_slacks(tmp_path):
-    rep, code = report.run(cylinder_chart_config(tmp_path))
-    assert code == 0
-    checks = {c.name: c for c in rep.checks}
+    # every judged check's status is the one its margins give, and every
+    # margin that carries no error names the slack its verdict rests on
+    runs = [report.run(cylinder_chart_config(tmp_path))] + [
+        report.run(report.RunConfig.from_dict({"immersion": imm})) for imm in FULL_REPORT_CATALOG
+    ]
+    for rep, code in runs:
+        assert code == 0, rep.immersion["name"]
+        for check in rep.checks:
+            if check.status in ("SKIPPED", "ERROR"):
+                continue
+            margins = check.details["margins"]
+            judged, _ = report._judged([quadrature.Margin(**m) for m in margins], {})
+            assert check.status == judged, (rep.immersion["name"], check.name)
+            for m in margins:
+                assert list(m) == MARGIN_FIELDS
+                if m["verdict"] == "SKIPPED":
+                    continue
+                if m["error"] is None:  # a verdict resting on a slack says so
+                    assert any(note.startswith("slack ") for note in m["notes"]), m["name"]
+                else:
+                    assert m["tol"] == max(quadrature.ROUNDING_FLOOR, 2.0 * m["error"])
+    checks = {c.name: c for c in runs[0][0].checks}
     ported = ("weighted-volume", "flux-identity", "capacity", "isoperimetric")
     margins = [m for name in ported for m in checks[name].details["margins"]]
     assert len(margins) == 1 + 3 + 1 + 8
-    fields = ["name", "lhs", "rhs", "margin", "error", "tol", "verdict", "notes"]
-    for m in margins:
-        assert list(m) == fields
-        if m["error"] is None:  # a verdict resting on a slack says so
-            assert any(note.startswith("slack ") for note in m["notes"]), m["name"]
-        else:
-            assert m["tol"] == max(quadrature.ROUNDING_FLOOR, 2.0 * m["error"])
     by_name = {m["name"]: m for m in margins}
     assert by_name["weighted-volume-identity"]["tol"] <= 1e-9
     assert by_name["curvature-factor"]["tol"] <= 1e-9
     assert by_name["capacity-bound"]["tol"] == 0.05
     assert checks["capacity"].details["cap"] == by_name["capacity-bound"]["rhs"]
+
+
+@pytest.mark.parametrize(
+    "immersion",
+    [{"catalog": "veronese"}, {"catalog": "sphere", "params": {"n": 2, "R": 2.0}}],
+    ids=["veronese", "sphere(2,2)"],
+)
+def test_flux_identity_on_a_spherical_image_judges_only_the_factor(immersion):
+    # the saturated ball has no boundary, so there is no flux to compare
+    cfg = report.RunConfig.from_dict({"immersion": immersion, "checks": ["flux-identity"]})
+    rep, code = report.run(cfg)
+    (check,) = rep.checks
+    margins = check.details["margins"]
+    assert [m["name"] for m in margins] == ["flux-identity", "curvature-factor", "flux-nonnegative"]
+    assert [m["verdict"] for m in margins] == ["SKIPPED", "PASS", "SKIPPED"]
+    assert margins[1]["tol"] == quadrature.ROUNDING_FLOOR
+    assert (check.status, code) == ("PASS", 0)
 
 
 def test_full_report_fits_the_majorant_once(tmp_path, monkeypatch):

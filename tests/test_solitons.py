@@ -14,6 +14,7 @@ from solab.solitons import (
     imcf_residual,
     infer_constant,
     mcf_residual,
+    residual_margin,
     wmp_probe,
 )
 
@@ -22,7 +23,7 @@ def test_sphere_mcf_residual_passes():
     imm, _ = catalog("sphere", n=2, R=2.0)
     rep = mcf_residual(imm, 0.5)
     assert rep.sup < 1e-10
-    assert rep.passed
+    assert residual_margin("soliton-residual", rep.sup).verdict == "PASS"
     assert rep.sup >= rep.mean >= 0.0
 
 
@@ -31,7 +32,7 @@ def test_sphere_wrong_lambda_residual_is_linear():
     imm, _ = catalog("sphere", n=2, R=2.0)
     rep = mcf_residual(imm, 0.7)
     assert rep.sup == pytest.approx(0.2 * 2.0, rel=1e-12)
-    assert not rep.passed
+    assert residual_margin("soliton-residual", rep.sup).verdict == "FAIL"
 
 
 def test_castro_lerma_is_an_expander():
@@ -157,7 +158,7 @@ def test_wmp_probe_cylinder_imcf_v_laplacian():
     probe = wmp_probe(imm, SolitonSpec("imcf", 1.0), eps=0.1)
     assert probe.lap_v_min == pytest.approx(-2.0, rel=1e-10)
     assert probe.lap_v_max == pytest.approx(-2.0, rel=1e-10)
-    assert probe.verdict is None  # the n <= 2 window is vacuous
+    assert probe.margins == []  # the n <= 2 window is vacuous
 
 
 def test_wmp_probe_high_dimensional_cylinder():
@@ -165,4 +166,13 @@ def test_wmp_probe_high_dimensional_cylinder():
     probe = wmp_probe(imm, SolitonSpec("mcf", 2.0), eps=0.05)
     assert probe.bound_lhs == pytest.approx(2.0, rel=1e-10)
     assert probe.bound_rhs == pytest.approx(4 - 2 - 0.05)
-    assert probe.verdict == "CONSISTENT"
+    assert probe.margins == []  # the bound holds: no Laplacian sign to compare
+
+
+def test_wmp_probe_compares_the_laplacian_sign_where_the_bound_does_not_hold():
+    # S^1 x R^3: lam |Xperp|^2 = 1 <= n - 2 - eps, so the Laplacian of u near
+    # its sup must be nonnegative, at no slack
+    imm, _ = catalog("generalized_cylinder", n=4, k=1, rho=1.0)
+    probe = wmp_probe(imm, SolitonSpec("mcf", 1.0), eps=0.1)
+    (m,) = probe.margins
+    assert (m.name, m.lhs, m.tol, m.verdict) == ("near-sup-laplacian", probe.lap_u_min, 0.0, "PASS")
