@@ -12,7 +12,7 @@ from .catalog import catalog, catalog_rows
 from .charts import ChartDefinition, ParamSpec, chart_from_dict, chart_from_sources, load_chart
 from .geometry import Immersion, PointGeometry, geometry, point_geometry, radial_laplacian
 from .quadrature import ExtrinsicRegion, gaussian_volume, psi, region_volume, second_moment
-from .solitons import SolitonSpec, imcf_residual, infer_constant, mcf_residual
+from .solitons import SolitonSpec, infer_constant, soliton_residual
 
 __all__ = [
     "__version__",
@@ -34,7 +34,6 @@ __all__ = [
     "second_moment",
     "psi",
     "SolitonSpec",
-    "mcf_residual",
-    "imcf_residual",
+    "soliton_residual",
     "infer_constant",
 ]

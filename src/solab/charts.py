@@ -62,10 +62,6 @@ class ChartDefinition:
         return self.codim_total
 
     @property
-    def param_names(self) -> list[str]:
-        return [p.name for p in self.params]
-
-    @property
     def box(self):
         """(mins, maxs) arrays of the parameter domain."""
         return (

@@ -26,36 +26,28 @@ from .errors import (
 )
 from .report import FULL_CHECKS, RunConfig, catalog_report, json_dumps, run, validate_checks
 
-_CATALOG_FLAG_KEYS = {
-    "n": "n",
-    "k": "k",
-    "nk": "nk",
-    "rho": "rho",
-    "radius": "R",
-    "extent": "extent",
-    "z_extent": "z_extent",
-    "lam": "lam",
-    "delta": "delta",
-    "s_extent": "s_extent",
-    "t_extent": "t_extent",
-}
+# (flag, catalog key, type, help) of each immersion flag, in --help order
+_CATALOG_FLAGS = (
+    ("n", "n", int, None),
+    ("k", "k", int, None),
+    ("nk", "nk", int, None),
+    ("rho", "rho", float, "cylinder fiber radius / inner capacity radius"),
+    ("radius", "R", float, "sphere radius"),
+    ("extent", "extent", float, None),
+    ("z_extent", "z_extent", float, None),
+    ("lam", "lam", float, "construction constant (clifford/veronese/castro_lerma)"),
+    ("delta", "delta", float, None),
+    ("s_extent", "s_extent", float, None),
+    ("t_extent", "t_extent", float, None),
+)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     src = p.add_argument_group("immersion")
     src.add_argument("--catalog", help="built-in immersion name")
     src.add_argument("--chart", help="chart definition JSON file")
-    src.add_argument("--n", type=int)
-    src.add_argument("--k", type=int)
-    src.add_argument("--nk", type=int)
-    src.add_argument("--rho", type=float, help="cylinder fiber radius / inner capacity radius")
-    src.add_argument("--radius", type=float, help="sphere radius")
-    src.add_argument("--extent", type=float)
-    src.add_argument("--z-extent", dest="z_extent", type=float)
-    src.add_argument("--lam", type=float, help="construction constant (clifford/veronese/castro_lerma)")
-    src.add_argument("--delta", type=float)
-    src.add_argument("--s-extent", dest="s_extent", type=float)
-    src.add_argument("--t-extent", dest="t_extent", type=float)
+    for flag, _, cast, helptext in _CATALOG_FLAGS:
+        src.add_argument("--" + flag.replace("_", "-"), dest=flag, type=cast, help=helptext)
 
     sol = p.add_argument_group("soliton")
     sol.add_argument("--kind", choices=("mcf", "imcf"))
@@ -139,7 +131,7 @@ def _immersion_config(args) -> dict:
         raise ConfigError("an immersion is required: --catalog NAME or --chart FILE")
     accepted = _catalog_signature(args.catalog)
     params, leftover = {}, {}
-    for flag, key in _CATALOG_FLAG_KEYS.items():
+    for flag, key, _, _ in _CATALOG_FLAGS:
         val = getattr(args, flag, None)
         if val is None:
             continue

@@ -44,7 +44,7 @@ from .errors import (
 from .geometry import Immersion, evaluate_chart, geometry, radius_values
 from .levelset import _KUHN, _cell_corners, grid_edges, level_boundaries
 from .quadrature import ExtrinsicRegion, Margin, _region_bounds, compare
-from .solitons import SolitonSpec, imcf_residual
+from .solitons import SolitonSpec, soliton_residual
 
 SNAP_FRACTION = 0.3  # grid vertices closer than this (in edge units) snap onto the level
 BOUND_RADII = 21  # levels of the capacity bound's foliation integral
@@ -692,7 +692,7 @@ def soliton_from_exit_time(imm: Immersion, radii, h: float = 0.05) -> ExitTimeCh
             ("alpha = 1 means a minimal immersion: no inverse-flow constant exists",),
         )
     c_forward = alpha / ((alpha - 1.0) * n)
-    check = imcf_residual(imm, c_forward)
+    check = soliton_residual(imm, SolitonSpec("imcf", c_forward))
     verdict = "CONSISTENT" if check.sup < 1e-6 else "INCONSISTENT"
     return ExitTimeCharacterization(
         alpha, spread, c_forward, -c_forward, verdict,

@@ -26,7 +26,7 @@ from .geometry import (
 from .levelset import level_boundaries
 from .quadrature import ExtrinsicRegion, Margin, RegionJob, compare, monotone_margins, region_integrals
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, homothetic_geometries, sample_geometry
-from .solitons import imcf_residual, mcf_residual
+from .solitons import SolitonSpec, soliton_residual
 
 BOUNDARY_REL_ERR = 1e-3  # validated marching accuracy at default resolution
 BOUNDARY_SLACK = f"boundary error taken as BOUNDARY_REL_ERR = {BOUNDARY_REL_ERR:g} of its area"
@@ -49,11 +49,11 @@ def isoperimetric_excluded(c: float, n: int) -> bool:
     return 0.0 <= c <= 1.0 / n or is_one_over_n(c, n)
 
 
-def _verify_soliton(imm, kind, constant, seed):
-    rep = (mcf_residual if kind == "mcf" else imcf_residual)(imm, constant, seed=seed)
+def _verify_soliton(imm, spec, seed):
+    rep = soliton_residual(imm, spec, seed=seed)
     if not rep.sup < 1e-6:
         raise InvalidParams(
-            f"{imm.name} is not a {kind} soliton with constant {constant} "
+            f"{imm.name} is not a {spec.kind} soliton with constant {spec.constant} "
             f"(sup residual {rep.sup:.3e})"
         )
 
@@ -75,7 +75,7 @@ def _ball_pieces(imm, radii, curvature):
 def isoperimetric_mcf(imm, lam, radii, seed=DEFAULT_SEED) -> list[Margin]:
     """Boundary-to-volume ratio against the curvature-discounted Euclidean
     reference, plus nonnegativity of the discount factor, per radius."""
-    _verify_soliton(imm, "mcf", lam, seed)
+    _verify_soliton(imm, SolitonSpec("mcf", lam), seed)
     n = imm.dim
     if imm.route == "constant":
         return [
@@ -113,7 +113,7 @@ def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[Margin]:
         raise InvalidParams(
             f"inverse-flow constant {c} lies in the excluded window [0, 1/{n}]"
         )
-    _verify_soliton(imm, "imcf", c, seed)
+    _verify_soliton(imm, SolitonSpec("imcf", c), seed)
     factor = (c * n - 1.0) / (c * n)
     if imm.route == "constant":
         return [
@@ -149,7 +149,7 @@ def volume_growth_monotonicity(imm, c, radii, seed=DEFAULT_SEED) -> tuple[np.nda
         raise InvalidParams(
             f"inverse-flow constant {c} lies in the excluded window [0, 1/{n})"
         )
-    _verify_soliton(imm, "imcf", c, seed)
+    _verify_soliton(imm, SolitonSpec("imcf", c), seed)
     exponent = (c * n - 1.0) / (c * n)
     radii = np.asarray(radii, dtype=float)
     vols = region_integrals(imm, [RegionJob(ExtrinsicRegion(imm, 0.0, t)) for t in radii])
@@ -182,7 +182,7 @@ def separation_check(
     |r - sqrt(n/lam)|, its one margin, and <X, H> + n.  Sampling refutes,
     never proves: a one-sided verdict only means no counterexample was found
     in the samples."""
-    _verify_soliton(imm, "mcf", lam, seed)
+    _verify_soliton(imm, SolitonSpec("mcf", lam), seed)
     if lam <= 0:
         raise InvalidParams("separation concerns shrinkers (lam > 0)")
     g = sample_geometry(imm, samples, count, seed)
@@ -232,7 +232,7 @@ def second_form_threshold(
     plus the rescaling identity |A~|^2 = (n/lam)|A|^2 - n checked directly on
     the chart scaled by sqrt(lam/n) (unit-sphere shape tensor via the ambient
     trace correction)."""
-    _verify_soliton(imm, "mcf", lam, seed)
+    _verify_soliton(imm, SolitonSpec("mcf", lam), seed)
     n = imm.dim
     g, scaled = homothetic_geometries(imm, [1.0, math.sqrt(lam / n)], samples, count, seed)
     ratio = g.normA2 / lam
@@ -274,7 +274,7 @@ def rimoldi_criterion(
     """Does |H| >= sqrt(n lam) hold outside a compact set?  Reported together
     with the sign of the radial Laplacian of r^2 there (nonpositive exactly
     when the bound holds); a diagnostic, not a proof of parabolicity."""
-    _verify_soliton(imm, "mcf", lam, seed)
+    _verify_soliton(imm, SolitonSpec("mcf", lam), seed)
     n = imm.dim
     if imm.compact:
         return CurvatureParabolicityReport(

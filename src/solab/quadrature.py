@@ -23,17 +23,15 @@ reproducible bit for bit and independent of the batch they are computed in.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crossing import level_crossings, pencil_scan
-from .errors import ImproperWindow, PsiUnderflow, TruncationFailure
+from .errors import ImproperWindow, InvalidParams, PsiUnderflow, TruncationFailure
 from .geometry import Immersion, geometry, radius_values, unit_sphere_volume
 from .levelset import boundary_area_and_flux
-from .sampling import sample_box
+from .sampling import memoized, sample_box
 
 __all__ = [
     "ExtrinsicRegion",
@@ -53,16 +51,12 @@ __all__ = [
     "cylinder_psi_closed_form",
     "parabolicity_integral",
     "flux_identity_check",
-    "shared_majorant_fit",
 ]
 
 ROUNDING_FLOOR = 1e-9  # the least tolerance of a comparison: rounding in its sums
 FLUX_SLACK = 1e-3  # relative slack of the flux identity: the boundary flux carries no error
 TAIL_TOL = 1e-10  # a tail bound past the window must lie below this, absolute or relative
 PSI_GRID = 33  # radii of the parabolicity integral's Psi grid
-
-# id(immersion) -> (immersion, majorant constant) while a memo is open
-_MAJORANTS: ContextVar[dict | None] = ContextVar("solab_majorants", default=None)
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,7 @@ class ExtrinsicRegion:
 
     def __post_init__(self):
         if not (0.0 <= self.rho < self.R):
-            raise ValueError(f"need 0 <= rho < R, got rho={self.rho}, R={self.R}")
+            raise InvalidParams(f"need 0 <= rho < R, got rho={self.rho}, R={self.R}")
 
 
 @dataclass
@@ -568,26 +562,9 @@ def _gamma_tail(p: int, a: float, x: float) -> float:
     return 0.5 * a ** (-(p + 1) / 2) * upper
 
 
-@contextmanager
-def shared_majorant_fit():
-    """Within the block, ``_euclidean_majorant`` fits each immersion's
-    majorant once and hands out that constant; the memo is dropped when the
-    block ends."""
-    token = _MAJORANTS.set({})
-    try:
-        yield
-    finally:
-        _MAJORANTS.reset(token)
-
-
 def _euclidean_majorant(imm: Immersion) -> float:
-    """The growth majorant of imm, fitted once per open memo."""
-    memo = _MAJORANTS.get()
-    if memo is None:
-        return _fit_majorant(imm)
-    if id(imm) not in memo:  # the memo holds imm, so its id stays unique
-        memo[id(imm)] = (imm, _fit_majorant(imm))
-    return memo[id(imm)][1]
+    """The growth majorant of imm, fitted once per open run memo."""
+    return memoized(imm, ("majorant",), lambda shared: _fit_majorant(imm))
 
 
 def _fit_majorant(imm: Immersion) -> float:
@@ -620,7 +597,7 @@ def _gaussian_tails(imm: Immersion, lam: float, tails):
     majorant's bound c W^n max over [R, W] of t^p exp(-lam t^2/2) on that
     integral, and after it otherwise."""
     if lam <= 0:
-        raise ValueError("the Gaussian weight needs lam > 0")
+        raise InvalidParams("the Gaussian weight needs lam > 0")
     if imm.route == "constant":
         W, bounds = math.inf, [0.0] * len(tails)
     else:

@@ -30,7 +30,7 @@ from .errors import (
     SolabError,
 )
 from .geometry import Immersion, radius_values
-from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, sample_box, shared_sample_geometry
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, run_memo, sample_box
 
 SCHEMA_VERSION = 3
 
@@ -109,9 +109,8 @@ class RunConfig:
         if not isinstance(imm, dict) or (set(imm) - _IMMERSION_KEYS):
             raise ConfigError("config.immersion must give a catalog name or chart path")
         sol = data.get("soliton")
-        if sol is not None:
-            if set(sol) - _SOLITON_KEYS:
-                raise ConfigError(f"unknown soliton keys: {sorted(set(sol) - _SOLITON_KEYS)}")
+        if sol is not None and (not isinstance(sol, dict) or set(sol) - _SOLITON_KEYS):
+            raise ConfigError(f"config.soliton takes the keys {sorted(_SOLITON_KEYS)}, got {sol!r}")
         cfg = RunConfig(immersion=imm, soliton=sol)
         for key in _CONFIG_KEYS - {"immersion", "soliton"}:
             if key in data and data[key] is not None:
@@ -120,16 +119,28 @@ class RunConfig:
         return cfg.validate()
 
     def validate(self) -> "RunConfig":
-        """Fail closed on a seed, sample count, tolerance, mesh spacing or
-        grid that no check can run with; grids become lists of floats."""
+        """Fail closed on a seed, sample count, tolerance, mesh spacing,
+        radius, grid or soliton block that no check can run with; grids
+        become lists of floats."""
         for key, least in (("seed", 0), ("samples", 1)):
             value = getattr(self, key)
             if not _is_a(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
-        for key in ("tol", "h") if self.tol is not None else ("h",):
+        for key in ("h", "tol", "radius", "rho", "r0", "rmax"):
             value = getattr(self, key)
+            if value is None and key != "h":  # unset: the check's default applies
+                continue
             if not (_is_a(value, numbers.Real) and 0.0 < value < math.inf):
                 raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+        if self.soliton is not None:
+            kind, constant = self.soliton.get("kind", "mcf"), self.soliton.get("constant")
+            if kind not in solitons.KINDS:
+                raise ConfigError(f"soliton kind must be one of {solitons.KINDS}, got {kind!r}")
+            number = _is_a(constant, numbers.Real) and math.isfinite(constant)
+            if not (number or constant in (None, "infer")):
+                raise ConfigError(f"soliton constant must be a finite number or 'infer', got {constant!r}")
+            if kind == "imcf" and constant == 0:
+                raise ConfigError("an inverse-flow soliton constant cannot be zero")
         for key in ("radii", "times"):
             grid = getattr(self, key)
             if grid is None:
@@ -331,8 +342,7 @@ def _needs_isoperimetric_constant(cfg, imm, entry, spec):
 
 
 def _soliton_residual(cfg, imm, entry, spec):
-    fn = solitons.mcf_residual if spec.kind == "mcf" else solitons.imcf_residual
-    rep = fn(imm, spec.constant, count=cfg.samples, seed=cfg.seed)
+    rep = solitons.soliton_residual(imm, spec, count=cfg.samples, seed=cfg.seed)
     details = _pick(rep, "kind", "constant", "sup", "mean")
     details["samples"] = rep.sample_count
     return [solitons.residual_margin("soliton-residual", rep.sup, cfg.tol)], details, {}
@@ -539,7 +549,7 @@ def run(cfg: RunConfig):
     The checks share one geometry per default sample set and one majorant
     fit per immersion, for this run only."""
     imm, entry = build_immersion(cfg)
-    with shared_sample_geometry(), quadrature.shared_majorant_fit():
+    with run_memo():
         spec, source = _spec_from_config(cfg, imm, entry)
         checks = cfg.checks or FULL_CHECKS
         results = [run_check(name, cfg, imm, entry, spec) for name in checks]

@@ -1,5 +1,6 @@
-"""Deterministic low-discrepancy sampling over chart parameter boxes, and the
-sample-set geometry (and chart jets) the pointwise checks share."""
+"""Deterministic low-discrepancy sampling over chart parameter boxes, the
+sample-set geometry (and chart jets) the pointwise checks share, and the run
+memo that shares it."""
 
 from __future__ import annotations
 
@@ -14,9 +15,8 @@ from .geometry import evaluate_chart, geometry_of_jets
 DEFAULT_SEED = 0x5EED
 DEFAULT_SAMPLES = 512
 
-# (id(immersion), count, seed) -> (immersion, PointGeometry, unprojected jets
-# (X, J, S)) while a memo is open
-_SHARED: ContextVar[dict | None] = ContextVar("solab_shared_samples", default=None)
+# (id(immersion), *key) -> (immersion, value) while a run memo is open
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("solab_run_memo", default=None)
 
 
 def _primes(count: int) -> list[int]:
@@ -76,39 +76,50 @@ def sample_box(chart, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) ->
 
 
 @contextmanager
-def shared_sample_geometry():
-    """Within the block, ``sample_geometry`` and ``homothetic_geometries``
-    evaluate the chart jets of each default sample set (immersion, count,
-    seed) once and hand out one read-only ``PointGeometry``, whose fields are
-    read-only as they are formed, and the read-only jets behind it; the memo
-    is dropped when the block ends."""
-    token = _SHARED.set({})
+def run_memo():
+    """Within the block, ``memoized`` computes each value of an immersion
+    once and hands it out again: the read-only geometry and chart jets of
+    each default sample set (immersion, count, seed), and each immersion's
+    growth majorant.  The memo is dropped when the block ends."""
+    token = _RUN_MEMO.set({})
     try:
         yield
     finally:
-        _SHARED.reset(token)
+        _RUN_MEMO.reset(token)
 
 
-def _evaluate(imm, points):
-    """Order-2 geometry at the points, and the chart jets (X, J, S) it came from."""
+def memoized(imm, key, compute):
+    """compute(shared) for imm and key: once per open run memo, which hands
+    the value out again, so compute(True) makes read-only what it shares;
+    compute(False) on every call outside one."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return compute(False)
+    key = (id(imm), *key)  # the memo holds imm, so its id stays unique
+    if key not in memo:
+        memo[key] = (imm, compute(True))
+    return memo[key][1]
+
+
+def _evaluate(imm, points, read_only=False):
+    """Order-2 geometry at the points, and the chart jets (X, J, S) it came
+    from; read_only freezes both."""
     points, X, J, S = evaluate_chart(imm.chart, points)
-    return geometry_of_jets(points, X, J, S), (X, J, S)
+    g = geometry_of_jets(points, X, J, S)
+    if read_only:
+        g.freeze()
+        for value in (X, J, S):
+            value.flags.writeable = False
+    return g, (X, J, S)
 
 
 def _sample_set(imm, samples, count, seed):
     if samples is not None:
         return _evaluate(imm, samples)
-    memo = _SHARED.get()
-    if memo is None:
-        return _evaluate(imm, sample_box(imm.chart, count, seed))
-    key = (id(imm), count, seed)  # the memo holds imm, so its id stays unique
-    if key not in memo:
-        g, jets = _evaluate(imm, sample_box(imm.chart, count, seed))
-        g.freeze()
-        for value in jets:
-            value.flags.writeable = False
-        memo[key] = (imm, g, jets)
-    return memo[key][1:]
+    return memoized(
+        imm, ("samples", count, seed),
+        lambda shared: _evaluate(imm, sample_box(imm.chart, count, seed), shared),
+    )
 
 
 def sample_geometry(imm, samples=None, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):

@@ -1,15 +1,17 @@
 """Soliton equation residuals, constant inference, homothety verification and
 weak-maximum-principle probes.
 
-The two defining equations are
+Both defining equations have the one form
 
-    direct flow:   H = -lambda * Xperp          (shrinker for lambda > 0)
-    inverse flow:  H/|H|^2 = -C * Xperp         (expander for C > 0)
+    K + c * Xperp = 0,
 
-and the homothetic families X_t = sqrt(1 - 2 lambda t) X, X_t = exp(C t) X.
-A family solves the flow up to tangential reparametrization, so the flow
-residual compares the *normal* part of the velocity with the curvature term;
-at t = 0 it reduces exactly to the soliton residual.
+with K = H and c = lambda for the direct flow (a shrinker for lambda > 0)
+and K = H/|H|^2 and c = C for the inverse flow (an expander for C > 0).  The
+homothetic families are X_t = sqrt(1 - 2 lambda t) X and X_t = exp(C t) X,
+moving with velocity K and -K.  A family solves the flow up to tangential
+reparametrization, so the flow residual compares the *normal* part of the
+velocity with the curvature term; at t = 0 it reduces exactly to the soliton
+residual.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DegenerateNormalPosition,
+    InvalidParams,
     TimeOutOfRange,
     VanishingMeanCurvature,
 )
@@ -37,6 +40,7 @@ from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, homothetic_geometries, samp
 TOL_H = 1e-10  # below this |H| the immersion counts as minimal at the sample
 DEFAULT_RESIDUAL_TOL = 1e-8
 NEAR_SUP = 0.01  # samples within this of a probe's sampled supremum are near it
+KINDS = ("mcf", "imcf")  # the direct and the inverse flow
 
 
 @dataclass(frozen=True)
@@ -45,17 +49,10 @@ class SolitonSpec:
     constant: float  # lambda for the direct flow, C for the inverse flow
 
     def __post_init__(self):
-        if self.kind not in ("mcf", "imcf"):
-            raise ValueError(f"unknown flow kind {self.kind!r}")
+        if self.kind not in KINDS:
+            raise InvalidParams(f"unknown flow kind {self.kind!r}")
         if self.kind == "imcf" and self.constant == 0.0:
-            raise ValueError("an inverse-flow soliton constant cannot be zero")
-
-    @property
-    def classification(self) -> str:
-        c = self.constant
-        if self.kind == "mcf":
-            return "self-shrinker" if c > 0 else ("minimal" if c == 0 else "self-expander")
-        return "self-expander" if c > 0 else "self-shrinker"
+            raise InvalidParams("an inverse-flow soliton constant cannot be zero")
 
 
 @dataclass
@@ -89,39 +86,29 @@ def _report(kind, constant, residuals):
     )
 
 
-def _inverse_field(g: PointGeometry) -> np.ndarray:
-    """H/|H|^2, the inverse flow's curvature term; a minimal point (|H| at
-    most TOL_H) is an error."""
+def _curvature_term(g: PointGeometry, kind: str) -> np.ndarray:
+    """K of the flow kind at the samples: H for the direct flow, H/|H|^2 for
+    the inverse flow, where a minimal point (|H| at most TOL_H) is an error."""
+    if kind == "mcf":
+        return g.H
     normH = g.normH
     if np.any(normH <= TOL_H):
         raise VanishingMeanCurvature(g.points[int(np.argmin(normH))])
     return g.H / normH[:, None] ** 2
 
 
-def mcf_residual(
+def soliton_residual(
     imm: Immersion,
-    lam: float,
+    spec: SolitonSpec,
     samples=None,
     count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> ResidualReport:
-    """sup over samples of |H + lambda * Xperp|."""
+    """sup over samples of |K + c * Xperp|; for the inverse flow minimal
+    points are an error."""
     g = sample_geometry(imm, samples, count, seed)
-    res = np.linalg.norm(g.H + lam * g.Xperp, axis=1)
-    return _report("mcf", lam, res)
-
-
-def imcf_residual(
-    imm: Immersion,
-    c: float,
-    samples=None,
-    count: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> ResidualReport:
-    """sup over samples of |H/|H|^2 + C * Xperp|; minimal points are an error."""
-    g = sample_geometry(imm, samples, count, seed)
-    res = np.linalg.norm(_inverse_field(g) + c * g.Xperp, axis=1)
-    return _report("imcf", c, res)
+    res = np.linalg.norm(_curvature_term(g, spec.kind) + spec.constant * g.Xperp, axis=1)
+    return _report(spec.kind, spec.constant, res)
 
 
 @dataclass
@@ -138,20 +125,14 @@ def infer_constant(
     count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> InferredConstant:
-    """Least-squares inversion of the soliton equation over the samples.
-
-    For the direct flow the minimizer of sum |H + lam Xperp|^2 is
-    lam* = -sum<H, Xperp> / sum |Xperp|^2, and analogously for the inverse
-    flow with H/|H|^2 in place of H.
+    """Least-squares inversion of the soliton equation over the samples: the
+    minimizer of sum |K + c Xperp|^2 is c* = -sum<K, Xperp> / sum |Xperp|^2.
     """
+    if kind not in KINDS:
+        raise InvalidParams(f"unknown flow kind {kind!r}")
     g = sample_geometry(imm, samples, count, seed)
     perp2 = float(np.einsum("na,na->n", g.Xperp, g.Xperp).sum())
-    if kind == "mcf":
-        field_vec = g.H
-    elif kind == "imcf":
-        field_vec = _inverse_field(g)
-    else:
-        raise ValueError(f"unknown flow kind {kind!r}")
+    field_vec = _curvature_term(g, kind)
     if perp2 <= TOL_H * len(g.points):
         if kind == "mcf" and float(np.abs(field_vec).max(initial=0.0)) <= TOL_H:
             # totally geodesic through the origin: H = Xperp = 0 identically
@@ -226,10 +207,8 @@ def homothety_flow_residual(
         )
         vel = rate * base.X
         vel_normal = vel - scaled.tangential(vel)
-        if spec.kind == "mcf":
-            res = np.linalg.norm(vel_normal - scaled.H, axis=1)
-        else:
-            res = np.linalg.norm(vel_normal + _inverse_field(scaled), axis=1)
+        K = _curvature_term(scaled, spec.kind)
+        res = np.linalg.norm(vel_normal - (K if spec.kind == "mcf" else -K), axis=1)
         sup_by_time.append(float(res.max()))
         del scaled  # freed before the next scale's geometry is built
     sup = max(sup_by_time) if sup_by_time else 0.0
@@ -279,7 +258,7 @@ def wmp_probe(
     n > 2, where bound_lhs does not exceed bound_rhs, the least Laplacian of
     u near its sup must be nonnegative, the probe's one margin."""
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InvalidParams("eps must be positive")
     g = sample_geometry(imm, samples, count, seed)
     g = g.select(g.r > ORIGIN_EXCLUSION)
     n = imm.dim

@@ -39,8 +39,7 @@ from solab.quadrature import (
 from solab.solitons import (
     SolitonSpec,
     homothety_flow_residual,
-    imcf_residual,
-    mcf_residual,
+    soliton_residual,
 )
 
 
@@ -55,14 +54,14 @@ def test_criterion_01_soliton_residual_suite():
     worst = 0.0
     for n, R in [(1, 1.0), (2, 2.0), (3, 1.5)]:
         imm, _ = catalog("sphere", n=n, R=R)
-        worst = max(worst, mcf_residual(imm, n / R**2).sup)
-        worst = max(worst, imcf_residual(imm, 1.0 / n).sup)
+        worst = max(worst, soliton_residual(imm, SolitonSpec("mcf", n / R**2)).sup)
+        worst = max(worst, soliton_residual(imm, SolitonSpec("imcf", 1.0 / n)).sup)
     for n, k in [(2, 1), (3, 1), (4, 2)]:
         imm, _ = catalog("generalized_cylinder", n=n, k=k, rho=1.0)
-        worst = max(worst, mcf_residual(imm, float(k)).sup)
-        worst = max(worst, imcf_residual(imm, 1.0 / k).sup)
+        worst = max(worst, soliton_residual(imm, SolitonSpec("mcf", float(k))).sup)
+        worst = max(worst, soliton_residual(imm, SolitonSpec("imcf", 1.0 / k)).sup)
     imm, entry = catalog("castro_lerma", delta=1.0)
-    worst = max(worst, mcf_residual(imm, entry.constants["lam"]).sup)
+    worst = max(worst, soliton_residual(imm, SolitonSpec("mcf", entry.constants["lam"])).sup)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 10.0
     report(1, "soliton residual suite", ok, f"(sup={worst:.2e}, {elapsed:.1f}s < 10s)")

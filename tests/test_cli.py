@@ -378,6 +378,25 @@ def test_check_out_of_memory_is_recorded_and_report_written(tmp_path, capsys, mo
     assert "max_ratio" in checks["second-form"]["details"]
 
 
+def test_check_whose_inputs_are_invalid_fails_and_report_written(tmp_path, capsys):
+    # rho = 5 lies above the default R = 2: the capacity annulus is empty, so
+    # capacity is that check's InvalidParams FAIL and exit-time is still judged
+    out_dir = tmp_path / "rep"
+    code, _, _ = run_cli(
+        ["report", "--catalog", "plane", "--n", "2", "--rho", "5",
+         "--checks", "capacity,exit-time", "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 1
+    report = json.loads((out_dir / "report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert list(checks) == ["capacity", "exit-time"]
+    assert checks["capacity"]["status"] == "FAIL"
+    assert checks["capacity"]["details"]["error"] == "InvalidParams"
+    assert checks["exit-time"]["status"] == "PASS"
+    assert checks["exit-time"]["details"]["margins"]
+
+
 def test_chart_leaving_its_domain_is_config_error(tmp_path, capsys):
     path = _write_chart(tmp_path, "log.json", [("u1", 0.0, 2.0)], ["u1", "log(u1)"])
     code, out, err = run_cli(["report", "--chart", path], capsys)
@@ -438,12 +457,22 @@ _SPHERE_RUN = {
         (None, ["report", "--catalog", "sphere", "--n", "2", "--radius", "2",
                 "--checks", "psi", "--radii", "a,b"]),
         (None, ["flow-residual", "--catalog", "sphere", "--n", "2", "--times", "x"]),
+        (None, ["capacity", "--catalog", "plane", "--n", "2", "--R", "-1"]),
+        (None, ["capacity", "--catalog", "plane", "--n", "2", "--R", "nan"]),
+        (None, ["capacity", "--catalog", "plane", "--n", "2", "--rho", "-0.5"]),
+        ({"radius": "x"}, []),
+        ({"r0": -3, "checks": ["parabolicity-integral"]}, []),
+        (None, ["check-soliton", "--catalog", "cylinder", "--kind", "imcf", "--c", "0"]),
+        ({"soliton": {"kind": "xcf"}}, []),
+        ({"soliton": {"constant": "abc"}}, []),
     ],
 )
 def test_bad_numeric_settings_are_config_errors(tmp_path, capsys, config, argv):
-    # tol and h must be finite and > 0, samples an integer >= 1, seed an
-    # integer >= 0 and the radii and times grids finite numbers, the radii
-    # strictly increasing, from a config file or a flag, before anything runs
+    # tol, h and the radii R, rho, r0 and rmax must be finite and > 0, samples
+    # an integer >= 1, seed an integer >= 0, the radii and times grids finite
+    # numbers, the radii strictly increasing, the soliton kind mcf or imcf and
+    # its constant finite (non-zero for imcf) or "infer", from a config file
+    # or a flag, before anything runs
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({**_SPHERE_RUN, **config}))

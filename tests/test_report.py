@@ -17,9 +17,9 @@ from solab.charts import ParamSpec, chart_from_sources
 from solab.geometry import Immersion, PointGeometry, geometry, scale_immersion
 from solab.sampling import (
     homothetic_geometries,
+    run_memo,
     sample_box,
     sample_geometry,
-    shared_sample_geometry,
 )
 
 GEOMETRY = sys.modules["solab.geometry"]
@@ -104,14 +104,14 @@ def test_second_report_recomputes_its_sample_geometry(chart_evaluations, monkeyp
 
 def test_shared_geometry_is_read_only_and_scoped():
     imm, _ = catalog("sphere", n=2, R=1.0)
-    with shared_sample_geometry():
+    with run_memo():
         g = sample_geometry(imm, count=64, seed=3)
         assert sample_geometry(imm, count=64, seed=3) is g
         assert sample_geometry(imm, count=64, seed=4) is not g
         explicit = sample_geometry(imm, sample_box(imm.chart, 64, 3))
         assert explicit is not g and explicit.H.flags.writeable
         np.testing.assert_array_equal(explicit.H, g.H)
-        _, held, jets = sampling._SHARED.get()[(id(imm), 64, 3)]
+        _, (held, jets) = sampling._RUN_MEMO.get()[(id(imm), "samples", 64, 3)]
         assert held is g and jets[0] is g.X
         # reading a field forms it, and a field formed on the shared g is read-only
         for value in (*(getattr(g, name) for name in PointGeometry.FIELDS), *jets):
@@ -123,7 +123,7 @@ def test_shared_geometry_is_read_only_and_scoped():
         memo_only = [weakref.ref(a) for a in jets[1:]]
         del held, jets, value
     gc.collect()
-    assert sampling._SHARED.get() is None
+    assert sampling._RUN_MEMO.get() is None
     assert [ref() for ref in memo_only] == [None, None]
     assert sample_geometry(imm, count=64, seed=3) is not g
 
@@ -150,7 +150,7 @@ def test_homothetic_geometries_equal_the_rescaled_charts(case, where):
     imm = HOMOTHETIC_CASES[case]()
     points = sample_box(imm.chart, 64, 3)
     kwargs = {"samples": points} if where == "explicit" else {"count": 64, "seed": 3}
-    with shared_sample_geometry() if where == "memo" else contextlib.nullcontext():
+    with run_memo() if where == "memo" else contextlib.nullcontext():
         got = homothetic_geometries(imm, SCALES, **kwargs)
         for c, scaled in zip(SCALES, got):
             expected = geometry(scale_immersion(imm, c), points)

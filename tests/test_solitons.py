@@ -11,17 +11,16 @@ from solab.sampling import sample_box
 from solab.solitons import (
     SolitonSpec,
     homothety_flow_residual,
-    imcf_residual,
     infer_constant,
-    mcf_residual,
     residual_margin,
+    soliton_residual,
     wmp_probe,
 )
 
 
 def test_sphere_mcf_residual_passes():
     imm, _ = catalog("sphere", n=2, R=2.0)
-    rep = mcf_residual(imm, 0.5)
+    rep = soliton_residual(imm, SolitonSpec("mcf", 0.5))
     assert rep.sup < 1e-10
     assert residual_margin("soliton-residual", rep.sup).verdict == "PASS"
     assert rep.sup >= rep.mean >= 0.0
@@ -30,31 +29,31 @@ def test_sphere_mcf_residual_passes():
 def test_sphere_wrong_lambda_residual_is_linear():
     # on a sphere Xperp = X, so the residual is |lam - n/R^2| * R
     imm, _ = catalog("sphere", n=2, R=2.0)
-    rep = mcf_residual(imm, 0.7)
+    rep = soliton_residual(imm, SolitonSpec("mcf", 0.7))
     assert rep.sup == pytest.approx(0.2 * 2.0, rel=1e-12)
     assert residual_margin("soliton-residual", rep.sup).verdict == "FAIL"
 
 
 def test_castro_lerma_is_an_expander():
     imm, _ = catalog("castro_lerma", delta=1.0, lam=-0.5)
-    assert mcf_residual(imm, -0.5).sup < 1e-8
+    assert soliton_residual(imm, SolitonSpec("mcf", -0.5)).sup < 1e-8
 
 
 def test_cylinder_imcf_residual():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
-    assert imcf_residual(imm, 1.0).sup < 1e-8
+    assert soliton_residual(imm, SolitonSpec("imcf", 1.0)).sup < 1e-8
 
 
 def test_sphere_imcf_constant_radius_independent():
     for R in (0.5, 1.0, 4.0):
         imm, _ = catalog("sphere", n=2, R=R)
-        assert imcf_residual(imm, 0.5).sup < 1e-10
+        assert soliton_residual(imm, SolitonSpec("imcf", 0.5)).sup < 1e-10
 
 
 def test_plane_has_no_imcf_constant():
     imm, _ = catalog("plane", n=2)
     with pytest.raises(VanishingMeanCurvature):
-        imcf_residual(imm, 0.5)
+        soliton_residual(imm, SolitonSpec("imcf", 0.5))
 
 
 def test_infer_constants():
@@ -90,7 +89,7 @@ def test_inferred_constant_is_least_squares_optimal():
     fit = infer_constant(imm, "mcf", samples=pts)
 
     def sumsq(lam):
-        rep = mcf_residual(imm, lam, samples=pts)
+        rep = soliton_residual(imm, SolitonSpec("mcf", lam), samples=pts)
         return float((rep.residuals**2).sum())
 
     best = sumsq(fit.constant)
@@ -141,7 +140,7 @@ def test_flow_residual_at_time_zero_matches_soliton_residual():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
     pts = sample_box(imm.chart, 64, 23)
     flow = homothety_flow_residual(imm, SolitonSpec("mcf", 0.7), [0.0], samples=pts)
-    static = mcf_residual(imm, 0.7, samples=pts)
+    static = soliton_residual(imm, SolitonSpec("mcf", 0.7), samples=pts)
     assert flow.sup_by_time[0] == pytest.approx(static.sup, abs=1e-10)
 
 
