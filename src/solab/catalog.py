@@ -313,7 +313,7 @@ def catalog(name: str, **params):
         )
     try:
         return CATALOG[key](**params)
-    except TypeError as err:
+    except (TypeError, ValueError) as err:  # an unknown or ill-typed parameter
         raise InvalidParams(f"{key}: {err}") from None
 
 

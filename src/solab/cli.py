@@ -289,11 +289,8 @@ def main(argv=None) -> int:
             if cfg.format == "csv":
                 with open(os.path.join(cfg.out, "report.csv"), "w", encoding="utf-8") as fh:
                     fh.write(_report_csv(report))
-            for check in report.checks:
-                for filename, writer in check.artifacts.items():
-                    target = os.path.join(cfg.out, filename)
-                    writer(target)
-                    print(f"wrote {target}")
+            for target in report.written:  # by run, as each check ended
+                print(f"wrote {target}")
         elif cfg.format == "csv":
             sys.stdout.write(_report_csv(report))
         else:

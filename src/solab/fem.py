@@ -23,6 +23,15 @@ Dirichlet energy is
 The capacity solve minimizes exactly this energy; the solver is conjugate
 gradients with diagonal preconditioning, run on a row-padded sparse matrix
 (PaddedRows) in the order of operations of scipy.sparse.linalg.cg.
+
+Working set: the layer's memory follows the size of its outputs, not of its
+per-entry temporaries.  Assembly forms one (row, col) key per stiffness entry
+straight from the simplex dofs, sorts the keys once, finds each entry's slot
+by bisection and sums the entries with np.bincount in their given order; the
+gradients and local matrices are dropped as soon as they are used.  The
+centroid metric is formed CENTROID_BLOCK simplices per geometry call, and
+component labels pass one slot of the padded rows at a time.  A report writes
+a check's mesh artifacts when the check ends, so no mesh outlives its check.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .levelset import _KUHN, _cell_corners, grid_edges, level_boundaries
 from .quadrature import ExtrinsicRegion, Margin, _region_bounds, compare
 from .solitons import SolitonSpec, soliton_residual
 
+CENTROID_BLOCK = 1 << 12  # simplices per geometry call of mesh_region: bounds its memory
 SNAP_FRACTION = 0.3  # grid vertices closer than this (in edge units) snap onto the level
 BOUND_RADII = 21  # levels of the capacity bound's foliation integral
 BOUND_RESOLUTION = 160  # grid cells per axis of its marched levels
@@ -177,15 +187,22 @@ def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh
             "boundary data"
         )
 
-    g = geometry(imm, verts[simplices].mean(axis=1), order=1)
+    # the centroid metric, CENTROID_BLOCK simplices per geometry call; a
+    # point's geometry does not depend on its batch, so blocks change no bit
+    metric = np.empty((len(simplices), d, d))
+    metric_inv, sqrt_det = np.empty_like(metric), np.empty(len(simplices))
+    for start in range(0, len(simplices), CENTROID_BLOCK):
+        block = slice(start, start + CENTROID_BLOCK)
+        g = geometry(imm, verts[simplices[block]].mean(axis=1), order=1)
+        metric[block], metric_inv[block], sqrt_det[block] = g.metric, g.metric_inv, g.sqrt_det
     return Mesh(
         imm,
         verts,
         simplices,
         tags,
-        g.metric,
-        g.metric_inv,
-        g.sqrt_det,
+        metric,
+        metric_inv,
+        sqrt_det,
         r,
         np.unique(dof, return_inverse=True)[1],
         tuple(notes),
@@ -334,9 +351,17 @@ class PaddedRows:
     @classmethod
     def assembled(cls, rows, cols, values, size):
         """The size x size matrix of the (row, col, value) entries, with the
-        duplicates of an entry summed in the order they are given."""
-        keys, slot = np.unique(rows * size + cols, return_inverse=True)
-        summed = np.bincount(slot, weights=values, minlength=len(keys))
+        duplicates of an entry summed in the order they are given.  rows,
+        cols and values broadcast against each other, so an (S, k, 1) array
+        of rows and an (S, 1, k) one of columns give every entry of S local
+        k x k blocks without forming their (row, col) pairs."""
+        entries = np.ravel(rows * size + cols)
+        keys = np.sort(entries)  # sorted once; each entry finds its slot by bisection
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        slot = np.searchsorted(keys, entries)
+        del entries
+        summed = np.bincount(slot, weights=np.ravel(values), minlength=len(keys))
+        del slot
         row = keys // size
         place = np.arange(len(keys)) - np.searchsorted(row, row)  # position within its row
         width = int(place.max()) + 1 if len(keys) else 0
@@ -377,11 +402,13 @@ def assemble(mesh: Mesh):
     k = simplices.shape[1]
     vol, G = _simplex_gradients(mesh.vertices, simplices)
     weight = vol * mesh.sqrt_det
-    Kloc = G.transpose(0, 2, 1) @ (mesh.metric_inv @ G) * weight[:, None, None]
+    Kloc = G.transpose(0, 2, 1) @ (mesh.metric_inv @ G)
+    del G
+    Kloc *= weight[:, None, None]
     dofs = mesh.dof_map[simplices]
-    rows = np.repeat(dofs, k, axis=1).ravel()
-    cols = np.tile(dofs, (1, k)).ravel()
-    K = PaddedRows.assembled(rows, cols, Kloc.ravel(), mesh.dof_count)
+    # entry (a, b) of simplex s sits at row dofs[s, a], column dofs[s, b]
+    K = PaddedRows.assembled(dofs[:, :, None], dofs[:, None, :], Kloc, mesh.dof_count)
+    del Kloc
     load = np.zeros(mesh.dof_count)
     np.add.at(load, dofs.ravel(), np.repeat(weight / k, k))
     return K, load
@@ -399,15 +426,15 @@ class DirichletSolution:
 def _check_components(K: PaddedRows, dirichlet_idx):
     """Raise DisconnectedRegion for the components of K's graph (its nonzero
     entries) without a Dirichlet dof, each numbered by the rank of its
-    smallest dof."""
-    linked = K.value != 0.0
-    rows = np.broadcast_to(np.arange(K.size), K.index.shape)[linked]
-    cols = K.index[linked]
-    ends, starts = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    smallest dof.  Labels pass along the entries one slot of the padded
+    rows at a time, both ways, so a link counts in either direction."""
     label = np.arange(K.size)  # converges to the smallest dof of each component
     while True:
         low = label.copy()
-        np.minimum.at(low, ends, label[starts])
+        for cols, values in zip(K.index, K.value):
+            linked = values != 0.0
+            np.minimum(low, label[cols], out=low, where=linked)  # a row takes its columns' labels
+            np.minimum.at(low, cols[linked], label[linked])  # and gives them its own
         low = low[low]
         if (low == label).all():
             break
@@ -708,7 +735,11 @@ def _rows(table, formats, sep=" ") -> str:
     and delimiter, formatted in one pass over the table's cells.  A "%d"
     column enters as ints; any other column is formatted once per distinct
     bit pattern (lattice meshes repeat most coordinates), so 0.0 and -0.0
-    stay apart."""
+    stay apart.  An all-"%d" table, like the OFF faces, goes in as ints
+    without a cell table."""
+    if all(fmt == "%d" for fmt in formats):
+        cells = table.astype(np.int64).ravel().tolist()
+        return ((sep.join(formats) + "\n") * len(table)) % tuple(cells)
     cells = np.empty(table.shape, dtype=object)
     row = list(formats)
     for j, fmt in enumerate(formats):

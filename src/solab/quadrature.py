@@ -778,6 +778,8 @@ def parabolicity_integral(
     The integrand behaves like t^(1-d) when Psi ~ poly(deg d) * exp(-lam t^2/2);
     a tail log-slope >= -1.5 (1/t or slower) is classified divergent-like.
     """
+    if not R0 < R_max:
+        raise InvalidParams(f"the integral runs from R0 up to R_max, got R0={R0} >= R_max={R_max}")
     grid = np.linspace(R0, R_max, PSI_GRID)
     curve = psi(imm, lam, grid)
     if np.any(curve.values < 1e-300):

@@ -12,6 +12,7 @@ import contextlib
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
@@ -108,6 +109,8 @@ class RunConfig:
         imm = data.get("immersion")
         if not isinstance(imm, dict) or (set(imm) - _IMMERSION_KEYS):
             raise ConfigError("config.immersion must give a catalog name or chart path")
+        if not isinstance(imm.get("params", {}), dict):
+            raise ConfigError(f"config.immersion.params must be a JSON object, got {imm['params']!r}")
         sol = data.get("soliton")
         if sol is not None and (not isinstance(sol, dict) or set(sol) - _SOLITON_KEYS):
             raise ConfigError(f"config.soliton takes the keys {sorted(_SOLITON_KEYS)}, got {sol!r}")
@@ -132,6 +135,8 @@ class RunConfig:
                 continue
             if not (_is_a(value, numbers.Real) and 0.0 < value < math.inf):
                 raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+        if self.r0 is not None and self.rmax is not None and self.r0 >= self.rmax:
+            raise ConfigError(f"r0 must be below rmax, got r0={self.r0!r} >= rmax={self.rmax!r}")
         if self.soliton is not None:
             kind, constant = self.soliton.get("kind", "mcf"), self.soliton.get("constant")
             if kind not in solitons.KINDS:
@@ -222,7 +227,7 @@ class CheckResult:
     status: str  # PASS | FAIL | SKIPPED | ERROR
     details: dict
     wall_clock: float
-    artifacts: dict = field(default_factory=dict)  # filename -> writer(path)
+    artifacts: dict = field(default_factory=dict)  # filename -> writer(path), until run writes them
 
 
 def _spec_from_config(cfg: RunConfig, imm: Immersion, entry):
@@ -528,6 +533,7 @@ class Report:
     soliton: dict
     checks: list
     verdict: str
+    written: list = field(default_factory=list)  # artifact paths, in the order written
 
     def to_dict(self) -> dict:
         return {
@@ -544,21 +550,37 @@ class Report:
 _EXIT_OF_VERDICT = {"ERROR": EXIT_NUMERICAL, "FAIL": EXIT_CHECK_FAILED, "PASS": EXIT_OK}
 
 
+def _write_artifacts(result: CheckResult, out) -> list:
+    """Write a check's artifacts under out, when given, and drop its writers,
+    which hold its meshes; returns the paths written."""
+    written = []
+    if out:
+        os.makedirs(out, exist_ok=True)
+        for filename, writer in result.artifacts.items():
+            written.append(os.path.join(out, filename))
+            writer(written[-1])
+    result.artifacts = {}
+    return written
+
+
 def run(cfg: RunConfig):
     """Execute the configured checks in order; returns (report, exit_code).
     The checks share one geometry per default sample set and one majorant
-    fit per immersion, for this run only."""
+    fit per immersion, for this run only.  Each check's artifacts are written
+    under cfg.out as it ends, so no check's mesh outlives it."""
     imm, entry = build_immersion(cfg)
+    results, written = [], []
     with run_memo():
         spec, source = _spec_from_config(cfg, imm, entry)
-        checks = cfg.checks or FULL_CHECKS
-        results = [run_check(name, cfg, imm, entry, spec) for name in checks]
+        for name in cfg.checks or FULL_CHECKS:
+            results.append(run_check(name, cfg, imm, entry, spec))
+            written += _write_artifacts(results[-1], cfg.out)
     statuses = {c.status for c in results}
     verdict = next(v for v in _EXIT_OF_VERDICT if v in statuses or v == "PASS")
     info = _pick(imm, "name", "dim", "ambient_dim", "properness_radius", "compact", "proper")
     info["notes"] = list(imm.notes) + list(entry.notes if entry is not None else ())
     soliton = {**_pick(spec, "kind", "constant"), "source": source}
-    report = Report(cfg.echo(), info, soliton, results, verdict)
+    report = Report(cfg.echo(), info, soliton, results, verdict, written)
     return report, _EXIT_OF_VERDICT[verdict]
 
 

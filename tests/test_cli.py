@@ -465,19 +465,38 @@ _SPHERE_RUN = {
         (None, ["check-soliton", "--catalog", "cylinder", "--kind", "imcf", "--c", "0"]),
         ({"soliton": {"kind": "xcf"}}, []),
         ({"soliton": {"constant": "abc"}}, []),
+        ({"r0": 5, "rmax": 1, "checks": ["parabolicity-integral"]}, []),
+        ({"r0": 2, "rmax": 2, "checks": ["parabolicity-integral"]}, []),
+        (None, ["parabolicity-integral", "--catalog", "cylinder", "--n", "2", "--k", "1",
+                "--rho", "1", "--r0", "5", "--rmax", "1"]),
     ],
 )
 def test_bad_numeric_settings_are_config_errors(tmp_path, capsys, config, argv):
-    # tol, h and the radii R, rho, r0 and rmax must be finite and > 0, samples
-    # an integer >= 1, seed an integer >= 0, the radii and times grids finite
-    # numbers, the radii strictly increasing, the soliton kind mcf or imcf and
-    # its constant finite (non-zero for imcf) or "infer", from a config file
-    # or a flag, before anything runs
+    # tol, h and the radii R, rho, r0 and rmax must be finite and > 0, r0
+    # below rmax, samples an integer >= 1, seed an integer >= 0, the radii
+    # and times grids finite numbers, the radii strictly increasing, the
+    # soliton kind mcf or imcf and its constant finite (non-zero for imcf) or
+    # "infer", from a config file or a flag, before anything runs
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({**_SPHERE_RUN, **config}))
         argv = ["report", "--config", str(path), *argv]
     code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("configuration error")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "params", [5, [2], "n=2", {"n": "x"}, {"n": None}, {"R": "big"}],
+    ids=["int", "list", "str", "n-word", "n-null", "R-word"],
+)
+def test_ill_typed_catalog_params_are_config_errors(tmp_path, capsys, params):
+    # params that are not a mapping, or that the entry's constructor cannot
+    # take, stop the run before it starts
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**_SPHERE_RUN, "immersion": {"catalog": "sphere", "params": params}}))
+    code, out, err = run_cli(["report", "--config", str(path)], capsys)
     assert code == 2
     assert err.startswith("configuration error")
     assert out == ""

@@ -369,6 +369,64 @@ def test_padded_rows_match_scipy_sparse():
     assert (sub @ v[keep]).tobytes() == (ref_sub @ v[keep]).tobytes()
 
 
+def _triplet_assembly(mesh):
+    """assemble as it was done from the k^2 S (row, col, value) triplets of
+    S simplices of k vertices and np.unique(..., return_inverse=True): the
+    reference for the triplet-free assembly."""
+    simplices = mesh.simplices
+    k = simplices.shape[1]
+    vol, G = _simplex_gradients(mesh.vertices, simplices)
+    weight = vol * mesh.sqrt_det
+    Kloc = G.transpose(0, 2, 1) @ (mesh.metric_inv @ G) * weight[:, None, None]
+    dofs = mesh.dof_map[simplices]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    size = mesh.dof_count
+    keys, slot = np.unique(rows * size + cols, return_inverse=True)
+    summed = np.bincount(slot, weights=Kloc.ravel(), minlength=len(keys))
+    row = keys // size
+    place = np.arange(len(keys)) - np.searchsorted(row, row)
+    index = np.zeros((int(place.max()) + 1, size), dtype=np.intp)
+    value = np.zeros(index.shape)
+    index[place, row] = keys % size
+    value[place, row] = summed
+    load = np.zeros(size)
+    np.add.at(load, dofs.ravel(), np.repeat(weight / k, k))
+    return PaddedRows(index, value), load
+
+
+@pytest.mark.parametrize(
+    "make,rho,R,h",
+    [
+        (lambda: catalog("plane", n=2)[0], 1.0, math.e, 0.1),
+        (lambda: catalog("castro_lerma")[0], 0.0, 2.0, 0.05),
+        (lambda: catalog("generalized_cylinder", n=2, k=1, rho=1.0)[0], 0.0, 2.0, 0.1),
+        (lambda: catalog("plane", n=1)[0], 1.0, 3.0, 0.05),
+        (flat_three_space, 0.5, 1.0, 0.1),
+    ],
+    ids=["plane(2)", "castro_lerma", "cylinder-strip", "line", "flat-shell"],
+)
+def test_assembly_matches_the_triplet_assembly_bit_for_bit(make, rho, R, h):
+    imm = make()
+    mesh = mesh_region(imm, ExtrinsicRegion(imm, rho, R), h)
+    K, load = assemble(mesh)
+    K_ref, load_ref = _triplet_assembly(mesh)
+    assert K.index.tobytes() == K_ref.index.tobytes()
+    assert K.value.tobytes() == K_ref.value.tobytes()
+    assert load.tobytes() == load_ref.tobytes()
+
+
+def test_exit_time_assembly_memory_budget(traced_peak):
+    # the castro_lerma exit-time ball of a default report: the assembly holds
+    # a few arrays of one value per stiffness entry, not the (row, col)
+    # triplets and np.unique's sort of them (15.6 MB)
+    imm, _ = catalog("castro_lerma")
+    mesh = mesh_region(imm, ExtrinsicRegion(imm, 0.0, 2.0), h=0.05)
+    assert mesh.dof_count > 11000
+    _, peak = traced_peak(assemble, mesh)
+    assert peak <= 8.0
+
+
 def test_cg_takes_the_steps_of_scipy_cg():
     # the plane(2) capacity system, reduced to its free dofs
     imm, _ = catalog("plane", n=2)

@@ -11,7 +11,7 @@ from scipy.special import erfc, gammaincc
 
 from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
-from solab.errors import ImproperWindow, PsiUnderflow, TruncationFailure
+from solab.errors import ImproperWindow, InvalidParams, PsiUnderflow, TruncationFailure
 from solab.geometry import Immersion, geometry, radius_values
 from solab.inequalities import isoperimetric_mcf
 import solab.levelset as levelset
@@ -721,6 +721,13 @@ def test_parabolicity_sphere_underflows():
     imm, _ = catalog("sphere", n=2, R=1.0)
     with pytest.raises(PsiUnderflow):
         parabolicity_integral(imm, 2.0, 1.5, 4.0)
+
+
+@pytest.mark.parametrize("R0, R_max", [(5.0, 1.0), (2.0, 2.0)])
+def test_parabolicity_integral_rejects_an_empty_interval(R0, R_max):
+    imm = catalog_cylinder()
+    with pytest.raises(InvalidParams):
+        parabolicity_integral(imm, 1.0, R0, R_max)
 
 
 # --- flux identity ------------------------------------------------------------------

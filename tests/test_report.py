@@ -1,5 +1,6 @@
 """One chart evaluation per sample set and one majorant fit per report:
-shared inside `report.run`, never across runs."""
+shared inside `report.run`, never across runs.  A check's meshes are not
+kept past the check."""
 
 import contextlib
 import gc
@@ -11,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from solab import quadrature, report, sampling, solitons
+from solab import fem, quadrature, report, sampling, solitons
 from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
 from solab.geometry import Immersion, PointGeometry, geometry, scale_immersion
@@ -252,3 +253,38 @@ def test_full_report_fits_the_majorant_once(tmp_path, monkeypatch):
         assert alone.status == checks[name].status == "PASS"
         assert report.json_dumps(alone.details) == report.json_dumps(checks[name].details)
     assert fits == [imm] * 4
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
+def test_no_mesh_outlives_its_check(tmp_path, monkeypatch, out):
+    # the capacity check's artifacts are written (or dropped) as it ends, so
+    # its mesh is unreachable once the exit-time check starts
+    meshes, alive = [], []
+    mesh_region, solve_exit_time = fem.mesh_region, fem.solve_exit_time
+
+    def tracked(*args, **kwargs):
+        mesh = mesh_region(*args, **kwargs)
+        meshes.append(weakref.ref(mesh))
+        return mesh
+
+    def exit_time(*args, **kwargs):
+        gc.collect()
+        alive.append([ref() is not None for ref in meshes])
+        return solve_exit_time(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "mesh_region", tracked)
+    monkeypatch.setattr(fem, "solve_exit_time", exit_time)
+    cfg = report.RunConfig.from_dict({
+        "immersion": {"catalog": "plane", "params": {"n": 2}},
+        "checks": ["capacity", "exit-time"],
+        "out": str(tmp_path) if out else None,
+    })
+    rep, code = report.run(cfg)
+    assert code == 0
+    assert alive == [[False]]
+    gc.collect()
+    assert [ref() for ref in meshes] == [None, None]
+    assert all(not c.artifacts for c in rep.checks)
+    names = ["capacity_potential.csv", "capacity_mesh.off", "exit_time.csv", "exit_time_mesh.off"]
+    assert rep.written == ([str(tmp_path / name) for name in names] if out else [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == (sorted(names) if out else [])
