@@ -8,6 +8,7 @@ which round-trips doubles exactly.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -304,13 +305,23 @@ CATALOG = {
 ALIASES = {"cylinder": "generalized_cylinder", "clifford": "clifford_torus", "veronese": "veronese_surface"}
 
 
-def catalog(name: str, **params):
-    """Look up a built-in immersion; raises UnknownCatalogEntry / InvalidParams."""
+def _entry(name: str) -> str:
     key = ALIASES.get(name, name)
     if key not in CATALOG:
         raise UnknownCatalogEntry(
             f"unknown catalog entry {name!r}; available: {sorted(CATALOG)}"
         )
+    return key
+
+
+def catalog_parameters(name: str) -> set:
+    """The parameter names a catalog entry takes; raises UnknownCatalogEntry."""
+    return set(inspect.signature(CATALOG[_entry(name)]).parameters)
+
+
+def catalog(name: str, **params):
+    """Look up a built-in immersion; raises UnknownCatalogEntry / InvalidParams."""
+    key = _entry(name)
     try:
         return CATALOG[key](**params)
     except (TypeError, ValueError) as err:  # an unknown or ill-typed parameter

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Every subcommand resolves its flags into the same RunConfig that a JSON
-config file would provide, so `solab report --config run.json` and the
-flag-based invocations share one execution path.  Exit codes: 0 all checks
-pass, 1 at least one check failed, 2 configuration or usage error,
-3 numerical failure (solver divergence, truncation failure, ...).
+Every subcommand lays its flags over the `--config` JSON object, if any, and
+hands the result to RunConfig.from_dict, the one parser of run settings, so
+a file and the flags share one set of rules and one execution path.  Exit
+codes: 0 all checks pass, 1 at least one check failed, 2 configuration or
+usage error, 3 numerical failure (solver divergence, truncation failure, ...).
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from .errors import (
     EXIT_OK,
     ConfigError,
     SolabError,
-    UnknownCatalogEntry,
     exit_code_of,
 )
-from .report import FULL_CHECKS, RunConfig, catalog_report, json_dumps, run, validate_checks
+from .catalog import catalog_parameters
+from .report import FULL_CHECKS, RunConfig, catalog_report, json_dumps, run
 
 # (flag, catalog key, type, help) of each immersion flag, in --help order
 _CATALOG_FLAGS = (
@@ -59,7 +59,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--out", help="output directory for report.json and CSVs")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", metavar="{json,csv}", help="json (default) or csv")
     p.add_argument("--dry-run", action="store_true", help="print the resolved plan only")
 
 
@@ -106,45 +106,26 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _catalog_signature(name):
-    import inspect
-
-    from .catalog import ALIASES, CATALOG
-
-    key = ALIASES.get(name, name)
-    if key not in CATALOG:
-        raise UnknownCatalogEntry(f"unknown catalog entry {name!r}")
-    return set(inspect.signature(CATALOG[key]).parameters)
-
-
-def _immersion_config(args) -> dict:
-    """Split flags into construction parameters and check parameters.
-
+def _immersion(args, imm):
+    """Lay the immersion flags over the file's immersion block: --catalog or
+    --chart replaces its source, and the parameter flags join its params.
     --rho doubles as the cylinder fiber radius and as the inner capacity
     radius; the catalog entry's signature decides which role it plays here.
-    """
-    if args.chart:
+    Returns the block and the capacity radius the flags give, or None."""
+    if args.catalog or args.chart:
+        imm = {"chart": args.chart} if args.chart else {}
         if args.catalog:
-            raise ConfigError("give either --catalog or --chart, not both")
-        return {"chart": args.chart}, {}
-    if not args.catalog:
-        raise ConfigError("an immersion is required: --catalog NAME or --chart FILE")
-    accepted = _catalog_signature(args.catalog)
-    params, leftover = {}, {}
-    for flag, key, _, _ in _CATALOG_FLAGS:
-        val = getattr(args, flag, None)
-        if val is None:
-            continue
-        if key in accepted:
-            params[key] = val
-        elif key == "rho":
-            leftover["rho"] = val  # inner radius of a capacity annulus
-        else:
-            raise ConfigError(
-                f"--{flag.replace('_', '-')} is not a parameter of catalog "
-                f"entry {args.catalog!r}"
-            )
-    return {"catalog": args.catalog, "params": params}, leftover
+            imm.update(catalog=args.catalog, params={})
+    if not isinstance(imm, dict):  # from_dict rejects it
+        return imm, None
+    given = {key: getattr(args, flag) for flag, key, _, _ in _CATALOG_FLAGS
+             if getattr(args, flag) is not None}
+    name, rho = imm.get("catalog"), None
+    if "rho" in given and not (isinstance(name, str) and "rho" in catalog_parameters(name)):
+        rho = given.pop("rho")  # inner radius of a capacity annulus
+    if given and isinstance(imm.get("params", {}), dict):
+        imm = {**imm, "params": {**imm.get("params", {}), **given}}
+    return imm, rho
 
 
 def _soliton_config(args) -> dict | None:
@@ -171,72 +152,67 @@ def _soliton_config(args) -> dict | None:
     return {"kind": kind, "constant": constant}
 
 
-# flag -> the RunConfig field it overrides when given
-_FLAG_FIELDS = {
+# flag -> the config key it replaces when given
+_FLAG_KEYS = {
     "seed": "seed", "tol": "tol", "samples": "samples", "big_r": "radius", "h": "h",
-    "r0": "r0", "rmax": "rmax",
+    "r0": "r0", "rmax": "rmax", "out": "out", "format": "format",
 }
 
 
 def _config_from_args(args) -> RunConfig:
+    """Lay the given flags over the --config object; RunConfig.from_dict
+    alone parses and checks the merged settings."""
     data = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        cfg = RunConfig.from_dict(data)
-    else:
-        cfg = RunConfig(immersion={}, soliton=None)
-    leftover = {}
-    if args.catalog or args.chart or not getattr(args, "config", None):
-        cfg.immersion, leftover = _immersion_config(args)
+        if not isinstance(data, dict):
+            return RunConfig.from_dict(data)  # which rejects it
+    data["immersion"], rho = _immersion(args, data.get("immersion", {}))
+    if rho is not None:
+        data["rho"] = rho
     sol = _soliton_config(args)
     if sol is not None:
-        cfg.soliton = sol
+        data["soliton"] = sol
     if args.command != "report":
-        cfg.checks = ["soliton-residual" if args.command == "check-soliton" else args.command]
-    else:
-        if getattr(args, "checks", None):
-            cfg.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-            validate_checks(cfg.checks)
-        elif not cfg.checks or getattr(args, "full", False):
-            cfg.checks = list(FULL_CHECKS)
-    for flag, key in _FLAG_FIELDS.items():
+        data["checks"] = ["soliton-residual" if args.command == "check-soliton" else args.command]
+    elif args.checks:
+        data["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
+    elif args.full or data.get("checks") in (None, []):
+        data["checks"] = list(FULL_CHECKS)
+    for flag, key in _FLAG_KEYS.items():
         if getattr(args, flag, None) is not None:
-            setattr(cfg, key, getattr(args, flag))
+            data[key] = getattr(args, flag)
     for key in ("radii", "times"):
-        if getattr(args, key, None):
-            setattr(cfg, key, [x for x in getattr(args, key).split(",") if x.strip()])
-    if "rho" in leftover:
-        cfg.rho = leftover["rho"]
-    if args.out:
-        cfg.out = args.out
-    cfg.format = args.format
-    return cfg.validate()
+        if getattr(args, key, None) is not None:
+            data[key] = [x for x in getattr(args, key).split(",") if x.strip()]
+    return RunConfig.from_dict(data)
 
 
 def _emit_catalog(args) -> int:
-    data = catalog_report()
     if args.dry_run:
         print("plan: list catalog entries")
         return EXIT_OK
+    data = catalog_report()
+    rows = data["entries"]
+    filename = f"catalog.{args.format}"
     if args.format == "json":
         text = json_dumps(data) + "\n"
-        _write_or_print(args.out, "catalog.json", text)
-        return EXIT_OK
-    rows = data["entries"]
-    header = f"{'name':24s} {'lambda':>10s} {'C':>10s} {'|A|^2/lam':>10s}  description"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lam = "-" if row["lam"] is None else f"{row['lam']:.4g}"
-        c = "-" if row["imcf_c"] is None else f"{row['imcf_c']:.4g}"
-        a2 = "-" if row["normA2_over_lam"] is None else f"{row['normA2_over_lam']:.4g}"
-        lines.append(f"{row['name']:24s} {lam:>10s} {c:>10s} {a2:>10s}  {row['description']}")
-    text = "\n".join(lines) + "\n"
-    if args.format == "csv":
+    elif args.format == "csv":
         text = "name,lambda,C,normA2_over_lam\n" + "\n".join(
             f"{r['name']},{r['lam']},{r['imcf_c']},{r['normA2_over_lam']}" for r in rows
         ) + "\n"
-    _write_or_print(args.out, "catalog.csv", text)
+    else:
+        filename = "catalog.txt"
+        header = f"{'name':24s} {'lambda':>10s} {'C':>10s} {'|A|^2/lam':>10s}  description"
+        lines = [header, "-" * len(header)]
+        for row in rows:
+            lam = "-" if row["lam"] is None else f"{row['lam']:.4g}"
+            c = "-" if row["imcf_c"] is None else f"{row['imcf_c']:.4g}"
+            a2 = "-" if row["normA2_over_lam"] is None else f"{row['normA2_over_lam']:.4g}"
+            lines.append(f"{row['name']:24s} {lam:>10s} {c:>10s} {a2:>10s}  {row['description']}")
+        text = "\n".join(lines) + "\n"
+    _write_or_print(args.out, filename, text)
     return EXIT_OK
 
 
@@ -279,22 +255,12 @@ def main(argv=None) -> int:
         for c in report.checks:
             print(f"[{c.status:7s}] {c.name}  ({c.wall_clock:.2f}s)")
         print(f"verdict: {report.verdict}")
-        text = json_dumps(report.to_dict()) + "\n"
-        if cfg.out:
-            os.makedirs(cfg.out, exist_ok=True)
-            path = os.path.join(cfg.out, "report.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"wrote {path}")
-            if cfg.format == "csv":
-                with open(os.path.join(cfg.out, "report.csv"), "w", encoding="utf-8") as fh:
-                    fh.write(_report_csv(report))
-            for target in report.written:  # by run, as each check ended
-                print(f"wrote {target}")
-        elif cfg.format == "csv":
-            sys.stdout.write(_report_csv(report))
-        else:
-            sys.stdout.write(text)
+        if cfg.out or cfg.format == "json":
+            _write_or_print(cfg.out, "report.json", json_dumps(report.to_dict()) + "\n")
+        if cfg.format == "csv":
+            _write_or_print(cfg.out, "report.csv", _report_csv(report))
+        for target in report.written:  # by run, as each check ended
+            print(f"wrote {target}")
         return code
     except (SolabError, *CONFIG_ERRORS) as err:
         code = exit_code_of(err)

@@ -5,6 +5,8 @@ reported verbatim by the CLI.  Configuration problems and numerical failures
 are separated so the CLI can map them to distinct exit codes.
 """
 
+import json
+
 
 class SolabError(Exception):
     """Base class for all package errors."""
@@ -181,6 +183,7 @@ CONFIG_ERRORS = (
     ExpressionError,
     DomainError,  # a chart that leaves its domain inside its box
     FileNotFoundError,
+    json.JSONDecodeError,  # a config or chart file that is not JSON
 )
 
 

@@ -49,8 +49,8 @@ def isoperimetric_excluded(c: float, n: int) -> bool:
     return 0.0 <= c <= 1.0 / n or is_one_over_n(c, n)
 
 
-def _verify_soliton(imm, spec, seed):
-    rep = soliton_residual(imm, spec, seed=seed)
+def _verify_soliton(imm, spec, count, seed):
+    rep = soliton_residual(imm, spec, count=count, seed=seed)
     if not rep.sup < 1e-6:
         raise InvalidParams(
             f"{imm.name} is not a {spec.kind} soliton with constant {spec.constant} "
@@ -72,10 +72,10 @@ def _ball_pieces(imm, radii, curvature):
             for boundary in level_boundaries(imm, radii)]
 
 
-def isoperimetric_mcf(imm, lam, radii, seed=DEFAULT_SEED) -> list[Margin]:
+def isoperimetric_mcf(imm, lam, radii, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED) -> list[Margin]:
     """Boundary-to-volume ratio against the curvature-discounted Euclidean
     reference, plus nonnegativity of the discount factor, per radius."""
-    _verify_soliton(imm, SolitonSpec("mcf", lam), seed)
+    _verify_soliton(imm, SolitonSpec("mcf", lam), count, seed)
     n = imm.dim
     if imm.route == "constant":
         return [
@@ -105,7 +105,7 @@ def isoperimetric_mcf(imm, lam, radii, seed=DEFAULT_SEED) -> list[Margin]:
     return out
 
 
-def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[Margin]:
+def isoperimetric_imcf(imm, c, radii, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED) -> list[Margin]:
     """Inverse-flow isoperimetric comparison; equality would force a totally
     geodesic piece, so the verdict also records strictness."""
     n = imm.dim
@@ -113,7 +113,7 @@ def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[Margin]:
         raise InvalidParams(
             f"inverse-flow constant {c} lies in the excluded window [0, 1/{n}]"
         )
-    _verify_soliton(imm, SolitonSpec("imcf", c), seed)
+    _verify_soliton(imm, SolitonSpec("imcf", c), count, seed)
     factor = (c * n - 1.0) / (c * n)
     if imm.route == "constant":
         return [
@@ -139,7 +139,9 @@ def isoperimetric_imcf(imm, c, radii, seed=DEFAULT_SEED) -> list[Margin]:
     return out
 
 
-def volume_growth_monotonicity(imm, c, radii, seed=DEFAULT_SEED) -> tuple[np.ndarray, list[Margin]]:
+def volume_growth_monotonicity(
+    imm, c, radii, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED
+) -> tuple[np.ndarray, list[Margin]]:
     """The normalized volume Vol(D_t) / Vol(B^n(t))^((Cn-1)/(Cn)) along the
     grid and its margins: it must not decrease from one radius to the next.
     C = 1/n (closed spherical solitons) is allowed: the exponent degenerates
@@ -149,7 +151,7 @@ def volume_growth_monotonicity(imm, c, radii, seed=DEFAULT_SEED) -> tuple[np.nda
         raise InvalidParams(
             f"inverse-flow constant {c} lies in the excluded window [0, 1/{n})"
         )
-    _verify_soliton(imm, SolitonSpec("imcf", c), seed)
+    _verify_soliton(imm, SolitonSpec("imcf", c), count, seed)
     exponent = (c * n - 1.0) / (c * n)
     radii = np.asarray(radii, dtype=float)
     vols = region_integrals(imm, [RegionJob(ExtrinsicRegion(imm, 0.0, t)) for t in radii])
@@ -182,7 +184,7 @@ def separation_check(
     |r - sqrt(n/lam)|, its one margin, and <X, H> + n.  Sampling refutes,
     never proves: a one-sided verdict only means no counterexample was found
     in the samples."""
-    _verify_soliton(imm, SolitonSpec("mcf", lam), seed)
+    _verify_soliton(imm, SolitonSpec("mcf", lam), count, seed)
     if lam <= 0:
         raise InvalidParams("separation concerns shrinkers (lam > 0)")
     g = sample_geometry(imm, samples, count, seed)
@@ -232,7 +234,7 @@ def second_form_threshold(
     plus the rescaling identity |A~|^2 = (n/lam)|A|^2 - n checked directly on
     the chart scaled by sqrt(lam/n) (unit-sphere shape tensor via the ambient
     trace correction)."""
-    _verify_soliton(imm, SolitonSpec("mcf", lam), seed)
+    _verify_soliton(imm, SolitonSpec("mcf", lam), count, seed)
     n = imm.dim
     g, scaled = homothetic_geometries(imm, [1.0, math.sqrt(lam / n)], samples, count, seed)
     ratio = g.normA2 / lam
@@ -274,7 +276,7 @@ def rimoldi_criterion(
     """Does |H| >= sqrt(n lam) hold outside a compact set?  Reported together
     with the sign of the radial Laplacian of r^2 there (nonpositive exactly
     when the bound holds); a diagnostic, not a proof of parabolicity."""
-    _verify_soliton(imm, SolitonSpec("mcf", lam), seed)
+    _verify_soliton(imm, SolitonSpec("mcf", lam), count, seed)
     n = imm.dim
     if imm.compact:
         return CurvatureParabolicityReport(

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import fem, inequalities, quadrature, solitons
-from .catalog import catalog, catalog_rows
+from .catalog import catalog, catalog_parameters, catalog_rows
 from .charts import load_chart
 from .errors import (
     EXIT_CHECK_FAILED,
@@ -101,44 +101,62 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
+        """The one parser of run settings, from a config file, flags laid
+        over one or a library caller.  Fails closed on an unknown key and on
+        any immersion, soliton, check list, number, grid or output setting
+        that no run can go with; grids become lists of floats."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys (fail-closed): {sorted(unknown)}")
-        imm = data.get("immersion")
+        imm = data.get("immersion") or {}
         if not isinstance(imm, dict) or (set(imm) - _IMMERSION_KEYS):
-            raise ConfigError("config.immersion must give a catalog name or chart path")
-        if not isinstance(imm.get("params", {}), dict):
-            raise ConfigError(f"config.immersion.params must be a JSON object, got {imm['params']!r}")
-        sol = data.get("soliton")
-        if sol is not None and (not isinstance(sol, dict) or set(sol) - _SOLITON_KEYS):
-            raise ConfigError(f"config.soliton takes the keys {sorted(_SOLITON_KEYS)}, got {sol!r}")
-        cfg = RunConfig(immersion=imm, soliton=sol)
-        for key in _CONFIG_KEYS - {"immersion", "soliton"}:
-            if key in data and data[key] is not None:
+            raise ConfigError(f"immersion takes the keys {sorted(_IMMERSION_KEYS)}, got {imm!r}")
+        sources = [imm[key] for key in ("catalog", "chart") if key in imm]
+        if len(sources) != 1 or not isinstance(sources[0], str):
+            raise ConfigError(
+                "give exactly one immersion, a catalog name (--catalog) or a chart "
+                f"path (--chart), got {imm!r}"
+            )
+        params = imm.get("params", {})
+        if "chart" in imm and params:
+            raise ConfigError(f"a chart takes no catalog params, got {params!r}")
+        if not isinstance(params, dict):
+            raise ConfigError(f"config.immersion.params must be a JSON object, got {params!r}")
+        foreign = set(params) - catalog_parameters(imm["catalog"]) if "catalog" in imm else ()
+        if foreign:
+            raise ConfigError(f"catalog entry {imm['catalog']!r} takes no {sorted(foreign)}")
+        cfg = RunConfig(immersion=imm)
+        for key in _CONFIG_KEYS - {"immersion"}:
+            if data.get(key) is not None:
                 setattr(cfg, key, data[key])
-        validate_checks(cfg.checks)
-        return cfg.validate()
-
-    def validate(self) -> "RunConfig":
-        """Fail closed on a seed, sample count, tolerance, mesh spacing,
-        radius, grid or soliton block that no check can run with; grids
-        become lists of floats."""
+        if not isinstance(cfg.checks, list):
+            raise ConfigError(f"checks must be a list of check names, got {cfg.checks!r}")
+        unknown = [name for name in cfg.checks if not (isinstance(name, str) and name in CHECKS)]
+        if unknown:
+            raise ConfigError(f"unknown checks: {unknown}")
+        if not isinstance(cfg.out, (str, type(None))):
+            raise ConfigError(f"out must be a directory path, got {cfg.out!r}")
+        if cfg.format not in ("json", "csv"):
+            raise ConfigError(f"format must be 'json' or 'csv', got {cfg.format!r}")
         for key, least in (("seed", 0), ("samples", 1)):
-            value = getattr(self, key)
+            value = getattr(cfg, key)
             if not _is_a(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
         for key in ("h", "tol", "radius", "rho", "r0", "rmax"):
-            value = getattr(self, key)
+            value = getattr(cfg, key)
             if value is None and key != "h":  # unset: the check's default applies
                 continue
             if not (_is_a(value, numbers.Real) and 0.0 < value < math.inf):
                 raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
-        if self.r0 is not None and self.rmax is not None and self.r0 >= self.rmax:
-            raise ConfigError(f"r0 must be below rmax, got r0={self.r0!r} >= rmax={self.rmax!r}")
-        if self.soliton is not None:
-            kind, constant = self.soliton.get("kind", "mcf"), self.soliton.get("constant")
+        if cfg.r0 is not None and cfg.rmax is not None and cfg.r0 >= cfg.rmax:
+            raise ConfigError(f"r0 must be below rmax, got r0={cfg.r0!r} >= rmax={cfg.rmax!r}")
+        sol = cfg.soliton
+        if sol is not None:
+            if not isinstance(sol, dict) or set(sol) - _SOLITON_KEYS:
+                raise ConfigError(f"config.soliton takes the keys {sorted(_SOLITON_KEYS)}, got {sol!r}")
+            kind, constant = sol.get("kind", "mcf"), sol.get("constant")
             if kind not in solitons.KINDS:
                 raise ConfigError(f"soliton kind must be one of {solitons.KINDS}, got {kind!r}")
             number = _is_a(constant, numbers.Real) and math.isfinite(constant)
@@ -147,19 +165,19 @@ class RunConfig:
             if kind == "imcf" and constant == 0:
                 raise ConfigError("an inverse-flow soliton constant cannot be zero")
         for key in ("radii", "times"):
-            grid = getattr(self, key)
+            grid = getattr(cfg, key)
             if grid is None:
                 continue
             values = None
             if isinstance(grid, (list, tuple)) and not any(isinstance(x, bool) for x in grid):
                 with contextlib.suppress(TypeError, ValueError):
                     values = [float(x) for x in grid]
-            if values is None or not all(map(math.isfinite, values)):
-                raise ConfigError(f"{key} must be a list of finite numbers, got {grid!r}")
+            if not values or not all(map(math.isfinite, values)):
+                raise ConfigError(f"{key} must be a non-empty list of finite numbers, got {grid!r}")
             if key == "radii" and any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError("radius grid must be strictly increasing")
-            setattr(self, key, values)
-        return self
+            setattr(cfg, key, values)
+        return cfg
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
@@ -460,7 +478,7 @@ def _exit_time(cfg, imm, entry, spec):
 def _isoperimetric(cfg, imm, entry, spec):
     radii = _default_radii(imm, cfg)
     fn = inequalities.isoperimetric_mcf if spec.kind == "mcf" else inequalities.isoperimetric_imcf
-    margins = fn(imm, spec.constant, radii, seed=cfg.seed)
+    margins = fn(imm, spec.constant, radii, count=cfg.samples, seed=cfg.seed)
     columns = ("name", "lhs", "rhs", "margin", "tol", "verdict")
     rows = [[getattr(m, c) for c in columns] for m in margins]
     artifacts = {"isoperimetric.csv": lambda path: _write_csv(path, columns, rows)}
@@ -470,7 +488,9 @@ def _isoperimetric(cfg, imm, entry, spec):
 def _volume_growth(cfg, imm, entry, spec):
     c = _inverse_constant(imm, entry, spec)
     radii = _default_radii(imm, cfg)
-    values, margins = inequalities.volume_growth_monotonicity(imm, c, radii, seed=cfg.seed)
+    values, margins = inequalities.volume_growth_monotonicity(
+        imm, c, radii, count=cfg.samples, seed=cfg.seed
+    )
     details = {"constant": c, "grid": radii, "values": values}
     rows = list(zip(radii, values))
     artifacts = {"volume_growth.csv": lambda path: _write_csv(path, ("t", "value"), rows)}
@@ -500,12 +520,6 @@ CHECKS = {  # in report order
     "volume-growth": Check(_needs_inverse_constant, _volume_growth),
 }
 FULL_CHECKS = list(CHECKS)
-
-
-def validate_checks(names) -> None:
-    unknown = set(names) - set(CHECKS)
-    if unknown:
-        raise ConfigError(f"unknown checks: {sorted(unknown)}")
 
 
 def run_check(name: str, cfg: RunConfig, imm: Immersion, entry, spec) -> CheckResult:

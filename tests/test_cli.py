@@ -469,12 +469,16 @@ _SPHERE_RUN = {
         ({"r0": 2, "rmax": 2, "checks": ["parabolicity-integral"]}, []),
         (None, ["parabolicity-integral", "--catalog", "cylinder", "--n", "2", "--k", "1",
                 "--rho", "1", "--r0", "5", "--rmax", "1"]),
+        ({"radii": []}, []),
+        ({"times": []}, []),
+        ({}, ["--radii", ","]),
     ],
 )
 def test_bad_numeric_settings_are_config_errors(tmp_path, capsys, config, argv):
     # tol, h and the radii R, rho, r0 and rmax must be finite and > 0, r0
     # below rmax, samples an integer >= 1, seed an integer >= 0, the radii
-    # and times grids finite numbers, the radii strictly increasing, the
+    # and times grids non-empty lists of finite numbers, the radii strictly
+    # increasing, the
     # soliton kind mcf or imcf and its constant finite (non-zero for imcf) or
     # "infer", from a config file or a flag, before anything runs
     if config is not None:
@@ -485,6 +489,97 @@ def test_bad_numeric_settings_are_config_errors(tmp_path, capsys, config, argv):
     assert code == 2
     assert err.startswith("configuration error")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"immersion": {"chart": ["x.json"]}}, None),
+        ({"immersion": {"chart": 3.5}}, None),
+        ({"immersion": {"chart": 10**6}}, None),  # no descriptor this process holds
+        ({"immersion": {"catalog": ["sphere"]}}, None),
+        ({"immersion": {"catalog": "sphere", "chart": "x.json"}},
+         ["--catalog", "sphere", "--chart", "x.json"]),
+        ({"out": 5}, None),
+        ({"checks": 5}, ["--catalog", "sphere", "--checks", "5"]),
+        ({"format": "xml"}, ["--catalog", "sphere", "--format", "xml"]),
+    ],
+    ids=["chart-list", "chart-float", "chart-int", "catalog-list", "catalog-and-chart",
+         "out-int", "checks-int", "format-xml"],
+)
+def test_ill_typed_settings_are_config_errors(tmp_path, capsys, config, flags):
+    # one parser holds for a config file and for the flags laid over it: the
+    # immersion is exactly one catalog name or chart path, each a string, the
+    # checks a list of known names, out a path and format json or csv
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**_SPHERE_RUN, **config}))
+    runs = [["report", "--config", str(path)]] + ([["report", *flags]] if flags else [])
+    for argv in runs:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("configuration error"), argv
+
+
+def test_config_file_that_is_not_json_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"immersion": ')
+    code, out, err = run_cli(["report", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error")
+
+
+def test_config_file_format_csv_writes_report_csv(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    out_dir = tmp_path / "rep"
+    path.write_text(json.dumps({**_SPHERE_RUN, "format": "csv", "out": str(out_dir)}))
+    code, out, _ = run_cli(["report", "--config", str(path)], capsys)
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        f"wrote {out_dir / 'report.json'}", f"wrote {out_dir / 'report.csv'}"
+    ]
+    assert (out_dir / "report.csv").read_text().startswith("check,status,detail\n")
+
+
+def test_catalog_flag_completes_a_config_file_without_immersion(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"checks": ["soliton-residual"], "seed": 7}))
+    code, out, _ = run_cli(["report", "--config", str(path), "--catalog", "sphere", "--n", "2"], capsys)
+    assert code == 0
+    config = json_payload(out)["config"]
+    assert config["immersion"] == {"catalog": "sphere", "params": {"n": 2}}
+    assert config["seed"] == 7
+
+
+def test_flags_replace_the_config_file_before_validation(tmp_path, capsys):
+    # the file's samples and radius alone would fail; the flags' do not
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "immersion": {"catalog": "sphere", "params": {"n": 2, "R": -1.0}},
+        "checks": ["soliton-residual"], "samples": 0, "format": "csv",
+    }))
+    code, out, _ = run_cli(
+        ["report", "--config", str(path), "--samples", "64", "--radius", "2", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    data = json_payload(out)
+    assert data["config"]["samples"] == 64
+    assert data["config"]["immersion"]["params"] == {"n": 2, "R": 2.0}
+    assert data["checks"][0]["details"]["samples"] == 64
+
+
+def test_catalog_table_and_csv_files(tmp_path, capsys):
+    code, out, _ = run_cli(["catalog", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert out == f"wrote {tmp_path / 'catalog.txt'}\n"
+    assert "veronese" in (tmp_path / "catalog.txt").read_text()
+    code, out, _ = run_cli(["catalog", "--format", "csv", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    with open(tmp_path / "catalog.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv_module.DictReader(fh))
+    assert len(rows) == 6
+    assert list(rows[0]) == ["name", "lambda", "C", "normA2_over_lam"]
+    assert {row["name"] for row in rows} >= {"sphere", "veronese_surface"}
 
 
 @pytest.mark.parametrize(
@@ -560,6 +655,21 @@ def test_only_compare_and_the_report_name_a_verdict():
                     assert scope in allowed.get(path.name, ()), (path.name, scope, child.lineno)
                 else:
                     scopes.append((scope, child))
+
+
+def test_only_run_config_from_dict_builds_a_run_config():
+    # RunConfig.from_dict is the one parser of run settings: no other module
+    # builds a RunConfig, and the CLI only lays its flags over a config dict
+    for path in sorted(Path(solab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "RunConfig" or path.name == "report.py", node.lineno
+        if path.name == "cli.py":
+            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+            assert not names & {"validate", "validate_checks"}
 
 
 @pytest.mark.parametrize(

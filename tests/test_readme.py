@@ -1,5 +1,6 @@
-"""The README's examples run as written: the Library block executes and every
-`solab` line of the Command line block resolves its plan with exit 0."""
+"""The README's examples run as written: the Library block executes, every
+`solab` line of the Command line block resolves its plan with exit 0, and so
+does its example config file."""
 
 import re
 import shlex
@@ -35,6 +36,13 @@ def test_command_line_block_lists_every_example():
 @pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv[:2]) for argv in COMMANDS])
 def test_command_line_example_resolves(argv, capsys):
     assert main([*argv[1:], "--dry-run"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_config_example_resolves(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(_block("Command line", "json"), encoding="utf-8")
+    assert main(["report", "--config", str(path), "--dry-run"]) == 0
     assert capsys.readouterr().err == ""
 
 

@@ -55,10 +55,11 @@ def clifford_config():
 def test_full_report_computes_each_sample_geometry_once(chart_evaluations):
     _, code = report.run(clifford_config())
     assert code == 0
-    # one evaluation per sample set: the 4096 of the pointwise checks, the 512
-    # of the soliton verification and the 5 of the constant-radius integral;
-    # the flow times and the second-form rescale reuse the 4096 set's jets
-    assert sorted(chart_evaluations) == [5, 512, 4096]
+    # one evaluation per sample set: the 4096 of the pointwise checks, which
+    # the inequality suites' soliton verification shares, and the 5 of the
+    # constant-radius integral; the flow times and the second-form rescale
+    # reuse the 4096 set's jets
+    assert sorted(chart_evaluations) == [5, 4096]
 
 
 def test_full_report_forms_only_the_fields_it_reads(monkeypatch):
