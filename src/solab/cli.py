@@ -176,7 +176,7 @@ def _config_from_args(args) -> RunConfig:
         data["soliton"] = sol
     if args.command != "report":
         data["checks"] = ["soliton-residual" if args.command == "check-soliton" else args.command]
-    elif args.checks:
+    elif args.checks is not None:
         data["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
     elif args.full or data.get("checks") in (None, []):
         data["checks"] = list(FULL_CHECKS)
@@ -199,8 +199,9 @@ def _emit_catalog(args) -> int:
     if args.format == "json":
         text = json_dumps(data) + "\n"
     elif args.format == "csv":
+        columns = ("name", "lam", "imcf_c", "normA2_over_lam")
         text = "name,lambda,C,normA2_over_lam\n" + "\n".join(
-            f"{r['name']},{r['lam']},{r['imcf_c']},{r['normA2_over_lam']}" for r in rows
+            ",".join("" if r[c] is None else str(r[c]) for c in columns) for r in rows
         ) + "\n"
     else:
         filename = "catalog.txt"

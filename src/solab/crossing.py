@@ -2,10 +2,12 @@
 
 Marching, meshing and pencil quadrature all need, for many segments [a, b]
 whose endpoints straddle a level of the extrinsic radius, the point where r
-equals the level.  All segments are solved together in t in [0, 1] by
-Chandrupatla's bracketed method (Adv. Eng. Software 28 (1997) 145), run as a
-plain numpy loop: every iteration evaluates r at all unconverged segments in
-one radius_values call, and converged segments drop out of the batch.
+equals the level.  The segments are solved in t in [0, 1] by Chandrupatla's
+bracketed method (Adv. Eng. Software 28 (1997) 145), run as a plain numpy
+loop over batches of CROSSING_BLOCK segments: every iteration evaluates r at
+all unconverged segments of a batch in one radius_values call, and converged
+segments drop out of it.  The block size, not the number of segments of a
+call, bounds a batch's memory.
 
 The loop repeats the arithmetic of scipy.optimize.elementwise.find_root step
 for step, so it returns the same roots bit for bit, without that function's
@@ -13,7 +15,8 @@ fixed per-iteration overhead, which dominates the small batches of a pencil.
 Callers already hold the radii at the segment ends (grid nodes, mesh
 vertices, scan points) and pass them in, so the chart is never evaluated at
 t = 0 or t = 1.  Each segment's iterates depend on that segment alone, so the
-results do not depend on how segments are batched.
+results do not depend on how segments are batched.  A scan evaluates r
+SCAN_BLOCK pencils per call for the same reason.
 
 The brackets come from scans (pencil_scan): r on a row of nodes along each
 pencil plus one parabolic step to every discrete extremum, so a level met
@@ -31,7 +34,10 @@ from .errors import NonRegularLevel
 from .geometry import Immersion, radius_values
 
 TOLERANCES = {"xatol": 1e-15, "xrtol": 8.9e-16}  # on t in [0, 1]
-SCAN_BLOCK = 256  # pencils per radius_values call of a scan: bounds its memory
+# Block sizes: each bounds the memory of one batch, and no value depends on
+# its batch, so the blocks change no bit.
+CROSSING_BLOCK = 1 << 11  # segments per _chandrupatla batch of level_crossings
+SCAN_BLOCK = 256  # pencils per radius_values call of a scan
 _TINY = np.finfo(float).smallest_normal
 _MAXITER = math.log2(np.finfo(float).max) - math.log2(_TINY)
 
@@ -113,17 +119,23 @@ def level_crossings(imm: Immersion, a, b, ra, rb, level):
     count = len(a)
     if count == 0:
         return np.empty_like(a), np.empty(0)
-    d = b - a
     level = np.broadcast_to(np.asarray(level, dtype=float), (count,))
 
     def point(t, i):
         # t = 1 is b itself, so an endpoint root at b is exact
-        return np.where((t == 1.0)[:, None], b[i], a[i] + t[:, None] * d[i])
+        return np.where((t == 1.0)[:, None], b[i], a[i] + t[:, None] * (b[i] - a[i]))
 
     def phi(t, i):
         return radius_values(imm, point(t, i)) - level[i]
 
-    t, ok = _chandrupatla(phi, ra - level, rb - level, **TOLERANCES)
+    x, t, ok = np.empty_like(a), np.empty(count), np.empty(count, dtype=bool)
+    for s in range(0, count, CROSSING_BLOCK):
+        block = slice(s, s + CROSSING_BLOCK)
+        t[block], ok[block] = _chandrupatla(
+            lambda u, i: phi(u, i + s), ra[block] - level[block], rb[block] - level[block],
+            **TOLERANCES,
+        )
+        x[block] = point(t[block], block)
     bad = np.nonzero(~ok)[0]
     if len(bad):
         raise NonRegularLevel(
@@ -131,7 +143,7 @@ def level_crossings(imm: Immersion, a, b, ra, rb, level):
             f"{len(bad)} of {count} segments do not bracket the level, "
             f"the first from {a[bad[0]].tolist()} to {b[bad[0]].tolist()}",
         )
-    return point(t, np.arange(count)), t
+    return x, t
 
 
 def pencil_scan(imm: Immersion, prefix, scan):

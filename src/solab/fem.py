@@ -30,8 +30,11 @@ straight from the simplex dofs, sorts the keys once, finds each entry's slot
 by bisection and sums the entries with np.bincount in their given order; the
 gradients and local matrices are dropped as soon as they are used.  The
 centroid metric is formed CENTROID_BLOCK simplices per geometry call, and
-component labels pass one slot of the padded rows at a time.  A report writes
-a check's mesh artifacts when the check ends, so no mesh outlives its check.
+component labels pass one slot of the padded rows at a time.  The snap pass
+evaluates r on the grid once and then only at the vertices it moved.  A
+report writes a check's mesh artifacts when the check ends, EXPORT_BLOCK
+table rows at a time, so no mesh outlives its check, and marches the
+capacity bound's level sets before it meshes.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .quadrature import ExtrinsicRegion, Margin, _region_bounds, compare
 from .solitons import SolitonSpec, soliton_residual
 
 CENTROID_BLOCK = 1 << 12  # simplices per geometry call of mesh_region: bounds its memory
+EXPORT_BLOCK = 1 << 12  # table rows formatted at once by an export: bounds its memory
 SNAP_FRACTION = 0.3  # grid vertices closer than this (in edge units) snap onto the level
 BOUND_RADII = 21  # levels of the capacity bound's foliation integral
 BOUND_RESOLUTION = 160  # grid cells per axis of its marched levels
@@ -294,6 +298,7 @@ def _snap_to_levels(imm, verts, edges, levels, dof=None):
         cut = edges[(pa != 0.0) & (pb != 0.0) & ((pa < 0.0) != (pb < 0.0))]
         i, j = cut.T
         points, ts = level_crossings(imm, verts[i], verts[j], rv[i], rv[j], level)
+        moved = []
         for (a, b), point, t in zip(cut.tolist(), points, ts.tolist()):
             if phi[a] == 0.0 or phi[b] == 0.0:
                 continue
@@ -303,8 +308,12 @@ def _snap_to_levels(imm, verts, edges, levels, dof=None):
                         verts[c] = point + offset
                         on_level[c] = tag
                         phi[c] = 0.0
+                        moved.append(c)
                     break
-        rv = radius_values(imm, verts)[tie]  # other level's phi sees moved vertices
+        # the other level's phi sees the moved vertices: r anew at the lowest
+        # copy of each, given to all its copies (which all moved with it)
+        lowest, copy_of = np.unique(tie[moved], return_inverse=True)
+        rv[moved] = radius_values(imm, verts[lowest])[copy_of]
     return on_level, rv
 
 
@@ -753,6 +762,13 @@ def _rows(table, formats, sep=" ") -> str:
     return ((sep.join(row) + "\n") * len(table)) % tuple(cells.ravel().tolist())
 
 
+def _write_rows(fh, table, formats, sep=" ") -> None:
+    """Write the _rows of a table, EXPORT_BLOCK rows at a time: a row's
+    text does not depend on its block, so the file is the same."""
+    for start in range(0, len(table), EXPORT_BLOCK):
+        fh.write(_rows(table[start : start + EXPORT_BLOCK], formats, sep))
+
+
 def export_off(mesh: Mesh, path) -> None:
     """OFF file with vertices at their ambient positions (first 3 coordinates)."""
     X = evaluate_chart(mesh.imm.chart, mesh.vertices, order=0)[1][:, :3]
@@ -761,8 +777,8 @@ def export_off(mesh: Mesh, path) -> None:
     faces = np.insert(mesh.simplices, 0, mesh.simplices.shape[1], axis=1)  # size, then indices
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"OFF\n{mesh.vertex_count} {len(mesh.simplices)} 0\n")
-        fh.write(_rows(X, ["%.17g"] * 3))
-        fh.write(_rows(faces, ["%d"] * faces.shape[1]))
+        _write_rows(fh, X, ["%.17g"] * 3)
+        _write_rows(fh, faces, ["%d"] * faces.shape[1])
 
 
 def export_solution_csv(field_: ExitTimeField | DirichletSolution, path) -> None:
@@ -772,4 +788,4 @@ def export_solution_csv(field_: ExitTimeField | DirichletSolution, path) -> None
     header = ",".join(["vertex"] + [f"u{i + 1}" for i in range(n)] + ["r", "value"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.write(_rows(table, ["%d"] + ["%.17g"] * (n + 2), sep=","))
+        _write_rows(fh, table, ["%d"] + ["%.17g"] * (n + 2), sep=",")

@@ -40,6 +40,7 @@ from .errors import ImproperWindow, OriginSingularity, RankDeficient
 
 RANK_TOL = 1e-10
 ORIGIN_EXCLUSION = 1e-6
+RADIUS_BLOCK = 1 << 14  # points per chart evaluation of radius_values: bounds its memory
 
 
 def unit_sphere_volume(d: int) -> float:
@@ -446,9 +447,16 @@ def point_geometry(imm: Immersion, p) -> PointGeometry:
 
 
 def radius_values(imm: Immersion, points) -> np.ndarray:
-    """Extrinsic radius r = |X| without derivative bookkeeping."""
-    _, X, _, _ = evaluate_chart(imm.chart, points, order=0)
-    return np.linalg.norm(X, axis=1)
+    """Extrinsic radius r = |X| without derivative bookkeeping, one chart
+    evaluation per RADIUS_BLOCK points; a point's r does not depend on its
+    batch, so the blocks change no bit."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    blocks = [np.empty(0)]
+    for s in range(0, len(points), RADIUS_BLOCK):
+        _, X, _, _ = evaluate_chart(imm.chart, points[s : s + RADIUS_BLOCK], order=0)
+        r = np.add.reduce(np.multiply(X, X, out=X), axis=1)  # np.linalg.norm(X, axis=1)
+        blocks.append(np.sqrt(r, out=r))
+    return np.concatenate(blocks)
 
 
 # --- radial-function calculus ---------------------------------------------------

@@ -4,7 +4,12 @@ n = 1 gives isolated points by root finding along the curve.  On 2- and
 3-parameter charts one marcher (`level_segments`) cuts the Kuhn simplices of
 a structured grid, triangles or tetrahedra, by the sign of r - R into a
 polyline contour or a triangulated isosurface; it evaluates r on the grid
-once and solves the cut edges of all radii of a call in one crossing batch.
+once and solves the cut edges of all radii of a call in one level_crossings
+call.  Its working set follows the grid and the cut cells: a cell's least
+and greatest r come from shifted views of the r grid, corners are formed
+for the cut cells only, the crossings are solved in batches of
+crossing.CROSSING_BLOCK segments and the grid is evaluated
+geometry.RADIUS_BLOCK points per chart evaluation.
 The same grid helpers (`_cell_corners`, `grid_edges`, and `_KUHN` for one
 to three axes) lay fem's meshes, which cut the same Kuhn simplices.  The
 immersion's route picks the extraction: declared products (cylinders,
@@ -140,14 +145,17 @@ _KUHN = {
 _WHERE = {2: "on the contour", 3: "on the level set"}
 
 
-def _cell_corners(shape) -> np.ndarray:
-    """The (cells, 2^d) corner vertices of a grid whose vertices are numbered
-    in C order, cells in C order too."""
-    vid = np.arange(math.prod(shape)).reshape(shape)
-    return np.column_stack([
-        vid[tuple(np.s_[c >> a & 1 : n - 1 + (c >> a & 1)] for a, n in enumerate(shape))].ravel()
-        for c in range(2 ** len(shape))
-    ])
+def _cell_corners(shape, cells=None) -> np.ndarray:
+    """The (len(cells), 2^d) corner vertices of the given cells, all by
+    default, of a grid whose vertices are numbered in C order, cells in C
+    order too."""
+    d, cell_shape = len(shape), [n - 1 for n in shape]
+    if cells is None:
+        cells = np.arange(math.prod(cell_shape))
+    base = np.ravel_multi_index(np.unravel_index(cells, cell_shape), shape)
+    step = np.cumprod([1, *shape[:0:-1]])[::-1]  # vertex id steps along each axis
+    offsets = [sum(step[a] for a in range(d) if c >> a & 1) for c in range(2**d)]
+    return base[:, None] + np.array(offsets)
 
 
 def grid_edges(shape) -> np.ndarray:
@@ -172,21 +180,32 @@ def level_segments(imm: Immersion, levels, resolution: int = 256) -> list:
     A simplex is cut on d edges (one element) or, in 3-D, on 4 (a quad, two
     triangles); the cut edges in local edge order put the crossings that
     share an uncut edge next to each other, so the two triangles of a quad
-    do not cross.  The cut edges of all levels are solved in one batch.
+    do not cross.  The cut edges of all levels go to one level_crossings
+    call, which solves them in blocks.
     """
     d = imm.dim
     lo, hi = imm.chart.box
     axes = [np.linspace(a, b, resolution + 1) for a, b in zip(lo, hi)]
     pts = np.column_stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")])
     r = radius_values(imm, pts)
-    corners = _cell_corners((resolution + 1,) * d)
-    rmin, rmax = r[corners].min(axis=1), r[corners].max(axis=1)
+    shape = (resolution + 1,) * d
+    # r at each corner of every cell, as shifted views of the grid: their
+    # least and greatest value per cell, cells in C order
+    grid = r.reshape(shape)
+    views = [grid[tuple(np.s_[c >> a & 1 : resolution + (c >> a & 1)] for a in range(d))]
+             for c in range(2**d)]
+    rmin, rmax = views[0].copy(), views[0].copy()
+    for view in views[1:]:
+        np.minimum(rmin, view, out=rmin)
+        np.maximum(rmax, view, out=rmax)
+    rmin, rmax = rmin.ravel(), rmax.ravel()
     pairs = list(combinations(range(d + 1), 2))
     cuts, keys, inverses = [], [], []
     for R in levels:
         if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
             raise NonRegularLevel(R, "radius is constant on the chart")
-        simplices = corners[(rmin < R) & (rmax >= R)][:, _KUHN[d]].reshape(-1, d + 1)
+        cells = np.flatnonzero((rmin < R) & (rmax >= R))
+        simplices = _cell_corners(shape, cells)[:, _KUHN[d]].reshape(-1, d + 1)
         ends = np.sort(simplices[:, pairs], axis=2)  # lower index first
         below = r[ends] - R < 0.0
         cut = below[..., 0] != below[..., 1]

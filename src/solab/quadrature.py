@@ -103,7 +103,11 @@ class RegionJob:
             object.__setattr__(self, "radial_fn", _ones)
 
 
-GEOMETRY_BLOCK = 1 << 16  # rows per geometry call of a round: bounds its memory
+# Block sizes of the pencil route: each bounds the memory of one batch, and
+# no value depends on its batch, so the blocks change no bit.
+GEOMETRY_BLOCK = 1 << 12  # rows per geometry call of a round
+SCAN_PENCILS = 1 << 9  # distinct pencils per pencil_scan call: a 257-node break grid in one
+ROW_BLOCK = 1 << 9  # rows whose scanned radii are gathered at once
 
 
 def _job_values(imm, jobs, pts, of):
@@ -409,16 +413,24 @@ class _Boxes:
         return ((r > rho) | (rho == 0.0)) & (r < R)
 
 
-def _scan(imm, boxes, pencils, job):
+def _scans(imm, boxes, pencils, job):
     """pencil_scan of each row's pencil across its job's box on the last
-    axis, each distinct (box, pencil) scanned once: returns the abscissas and
-    radii of the distinct scans and each row's index into them."""
+    axis, each distinct (box, pencil) of the call scanned once, SCAN_PENCILS
+    distinct pencils per pencil_scan call: yields, per call, the abscissas
+    and radii of its scans, the rows whose pencil it scanned and each such
+    row's index into them.  A scan does not depend on its batch, so the
+    blocks change no bit."""
     key = np.column_stack([boxes.box[job], pencils])
     _, first, inv = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    t = job[first]
-    nodes = np.linspace(boxes.lo[t, -1], boxes.hi[t, -1], _SCAN + 1, axis=-1)
-    x, r = pencil_scan(imm, pencils[first], nodes)
-    return x, r, inv.reshape(-1)
+    inv = inv.reshape(-1)
+    rows = np.argsort(inv, kind="stable")  # the rows, grouped by their scan
+    ranked = inv[rows]
+    for s in range(0, len(first), SCAN_PENCILS):
+        lo, hi = np.searchsorted(ranked, [s, s + SCAN_PENCILS])
+        t = first[s : s + SCAN_PENCILS]
+        lo_t, hi_t = boxes.lo[job[t], -1], boxes.hi[job[t], -1]
+        x, r = pencil_scan(imm, pencils[t], np.linspace(lo_t, hi_t, _SCAN + 1, axis=-1))
+        yield x, r, rows[lo:hi], ranked[lo:hi] - s
 
 
 def _topology_breaks(imm, boxes, prefix, job):
@@ -430,12 +442,12 @@ def _topology_breaks(imm, boxes, prefix, job):
     m, k = prefix.shape
 
     def run_counts(rows, us):
-        _, r, at = _scan(imm, boxes, np.column_stack([prefix[rows], us]), job[rows])
         counts = np.empty(len(rows), int)
-        for s in range(0, len(rows), 1024):  # blocks of rows bound the memory
-            block = slice(s, s + 1024)
-            inside = boxes.contains(r[at[block]], job[rows[block]])
-            counts[block] = (inside[:, 1:] & ~inside[:, :-1]).sum(axis=1) + inside[:, 0]
+        for _, r, scanned, at in _scans(imm, boxes, np.column_stack([prefix[rows], us]), job[rows]):
+            for s in range(0, len(scanned), ROW_BLOCK):
+                block, i = scanned[s : s + ROW_BLOCK], at[s : s + ROW_BLOCK]
+                inside = boxes.contains(r[i], job[rows[block]])
+                counts[block] = (inside[:, 1:] & ~inside[:, :-1]).sum(axis=1) + inside[:, 0]
         return counts
 
     u = np.linspace(boxes.lo[job, k], boxes.hi[job, k], 257, axis=-1)
@@ -462,16 +474,22 @@ def _pencil_spans(imm, boxes, prefix, job):
     region along the pencils (prefix, x): returns the spans' ends and the row
     of prefix each belongs to.  A scan segment is cut where one end has
     r < level and the other r >= level, and all cuts of all pencils and
-    levels are solved in one batch."""
+    levels are solved in one batch (in any order: each root depends on its
+    segment alone, and the ends are sorted per row)."""
     a, b = boxes.lo[job, -1], boxes.hi[job, -1]
     levels = np.stack([boxes.rho[job], boxes.R[job]])
-    x, r, at = _scan(imm, boxes, prefix, job)
-    below = r[at] < levels[..., None]
-    cut = (below[..., :-1] != below[..., 1:]) & ((0.0 < levels) & (levels < math.inf))[..., None]
-    k, q, j = np.nonzero(cut)
-    left = np.column_stack([prefix[q], x[at[q], j]])
-    right = np.column_stack([prefix[q], x[at[q], j + 1]])
-    roots, _ = level_crossings(imm, left, right, r[at[q], j], r[at[q], j + 1], levels[k, q])
+    finite = (0.0 < levels) & (levels < math.inf)
+    segments = [(np.empty(0, int),) * 2 + (np.empty(0),) * 4]  # k, q, left x, right x, their r
+    for x, r, rows, at in _scans(imm, boxes, prefix, job):
+        for s in range(0, len(rows), ROW_BLOCK):
+            q, i = rows[s : s + ROW_BLOCK], at[s : s + ROW_BLOCK]
+            below = r[i] < levels[:, q, None]
+            k, p, j = np.nonzero((below[..., :-1] != below[..., 1:]) & finite[:, q, None])
+            i = i[p]
+            segments.append((k, q[p], x[i, j], x[i, j + 1], r[i, j], r[i, j + 1]))
+    k, q, xa, xb, ra, rb = (np.concatenate(c) for c in zip(*segments))
+    left, right = np.column_stack([prefix[q], xa]), np.column_stack([prefix[q], xb])
+    roots, _ = level_crossings(imm, left, right, ra, rb, levels[k, q])
     m = len(prefix)
     ends = np.concatenate([a, b, roots[:, -1]])
     lo, hi, owner = _panels(np.concatenate([np.arange(m), np.arange(m), q]), ends)
@@ -489,10 +507,12 @@ def _pencil_integrals(imm, jobs):
     topology breaks), the innermost f dV over the spans of its pencils.
 
     Every row of every axis carries its job.  The jobs share one bounds
-    sample, every scan of a distinct (box, pencil), one root batch per
-    innermost call and one geometry call per derivative order per round; a
-    job's panels, decisions and sums are those of the job run on its own,
-    so the results are bit-identical to it."""
+    sample, every scan of a distinct (box, pencil), one level_crossings call
+    per innermost call and, per round, one geometry call per derivative
+    order on each block of GEOMETRY_BLOCK rows; a job's panels, decisions
+    and sums are those of the job run on its own, so the results are
+    bit-identical to it.  The block sizes, not the rows of a round nor the
+    pencils of a scan pass, bound the memory of the batches."""
     if imm.dim > 3:
         raise ImproperWindow(
             f"generic quadrature supports dim <= 3; {imm.name} has dim {imm.dim} "

@@ -131,8 +131,8 @@ class RunConfig:
         for key in _CONFIG_KEYS - {"immersion"}:
             if data.get(key) is not None:
                 setattr(cfg, key, data[key])
-        if not isinstance(cfg.checks, list):
-            raise ConfigError(f"checks must be a list of check names, got {cfg.checks!r}")
+        if not isinstance(cfg.checks, list) or data.get("checks") == []:
+            raise ConfigError(f"checks must be a non-empty list of check names, got {cfg.checks!r}")
         unknown = [name for name in cfg.checks if not (isinstance(name, str) and name in CHECKS)]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}")
@@ -445,8 +445,8 @@ def _flux_identity(cfg, imm, entry, spec):
 def _capacity(cfg, imm, entry, spec):
     R = _default_radius(imm, cfg)
     rho = cfg.rho if cfg.rho is not None else _default_rho(imm, R, cfg)
+    bound = fem.capacity_upper_bound(imm, rho, R)  # its level sets before the mesh is held
     cap = fem.capacity(imm, rho, R, h=cfg.h)
-    bound = fem.capacity_upper_bound(imm, rho, R)
     details = {
         "rho": rho, "R": R, "cap": cap.cap,
         "boundary_flux_form": cap.boundary_flux_form,

@@ -472,6 +472,7 @@ _SPHERE_RUN = {
         ({"radii": []}, []),
         ({"times": []}, []),
         ({}, ["--radii", ","]),
+        ({}, ["--checks", ","]),
     ],
 )
 def test_bad_numeric_settings_are_config_errors(tmp_path, capsys, config, argv):
@@ -580,6 +581,36 @@ def test_catalog_table_and_csv_files(tmp_path, capsys):
     assert len(rows) == 6
     assert list(rows[0]) == ["name", "lambda", "C", "normA2_over_lam"]
     assert {row["name"] for row in rows} >= {"sphere", "veronese_surface"}
+
+
+def test_catalog_csv_writes_nulls_as_empty_cells(tmp_path, capsys):
+    # where catalog.json has null, catalog.csv has an empty cell, not "None"
+    code, out, _ = run_cli(["catalog", "--format", "json"], capsys)
+    entries = {e["name"]: e for e in json.loads(out)["entries"]}
+    code, _, _ = run_cli(["catalog", "--format", "csv", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    with open(tmp_path / "catalog.csv", newline="", encoding="utf-8") as fh:
+        rows = {row["name"]: row for row in csv_module.DictReader(fh)}
+    columns = {"lambda": "lam", "C": "imcf_c", "normA2_over_lam": "normA2_over_lam"}
+    nulls = 0
+    for name, row in rows.items():
+        for column, key in columns.items():
+            if entries[name][key] is None:
+                assert row[column] == ""
+                nulls += 1
+            else:
+                assert float(row[column]) == entries[name][key]
+    assert rows["plane"]["C"] == rows["plane"]["normA2_over_lam"] == ""
+    assert nulls >= 4
+
+
+def test_empty_check_list_in_a_file_runs_every_check(tmp_path, capsys):
+    # a file's "checks": [] resolves to the full list, which the plan echoes
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**_SPHERE_RUN, "checks": []}))
+    code, out, _ = run_cli(["report", "--config", str(path), "--dry-run"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["checks"] == list(CHECKS)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,9 @@ from solab.errors import (
     MeshFailure,
     NonProportional,
 )
+import solab.fem as fem
 from solab.fem import (
+    BOUND_RADII,
     SNAP_FRACTION,
     PaddedRows,
     _rows,
@@ -46,7 +48,7 @@ from solab.geometry import (
     radial_laplacian,
     radius_values,
 )
-from solab.levelset import boundary_area_and_flux
+from solab.levelset import boundary_area_and_flux, grid_edges
 from solab.quadrature import ExtrinsicRegion
 from solab.solitons import SolitonSpec
 
@@ -226,6 +228,38 @@ def test_batched_snap_pass_matches_sequential_snapping():
     assert on_level == on_ref
     assert np.abs(batched - ref).max() < 1e-13
     assert np.array_equal(rv, radius_values(imm, batched))
+
+
+def test_snap_evaluates_the_grid_once(monkeypatch):
+    # r is evaluated on the whole grid once; after each level only the moved
+    # vertices are evaluated again, at the lowest copy of each seam group of
+    # the periodic u1, and every copy gets that copy's r
+    imm = Immersion(
+        chart_from_sources(
+            2, 3, ["cos(u1)", "sin(u1)", "u2"],
+            [ParamSpec("u1", 0.0, 2 * math.pi, periodic=True), ParamSpec("u2", -8.0, 8.0)],
+        ),
+        properness_radius=math.sqrt(65.0),
+    )
+    shape = (25, 31)
+    u, v = np.linspace(0.0, 2 * math.pi, shape[0]), np.linspace(-3.0, 3.0, shape[1])
+    verts = np.column_stack([g.ravel() for g in np.meshgrid(u, v, indexing="ij")])
+    index = np.indices(shape).reshape(2, -1)
+    index[0] %= shape[0] - 1
+    dof = np.ravel_multi_index(index, shape)
+    sizes = []
+
+    def counting(imm, points):
+        sizes.append(len(points))
+        return radius_values(imm, points)
+
+    monkeypatch.setattr(fem, "radius_values", counting)
+    levels = [("outer", 2.5, 1.0), ("inner", 1.3, -1.0)]
+    on_level, rv = _snap_to_levels(imm, verts, grid_edges(shape), levels, dof)
+    seam = [v for v in on_level if dof[v] != v]
+    assert len(sizes) == 3 and sizes[0] == len(verts)
+    assert 0 < sum(sizes[1:]) <= len(on_level) - len(seam) and seam
+    assert np.array_equal(rv, radius_values(imm, verts)[dof])
 
 
 def test_one_dimensional_mesh():
@@ -425,6 +459,16 @@ def test_exit_time_assembly_memory_budget(traced_peak):
     assert mesh.dof_count > 11000
     _, peak = traced_peak(assemble, mesh)
     assert peak <= 8.0
+
+
+def test_capacity_bound_memory_budget(traced_peak):
+    # castro_lerma's 21-radius foliation bound marches a 160-cell grid: the
+    # corner extremes come from shifted views of r and the crossings are
+    # solved in blocks (7.2 MB with a corner table and one crossing batch)
+    imm, _ = catalog("castro_lerma")
+    bound, peak = traced_peak(capacity_upper_bound, imm, 1.83, 2.0)
+    assert bound.bound > 0.0 and len(bound.flux) == BOUND_RADII
+    assert peak <= 5.0
 
 
 def test_cg_takes_the_steps_of_scipy_cg():
@@ -674,3 +718,25 @@ def test_exports_match_savetxt_bytes(tmp_path, make, R, h):
     text = _rows(table, formats, sep=",")
     assert text.encode() == (tmp_path / "ref.txt").read_bytes()
     assert ",-0\n" in text and ",0\n" in text
+
+
+def test_export_blocks_change_no_bytes(tmp_path, monkeypatch):
+    # the writers format EXPORT_BLOCK rows at a time; blocks of 7 split the
+    # vertex, face and field tables and change no byte of either file
+    field = solve_exit_time(catalog("plane", n=2)[0], 1.5, h=0.1)
+    export_off(field.mesh, tmp_path / "whole.off")
+    export_solution_csv(field, tmp_path / "whole.csv")
+    sizes = []
+
+    def counting(table, formats, sep=" "):
+        sizes.append(len(table))
+        return _rows(table, formats, sep)
+
+    monkeypatch.setattr(fem, "_rows", counting)
+    monkeypatch.setattr(fem, "EXPORT_BLOCK", 7)
+    export_off(field.mesh, tmp_path / "blocks.off")
+    export_solution_csv(field, tmp_path / "blocks.csv")
+    assert max(sizes) == 7 and len(sizes) > 3 * field.mesh.vertex_count // 7
+    for name in ("off", "csv"):
+        blocks, whole = (tmp_path / f"{part}.{name}" for part in ("blocks", "whole"))
+        assert blocks.read_bytes() == whole.read_bytes()

@@ -20,6 +20,7 @@ from solab.geometry import (
     laplacian_divergence_form,
     point_geometry,
     radial_laplacian,
+    radius_values,
     scale_immersion,
 )
 from solab.sampling import sample_box
@@ -452,3 +453,25 @@ def test_no_module_calls_linalg_qr():
                 assert owner != "linalg", path.name
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 assert "qr" not in {alias.name for alias in node.names}, path.name
+
+
+def test_radius_blocks_change_no_bit(monkeypatch):
+    # radius_values evaluates the chart RADIUS_BLOCK points at a time; blocks
+    # of 5 change no radius, with a last block that is not full
+    imm, _ = catalog("castro_lerma")
+    lo, hi = imm.chart.box
+    pts = np.random.default_rng(3).uniform(lo, hi, (1003, 2))
+    whole = radius_values(imm, pts)
+    sizes = []
+    original = GEOMETRY.evaluate_chart
+
+    def counting(chart, points, order=2):
+        sizes.append(len(points))
+        return original(chart, points, order)
+
+    monkeypatch.setattr(GEOMETRY, "evaluate_chart", counting)
+    monkeypatch.setattr(GEOMETRY, "RADIUS_BLOCK", 5)
+    assert np.array_equal(radius_values(imm, pts), whole)
+    assert np.array_equal(whole, np.linalg.norm(original(imm.chart, pts, order=0)[1], axis=1))
+    assert sizes == [5] * 200 + [3]
+    assert radius_values(imm, np.empty((0, 2))).shape == (0,)

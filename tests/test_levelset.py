@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import solab.levelset as levelset
+from solab import crossing
 from solab.catalog import catalog
 from solab.charts import chart_from_dict
 from solab.crossing import level_crossings
@@ -19,6 +20,7 @@ from solab.levelset import (
     boundary_area_and_flux,
     grid_edges,
     level_boundaries,
+    level_segments,
 )
 from solab.quadrature import ExtrinsicRegion, region_volume
 
@@ -271,3 +273,26 @@ def test_three_parameter_levels_share_one_grid(monkeypatch):
         ("68.3614383755048", "59.19281337088532", "78.95023158204921"),
         ("111.64926587596231", "105.26042697828461", "118.42587890302462"),
     ]
+
+
+def test_crossing_blocks_change_no_bit(monkeypatch):
+    # the marcher's cut edges are solved CROSSING_BLOCK segments per batch,
+    # and a segment's iterates depend on it alone: blocks of 64 change no
+    # element vertex of a contour or an isosurface
+    cases = [(catalog("castro_lerma")[0], np.linspace(1.83, 2.0, 21), 48),
+             (_s1_times_r2(), [1.5, 2.0, 3.0], 12)]
+    whole = [level_segments(imm, levels, res) for imm, levels, res in cases]
+    batches = []
+
+    def counting(imm, points):
+        batches.append(len(points))
+        return radius_values(imm, points)
+
+    monkeypatch.setattr(crossing, "radius_values", counting)
+    monkeypatch.setattr(crossing, "CROSSING_BLOCK", 64)
+    for (imm, levels, res), want in zip(cases, whole):
+        got = level_segments(imm, levels, res)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+    assert max(batches) <= 64 and len(batches) > 100

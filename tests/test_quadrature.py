@@ -792,3 +792,52 @@ def test_flux_identity_sphere_degenerate():
     margins = flux_identity_check(imm, 2.0, 1.7)
     assert [m.verdict for m in margins] == ["SKIPPED", "PASS", "SKIPPED"]
     assert margins[0].notes == ("spherical image: the ball has no boundary",)
+
+
+def test_scan_blocks_change_no_bit(monkeypatch):
+    # a scan pass scans SCAN_PENCILS distinct pencils per pencil_scan call and
+    # gathers ROW_BLOCK rows of scanned radii at a time; blocks of 5 and 3
+    # split the topology-break grid, its bisection (the disk of the plane
+    # chart is tangent to its pencils at u1 = +-1) and the innermost spans of
+    # jobs sharing a box, and change no value, error or cell count
+    plane = replace(catalog("plane", n=2)[0], radial=None)
+    cylinder = cylinder_chart()
+    cases = [
+        (plane, [RegionJob(ExtrinsicRegion(plane, 0.0, 1.0)),
+                 RegionJob(ExtrinsicRegion(plane, 0.5, 1.5), lambda r: r**2)]),
+        (cylinder, _cylinder_jobs(cylinder)[-4:]),
+    ]
+    whole = [region_integrals(imm, jobs) for imm, jobs in cases]
+    breaks = _topology_breaks(
+        plane, _Boxes.build([job.region for job in cases[0][1]], [([-1.5, -1.5], [1.5, 1.5])] * 2),
+        np.empty((2, 0)), np.arange(2),
+    )
+    assert len(breaks[0]) >= 4  # the bisection runs
+    sizes = []
+    _counting(monkeypatch, "pencil_scan", lambda imm, prefix, scan: sizes.append(len(prefix)))
+    monkeypatch.setattr(quadrature, "SCAN_PENCILS", 5)
+    monkeypatch.setattr(quadrature, "ROW_BLOCK", 3)
+    assert [region_integrals(imm, jobs) for imm, jobs in cases] == whole
+    assert max(sizes) <= 5 and len(sizes) > 200
+
+
+def test_pencil_rounds_memory_budget(traced_peak):
+    # the 33 Psi shells of the cylinder chart's parabolicity integral in one
+    # pass: the rounds' geometry, scans and spans run in bounded blocks
+    # (12.1 MB when a round's 31,500 rows took one geometry call)
+    imm = cylinder_chart()
+    W = imm.properness_radius
+    weight = lambda r: r**2 * np.exp(-(r**2) / 2.0)
+    jobs = [RegionJob(ExtrinsicRegion(imm, R, W), weight) for R in np.linspace(1.5, 0.7 * W, 33)]
+    results, peak = traced_peak(region_integrals, imm, jobs)
+    assert all(res.value > 0.0 for res in results)
+    assert peak <= 6.5
+
+
+def test_three_parameter_pencil_memory_budget(traced_peak):
+    # a ball of S^1 x R^2 on the 3-D pencil route: its topology breaks scan
+    # (outer nodes x 257) pencils, scanned in blocks (27.9 MB in one scan)
+    imm = s1_times_r2()
+    (volume, _), peak = traced_peak(region_integrals, imm, _s1xr2_jobs(imm))
+    assert volume.value == pytest.approx(2 * math.pi**2 * 0.69, rel=1e-9)
+    assert peak <= 10.0

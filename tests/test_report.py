@@ -2,12 +2,16 @@
 shared inside `report.run`, never across runs.  A check's meshes are not
 kept past the check."""
 
+import ast
 import contextlib
 import gc
+import importlib
+import inspect
 import json
 import math
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +293,19 @@ def test_no_mesh_outlives_its_check(tmp_path, monkeypatch, out):
     names = ["capacity_potential.csv", "capacity_mesh.off", "exit_time.csv", "exit_time_mesh.off"]
     assert rep.written == ([str(tmp_path / name) for name in names] if out else [])
     assert sorted(p.name for p in tmp_path.iterdir()) == (sorted(names) if out else [])
+
+
+def test_benchmark_trace_targets_are_solab_functions():
+    # the benchmark's tracer wraps each (module, function) of TARGETS in
+    # perfbench/spans.py, and a target that moved or is no longer a function
+    # leaves its layer metrics null; the file is read with ast, not run
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    assert len(targets) >= 10
+    for module, name, _ in targets:
+        fn = getattr(importlib.import_module(f"solab.{module}"), name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == f"solab.{module}", (module, name)
