@@ -326,6 +326,8 @@ def catalog(name: str, **params):
         return CATALOG[key](**params)
     except (TypeError, ValueError) as err:  # an unknown or ill-typed parameter
         raise InvalidParams(f"{key}: {err}") from None
+    except ArithmeticError as err:  # a parameter whose arithmetic over- or underflows
+        raise InvalidParams(f"{key}: parameters out of floating-point range: {err}") from None
 
 
 def catalog_rows() -> list[dict]:

@@ -4,6 +4,7 @@ per ambient coordinate."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from . import dsl
@@ -82,37 +83,51 @@ def chart_from_sources(dim, codim_total, sources, params=None) -> ChartDefinitio
     return ChartDefinition(dim, codim_total, params, coords, tuple(sources))
 
 
-_TOP_FIELDS = {"dim", "codim_total", "params", "coords"}
-_PARAM_FIELDS = {"name", "min", "max", "periodic"}
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite(x) -> bool:
+    """A JSON number (a bool is not one) that is a finite float."""
+    return (_integer(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+_CHART_FIELDS = {  # field -> (test, what its value must be)
+    "dim": (_integer, "an integer"),
+    "codim_total": (_integer, "an integer"),
+    "params": (lambda x: isinstance(x, list) and all(isinstance(p, dict) for p in x),
+               "a list of objects"),
+    "coords": (lambda x: isinstance(x, list) and all(isinstance(s, str) for s in x),
+               "a list of strings"),
+}
+_PARAM_FIELDS = {
+    "name": (lambda x: isinstance(x, str), "a string"),
+    "min": (_finite, "a finite number"),
+    "max": (_finite, "a finite number"),
+    "periodic": (lambda x: isinstance(x, bool), "true or false"),
+}
+
+
+def _check_fields(obj: dict, fields: dict, where: str) -> None:
+    """obj has exactly the given fields, each of its type; nothing is coerced."""
+    for what, keys in (("unknown", set(obj) - set(fields)), ("missing", set(fields) - set(obj))):
+        if keys:
+            raise ChartValidationError(f"{where}: {what} fields {sorted(keys)}")
+    for key, (ok, kind) in fields.items():
+        if not ok(obj[key]):
+            raise ChartValidationError(f"{where}: {key} must be {kind}, got {obj[key]!r}")
 
 
 def chart_from_dict(data: dict) -> ChartDefinition:
-    """Decode the chart JSON object; unknown fields are rejected."""
+    """Decode the chart JSON object; unknown fields and ill-typed values are rejected."""
     if not isinstance(data, dict):
         raise ChartValidationError("chart definition must be a JSON object")
-    unknown = set(data) - _TOP_FIELDS
-    if unknown:
-        raise ChartValidationError(f"unknown chart fields: {sorted(unknown)}")
-    missing = _TOP_FIELDS - set(data)
-    if missing:
-        raise ChartValidationError(f"missing chart fields: {sorted(missing)}")
+    _check_fields(data, _CHART_FIELDS, "chart")
     params = []
     for i, p in enumerate(data["params"]):
-        extra = set(p) - _PARAM_FIELDS
-        if extra:
-            raise ChartValidationError(f"params[{i}]: unknown fields {sorted(extra)}")
-        lack = _PARAM_FIELDS - set(p)
-        if lack:
-            raise ChartValidationError(f"params[{i}]: missing fields {sorted(lack)}")
-        params.append(
-            ParamSpec(str(p["name"]), float(p["min"]), float(p["max"]), bool(p["periodic"]))
-        )
-    return chart_from_sources(
-        int(data["dim"]),
-        int(data["codim_total"]),
-        [str(s) for s in data["coords"]],
-        tuple(params),
-    )
+        _check_fields(p, _PARAM_FIELDS, f"params[{i}]")
+        params.append(ParamSpec(p["name"], float(p["min"]), float(p["max"]), p["periodic"]))
+    return chart_from_sources(data["dim"], data["codim_total"], data["coords"], tuple(params))
 
 
 def chart_to_dict(chart: ChartDefinition) -> dict:

@@ -1,9 +1,12 @@
 """Isoperimetric inequalities, volume-growth monotonicity, separation by the
 critical sphere, shape-tensor landmarks and the curvature parabolicity probe.
 
-The isoperimetric comparisons are `quadrature.Margin` records built by
-`quadrature.compare`: an inequality passes when lhs - rhs >= -tol, with tol
-twice the carried error of the compared quantities, floored at
+One comparison, `isoperimetric(imm, spec, radii)`, serves both flows: it sets
+|dD_R| / Vol(D_R) against |S^(n-1)(R)| / |B^n(R)| times a factor, the
+curvature discount of `quadrature.curvature_factor` for the direct flow and
+(Cn - 1)/(Cn) for the inverse flow.  Its margins are `quadrature.Margin`
+records built by `quadrature.compare`: an inequality passes when lhs - rhs >=
+-tol, with tol twice the carried error of the compared quantities, floored at
 ROUNDING_FLOOR, so discretization noise cannot fail a true inequality.  The
 boundary's share of that error is BOUNDARY_REL_ERR of its area, a slack the
 margins name in their notes until the boundary integrals carry an estimate.
@@ -24,7 +27,10 @@ from .geometry import (
     sphere_volume,
 )
 from .levelset import level_boundaries
-from .quadrature import ExtrinsicRegion, Margin, RegionJob, compare, monotone_margins, region_integrals
+from .quadrature import (
+    ExtrinsicRegion, Margin, RegionJob, compare, curvature_factor, monotone_margins,
+    region_integrals,
+)
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, homothetic_geometries, sample_geometry
 from .solitons import SolitonSpec, soliton_residual
 
@@ -72,70 +78,49 @@ def _ball_pieces(imm, radii, curvature):
             for boundary in level_boundaries(imm, radii)]
 
 
-def isoperimetric_mcf(imm, lam, radii, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED) -> list[Margin]:
-    """Boundary-to-volume ratio against the curvature-discounted Euclidean
-    reference, plus nonnegativity of the discount factor, per radius."""
-    _verify_soliton(imm, SolitonSpec("mcf", lam), count, seed)
-    n = imm.dim
+def isoperimetric(imm, spec, radii, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED) -> list[Margin]:
+    """|dD_R| / Vol(D_R) against the Euclidean ratio |S^(n-1)(R)| / |B^n(R)|
+    times the flow's reference factor, per radius.  The direct flow's factor
+    is the curvature discount, whose nonnegativity is a margin of its own;
+    the inverse flow's is (Cn - 1)/(Cn), and since equality would force a
+    totally geodesic piece, its margins also record strictness."""
+    n, c = imm.dim, spec.constant
+    direct = spec.kind == "mcf"
+    if not direct and isoperimetric_excluded(c, n):
+        raise InvalidParams(f"inverse-flow constant {c} lies in the excluded window [0, 1/{n}]")
+    _verify_soliton(imm, spec, count, seed)
+    name = "isoperimetric" if direct else "isoperimetric-inverse"
     if imm.route == "constant":
         return [
             compare(
-                f"isoperimetric(R={R:g})", math.nan, math.nan,
+                f"{name}(R={R:g})", math.nan, math.nan,
                 skip="compact image saturated: the ball has no boundary"
-                if R > imm.constant_radius
-                else "extrinsic ball is empty below the image radius",
+                if direct and R > imm.constant_radius
+                else "extrinsic ball is empty below the image radius" if direct
+                else "spherical image: the ball boundary degenerates",
             )
             for R in radii
         ]
     out = []
-    for R, (vol, h2, boundary) in zip(radii, _ball_pieces(imm, radii, curvature=True)):
-        name = f"isoperimetric(R={R:g})"
+    for R, (vol, h2, boundary) in zip(radii, _ball_pieces(imm, radii, curvature=direct)):
+        label = f"{name}(R={R:g})"
         if vol.value <= 0.0:
-            out.append(compare(name, math.nan, math.nan, skip="empty extrinsic ball"))
-            continue
-        factor = 1.0 - h2.value / (n * lam * vol.value)
-        lhs = boundary.area / vol.value
-        euclid = sphere_volume(n - 1, R) / ball_volume(n, R)
-        dfac = (h2.error + (h2.value / vol.value) * vol.error) / (n * lam * vol.value)
-        dlhs = (BOUNDARY_REL_ERR * boundary.area + lhs * vol.error) / vol.value
-        out.append(
-            compare(name, lhs, factor * euclid, error=dlhs + dfac * euclid, notes=(BOUNDARY_SLACK,))
-        )
-        out.append(compare(f"factor-nonnegative(R={R:g})", factor, 0.0, error=dfac))
-    return out
-
-
-def isoperimetric_imcf(imm, c, radii, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED) -> list[Margin]:
-    """Inverse-flow isoperimetric comparison; equality would force a totally
-    geodesic piece, so the verdict also records strictness."""
-    n = imm.dim
-    if isoperimetric_excluded(c, n):
-        raise InvalidParams(
-            f"inverse-flow constant {c} lies in the excluded window [0, 1/{n}]"
-        )
-    _verify_soliton(imm, SolitonSpec("imcf", c), count, seed)
-    factor = (c * n - 1.0) / (c * n)
-    if imm.route == "constant":
-        return [
-            compare(
-                f"isoperimetric-inverse(R={R:g})", math.nan, math.nan,
-                skip="spherical image: the ball boundary degenerates",
-            )
-            for R in radii
-        ]
-    out = []
-    for R, (vol, _, boundary) in zip(radii, _ball_pieces(imm, radii, curvature=False)):
-        name = f"isoperimetric-inverse(R={R:g})"
-        if vol.value <= 0.0:
-            out.append(compare(name, math.nan, math.nan, skip="empty extrinsic ball"))
+            out.append(compare(label, math.nan, math.nan, skip="empty extrinsic ball"))
             continue
         lhs = boundary.area / vol.value
-        rhs = factor * sphere_volume(n - 1, R) / ball_volume(n, R)
         dlhs = (BOUNDARY_REL_ERR * boundary.area + lhs * vol.error) / vol.value
-        m = compare(name, lhs, rhs, error=dlhs, notes=(BOUNDARY_SLACK,))
-        strict = "strict" if m.margin > m.tol else "equality within tolerance"
-        m.notes = (strict, *m.notes)
-        out.append(m)
+        sphere, ball = sphere_volume(n - 1, R), ball_volume(n, R)
+        if direct:
+            factor, dfac = curvature_factor(h2, vol, n, c)
+            rhs, drhs = factor * (sphere / ball), dfac * (sphere / ball)
+        else:
+            rhs, drhs = (c * n - 1.0) / (c * n) * sphere / ball, 0.0
+        m = compare(label, lhs, rhs, error=dlhs + drhs, notes=(BOUNDARY_SLACK,))
+        if direct:
+            out += [m, compare(f"factor-nonnegative(R={R:g})", factor, 0.0, error=dfac)]
+        else:
+            m.notes = ("strict" if m.margin > m.tol else "equality within tolerance", *m.notes)
+            out.append(m)
     return out
 
 
@@ -176,9 +161,7 @@ class SeparationReport:
     notes: tuple = field(default=())
 
 
-def separation_check(
-    imm, lam, samples=None, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED
-) -> SeparationReport:
+def separation_check(imm, lam, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED) -> SeparationReport:
     """Classify sampled radii against sqrt(n/lam).  A one-sided configuration
     forces a minimal spherical immersion, so the report then also measures
     |r - sqrt(n/lam)|, its one margin, and <X, H> + n.  Sampling refutes,
@@ -187,7 +170,7 @@ def separation_check(
     _verify_soliton(imm, SolitonSpec("mcf", lam), count, seed)
     if lam <= 0:
         raise InvalidParams("separation concerns shrinkers (lam > 0)")
-    g = sample_geometry(imm, samples, count, seed)
+    g = sample_geometry(imm, count=count, seed=seed)
     crit = math.sqrt(imm.dim / lam)
     band = SAMPLE_TOL * max(1.0, crit)
     below = int((g.r < crit - band).sum())
@@ -227,16 +210,14 @@ class ShapeThresholdReport:
     notes: tuple = field(default=())
 
 
-def second_form_threshold(
-    imm, lam, samples=None, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED
-) -> ShapeThresholdReport:
+def second_form_threshold(imm, lam, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED) -> ShapeThresholdReport:
     """Shape-tensor magnitude against the classification landmarks 1, 5/3, 2,
     plus the rescaling identity |A~|^2 = (n/lam)|A|^2 - n checked directly on
     the chart scaled by sqrt(lam/n) (unit-sphere shape tensor via the ambient
     trace correction)."""
     _verify_soliton(imm, SolitonSpec("mcf", lam), count, seed)
     n = imm.dim
-    g, scaled = homothetic_geometries(imm, [1.0, math.sqrt(lam / n)], samples, count, seed)
+    g, scaled = homothetic_geometries(imm, [1.0, math.sqrt(lam / n)], count=count, seed=seed)
     ratio = g.normA2 / lam
     tilde = scaled.normA2 - n  # shape tensor within the unit sphere
     target = (n / lam) * g.normA2 - n
@@ -244,7 +225,7 @@ def second_form_threshold(
         "rescale-identity", float(np.abs(tilde - target).max()), 0.0, identity=True,
         slack=(SAMPLE_TOL, "sampled shape tensors carry no error estimate"),
     )
-    spherical = bool(np.ptp(g.r) < 1e-8 * max(1.0, float(g.r.max())))
+    spherical = imm.route == "constant"
     notes = ()
     if not spherical:
         notes = (
@@ -271,7 +252,7 @@ class CurvatureParabolicityReport:
 
 
 def rimoldi_criterion(
-    imm, lam, samples=None, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED
+    imm, lam, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED
 ) -> CurvatureParabolicityReport:
     """Does |H| >= sqrt(n lam) hold outside a compact set?  Reported together
     with the sign of the radial Laplacian of r^2 there (nonpositive exactly
@@ -287,7 +268,7 @@ def rimoldi_criterion(
         r_cut = min(3.0 * math.sqrt(n / lam), 0.75 * imm.properness_radius)
     else:
         r_cut = 0.5 * imm.properness_radius
-    g = sample_geometry(imm, samples, count, seed)
+    g = sample_geometry(imm, count=count, seed=seed)
     far = g.r > r_cut
     if not far.any():
         raise InvalidParams(f"no samples beyond r_cut = {r_cut:.4g}")

@@ -50,6 +50,7 @@ __all__ = [
     "psi",
     "cylinder_psi_closed_form",
     "parabolicity_integral",
+    "curvature_factor",
     "flux_identity_check",
 ]
 
@@ -818,6 +819,15 @@ def parabolicity_integral(
 # --- the flux identity -------------------------------------------------------------
 
 
+def curvature_factor(h2: QuadratureResult, vol: QuadratureResult, n: int, lam: float):
+    """A region's curvature discount 1 - (integral of |H|^2) / (n lam Vol) and
+    the error it carries from the two integrals; both NaN for lam = 0."""
+    if lam == 0:
+        return math.nan, math.nan
+    nlv = n * lam * vol.value
+    return 1.0 - h2.value / nlv, (h2.error + abs(h2.value / vol.value) * vol.error) / abs(nlv)
+
+
 def flux_identity_check(
     imm: Immersion, lam: float, R: float, tol: float | None = None
 ) -> list[Margin]:
@@ -836,9 +846,7 @@ def flux_identity_check(
         RegionJob(region, lambda r: (1.0 - lam * r**2 / n) * np.exp(lam * (R**2 - r**2) / 2.0)),
     ]
     lhs, vol, h2, avg = region_integrals(imm, jobs)
-    nlv = n * lam * vol.value
-    factor_lhs = 1.0 - h2.value / nlv if lam != 0 else math.nan
-    dlhs = (h2.error + abs(h2.value / vol.value) * vol.error) / abs(nlv) if lam != 0 else math.nan
+    factor_lhs, dlhs = curvature_factor(h2, vol, n, lam)
     factor_rhs = avg.value / vol.value
     drhs = (avg.error + abs(factor_rhs) * vol.error) / vol.value
     factor_scale = max(1.0, abs(factor_rhs))

@@ -408,10 +408,7 @@ def _second_form(cfg, imm, entry, spec):
 
 def _rimoldi(cfg, imm, entry, spec):
     rep = inequalities.rimoldi_criterion(imm, spec.constant, count=cfg.samples, seed=cfg.seed)
-    details = _pick(
-        rep, "r_cut", "far_count", "min_normH_far", "threshold", "max_lap_r2_far", "verdict"
-    )
-    return [], details, {}  # the criterion is a diagnostic
+    return [], asdict(rep), {}  # the criterion is a diagnostic
 
 
 def _weighted_volume(cfg, imm, entry, spec):
@@ -477,8 +474,7 @@ def _exit_time(cfg, imm, entry, spec):
 
 def _isoperimetric(cfg, imm, entry, spec):
     radii = _default_radii(imm, cfg)
-    fn = inequalities.isoperimetric_mcf if spec.kind == "mcf" else inequalities.isoperimetric_imcf
-    margins = fn(imm, spec.constant, radii, count=cfg.samples, seed=cfg.seed)
+    margins = inequalities.isoperimetric(imm, spec, radii, count=cfg.samples, seed=cfg.seed)
     columns = ("name", "lhs", "rhs", "margin", "tol", "verdict")
     rows = [[getattr(m, c) for c in columns] for m in margins]
     artifacts = {"isoperimetric.csv": lambda path: _write_csv(path, columns, rows)}

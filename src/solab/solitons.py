@@ -230,7 +230,6 @@ class ProbeReport:
     """What the bounded radial test functions see near their sampled suprema."""
 
     eps: float
-    dim: int
     sup_u: float
     u_constant: bool
     near_count: int
@@ -248,7 +247,6 @@ def wmp_probe(
     imm: Immersion,
     spec: SolitonSpec | None = None,
     eps: float = 0.1,
-    samples=None,
     count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> ProbeReport:
@@ -259,14 +257,14 @@ def wmp_probe(
     u near its sup must be nonnegative, the probe's one margin."""
     if eps <= 0:
         raise InvalidParams("eps must be positive")
-    g = sample_geometry(imm, samples, count, seed)
+    g = sample_geometry(imm, count=count, seed=seed)
     g = g.select(g.r > ORIGIN_EXCLUSION)
     n = imm.dim
 
     F = RadialFunction.shifted_inverse_power(eps)
     u = F.f(g.r)
     sup_u = float(u.max())
-    u_constant = bool(np.ptp(u) <= 1e-12 * max(1.0, abs(sup_u)))
+    u_constant = imm.route == "constant"
     near = np.ones_like(u, bool) if u_constant else (u > sup_u - NEAR_SUP)
     lap_u = radial_laplacian(g.select(near), F)
 
@@ -298,7 +296,6 @@ def wmp_probe(
         notes.append("probe function is constant on the samples (spherical image)")
     return ProbeReport(
         eps=eps,
-        dim=n,
         sup_u=sup_u,
         u_constant=u_constant,
         near_count=int(near.sum()),

@@ -23,8 +23,7 @@ from solab.fem import (
     solve_exit_time,
 )
 from solab.inequalities import (
-    isoperimetric_imcf,
-    isoperimetric_mcf,
+    isoperimetric,
     second_form_threshold,
     volume_growth_monotonicity,
 )
@@ -183,7 +182,7 @@ def test_criterion_07_isoperimetric_suites():
     for n, k in [(2, 1), (3, 1), (4, 2)]:
         imm, entry = catalog("generalized_cylinder", n=n, k=k, rho=1.0)
         lam, c = entry.constants["lam"], entry.constants["imcf_c"]
-        margins = isoperimetric_mcf(imm, lam, radii)
+        margins = isoperimetric(imm, SolitonSpec("mcf", lam), radii)
         for m in margins:
             if m.name.startswith("isoperimetric"):
                 all_ok = all_ok and m.verdict == "PASS"
@@ -196,7 +195,7 @@ def test_criterion_07_isoperimetric_suites():
                 and abs(at2.rhs / 0.5 - 1.0) < 0.01
             )
         if c is not None and not (0.0 <= c <= 1.0 / n):
-            for m in isoperimetric_imcf(imm, c, radii):
+            for m in isoperimetric(imm, SolitonSpec("imcf", c), radii):
                 all_ok = all_ok and m.verdict == "PASS" and "strict" in m.notes
     cyl, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
     _, trend = volume_growth_monotonicity(cyl, 1.0, np.linspace(1.5, 4.0, 10))

@@ -628,6 +628,59 @@ def test_ill_typed_catalog_params_are_config_errors(tmp_path, capsys, params):
     assert out == ""
 
 
+_CHART_ROWS = {  # a field of a valid plane chart, and the ill-typed value it gets
+    "periodic-string": (("params", 0, "periodic"), "false"),
+    "dim-string": (("dim",), "2"),
+    "codim-float": (("codim_total",), 3.0),
+    "max-word": (("params", 0, "max"), "x"),
+    "params-int": (("params",), 5),
+    "max-1e400": (("params", 0, "max"), math.inf),
+    "min-bool": (("params", 0, "min"), True),
+    "name-int": (("params", 0, "name"), 7),
+    "coords-string": (("coords",), "u1"),
+    "coords-number": (("coords",), ["u1", "u2", 0]),
+}
+_CATALOG_ROWS = {  # catalog flags whose arithmetic over- or underflows
+    "sphere-radius-1e308": ["--catalog", "sphere", "--n", "2", "--radius", "1e308"],
+    "cylinder-rho-1e200": ["--catalog", "cylinder", "--rho", "1e200"],
+    "sphere-radius-1e-200": ["--catalog", "sphere", "--radius", "1e-200"],
+    "cylinder-rho-1e-200": ["--catalog", "cylinder", "--rho", "1e-200"],
+}
+
+
+@pytest.mark.parametrize("row", [*_CHART_ROWS, *_CATALOG_ROWS])
+def test_malformed_inputs_exit_two_without_a_traceback(tmp_path, capsys, row):
+    # a chart field is checked for its type, never coerced, and a catalog
+    # parameter out of floating-point range is a bad input, not a crash
+    if row in _CHART_ROWS:
+        (*keys, last), value = _CHART_ROWS[row]
+        chart = {
+            "dim": 2, "codim_total": 3, "coords": ["u1", "u2", "0"],
+            "params": [{"name": u, "min": -1, "max": 1, "periodic": False} for u in ("u1", "u2")],
+        }
+        node = chart
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        (tmp_path / "plane.json").write_text(json.dumps(chart).replace("Infinity", "1e400"))
+        argv, cause = ["--chart", str(tmp_path / "plane.json"), "--kind", "mcf", "--lambda", "0"], last
+    else:
+        argv, cause = _CATALOG_ROWS[row], "floating-point range"
+    code, out, err = run_cli(["report", *argv, "--checks", "soliton-residual"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error") and cause in err
+    assert "Traceback" not in err
+
+
+def test_rimoldi_on_a_compact_image_keeps_its_reason(tmp_path, capsys):
+    argv = ["report", "--catalog", "sphere", "--n", "2", "--checks", "rimoldi", "--out", str(tmp_path)]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    (check,) = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert check["details"]["verdict"] == "VACUOUS"
+    assert check["details"]["notes"] == ["compact image: the hypothesis holds outside itself"]
+
+
 def test_no_module_imports_scipy_optimize():
     # solab's root solves are its own batched crossings; scipy.optimize
     # would only add import time

@@ -12,20 +12,20 @@ from solab.errors import InvalidParams
 from solab.geometry import radius_values
 from solab.inequalities import (
     _ball_pieces,
-    isoperimetric_imcf,
-    isoperimetric_mcf,
+    isoperimetric,
     rimoldi_criterion,
     second_form_threshold,
     separation_check,
     volume_growth_monotonicity,
 )
+from solab.solitons import SolitonSpec, wmp_probe
 
 
 def test_isoperimetric_mcf_cylinder_hand_values():
     # at R = 2 on S^1(1) x R: boundary/volume = 1/sqrt(3), factor = 1/2,
     # Euclidean reference 2/R, so the right side is 1/2
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
-    margins = isoperimetric_mcf(imm, 1.0, [2.0])
+    margins = isoperimetric(imm, SolitonSpec("mcf", 1.0), [2.0])
     ineq, factor = margins
     assert ineq.lhs == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-3)
     assert ineq.rhs == pytest.approx(0.5, rel=1e-3)
@@ -37,7 +37,7 @@ def test_isoperimetric_mcf_cylinder_hand_values():
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 2)])
 def test_isoperimetric_factor_in_unit_interval(n, k):
     imm, entry = catalog("generalized_cylinder", n=n, k=k, rho=1.0)
-    margins = isoperimetric_mcf(imm, entry.constants["lam"], [1.5, 2.0, 3.0])
+    margins = isoperimetric(imm, SolitonSpec("mcf", entry.constants["lam"]), [1.5, 2.0, 3.0])
     factors = [m for m in margins if m.name.startswith("factor")]
     for m in factors:
         assert -m.tol <= m.lhs <= 1.0 + m.tol
@@ -64,19 +64,19 @@ def test_ball_pieces_evaluate_the_marching_grid_once(monkeypatch):
 
 def test_isoperimetric_mcf_sphere_saturated_radius_skipped():
     imm, _ = catalog("sphere", n=2, R=2.0)
-    margins = isoperimetric_mcf(imm, 0.5, [3.0])
+    margins = isoperimetric(imm, SolitonSpec("mcf", 0.5), [3.0])
     assert margins[0].verdict == "SKIPPED"
 
 
 def test_isoperimetric_mcf_rejects_non_soliton_constant():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
     with pytest.raises(InvalidParams):
-        isoperimetric_mcf(imm, 0.5, [2.0])
+        isoperimetric(imm, SolitonSpec("mcf", 0.5), [2.0])
 
 
 def test_isoperimetric_imcf_cylinder_strict():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
-    (m,) = isoperimetric_imcf(imm, 1.0, [2.0])
+    (m,) = isoperimetric(imm, SolitonSpec("imcf", 1.0), [2.0])
     assert m.rhs == pytest.approx(0.5, rel=1e-9)
     assert m.lhs == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-3)
     assert m.verdict == "PASS"
@@ -86,7 +86,7 @@ def test_isoperimetric_imcf_cylinder_strict():
 def test_isoperimetric_imcf_rejects_degenerate_window():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
     with pytest.raises(InvalidParams):
-        isoperimetric_imcf(imm, 0.5, [2.0])  # C = 1/n zeroes the reference
+        isoperimetric(imm, SolitonSpec("imcf", 0.5), [2.0])  # C = 1/n zeroes the reference
 
 
 def test_volume_growth_monotone_on_cylinder():
@@ -151,6 +151,15 @@ def test_shape_tensor_landmarks(maker, lam, ratio, tilde):
     assert rescale.verdict == "PASS"
     # the unit-sphere shape tensor value implied by the identity
     assert (2 / lam) * lam * ratio - 2 == pytest.approx(tilde, abs=1e-6)
+
+
+def test_sphericity_is_the_route_not_the_sampled_radii():
+    # the same sphere read as a plain chart keeps its sampled radii but is
+    # no longer called spherical by second-form or the probe
+    imm, _ = catalog("sphere", n=2, R=2.0)
+    for each, spherical in ((imm, True), (replace(imm, constant_radius=None), False)):
+        assert second_form_threshold(each, 0.5).spherical is spherical
+        assert wmp_probe(each, SolitonSpec("mcf", 0.5)).u_constant is spherical
 
 
 def test_rimoldi_cylinder_hypothesis_fails_for_k_below_n():

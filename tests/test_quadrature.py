@@ -13,7 +13,7 @@ from solab.catalog import catalog
 from solab.charts import ParamSpec, chart_from_sources
 from solab.errors import ImproperWindow, InvalidParams, PsiUnderflow, TruncationFailure
 from solab.geometry import Immersion, geometry, radius_values
-from solab.inequalities import isoperimetric_mcf
+from solab.inequalities import isoperimetric
 import solab.levelset as levelset
 import solab.quadrature as quadrature
 from solab.quadrature import (
@@ -34,6 +34,7 @@ from solab.quadrature import (
     second_moment,
     weighted_identity_check,
 )
+from solab.solitons import SolitonSpec
 
 
 def polar_bowl():
@@ -493,7 +494,7 @@ def test_product_route_runs_one_rule_on_batched_points(monkeypatch):
     curve = psi(imm, lam, [1.5, 2.0, 3.0])
     assert top == [3]
     top.clear()
-    margins = isoperimetric_mcf(imm, lam, [1.5, 2.0, 3.0])
+    margins = isoperimetric(imm, SolitonSpec("mcf", lam), [1.5, 2.0, 3.0])
     assert top == [6]  # a volume and an |H|^2 integral per ball
     assert one_point and not any(one_point)
     assert np.all(curve.values > 0.0)
