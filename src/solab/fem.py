@@ -1,5 +1,12 @@
 """Dirichlet solves on extrinsic regions with the induced metric.
 
+Capacity and mean exit time are one Dirichlet problem on an extrinsic
+region {rho < r < R}: -Delta u = f with u = 1 on r = rho, u = 0 on r = R and
+on window cuts, where f = 0 gives the equilibrium potential of the annulus
+and f = 1, on the ball (rho = 0), the mean exit time.  solve_region meshes
+the region, checks that the levels it needs carry vertices and solves; the
+boundary data reach solve_dirichlet as a mask of fixed dofs and their values.
+
 Meshing, one path for curves, surfaces and 3-parameter charts: the Kuhn
 simplices of a structured parameter-space grid (the split that the level-set
 marcher also cuts) are cut against the level sets r = R and r = rho, one
@@ -12,9 +19,10 @@ triangulation; sorting vertices by global id makes neighbours split shared
 faces alike, so the mesh conforms.  Each level's edge roots are solved in
 one batch (crossing.level_crossings).  Periodic chart axes take their full
 range, and the copies of a seam vertex share one degree of freedom by grid
-index.  Boundary vertices carry tags: "inner" (r = rho), "outer" (r = R),
-and "cut" where a non-proper window truncates the region.  Charts of four
-or more parameters are not meshed.
+index.  Boundary vertices carry tags: "inner" (r = rho) and "outer" (r = R),
+the level that the snap pass or the cut put them on, and "cut" where a
+non-proper window truncates the region.  Charts of four or more parameters
+are not meshed.
 
 Assembly: piecewise-linear Galerkin on segments, triangles or tetrahedra
 with the per-simplex induced metric (centroid value), so the discrete
@@ -73,7 +81,7 @@ class Mesh:
     imm: Immersion
     vertices: np.ndarray  # (V, n) parameter coordinates
     simplices: np.ndarray  # (S, n+1)
-    tags: dict  # "inner" | "outer" | "cut" -> sorted vertex index arrays
+    tags: dict  # "inner", "outer" and "cut", always all three -> disjoint sorted vertex ids
     metric: np.ndarray  # (S, n, n) induced metric at simplex centroids
     metric_inv: np.ndarray  # (S, n, n) its inverse, from the geometry kernel
     sqrt_det: np.ndarray  # (S,)
@@ -90,10 +98,8 @@ class Mesh:
         return len(self.vertices)
 
     def boundary_vertices(self):
-        out = []
-        for key in ("inner", "outer", "cut"):
-            out.extend(self.tags.get(key, ()))
-        return np.unique(np.asarray(out, dtype=int))
+        # the tags are disjoint: a sort is their union (np.unique would load numpy.ma)
+        return np.sort(np.concatenate([self.tags[key] for key in ("inner", "outer", "cut")]))
 
     def euler_characteristic(self):
         """The alternating sum of face counts, V - E + F - ..., over the
@@ -139,16 +145,15 @@ def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh
             index[a] %= shape[a] - 1
     dof = np.ravel_multi_index(index, shape)
 
-    # keep phi <= 0: phi = r - R against the outer level, rho - r against the inner
-    levels = [("outer", region.R, 1.0)]
-    if region.rho > 0:
-        levels.append(("inner", region.rho, -1.0))
-    on_level, r = _snap_to_levels(imm, verts, grid_edges(shape), levels, dof)
+    # keep phi <= 0: phi = r - R against the outer level, rho - r against the inner;
+    # on[v] is the level (0 outer, 1 inner) that the snap pass or a cut put v on
+    levels = [(region.R, 1.0), (region.rho, -1.0)][: 2 if region.rho > 0 else 1]
+    on, r = _snap_to_levels(imm, verts, grid_edges(shape), levels, dof)
     simplices = _cell_corners(shape)[:, _KUHN[d]].reshape(-1, d + 1)
-    for tag, level, sign in levels:
+    for k, (level, sign) in enumerate(levels):
         phi = sign * (r - level)
-        phi[np.abs(phi) <= 1e-13 * max(1.0, level)] = 0.0
-        phi[[v for v, vtag in on_level.items() if vtag == tag]] = 0.0
+        phi[(np.abs(phi) <= 1e-13 * max(1.0, level)) | (on == k)] = 0.0
+        on[(phi == 0.0) & (on < 0)] = k
         simplices, (i, o) = _cut(simplices, phi)
         # the seam copies of a cut edge share one solve, its r and its dof
         pairs = dof[i] * len(dof) + dof[o]
@@ -158,6 +163,7 @@ def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh
         points = verts[i] + t[tied, None] * (verts[o] - verts[i])
         r = np.concatenate([r, radius_values(imm, points[first])[tied]])
         dof = np.concatenate([dof, len(verts) + first[tied]])
+        on = np.concatenate([on, np.full(len(points), k)])
         verts = np.vstack([verts, points])
     if not len(simplices):
         raise MeshFailure(
@@ -166,30 +172,21 @@ def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh
 
     used, simplices = np.unique(simplices, return_inverse=True)
     simplices = simplices.reshape(-1, d + 1)
-    verts, r, dof = verts[used], r[used], dof[used]
+    verts, r, dof, on = verts[used], r[used], dof[used], on[used]
     # positive orientation in parameter space
     edges = verts[simplices[:, 1:]] - verts[simplices[:, :1]]
     flip = np.linalg.det(edges) < 0
     simplices[flip, -2:] = simplices[flip, :-3:-1]
 
-    tol_r = 1e-9
-    outer = np.abs(r - region.R) < tol_r * max(1.0, region.R)
-    inner = ~outer & (region.rho > 0) & (
-        np.abs(r - region.rho) < tol_r * max(1.0, region.rho)
-    )
     cut = np.zeros(len(verts), dtype=bool)
     for axis, p in enumerate(params):
         if not p.periodic:
             for end in (p.min, p.max):
                 cut |= np.abs(verts[:, axis] - end) < 1e-10 * max(1.0, abs(end))
-    cut &= ~outer & ~inner
-    tags = {k: np.nonzero(v)[0] for k, v in (("inner", inner), ("outer", outer), ("cut", cut))}
-    notes = []
-    if cut.any():
-        notes.append(
-            "region truncated by the chart window; cut edges carry artificial "
-            "boundary data"
-        )
+    tags = {"inner": np.flatnonzero(on == 1), "outer": np.flatnonzero(on == 0),
+            "cut": np.flatnonzero(cut & (on < 0))}
+    truncated = "region truncated by the chart window; cut edges carry artificial boundary data"
+    notes = (truncated,) if len(tags["cut"]) else ()
 
     # the centroid metric, CENTROID_BLOCK simplices per geometry call; a
     # point's geometry does not depend on its batch, so blocks change no bit
@@ -209,7 +206,7 @@ def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh
         sqrt_det,
         r,
         np.unique(dof, return_inverse=True)[1],
-        tuple(notes),
+        notes,
     )
 
 
@@ -273,8 +270,9 @@ def _cut(simplices, phi):
 
 def _snap_to_levels(imm, verts, edges, levels, dof=None):
     """Move grid vertices within SNAP_FRACTION (in edge units) of a level set
-    onto it, in place, visiting the cut edges in order; returns the
-    {vertex: tag} map and r at the vertices.
+    onto it, in place, visiting the cut edges in order; returns the index
+    in levels, a list of (level, sign) pairs, of the level each vertex was
+    snapped onto (-1 for none) and r at the vertices.
 
     Each level's cut edges are solved in one batch.  A snapped vertex gets
     phi = 0, which skips its later edges, so every edge still used has
@@ -291,8 +289,8 @@ def _snap_to_levels(imm, verts, edges, levels, dof=None):
         v: [(c, verts[c] - verts[v]) for c in group] for group in groups.values() for v in group
     }
     rv = radius_values(imm, verts)[tie]
-    on_level = {}
-    for tag, level, sign in levels:
+    on = [-1] * len(verts)
+    for k, (level, sign) in enumerate(levels):
         phi = sign * (rv - level)
         pa, pb = phi[edges[:, 0]], phi[edges[:, 1]]
         cut = edges[(pa != 0.0) & (pb != 0.0) & ((pa < 0.0) != (pb < 0.0))]
@@ -303,10 +301,10 @@ def _snap_to_levels(imm, verts, edges, levels, dof=None):
             if phi[a] == 0.0 or phi[b] == 0.0:
                 continue
             for vtx, dist in ((a, t), (b, 1.0 - t)):
-                if dist < SNAP_FRACTION and vtx not in on_level:
+                if dist < SNAP_FRACTION and on[vtx] < 0:
                     for c, offset in copies.get(vtx, ((vtx, 0.0),)):
                         verts[c] = point + offset
-                        on_level[c] = tag
+                        on[c] = k
                         phi[c] = 0.0
                         moved.append(c)
                     break
@@ -314,7 +312,7 @@ def _snap_to_levels(imm, verts, edges, levels, dof=None):
         # copy of each, given to all its copies (which all moved with it)
         lowest, copy_of = np.unique(tie[moved], return_inverse=True)
         rv[moved] = radius_values(imm, verts[lowest])[copy_of]
-    return on_level, rv
+    return np.array(on), rv
 
 
 # --- assembly and solves -----------------------------------------------------------
@@ -486,18 +484,13 @@ def cg(A, b, inv_diag, maxiter, callback=None):
     return x, maxiter
 
 
-def solve_dirichlet(mesh: Mesh, K: PaddedRows, rhs, bc_values: dict) -> DirichletSolution:
-    """Reduce to the free dofs and solve by Jacobi-preconditioned CG.
-
-    Boundary values are given per vertex; the returned field is also expanded
-    back to vertices (periodic seam copies share their dof value).
-    """
+def solve_dirichlet(mesh: Mesh, K: PaddedRows, rhs, fixed, values) -> DirichletSolution:
+    """Solve K u = rhs for u = values on the fixed dofs (a boolean mask; the
+    other entries of values are not read), reduced to the free dofs, by
+    Jacobi-preconditioned CG.  The returned field is expanded back to the
+    vertices (periodic seam copies share their dof value)."""
     V = mesh.dof_count
-    fixed = np.zeros(V, bool)
-    u = np.zeros(V)
-    for idx, val in bc_values.items():
-        fixed[mesh.dof_map[idx]] = True
-        u[mesh.dof_map[idx]] = val
+    u = np.where(fixed, values, 0.0)
     if not fixed.any():
         raise MeshFailure("Dirichlet problem without any boundary vertices")
     _check_components(K, np.nonzero(fixed)[0])
@@ -524,6 +517,23 @@ def solve_dirichlet(mesh: Mesh, K: PaddedRows, rhs, bc_values: dict) -> Dirichle
     return DirichletSolution(u[mesh.dof_map], energy, res, iterations, mesh)
 
 
+def solve_region(imm: Immersion, rho: float, R: float, h: float, f: float) -> DirichletSolution:
+    """-Delta u = f on {rho < r < R} with u = 1 on r = rho and u = 0 on r = R
+    and on window cuts.  Both levels must carry vertices, except r = rho = 0
+    under a source (the exit time's ball), whose centre needs no boundary."""
+    mesh = mesh_region(imm, ExtrinsicRegion(imm, rho, R), h)
+    needed = {"outer": R, "inner": rho} if rho > 0 or f == 0 else {"outer": R}
+    for tag, level in needed.items():
+        if not len(mesh.tags[tag]):
+            raise MeshFailure(f"{imm.name}: no mesh vertices on r = {level} of {rho} < r < {R}")
+    K, load = assemble(mesh)
+    fixed = np.zeros(mesh.dof_count, bool)
+    fixed[mesh.dof_map[mesh.boundary_vertices()]] = True
+    values = np.zeros(mesh.dof_count)
+    values[mesh.dof_map[mesh.tags["inner"]]] = 1.0
+    return solve_dirichlet(mesh, K, f * load, fixed, values)
+
+
 # --- capacity ---------------------------------------------------------------------
 
 
@@ -532,29 +542,11 @@ class CapacityResult:
     cap: float  # Dirichlet energy of the equilibrium potential
     boundary_flux_form: float  # independent evaluation along the inner boundary
     solution: DirichletSolution
-    rho: float
-    R: float
-
-
-def solve_laplace(mesh: Mesh) -> DirichletSolution:
-    """Equilibrium potential: 1 on the inner boundary, 0 on the outer."""
-    K, _ = assemble(mesh)
-    inner = mesh.tags.get("inner", np.empty(0, int))
-    outer = mesh.tags.get("outer", np.empty(0, int))
-    if len(inner) == 0 or len(outer) == 0:
-        raise MeshFailure("capacity needs both boundary components")
-    bc = {int(i): 1.0 for i in inner}
-    bc.update({int(i): 0.0 for i in outer})
-    for i in mesh.tags.get("cut", ()):  # window cuts are grounded
-        bc.setdefault(int(i), 0.0)
-    return solve_dirichlet(mesh, K, np.zeros(mesh.dof_count), bc)
 
 
 def capacity(imm: Immersion, rho: float, R: float, h: float = 0.05) -> CapacityResult:
-    mesh = mesh_region(imm, ExtrinsicRegion(imm, rho, R), h)
-    sol = solve_laplace(mesh)
-    flux = _boundary_gradient_integral(mesh, sol.values, "inner")
-    return CapacityResult(sol.energy, flux, sol, rho, R)
+    sol = solve_region(imm, rho, R, h, 0.0)
+    return CapacityResult(sol.energy, _boundary_gradient_integral(sol.mesh, sol.values, "inner"), sol)
 
 
 def _boundary_gradient_integral(mesh: Mesh, u, tag):
@@ -566,7 +558,7 @@ def _boundary_gradient_integral(mesh: Mesh, u, tag):
     simplices, verts = mesh.simplices, mesh.vertices
     d = verts.shape[1]
     facets = simplices[:, list(combinations(range(d + 1), d))].reshape(-1, d)
-    on = np.isin(facets, mesh.tags.get(tag, ())).all(axis=1)
+    on = np.isin(facets, mesh.tags[tag]).all(axis=1)
     s = np.nonzero(on)[0] // (d + 1)  # the simplex owning each tagged facet
     _, G = _simplex_gradients(verts, simplices[s])
     grad = np.einsum("kiv,kv->ki", G, u[simplices[s]])
@@ -622,65 +614,47 @@ def capacity_ladder(imm: Immersion, rho: float, radii, h: float = 0.1):
 # --- mean exit time -----------------------------------------------------------------
 
 
-@dataclass
-class ExitTimeField:
-    mesh: Mesh
-    values: np.ndarray  # discrete solution of  Delta E + 1 = 0, E = 0 on r = R
-    transplanted: np.ndarray  # (R^2 - r^2) / (2n) at the vertices
-    R: float
+def solve_exit_time(imm: Immersion, R: float, h: float = 0.05) -> DirichletSolution:
+    """The mean exit time E of the ball {r < R}: Delta E + 1 = 0, E = 0 on r = R."""
+    return solve_region(imm, 0.0, R, h, 1.0)
 
 
-def solve_exit_time(imm: Immersion, R: float, h: float = 0.05) -> ExitTimeField:
-    mesh = mesh_region(imm, ExtrinsicRegion(imm, 0.0, R), h)
-    if len(mesh.tags.get("outer", ())) == 0:
-        raise MeshFailure(
-            "the extrinsic ball has no exit boundary (compact immersion swallowed it)"
-        )
-    K, load = assemble(mesh)
-    bc = {int(i): 0.0 for i in mesh.tags["outer"]}
-    for i in mesh.tags.get("cut", ()):
-        bc.setdefault(int(i), 0.0)
-    sol = solve_dirichlet(mesh, K, load, bc)
-    n = imm.dim
-    transplanted = (R**2 - mesh.r**2) / (2.0 * n)
-    return ExitTimeField(mesh, sol.values, transplanted, R)
-
-
-def exit_time_comparison(
-    imm: Immersion, spec: SolitonSpec, R: float, h: float = 0.05,
-    field_: ExitTimeField | None = None,
-) -> Margin:
-    """The direct flow's min(E - Ebar) >= 0 (reversed for lam < 0) over the
-    mesh, or the inverse flow's E/Ebar against Cn/(Cn-1) at its worst vertex
-    off the boundary layer."""
-    if field_ is None:
-        field_ = solve_exit_time(imm, R, h)
-    notes = tuple(field_.mesh.notes)
+def exit_time_comparison(spec: SolitonSpec, field_: DirichletSolution, R: float, h: float) -> Margin:
+    """For the exit time E of the ball {r < R}, the direct flow's
+    min(E - Ebar) >= 0 (reversed for lam < 0) over the mesh, or the inverse
+    flow's E/Ebar against Cn/(Cn-1) at its worst vertex off the boundary
+    layer."""
+    mesh, n = field_.mesh, field_.mesh.imm.dim
     if spec.kind == "mcf":
-        gap = field_.values - field_.transplanted
+        gap = field_.values - _flat_exit_time(mesh, R)
         return compare(
             "exit-time-comparison", float((gap if spec.constant >= 0 else -gap).min()), 0.0,
-            notes=(*notes, f"{field_.mesh.vertex_count} vertices compared"),
+            notes=(*mesh.notes, f"{mesh.vertex_count} vertices compared"),
             slack=(EXIT_TIME_TOL, "the exit time carries no error estimate"),
         )
-    target = spec.constant * imm.dim / (spec.constant * imm.dim - 1.0)
-    ratio = _interior_ratio(field_, h)
+    target = spec.constant * n / (spec.constant * n - 1.0)
+    ratio = _interior_ratio(field_, R, h)
     worst = float(ratio[np.argmax(np.abs(ratio / target - 1.0))])
     return compare(
         "exit-time-ratio", worst, target, identity=True, scale=abs(target),
-        notes=(*notes, f"{len(ratio)} interior vertices compared"),
+        notes=(*mesh.notes, f"{len(ratio)} interior vertices compared"),
         slack=(PROPORTIONAL_TOL, "the exit-time ratio carries no error estimate"),
     )
 
 
-def _interior_ratio(field_: ExitTimeField, h: float) -> np.ndarray:
+def _flat_exit_time(mesh: Mesh, R: float) -> np.ndarray:
+    """Ebar = (R^2 - r^2)/(2n) at the vertices: the exit time of the flat ball."""
+    return (R**2 - mesh.r**2) / (2.0 * mesh.imm.dim)
+
+
+def _interior_ratio(field_: DirichletSolution, R: float, h: float) -> np.ndarray:
     """E / Ebar at the vertices off the boundary and at least 2h inside r = R."""
-    mesh, R = field_.mesh, field_.R
+    mesh = field_.mesh
     interior = mesh.r <= R - 2.0 * h
     interior[mesh.boundary_vertices()] = False
     if not interior.any():
         raise MeshFailure(f"R={R}: no interior vertices outside the boundary layer")
-    return field_.values[interior] / field_.transplanted[interior]
+    return field_.values[interior] / _flat_exit_time(mesh, R)[interior]
 
 
 @dataclass
@@ -706,7 +680,7 @@ def soliton_from_exit_time(imm: Immersion, radii, h: float = 0.05) -> ExitTimeCh
     """
     alphas = []
     for R in radii:
-        ratio = _interior_ratio(solve_exit_time(imm, R, h), h)
+        ratio = _interior_ratio(solve_exit_time(imm, R, h), R, h)
         med = float(np.median(ratio))
         spread = float(np.abs(ratio / med - 1.0).max())
         if spread > PROPORTIONAL_TOL:
@@ -781,7 +755,7 @@ def export_off(mesh: Mesh, path) -> None:
         _write_rows(fh, faces, ["%d"] * faces.shape[1])
 
 
-def export_solution_csv(field_: ExitTimeField | DirichletSolution, path) -> None:
+def export_solution_csv(field_: DirichletSolution, path) -> None:
     mesh = field_.mesh
     n = mesh.vertices.shape[1]
     table = np.column_stack([np.arange(mesh.vertex_count), mesh.vertices, mesh.r, field_.values])

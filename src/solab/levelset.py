@@ -24,7 +24,7 @@ the square root of the Gram determinant of its edges at its centroid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -45,7 +45,6 @@ class BoundaryData:
     element_count: int
     min_grad_r: float
     empty: bool = False
-    notes: tuple = field(default=())
 
 
 def level_boundaries(imm: Immersion, radii, resolution: int = 256) -> list:

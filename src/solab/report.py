@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
@@ -148,7 +149,7 @@ class RunConfig:
             value = getattr(cfg, key)
             if value is None and key != "h":  # unset: the check's default applies
                 continue
-            if not (_is_a(value, numbers.Real) and 0.0 < value < math.inf):
+            if not (_is_a(value, numbers.Real) and 0.0 < value <= sys.float_info.max):
                 raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
         if cfg.r0 is not None and cfg.rmax is not None and cfg.r0 >= cfg.rmax:
             raise ConfigError(f"r0 must be below rmax, got r0={cfg.r0!r} >= rmax={cfg.rmax!r}")
@@ -159,7 +160,7 @@ class RunConfig:
             kind, constant = sol.get("kind", "mcf"), sol.get("constant")
             if kind not in solitons.KINDS:
                 raise ConfigError(f"soliton kind must be one of {solitons.KINDS}, got {kind!r}")
-            number = _is_a(constant, numbers.Real) and math.isfinite(constant)
+            number = _is_a(constant, numbers.Real) and abs(constant) <= sys.float_info.max
             if not (number or constant in (None, "infer")):
                 raise ConfigError(f"soliton constant must be a finite number or 'infer', got {constant!r}")
             if kind == "imcf" and constant == 0:
@@ -170,7 +171,7 @@ class RunConfig:
                 continue
             values = None
             if isinstance(grid, (list, tuple)) and not any(isinstance(x, bool) for x in grid):
-                with contextlib.suppress(TypeError, ValueError):
+                with contextlib.suppress(OverflowError, TypeError, ValueError):
                     values = [float(x) for x in grid]
             if not values or not all(map(math.isfinite, values)):
                 raise ConfigError(f"{key} must be a non-empty list of finite numbers, got {grid!r}")
@@ -339,6 +340,25 @@ def _needs_nonspherical_shrinker(cfg, imm, entry, spec):
         return "needs a non-spherical shrinker"
 
 
+def _integral_range(cfg, imm):
+    """R0 and R_max of the parabolicity integral: the user's, or by default
+    1.5 and 0.7 of the properness window."""
+    r0 = cfg.r0 if cfg.r0 is not None else 1.5
+    rmax = cfg.rmax if cfg.rmax is not None else 0.7 * imm.properness_radius
+    return r0, rmax
+
+
+def _needs_room_for_the_integral(cfg, imm, entry, spec):
+    """Skip the integral when the properness window leaves its default range
+    empty; with r0 or rmax set, an empty range is the user's and fails."""
+    reason = _needs_nonspherical_shrinker(cfg, imm, entry, spec)
+    r0, rmax = _integral_range(cfg, imm)
+    if reason is None and cfg.r0 is None and cfg.rmax is None and r0 >= rmax:
+        return (f"the default integral range is empty: R0 = {r0:g} >= R_max = {rmax:g}, "
+                "0.7 of the properness window")
+    return reason
+
+
 def _needs_curve_or_surface(cfg, imm, entry, spec):
     if imm.dim > 2 or imm.constant_radius is not None:
         return "needs a non-spherical curve or surface"
@@ -428,9 +448,7 @@ def _psi(cfg, imm, entry, spec):
 
 
 def _parabolicity_integral(cfg, imm, entry, spec):
-    r0 = cfg.r0 if cfg.r0 is not None else 1.5
-    rmax = cfg.rmax if cfg.rmax is not None else 0.7 * imm.properness_radius
-    rep = quadrature.parabolicity_integral(imm, spec.constant, r0, rmax)
+    rep = quadrature.parabolicity_integral(imm, spec.constant, *_integral_range(cfg, imm))
     return [], _pick(rep, "value", "trend", "log_slope", "notes"), {}  # diagnostic trend
 
 
@@ -464,7 +482,7 @@ def _capacity(cfg, imm, entry, spec):
 def _exit_time(cfg, imm, entry, spec):
     R = _default_radius(imm, cfg)
     field_ = fem.solve_exit_time(imm, R, h=cfg.h)
-    margin = fem.exit_time_comparison(imm, spec, R, h=cfg.h, field_=field_)
+    margin = fem.exit_time_comparison(spec, field_, R, cfg.h)
     artifacts = {
         "exit_time.csv": lambda path: fem.export_solution_csv(field_, path),
         "exit_time_mesh.off": lambda path: fem.export_off(field_.mesh, path),
@@ -508,7 +526,7 @@ CHECKS = {  # in report order
     "rimoldi": Check(_needs_direct_flow, _rimoldi),
     "weighted-volume": Check(_needs_shrinker, _weighted_volume),
     "psi": Check(_needs_nonspherical_shrinker, _psi),
-    "parabolicity-integral": Check(_needs_nonspherical_shrinker, _parabolicity_integral),
+    "parabolicity-integral": Check(_needs_room_for_the_integral, _parabolicity_integral),
     "flux-identity": Check(_needs_shrinker, _flux_identity),
     "capacity": Check(_needs_curve_or_surface, _capacity),
     "exit-time": Check(_needs_curve_or_surface, _exit_time),

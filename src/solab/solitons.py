@@ -174,7 +174,7 @@ def _scale_factor(spec: SolitonSpec, t: float) -> float:
     return math.exp(spec.constant * t)
 
 
-def _scale_rate(spec: SolitonSpec, t: float, c: float) -> float:
+def _scale_rate(spec: SolitonSpec, c: float) -> float:
     if spec.kind == "mcf":
         return -spec.constant / c
     return spec.constant * c
@@ -200,7 +200,7 @@ def homothety_flow_residual(
     sup_by_time = []
     consistency = 0.0
     for t, c in zip(times, scales):
-        rate = _scale_rate(spec, float(t), c)
+        rate = _scale_rate(spec, c)
         scaled = next(geometries)
         consistency = max(
             consistency, float(np.abs(scaled.H - base.H / c).max())

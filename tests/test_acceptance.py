@@ -161,10 +161,11 @@ def test_criterion_06_exit_time():
     disk_ok = disk_err < 0.01 * 0.25
 
     cyl, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
-    ratio = exit_time_comparison(cyl, SolitonSpec("imcf", 1.0), 2.0, h=0.05)
+    cyl_field = solve_exit_time(cyl, 2.0, h=0.05)
+    ratio = exit_time_comparison(SolitonSpec("imcf", 1.0), cyl_field, 2.0, 0.05)
     ratio_ok = ratio.rhs == pytest.approx(2.0) and ratio.margin < 0.02
 
-    shrink = exit_time_comparison(cyl, SolitonSpec("mcf", 1.0), 2.0, h=0.05)
+    shrink = exit_time_comparison(SolitonSpec("mcf", 1.0), cyl_field, 2.0, 0.05)
     shrink_ok = shrink.lhs >= -1e-3
 
     ok = disk_ok and ratio_ok and shrink_ok

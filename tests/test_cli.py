@@ -397,6 +397,24 @@ def test_check_whose_inputs_are_invalid_fails_and_report_written(tmp_path, capsy
     assert checks["exit-time"]["details"]["margins"]
 
 
+def test_default_parabolicity_range_outside_the_window_is_skipped(tmp_path, capsys):
+    # the properness window of a cylinder of z-extent 1 is sqrt(2), so the
+    # default range 1.5 to 0.7 sqrt(2) is empty; a range the user set still
+    # fails as bad input
+    imm = ["--catalog", "cylinder", "--n", "2", "--k", "1", "--rho", "1", "--z-extent", "1"]
+    code, _, _ = run_cli(["report", *imm, "--checks", "parabolicity-integral",
+                          "--out", str(tmp_path / "default")], capsys)
+    assert code == 0
+    (check,) = json.loads((tmp_path / "default" / "report.json").read_text())["checks"]
+    assert check["status"] == "SKIPPED"
+    assert "R0 = 1.5 >= R_max = 0.989949" in check["details"]["why"]
+    code, _, _ = run_cli(["parabolicity-integral", *imm, "--rmax", "1.2",
+                          "--out", str(tmp_path / "set")], capsys)
+    assert code == 1
+    (check,) = json.loads((tmp_path / "set" / "report.json").read_text())["checks"]
+    assert (check["status"], check["details"]["error"]) == ("FAIL", "InvalidParams")
+
+
 def test_chart_leaving_its_domain_is_config_error(tmp_path, capsys):
     path = _write_chart(tmp_path, "log.json", [("u1", 0.0, 2.0)], ["u1", "log(u1)"])
     code, out, err = run_cli(["report", "--chart", path], capsys)
@@ -473,6 +491,9 @@ _SPHERE_RUN = {
         ({"times": []}, []),
         ({}, ["--radii", ","]),
         ({}, ["--checks", ","]),
+        ({"radius": 10**400}, []),
+        ({"soliton": {"constant": 10**400}}, []),
+        ({"radii": [1.0, 10**400]}, []),
     ],
 )
 def test_bad_numeric_settings_are_config_errors(tmp_path, capsys, config, argv):
@@ -489,6 +510,7 @@ def test_bad_numeric_settings_are_config_errors(tmp_path, capsys, config, argv):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("configuration error")
+    assert "Traceback" not in err
     assert out == ""
 
 

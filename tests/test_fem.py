@@ -147,7 +147,7 @@ def test_simplex_gradients_match_the_inverse_edge_matrix(d):
     assert (np.abs(G - expected) / scale).max() < 1e-12
 
 
-@pytest.mark.parametrize(
+conforming_meshes = pytest.mark.parametrize(
     "make,rho,R,h",
     [
         (lambda: catalog("plane", n=1)[0], 1.0, 3.0, 0.05),
@@ -173,6 +173,9 @@ def test_simplex_gradients_match_the_inverse_edge_matrix(d):
     ids=["segments", "tangent-line", "ellipse-seam", "annulus", "castro-lerma-window",
          "cylinder-seam", "offset-cylinder-seam", "s1xr2-seam", "shell"],
 )
+
+
+@conforming_meshes
 def test_mesh_is_conforming(make, rho, R, h):
     # after the seams are tied, a facet is shared by two simplices or lies on
     # the boundary, where each of its vertices carries a tag; the copies of a
@@ -191,6 +194,26 @@ def test_mesh_is_conforming(make, rho, R, h):
     assert np.isin(facets[owners == 1], mesh.dof_map[mesh.boundary_vertices()]).all()
 
 
+@conforming_meshes
+def test_mesh_tags_match_the_level_tolerance_rule(make, rho, R, h):
+    # the tags come from the snap pass and the cuts; on these meshes they
+    # equal a rule applied to the finished mesh: the vertices within 1e-9 of
+    # a level, outer first, and the window-end vertices on neither level
+    imm = make()
+    mesh = mesh_region(imm, ExtrinsicRegion(imm, rho, R), h=h)
+    outer = np.abs(mesh.r - R) < 1e-9 * max(1.0, R)
+    inner = ~outer & (rho > 0) & (np.abs(mesh.r - rho) < 1e-9 * max(1.0, rho))
+    cut = np.zeros(mesh.vertex_count, dtype=bool)
+    for axis, p in enumerate(imm.chart.params):
+        if not p.periodic:
+            for end in (p.min, p.max):
+                cut |= np.abs(mesh.vertices[:, axis] - end) < 1e-10 * max(1.0, abs(end))
+    cut &= ~outer & ~inner
+    assert outer.any() and inner.any() == (rho > 0)
+    for tag, rule in (("outer", outer), ("inner", inner), ("cut", cut)):
+        assert np.array_equal(mesh.tags[tag], np.flatnonzero(rule)), tag
+
+
 def test_batched_snap_pass_matches_sequential_snapping():
     # reference: one scalar root per cut edge, solved when the edge is reached
     imm, _ = catalog("plane", n=2)
@@ -202,10 +225,10 @@ def test_batched_snap_pass_matches_sequential_snapping():
         np.column_stack([vid[:-1, :].ravel(), vid[1:, :].ravel()]),
         np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()]),
     ])
-    levels = [("outer", 2.5, 1.0), ("inner", 1.0, -1.0)]
+    levels = [(2.5, 1.0), (1.0, -1.0)]
 
     ref, on_ref = grid.copy(), {}
-    for tag, level, sign in levels:
+    for k, (level, sign) in enumerate(levels):
         phi = sign * (radius_values(imm, ref) - level)
         for a, b in edges.tolist():
             if phi[a] == 0.0 or phi[b] == 0.0 or phi[a] * phi[b] > 0:
@@ -218,13 +241,14 @@ def test_batched_snap_pass_matches_sequential_snapping():
             for vtx, dist in ((a, t), (b, 1.0 - t)):
                 if dist < SNAP_FRACTION and vtx not in on_ref:
                     ref[vtx] = pa + t * (pb - pa)
-                    on_ref[vtx] = tag
+                    on_ref[vtx] = k
                     phi[vtx] = 0.0
                     break
 
     batched = grid.copy()
-    on_level, rv = _snap_to_levels(imm, batched, edges, levels)
-    assert len(on_level) > 50 and set(on_level.values()) == {"outer", "inner"}
+    on, rv = _snap_to_levels(imm, batched, edges, levels)
+    on_level = {v: k for v, k in enumerate(on.tolist()) if k >= 0}
+    assert len(on_level) > 50 and set(on_level.values()) == {0, 1}
     assert on_level == on_ref
     assert np.abs(batched - ref).max() < 1e-13
     assert np.array_equal(rv, radius_values(imm, batched))
@@ -254,8 +278,9 @@ def test_snap_evaluates_the_grid_once(monkeypatch):
         return radius_values(imm, points)
 
     monkeypatch.setattr(fem, "radius_values", counting)
-    levels = [("outer", 2.5, 1.0), ("inner", 1.3, -1.0)]
-    on_level, rv = _snap_to_levels(imm, verts, grid_edges(shape), levels, dof)
+    levels = [(2.5, 1.0), (1.3, -1.0)]
+    on, rv = _snap_to_levels(imm, verts, grid_edges(shape), levels, dof)
+    on_level = np.flatnonzero(on >= 0)
     seam = [v for v in on_level if dof[v] != v]
     assert len(sizes) == 3 and sizes[0] == len(verts)
     assert 0 < sum(sizes[1:]) <= len(on_level) - len(seam) and seam
@@ -531,8 +556,10 @@ def test_disconnected_component_without_boundary_rejected():
     mesh = mesh_region(imm, ExtrinsicRegion(imm, math.sqrt(2.0), 3.0), h=0.1)
     K, load = assemble(mesh)
     upper = mesh.tags["outer"][mesh.vertices[mesh.tags["outer"], 1] > 0]
+    fixed = np.zeros(mesh.dof_count, bool)
+    fixed[mesh.dof_map[upper]] = True
     with pytest.raises(DisconnectedRegion) as err:
-        solve_dirichlet(mesh, K, load, {int(i): 0.0 for i in upper})
+        solve_dirichlet(mesh, K, load, fixed, np.zeros(mesh.dof_count))
     # numbered as scipy numbers the components of the same graph
     count, labels = connected_components(_csr(K) != 0, directed=False)
     assert count == 2
@@ -543,7 +570,9 @@ def test_two_pieces_with_a_boundary_each_solve():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
     mesh = mesh_region(imm, ExtrinsicRegion(imm, math.sqrt(2.0), 3.0), h=0.1)
     K, load = assemble(mesh)
-    sol = solve_dirichlet(mesh, K, load, {int(i): 0.0 for i in mesh.tags["outer"]})
+    fixed = np.zeros(mesh.dof_count, bool)
+    fixed[mesh.dof_map[mesh.tags["outer"]]] = True
+    sol = solve_dirichlet(mesh, K, load, fixed, np.zeros(mesh.dof_count))
     assert sol.residual < 1e-9 and sol.values.max() > 0.0
 
 
@@ -593,7 +622,7 @@ def test_sphere_ball_swallows_boundary():
 
 def test_cylinder_imcf_exit_ratio():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
-    rep = exit_time_comparison(imm, SolitonSpec("imcf", 1.0), 2.0, h=0.05)
+    rep = exit_time_comparison(SolitonSpec("imcf", 1.0), solve_exit_time(imm, 2.0, h=0.05), 2.0, 0.05)
     assert rep.rhs == pytest.approx(2.0)
     assert rep.margin < 0.02
     assert rep.verdict == "PASS"
@@ -601,7 +630,7 @@ def test_cylinder_imcf_exit_ratio():
 
 def test_cylinder_mcf_exit_comparison():
     imm, _ = catalog("generalized_cylinder", n=2, k=1, rho=1.0)
-    rep = exit_time_comparison(imm, SolitonSpec("mcf", 1.0), 2.0, h=0.05)
+    rep = exit_time_comparison(SolitonSpec("mcf", 1.0), solve_exit_time(imm, 2.0, h=0.05), 2.0, 0.05)
     assert rep.lhs >= -1e-3
     assert rep.verdict == "PASS"
 
@@ -610,7 +639,7 @@ def test_expander_exit_comparison_reverses():
     # lam <= 0: the transplanted radial solution dominates, also on the
     # window-truncated chart (extra grounded cuts only lower the solution)
     imm, _ = catalog("castro_lerma", delta=1.0, lam=-0.5)
-    rep = exit_time_comparison(imm, SolitonSpec("mcf", -0.5), 3.0, h=0.08)
+    rep = exit_time_comparison(SolitonSpec("mcf", -0.5), solve_exit_time(imm, 3.0, h=0.08), 3.0, 0.08)
     assert rep.lhs >= -1e-9
     assert rep.verdict == "PASS"
     assert any("truncated" in n for n in rep.notes)
@@ -618,7 +647,7 @@ def test_expander_exit_comparison_reverses():
 
 def test_plane_exit_time_is_euclidean():
     imm, _ = catalog("plane", n=2)
-    rep = exit_time_comparison(imm, SolitonSpec("mcf", 0.0), 1.0, h=0.05)
+    rep = exit_time_comparison(SolitonSpec("mcf", 0.0), solve_exit_time(imm, 1.0, h=0.05), 1.0, 0.05)
     assert abs(rep.lhs) < 1e-3
 
 

@@ -306,6 +306,22 @@ def test_benchmark_trace_targets_are_solab_functions():
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
     ]
     assert len(targets) >= 10
-    for module, name, _ in targets:
+    for module, name, index in targets:
         fn = getattr(importlib.import_module(f"solab.{module}"), name, None)
         assert inspect.isfunction(fn) and fn.__module__ == f"solab.{module}", (module, name)
+        # the wrapper counts the points of a target with an index at that position
+        if index is not None:
+            assert list(inspect.signature(fn).parameters)[index] == "points", (module, name)
+    # the tracer injects callback= into fem.cg to count CG iterations, and
+    # names a report.run_check span by its first argument, the check name,
+    # which every call passes by position
+    assert {("fem", "cg"), ("report", "run_check")} <= {(m, f) for m, f, _ in targets}
+    inspect.signature(fem.cg).bind("A", "b", "inv_diag", "maxiter", callback=print)
+    assert list(inspect.signature(report.run_check).parameters)[0] == "name"
+    calls = [
+        node for path in Path(report.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "run_check"
+    ]
+    assert calls and all(call.args for call in calls)
