@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Every subcommand lays its flags over the `--config` JSON object, if any, and
-hands the result to RunConfig.from_dict, the one parser of run settings, so
-a file and the flags share one set of rules and one execution path.  Exit
-codes: 0 all checks pass, 1 at least one check failed, 2 configuration or
-usage error, 3 numerical failure (solver divergence, truncation failure, ...).
+Every run command takes one flag set, declared once: the immersion and
+soliton flags, `--config` and the setting flags, one per key of a config
+file.  A command lays the flags it is given over the `--config` JSON object,
+if any, and hands the result to RunConfig.from_dict, the one parser of run
+settings, so a file and the flags share one set of rules and one execution
+path.  A single-check command is `report --checks <its check>`; only
+`report` takes `--full` and `--checks`.  Exit codes: 0 all checks pass, 1 at
+least one check failed, 2 configuration or usage error, 3 numerical failure
+(solver divergence, truncation failure, ...).
 """
 
 from __future__ import annotations
@@ -42,25 +46,24 @@ _CATALOG_FLAGS = (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    src = p.add_argument_group("immersion")
-    src.add_argument("--catalog", help="built-in immersion name")
-    src.add_argument("--chart", help="chart definition JSON file")
-    for flag, _, cast, helptext in _CATALOG_FLAGS:
-        src.add_argument("--" + flag.replace("_", "-"), dest=flag, type=cast, help=helptext)
+def _grid(text):
+    return [x for x in text.split(",") if x.strip()]
 
-    sol = p.add_argument_group("soliton")
-    sol.add_argument("--kind", choices=("mcf", "imcf"))
-    sol.add_argument("--lambda", dest="lam_const", type=float, help="direct-flow constant")
-    sol.add_argument("--c", dest="c_const", type=float, help="inverse-flow constant")
-    sol.add_argument("--infer", action="store_true", help="fit the constant from samples")
 
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--out", help="output directory for report.json and CSVs")
-    p.add_argument("--format", metavar="{json,csv}", help="json (default) or csv")
-    p.add_argument("--dry-run", action="store_true", help="print the resolved plan only")
+# (flag, config key, type, help) of each setting flag: a flag given replaces its key
+_SETTING_FLAGS = (
+    ("seed", "seed", int, None),
+    ("tol", "tol", float, None),
+    ("samples", "samples", int, None),
+    ("times", "times", _grid, "comma-separated flow times"),
+    ("radii", "radii", _grid, "comma-separated radius grid"),
+    ("r0", "r0", float, "lower end of the parabolicity integral"),
+    ("rmax", "rmax", float, "upper end of the parabolicity integral"),
+    ("R", "radius", float, "outer extrinsic radius"),
+    ("h", "h", float, "target mesh spacing"),
+    ("out", "out", str, "output directory for report.json and CSVs"),
+    ("format", "format", str, "json (default) or csv"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,6 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--out")
     cat.add_argument("--dry-run", action="store_true")
 
+    # the run flags, declared once in a parent parser that every run command takes
+    run_flags = argparse.ArgumentParser(add_help=False)
+    src = run_flags.add_argument_group("immersion")
+    src.add_argument("--catalog", help="built-in immersion name")
+    src.add_argument("--chart", help="chart definition JSON file")
+    for flag, _, cast, helptext in _CATALOG_FLAGS:
+        src.add_argument("--" + flag.replace("_", "-"), dest=flag, type=cast, help=helptext)
+    sol = run_flags.add_argument_group("soliton")
+    sol.add_argument("--kind", choices=("mcf", "imcf"))
+    sol.add_argument("--lambda", dest="lam_const", type=float, help="direct-flow constant")
+    sol.add_argument("--c", dest="c_const", type=float, help="inverse-flow constant")
+    sol.add_argument("--infer", action="store_true", help="fit the constant from samples")
+    run_flags.add_argument("--config", help="RunConfig JSON file (flags override)")
+    for flag, _, cast, helptext in _SETTING_FLAGS:
+        run_flags.add_argument("--" + flag, type=cast, help=helptext)
+    run_flags.add_argument("--dry-run", action="store_true", help="print the resolved plan only")
+
     for name, helptext in [
         ("check-soliton", "sup |H + lam Xperp| or |H/|H|^2 + C Xperp| over samples"),
         ("flow-residual", "verify the homothetic family against the flow"),
@@ -87,22 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("separation", "position relative to the critical sphere"),
         ("report", "run the full applicable check suite"),
     ]:
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        if name in ("flow-residual",):
-            p.add_argument("--times", help="comma-separated flow times")
-        if name in ("psi", "isoperimetric", "report"):
-            p.add_argument("--radii", help="comma-separated radius grid")
-        if name in ("parabolicity-integral",):
-            p.add_argument("--r0", type=float)
-            p.add_argument("--rmax", type=float)
-        if name in ("capacity", "exit-time", "report"):
-            p.add_argument("--R", dest="big_r", type=float, help="outer extrinsic radius")
-            p.add_argument("--h", type=float, help="target mesh spacing")
-        if name == "report":
-            p.add_argument("--config", help="RunConfig JSON file (flags override)")
-            p.add_argument("--full", action="store_true", help="run every applicable check")
-            p.add_argument("--checks", help="comma-separated check names")
+        p = sub.add_parser(name, help=helptext, parents=[run_flags])
+    p.add_argument("--full", action="store_true", help="run every applicable check")  # report
+    p.add_argument("--checks", help="comma-separated check names")
     return top
 
 
@@ -152,18 +159,11 @@ def _soliton_config(args) -> dict | None:
     return {"kind": kind, "constant": constant}
 
 
-# flag -> the config key it replaces when given
-_FLAG_KEYS = {
-    "seed": "seed", "tol": "tol", "samples": "samples", "big_r": "radius", "h": "h",
-    "r0": "r0", "rmax": "rmax", "out": "out", "format": "format",
-}
-
-
 def _config_from_args(args) -> RunConfig:
     """Lay the given flags over the --config object; RunConfig.from_dict
     alone parses and checks the merged settings."""
     data = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
@@ -180,12 +180,9 @@ def _config_from_args(args) -> RunConfig:
         data["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
     elif args.full or data.get("checks") in (None, []):
         data["checks"] = list(FULL_CHECKS)
-    for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag, None) is not None:
+    for flag, key, _, _ in _SETTING_FLAGS:
+        if getattr(args, flag) is not None:
             data[key] = getattr(args, flag)
-    for key in ("radii", "times"):
-        if getattr(args, key, None) is not None:
-            data[key] = [x for x in getattr(args, key).split(",") if x.strip()]
     return RunConfig.from_dict(data)
 
 

@@ -175,10 +175,11 @@ def pencil_scan(imm: Immersion, prefix, scan):
 
 def polyline_crossings(imm: Immersion, nodes, levels, periodic=False):
     """Where a curve meets each level along the scan of its parameter nodes
-    (with the tangency steps of pencil_scan): the nodes lying on a level,
-    then one root per segment whose ends straddle a level, all solved in one
-    batch.  On a periodic parameter the last node repeats the first and is
-    not counted again.  Returns the (k, 1) points and the scan's radii."""
+    (with the tangency steps of pencil_scan): per level, the nodes lying on
+    it, then one root per segment whose ends straddle it, the segments of
+    all levels solved in one batch.  On a periodic parameter the last node
+    repeats the first and is not counted again.  Returns one (k, 1) array of
+    points per level and the scan's radii."""
     x, r = (v[0] for v in pencil_scan(imm, np.empty((1, 0)), nodes))
     fresh = np.append(True, x[1:] != x[:-1])  # drop the empty slots
     x, r = x[fresh, None], r[fresh]
@@ -187,5 +188,7 @@ def polyline_crossings(imm: Immersion, nodes, levels, periodic=False):
     k, i = np.nonzero(phi[:, :-1] * phi[:, 1:] < 0.0)
     roots, _ = level_crossings(imm, x[i], x[i + 1], r[i], r[i + 1], levels[k])
     ends = x[:-1] if periodic else x
-    on_level = (phi[:, : len(ends)] == 0.0).any(axis=0)
-    return np.concatenate([ends[on_level], roots]), r
+    on_level = phi[:, : len(ends)] == 0.0
+    # np.nonzero puts the segments in level order
+    per_level = np.split(roots, np.cumsum(np.bincount(k, minlength=len(levels)))[:-1])
+    return [np.concatenate([ends[on], part]) for on, part in zip(on_level, per_level)], r

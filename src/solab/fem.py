@@ -37,7 +37,7 @@ per-entry temporaries.  Assembly forms one (row, col) key per stiffness entry
 straight from the simplex dofs, sorts the keys once, finds each entry's slot
 by bisection and sums the entries with np.bincount in their given order; the
 gradients and local matrices are dropped as soon as they are used.  The
-centroid metric is formed CENTROID_BLOCK simplices per geometry call, and
+centroid metric is formed GEOMETRY_BLOCK simplices per geometry call, and
 component labels pass one slot of the padded rows at a time.  The snap pass
 evaluates r on the grid once and then only at the vertices it moved.  A
 report writes a check's mesh artifacts when the check ends, EXPORT_BLOCK
@@ -61,12 +61,11 @@ from .errors import (
     NonProportional,
     SolverDivergence,
 )
-from .geometry import Immersion, evaluate_chart, geometry, radius_values
+from .geometry import GEOMETRY_BLOCK, Immersion, evaluate_chart, geometry, radius_values
 from .levelset import _KUHN, _cell_corners, grid_edges, level_boundaries
 from .quadrature import ExtrinsicRegion, Margin, _region_bounds, compare
 from .solitons import SolitonSpec, soliton_residual
 
-CENTROID_BLOCK = 1 << 12  # simplices per geometry call of mesh_region: bounds its memory
 EXPORT_BLOCK = 1 << 12  # table rows formatted at once by an export: bounds its memory
 SNAP_FRACTION = 0.3  # grid vertices closer than this (in edge units) snap onto the level
 BOUND_RADII = 21  # levels of the capacity bound's foliation integral
@@ -188,12 +187,11 @@ def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh
     truncated = "region truncated by the chart window; cut edges carry artificial boundary data"
     notes = (truncated,) if len(tags["cut"]) else ()
 
-    # the centroid metric, CENTROID_BLOCK simplices per geometry call; a
-    # point's geometry does not depend on its batch, so blocks change no bit
+    # the centroid metric, GEOMETRY_BLOCK simplices per geometry call
     metric = np.empty((len(simplices), d, d))
     metric_inv, sqrt_det = np.empty_like(metric), np.empty(len(simplices))
-    for start in range(0, len(simplices), CENTROID_BLOCK):
-        block = slice(start, start + CENTROID_BLOCK)
+    for start in range(0, len(simplices), GEOMETRY_BLOCK):
+        block = slice(start, start + GEOMETRY_BLOCK)
         g = geometry(imm, verts[simplices[block]].mean(axis=1), order=1)
         metric[block], metric_inv[block], sqrt_det[block] = g.metric, g.metric_inv, g.sqrt_det
     return Mesh(

@@ -41,6 +41,9 @@ from .errors import ImproperWindow, OriginSingularity, RankDeficient
 RANK_TOL = 1e-10
 ORIGIN_EXCLUSION = 1e-6
 RADIUS_BLOCK = 1 << 14  # points per chart evaluation of radius_values: bounds its memory
+# points per geometry call of the blocked loops of levelset, fem and quadrature;
+# a point's geometry does not depend on its batch, so the blocks change no bit
+GEOMETRY_BLOCK = 1 << 12
 
 
 def unit_sphere_volume(d: int) -> float:

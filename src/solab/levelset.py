@@ -1,6 +1,7 @@
 """Extraction of extrinsic-distance level sets {r = R} in parameter space.
 
-n = 1 gives isolated points by root finding along the curve.  On 2- and
+n = 1 gives isolated points: one scan of the curve serves all radii of a
+call, and their crossings are solved in one level_crossings call.  On 2- and
 3-parameter charts one marcher (`level_segments`) cuts the Kuhn simplices of
 a structured grid, triangles or tetrahedra, by the sign of r - R into a
 polyline contour or a triangulated isosurface; it evaluates r on the grid
@@ -8,8 +9,9 @@ once and solves the cut edges of all radii of a call in one level_crossings
 call.  Its working set follows the grid and the cut cells: a cell's least
 and greatest r come from shifted views of the r grid, corners are formed
 for the cut cells only, the crossings are solved in batches of
-crossing.CROSSING_BLOCK segments and the grid is evaluated
-geometry.RADIUS_BLOCK points per chart evaluation.
+crossing.CROSSING_BLOCK segments, the grid is evaluated
+geometry.RADIUS_BLOCK points per chart evaluation and the element
+centroids' geometry is formed geometry.GEOMETRY_BLOCK elements per call.
 The same grid helpers (`_cell_corners`, `grid_edges`, and `_KUHN` for one
 to three axes) lay fem's meshes, which cut the same Kuhn simplices.  The
 immersion's route picks the extraction: declared products (cylinders,
@@ -25,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from .crossing import level_crossings, polyline_crossings
 from .errors import DimensionUnsupported, NonRegularLevel
-from .geometry import Immersion, geometry, radius_values, unit_sphere_volume
+from .geometry import GEOMETRY_BLOCK, Immersion, geometry, radius_values, unit_sphere_volume
 
 GRAD_R_FLOOR = 1e-8  # below this |grad r| the level is treated as critical
 
@@ -62,15 +64,17 @@ def level_boundaries(imm: Immersion, radii, resolution: int = 256) -> list:
     if imm.route == "product":
         return [_product_boundary(imm, R) for R in radii]
     if imm.dim == 1:
-        return [_points_boundary(imm, R, resolution) for R in radii]
-    if imm.dim in (2, 3):
+        levels = _curve_points(imm, radii, resolution)
+    elif imm.dim in (2, 3):
         cells = resolution if imm.dim == 2 else max(resolution // 6, 24)
-        return [
-            _from_elements(imm, R, elements, _WHERE[imm.dim]) if len(elements)
-            else BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True)
-            for R, elements in zip(radii, level_segments(imm, radii, cells))
-        ]
-    raise DimensionUnsupported(f"no level-set extraction for generic dim {imm.dim}")
+        levels = level_segments(imm, radii, cells)
+    else:
+        raise DimensionUnsupported(f"no level-set extraction for generic dim {imm.dim}")
+    return [
+        _from_elements(imm, R, elements, _WHERE[imm.dim]) if len(elements)
+        else BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True)
+        for R, elements in zip(radii, levels)
+    ]
 
 
 def boundary_area_and_flux(imm: Immersion, R: float, resolution: int = 256) -> BoundaryData:
@@ -91,34 +95,35 @@ def _product_boundary(imm: Immersion, R: float) -> BoundaryData:
     return BoundaryData(R, area, area * grad, area / grad, 1, grad)
 
 
-def _points_boundary(imm: Immersion, R: float, resolution: int) -> BoundaryData:
+def _curve_points(imm: Immersion, radii, resolution: int) -> list:
+    """The (k, 1, 1) boundary points of a curve at each radius, from one
+    scan of `resolution` + 1 parameter nodes."""
     (lo,), (hi,) = imm.chart.box
     nodes = np.linspace(lo, hi, resolution + 1)
-    roots, r = polyline_crossings(imm, nodes, [R], periodic=imm.chart.params[0].periodic)
-    if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
-        raise NonRegularLevel(R, "radius is constant along the curve")
-    if not len(roots):
-        return BoundaryData(R, 0.0, 0.0, 0.0, 0, math.inf, empty=True)
-    return _from_elements(imm, R, roots[:, None], "at a boundary point")
+    points, r = polyline_crossings(imm, nodes, radii, periodic=imm.chart.params[0].periodic)
+    for R in radii:
+        if np.ptp(r) <= 1e-12 * max(1.0, abs(R)):
+            raise NonRegularLevel(R, "radius is constant along the curve")
+    return [p[:, None] for p in points]
 
 
 def _from_elements(imm, R, elements, where):
     """BoundaryData of a level set from its (E, k+1, n) element vertices.
     An element carries |grad r| at its centroid and measures the square root
-    of the Gram determinant of its edges in the metric there, 1 for a point."""
-    g = geometry(imm, elements.mean(axis=1), order=1)
-    e = elements[:, 1:] - elements[:, :1]
-
-    def gram(a, b):
-        return np.einsum("ni,nij,nj->n", e[:, a], g.metric, e[:, b])
-
-    if e.shape[1] == 0:
-        sizes = np.ones(len(e))
-    elif e.shape[1] == 1:
-        sizes = np.sqrt(gram(0, 0))
-    else:
-        sizes = 0.5 * np.sqrt(np.maximum(gram(0, 0) * gram(1, 1) - gram(0, 1) ** 2, 0.0))
-    grads = g.grad_r_norm
+    of the Gram determinant of its edges in the metric there, 1 for a point.
+    The centroids' geometry is formed GEOMETRY_BLOCK elements per call."""
+    sizes, grads = np.ones(len(elements)), np.empty(len(elements))
+    for start in range(0, len(elements), GEOMETRY_BLOCK):
+        block = slice(start, start + GEOMETRY_BLOCK)
+        g = geometry(imm, elements[block].mean(axis=1), order=1)
+        e = elements[block, 1:] - elements[block, :1]
+        gram = {(a, b): np.einsum("ni,nij,nj->n", e[:, a], g.metric, e[:, b])
+                for a, b in combinations_with_replacement(range(e.shape[1]), 2)}
+        if e.shape[1] == 1:
+            sizes[block] = np.sqrt(gram[0, 0])
+        elif e.shape[1] == 2:
+            sizes[block] = 0.5 * np.sqrt(np.maximum(gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2, 0.0))
+        grads[block] = g.grad_r_norm
     if grads.min() < GRAD_R_FLOOR:
         raise NonRegularLevel(R, f"vanishing tangential gradient {where}")
     return BoundaryData(
@@ -140,8 +145,8 @@ _KUHN = {
     2: ((0, 1, 3), (0, 3, 2)),
     3: ((0, 1, 3, 7), (0, 1, 7, 5), (0, 5, 7, 4), (0, 3, 2, 7), (0, 2, 6, 7), (0, 6, 4, 7)),
 }
-# where a critical level of a marched chart sits
-_WHERE = {2: "on the contour", 3: "on the level set"}
+# where a critical level of a chart sits, by chart dimension
+_WHERE = {1: "at a boundary point", 2: "on the contour", 3: "on the level set"}
 
 
 def _cell_corners(shape, cells=None) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .crossing import level_crossings, pencil_scan
 from .errors import ImproperWindow, InvalidParams, PsiUnderflow, TruncationFailure
-from .geometry import Immersion, geometry, radius_values, unit_sphere_volume
+from .geometry import GEOMETRY_BLOCK, Immersion, geometry, radius_values, unit_sphere_volume
 from .levelset import boundary_area_and_flux
 from .sampling import memoized, sample_box
 
@@ -106,7 +106,6 @@ class RegionJob:
 
 # Block sizes of the pencil route: each bounds the memory of one batch, and
 # no value depends on its batch, so the blocks change no bit.
-GEOMETRY_BLOCK = 1 << 12  # rows per geometry call of a round
 SCAN_PENCILS = 1 << 9  # distinct pencils per pencil_scan call: a 257-node break grid in one
 ROW_BLOCK = 1 << 9  # rows whose scanned radii are gathered at once
 
@@ -121,11 +120,12 @@ def _job_values(imm, jobs, pts, of):
     orders = np.array([1 if job.radial_fn is not None else 2 for job in jobs])[of]
     for start in range(0, len(pts), GEOMETRY_BLOCK):
         block = orders[start : start + GEOMETRY_BLOCK]
-        for order in np.unique(block):
+        # distinct values by np.bincount: a plain np.unique would load numpy.ma
+        for order in np.flatnonzero(np.bincount(block)):
             at = start + np.flatnonzero(block == order)
             g = geometry(imm, pts[at], order=int(order))
             sqrt_det[at] = g.sqrt_det
-            for t in np.unique(of[at]):
+            for t in np.flatnonzero(np.bincount(of[at])):
                 sel, job = of[at] == t, jobs[t]
                 if job.radial_fn is not None:
                     vals[at[sel]] = job.radial_fn(g.r[sel])

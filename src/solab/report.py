@@ -80,6 +80,7 @@ def json_dumps(obj, indent: int = 0) -> str:
 
 _IMMERSION_KEYS = {"catalog", "params", "chart"}
 _SOLITON_KEYS = {"kind", "constant"}
+MAX_SAMPLES = 2**31 - 1  # the largest sample count a config takes
 
 
 @dataclass
@@ -145,6 +146,8 @@ class RunConfig:
             value = getattr(cfg, key)
             if not _is_a(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+        if cfg.samples > MAX_SAMPLES:
+            raise ConfigError(f"samples must be at most {MAX_SAMPLES}, got {cfg.samples!r}")
         for key in ("h", "tol", "radius", "rho", "r0", "rmax"):
             value = getattr(cfg, key)
             if value is None and key != "h":  # unset: the check's default applies

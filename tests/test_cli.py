@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, outputs, determinism, config handling."""
 
+import argparse
 import ast
 import csv as csv_module
 import json
@@ -15,7 +16,7 @@ import pytest
 
 import solab
 from solab.charts import chart_from_sources, save_chart
-from solab.cli import main
+from solab.cli import build_parser, main
 from solab.errors import ConfigError
 from solab.report import CHECKS, Check, RunConfig
 
@@ -494,11 +495,13 @@ _SPHERE_RUN = {
         ({"radius": 10**400}, []),
         ({"soliton": {"constant": 10**400}}, []),
         ({"radii": [1.0, 10**400]}, []),
+        ({"samples": 2**63}, []),
+        ({"samples": 10**400}, []),
     ],
 )
 def test_bad_numeric_settings_are_config_errors(tmp_path, capsys, config, argv):
     # tol, h and the radii R, rho, r0 and rmax must be finite and > 0, r0
-    # below rmax, samples an integer >= 1, seed an integer >= 0, the radii
+    # below rmax, samples an integer from 1 to 2**31 - 1, seed an integer >= 0, the radii
     # and times grids non-empty lists of finite numbers, the radii strictly
     # increasing, the
     # soliton kind mcf or imcf and its constant finite (non-zero for imcf) or
@@ -589,6 +592,55 @@ def test_flags_replace_the_config_file_before_validation(tmp_path, capsys):
     assert data["config"]["samples"] == 64
     assert data["config"]["immersion"]["params"] == {"n": 2, "R": 2.0}
     assert data["checks"][0]["details"]["samples"] == 64
+
+
+# every setting a config file takes, as flags
+_ALL_SETTING_FLAGS = [
+    "--catalog", "cylinder", "--n", "2", "--k", "1", "--rho", "1", "--kind", "mcf",
+    "--lambda", "1", "--times", "0,0.1", "--radii", "1.5,2", "--r0", "1.5", "--rmax", "3",
+    "--R", "2", "--h", "0.2", "--seed", "3", "--tol", "1e-7", "--samples", "64",
+    "--format", "csv", "--out", "results",
+]
+
+
+@pytest.mark.parametrize(
+    "command, check",
+    [("check-soliton", "soliton-residual"),
+     *((name, name) for name in ("flow-residual", "weighted-volume", "psi",
+                                 "parabolicity-integral", "capacity", "exit-time",
+                                 "isoperimetric", "separation"))],
+)
+def test_single_check_command_is_report_of_its_check(tmp_path, capsys, command, check):
+    # every run command takes every setting flag and --config, and a
+    # single-check command resolves to the plan of report --checks <its check>
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"checks": ["psi"], "seed": 5}))
+    flags = [*_ALL_SETTING_FLAGS, "--config", str(path), "--dry-run"]
+    plans = []
+    for argv in ([command, *flags], ["report", "--checks", check, *flags]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        plans.append(json.loads(out)["config"])
+    assert plans[0] == plans[1]
+    assert plans[0]["checks"] == [check]
+    assert (plans[0]["radius"], plans[0]["times"], plans[0]["seed"]) == (2.0, [0.0, 0.1], 3)
+
+
+def test_run_flags_are_declared_once():
+    # the run commands share one parent parser of the run flags, so the
+    # tree's distinct actions, help and subcommand actions aside, are that
+    # parser's, catalog's three and report's --full and --checks
+    def parsers(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for child in action.choices.values():
+                    yield from parsers(child)
+
+    actions = {id(a): a for p in parsers(build_parser()) for a in p._actions}
+    own = [a for a in actions.values()
+           if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))]
+    assert len(own) <= 40
 
 
 def test_catalog_table_and_csv_files(tmp_path, capsys):
@@ -797,6 +849,24 @@ def test_full_report_loads_no_scipy(tmp_path, catalog_args):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_full_report_loads_no_numpy_ma(tmp_path):
+    # a fresh interpreter: a plain np.unique loads numpy.ma, which then stays
+    script = (
+        "import sys\n"
+        "import solab.cli\n"
+        "solab.cli.main(['report', '--catalog', 'cylinder', '--n', '4', '--k', '2',\n"
+        "                '--rho', '1', '--full', '--out', sys.argv[1]])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(solab.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_full_report_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):

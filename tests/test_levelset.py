@@ -10,7 +10,7 @@ import solab.levelset as levelset
 from solab import crossing
 from solab.catalog import catalog
 from solab.charts import chart_from_dict
-from solab.crossing import level_crossings
+from solab.crossing import level_crossings, pencil_scan
 from solab.errors import NonRegularLevel
 from solab.geometry import Immersion, geometry, radius_values
 from solab.levelset import (
@@ -129,6 +129,32 @@ def test_level_met_twice_between_two_scan_nodes():
     assert b.element_count == 2
     # |grad r| = |u - 0.01| / R at each crossing
     assert b.flux == pytest.approx(2 * math.sqrt(R**2 - 1) / R, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "coords, lo, hi, periodic, radii",
+    [
+        (["u1", "1"], -6.0, 6.0, False, [*np.linspace(1.5, 5.5, 9), math.sqrt(37)]),
+        (["u1^2 + 1", "u1*(u1^2 - 1)"], -1.0, 1.0, True, [1.2, 1.5, 2.0]),
+        (["u1^2 + 1", "u1*(u1^2 - 1)"], -1.0, 1.0, False, [1.2, 1.5, 2.0]),
+        (["u1 - 0.01", "1"], -6.0, 6.0, False, [1.0 + 1e-6, 2.0, 3.0]),
+    ],
+    ids=["end-nodes", "periodic-end", "open-ends", "met-twice"],
+)
+def test_curve_levels_share_one_scan(monkeypatch, coords, lo, hi, periodic, radii):
+    # a curve is scanned once for all radii, each radius keeps its own
+    # on-level nodes, and every result equals the one-radius call's
+    imm = _curve(coords, lo, hi, periodic)
+    alone = [boundary_area_and_flux(imm, R) for R in radii]
+    scans = []
+
+    def counting(imm, prefix, scan):
+        scans.append(np.shape(scan))
+        return pencil_scan(imm, prefix, scan)
+
+    monkeypatch.setattr(crossing, "pencil_scan", counting)
+    assert level_boundaries(imm, radii) == alone
+    assert scans == [(257,)]
 
 
 @pytest.mark.parametrize(
@@ -273,6 +299,35 @@ def test_three_parameter_levels_share_one_grid(monkeypatch):
         ("68.3614383755048", "59.19281337088532", "78.95023158204921"),
         ("111.64926587596231", "105.26042697828461", "118.42587890302462"),
     ]
+
+
+def test_level_boundaries_memory_budget(traced_peak):
+    # the element centroids' geometry is formed GEOMETRY_BLOCK elements per
+    # call (22.6 MB in one call, 15.8 MB in blocks)
+    imm = _s1_times_r2()
+    level_boundaries(imm, [3.0])  # compile the chart outside the trace
+    (b,), peak = traced_peak(level_boundaries, imm, [3.0])
+    assert b.element_count > 16384  # several blocks of 4096
+    assert peak < 18.0
+
+
+def test_element_geometry_blocks_change_no_bit(monkeypatch):
+    # blocks of 64 elements change no boundary value of a contour, an
+    # isosurface or a curve's points
+    cases = [(catalog("castro_lerma")[0], list(np.linspace(1.83, 2.0, 21))),
+             (_s1_times_r2(), [1.5, 2.0, 3.0, 3.9]),
+             (_curve(["u1 - 0.01", "1"], -6.0, 6.0, False), [1.0 + 1e-6, 2.0, 3.0])]
+    whole = [level_boundaries(imm, radii) for imm, radii in cases]
+    sizes = []
+
+    def counting(imm, points, order=2):
+        sizes.append(len(points))
+        return geometry(imm, points, order)
+
+    monkeypatch.setattr(levelset, "geometry", counting)
+    monkeypatch.setattr(levelset, "GEOMETRY_BLOCK", 64)
+    assert [level_boundaries(imm, radii) for imm, radii in cases] == whole
+    assert max(sizes) <= 64 and len(sizes) > 100
 
 
 def test_crossing_blocks_change_no_bit(monkeypatch):
