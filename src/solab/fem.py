@@ -7,20 +7,23 @@ and f = 1, on the ball (rho = 0), the mean exit time.  solve_region meshes
 the region, checks that the levels it needs carry vertices and solves; the
 boundary data reach solve_dirichlet as a mask of fixed dofs and their values.
 
-Meshing, one path for curves, surfaces and 3-parameter charts: the Kuhn
-simplices of a structured parameter-space grid (the split that the level-set
-marcher also cuts) are cut against the level sets r = R and r = rho, one
-level at a time, by cut-and-snap (Labelle & Shewchuk, "Isosurface
-stuffing", 2007).  Grid vertices close to a level set are first snapped onto
-it by root finding along grid edges.  A simplex then keeps its part on the
-region's side of the level, a product of two simplices spanned by its inside
-vertices and the crossings on its cut edges, split by the staircase
-triangulation; sorting vertices by global id makes neighbours split shared
-faces alike, so the mesh conforms.  Each level's edge roots are solved in
-one batch (crossing.level_crossings).  Periodic chart axes take their full
-range, and the copies of a seam vertex share one degree of freedom by grid
-index.  Boundary vertices carry tags: "inner" (r = rho) and "outer" (r = R),
-the level that the snap pass or the cut put them on, and "cut" where a
+Meshing, one path for curves, surfaces and 3-parameter charts: the chart
+box's lattice, h its spacing, is scanned for the nodes with r < R, and the
+index window of those nodes, grown by one node (a periodic axis whole), is
+meshed; a cut edge or a simplex with a corner inside the region has an end
+at such a node, so the mesh is the whole lattice's.  The Kuhn simplices of
+the window (the split that the level-set marcher also cuts) are cut against
+the level sets r = R and r = rho, one level at a time, by cut-and-snap
+(Labelle & Shewchuk, "Isosurface stuffing", 2007).  Grid vertices close to
+a level set are first snapped onto it by root finding along grid edges.  A
+simplex then keeps its part on the region's side of the level, a product of
+two simplices spanned by its inside vertices and the crossings on its cut
+edges, split by the staircase triangulation; sorting vertices by global id
+makes neighbours split shared faces alike, so the mesh conforms.  Each
+level's edge roots are solved in one batch (crossing.level_crossings).  The
+copies of a periodic seam vertex share one degree of freedom by grid index.
+Boundary vertices carry tags: "inner" (r = rho) and "outer" (r = R), the
+level that the snap pass or the cut put them on, and "cut" where a
 non-proper window truncates the region.  Charts of four or more parameters
 are not meshed.
 
@@ -38,8 +41,9 @@ straight from the simplex dofs, sorts the keys once, finds each entry's slot
 by bisection and sums the entries with np.bincount in their given order; the
 gradients and local matrices are dropped as soon as they are used.  The
 centroid metric is formed GEOMETRY_BLOCK simplices per geometry call, and
-component labels pass one slot of the padded rows at a time.  The snap pass
-evaluates r on the grid once and then only at the vertices it moved.  A
+component labels pass one slot of the padded rows at a time.  The lattice
+scan evaluates r in slabs of RADIUS_BLOCK nodes at most, and the snap pass
+evaluates r on the window once and then only at the vertices it moved.  A
 report writes a check's mesh artifacts when the check ends, EXPORT_BLOCK
 table rows at a time, so no mesh outlives its check, and marches the
 capacity bound's level sets before it meshes.
@@ -61,9 +65,9 @@ from .errors import (
     NonProportional,
     SolverDivergence,
 )
-from .geometry import GEOMETRY_BLOCK, Immersion, evaluate_chart, geometry, radius_values
+from .geometry import GEOMETRY_BLOCK, RADIUS_BLOCK, Immersion, evaluate_chart, geometry, radius_values
 from .levelset import _KUHN, _cell_corners, grid_edges, level_boundaries
-from .quadrature import ExtrinsicRegion, Margin, _region_bounds, compare
+from .quadrature import ExtrinsicRegion, Margin, compare
 from .solitons import SolitonSpec, soliton_residual
 
 EXPORT_BLOCK = 1 << 12  # table rows formatted at once by an export: bounds its memory
@@ -119,22 +123,10 @@ def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh
         raise DimensionUnsupported(
             f"PDE solves run on charts of 1 to 3 parameters; {imm.name} has dim {d}"
         )
-    bounds = _region_bounds(imm, [region], 4096, 37, 0.05)[0]
-    if bounds is None:
-        raise MeshFailure(
-            f"{imm.name}: the region {region.rho} < r < {region.R} is empty"
-        )
     params = imm.chart.params
-    coords = []
-    for p, lo, hi in zip(params, *bounds):
-        if p.periodic:  # the full range, whose two ends are tied
-            lo, hi = p.min, p.max
-        # a window of the chart box's own lattice, at least 6 cells across,
-        # so that a node such as the centre of a symmetric box stays a node
-        m = max(math.ceil(p.span / h), math.ceil(6 * p.span / (hi - lo)))
-        nodes = np.linspace(p.min, p.max, m + 1)
-        start, stop = np.searchsorted(nodes, lo, "right") - 1, np.searchsorted(nodes, hi)
-        coords.append(nodes[start : stop + 1])
+    # the chart box's lattice, h its spacing, meshed over the window of the region
+    axes = [np.linspace(p.min, p.max, math.ceil(p.span / h) + 1) for p in params]
+    coords = _lattice_window(imm, axes, region.R)
     shape = [len(c) for c in coords]
     verts = np.column_stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")])
     # a vertex's dof is the grid index of its lowest seam copy
@@ -206,6 +198,31 @@ def mesh_region(imm: Immersion, region: ExtrinsicRegion, h: float = 0.1) -> Mesh
         np.unique(dof, return_inverse=True)[1],
         notes,
     )
+
+
+def _lattice_window(imm, axes, R):
+    """The nodes of each axis of the chart-box lattice `axes` in the index
+    window of the lattice nodes with r < R, grown by one node on each side
+    (a periodic axis whole).  A cut edge or a simplex with a corner inside
+    the region has an end at such a node, so the window's mesh is the whole
+    lattice's.  r is evaluated in slabs of the first axis, each of at most
+    RADIUS_BLOCK nodes (one row at least)."""
+    found = []  # the least and greatest index of each slab's nodes with r < R
+    rows = max(1, RADIUS_BLOCK // math.prod(len(x) for x in axes[1:]))
+    for s in range(0, len(axes[0]), rows):
+        slab = np.meshgrid(axes[0][s : s + rows], *axes[1:], indexing="ij")
+        r = radius_values(imm, np.column_stack([g.ravel() for g in slab]))
+        inside = np.argwhere(r.reshape(slab[0].shape) < R)
+        if len(inside):
+            inside[:, 0] += s
+            found += [inside.min(axis=0), inside.max(axis=0)]
+    if not found:
+        raise MeshFailure(f"{imm.name}: no lattice node inside r < {R}")
+    first, last = np.min(found, axis=0).tolist(), np.max(found, axis=0).tolist()
+    return [
+        x if p.periodic else x[max(a - 1, 0) : b + 2]
+        for x, p, a, b in zip(axes, imm.chart.params, first, last)
+    ]
 
 
 def _staircase(p, q):

@@ -9,9 +9,10 @@ integrates the other two routes:
   verified to be radial before using the same reduction; the rule runs over
   the distance t from the axis, all jobs at once;
 * charts are integrated by pencil decomposition: the rule runs along every
-  chart axis, and along the innermost axis the sublevel conditions
-  rho < r < R are resolved into subintervals by root finding before
-  quadrature.
+  axis of the chart box, periodic axes whole, and along the innermost axis
+  the sublevel conditions rho < r < R are resolved into subintervals by
+  root finding before quadrature; the scans that find them decide where a
+  region lies, so no sample does.
 
 Improper Gaussian-weighted integrals run up to the properness window W, and
 the analytic tail past W of a fitted Euclidean-growth majorant c * t^n, which
@@ -352,58 +353,18 @@ def _gauss_kronrod(f, lo, hi, owner, count):
 # --- generic pencil quadrature ---------------------------------------------------
 
 
-def _region_bounds(imm, regions, count, seed, pad):
-    """Tight parameter-space bounding box of each region, or None where it is
-    empty: the box of the `count` Halton samples (scrambled with `seed`)
-    inside it, grown by `pad` times the chart box on each side and clamped to
-    that box.  One sample set and one radius evaluation serve all regions.
-
-    Pencil panels and PDE meshes are laid inside this box; thin spikes past
-    the sampling resolution plus pad would be missed, which the pads in use
-    make irrelevant for the ball/annulus regions in use.
-    """
-    pts = sample_box(imm.chart, count, seed)
-    r = radius_values(imm, pts)
-    lo, hi = imm.chart.box
-    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-    grow = pad * (hi - lo)
-    out = []
-    for region in regions:
-        mask = (r > region.rho) & (r < region.R)
-        out.append(
-            (
-                np.maximum(lo, pts[mask].min(axis=0) - grow),
-                np.minimum(hi, pts[mask].max(axis=0) + grow),
-            )
-            if mask.any()
-            else None
-        )
-    return out
-
-
 @dataclass(frozen=True)
-class _Boxes:
-    """The regions of one pass and their parameter boxes, one row per job;
-    `box` numbers the distinct boxes, so that jobs sharing one also share
-    its scans."""
+class _Regions:
+    """The levels rho < r < R of the regions of one pass, one row per job."""
 
     rho: np.ndarray
     R: np.ndarray
-    lo: np.ndarray  # (jobs, dim)
-    hi: np.ndarray
-    box: np.ndarray
 
     @classmethod
-    def build(cls, regions, bounds):
-        lo = np.array([b[0] for b in bounds])
-        hi = np.array([b[1] for b in bounds])
-        box = np.unique(np.column_stack([lo, hi]), axis=0, return_inverse=True)[1]
+    def build(cls, regions):
         return cls(
             np.array([region.rho for region in regions], dtype=float),
             np.array([region.R for region in regions], dtype=float),
-            lo,
-            hi,
-            box.reshape(-1),
         )
 
     def contains(self, r, job):
@@ -414,27 +375,27 @@ class _Boxes:
         return ((r > rho) | (rho == 0.0)) & (r < R)
 
 
-def _scans(imm, boxes, pencils, job):
-    """pencil_scan of each row's pencil across its job's box on the last
-    axis, each distinct (box, pencil) of the call scanned once, SCAN_PENCILS
+def _scans(imm, pencils):
+    """pencil_scan of each row's pencil across the chart box on the last
+    axis, each distinct pencil of the call scanned once, SCAN_PENCILS
     distinct pencils per pencil_scan call: yields, per call, the abscissas
     and radii of its scans, the rows whose pencil it scanned and each such
     row's index into them.  A scan does not depend on its batch, so the
     blocks change no bit."""
-    key = np.column_stack([boxes.box[job], pencils])
-    _, first, inv = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    _, first, inv = np.unique(pencils, axis=0, return_index=True, return_inverse=True)
     inv = inv.reshape(-1)
     rows = np.argsort(inv, kind="stable")  # the rows, grouped by their scan
     ranked = inv[rows]
+    lo, hi = (bound[-1] for bound in imm.chart.box)
+    scan = np.linspace(lo, hi, _SCAN + 1)
     for s in range(0, len(first), SCAN_PENCILS):
-        lo, hi = np.searchsorted(ranked, [s, s + SCAN_PENCILS])
+        a, b = np.searchsorted(ranked, [s, s + SCAN_PENCILS])
         t = first[s : s + SCAN_PENCILS]
-        lo_t, hi_t = boxes.lo[job[t], -1], boxes.hi[job[t], -1]
-        x, r = pencil_scan(imm, pencils[t], np.linspace(lo_t, hi_t, _SCAN + 1, axis=-1))
-        yield x, r, rows[lo:hi], ranked[lo:hi] - s
+        x, r = pencil_scan(imm, pencils[t], scan)
+        yield x, r, rows[a:b], ranked[a:b] - s
 
 
-def _topology_breaks(imm, boxes, prefix, job):
+def _topology_breaks(imm, regions, prefix, job):
     """Where the number of runs inside the region along the pencils changes
     (level sets tangent to them) on the axis before the last, for each row
     of prefix: returns the rows and the abscissas, where the panels of that
@@ -444,15 +405,16 @@ def _topology_breaks(imm, boxes, prefix, job):
 
     def run_counts(rows, us):
         counts = np.empty(len(rows), int)
-        for _, r, scanned, at in _scans(imm, boxes, np.column_stack([prefix[rows], us]), job[rows]):
+        for _, r, scanned, at in _scans(imm, np.column_stack([prefix[rows], us])):
             for s in range(0, len(scanned), ROW_BLOCK):
                 block, i = scanned[s : s + ROW_BLOCK], at[s : s + ROW_BLOCK]
-                inside = boxes.contains(r[i], job[rows[block]])
+                inside = regions.contains(r[i], job[rows[block]])
                 counts[block] = (inside[:, 1:] & ~inside[:, :-1]).sum(axis=1) + inside[:, 0]
         return counts
 
-    u = np.linspace(boxes.lo[job, k], boxes.hi[job, k], 257, axis=-1)
-    runs = run_counts(np.repeat(np.arange(m), u.shape[1]), u.ravel()).reshape(u.shape)
+    lo, hi = (bound[k] for bound in imm.chart.box)
+    u = np.broadcast_to(np.linspace(lo, hi, 257), (m, 257))
+    runs = run_counts(np.repeat(np.arange(m), 257), u.ravel()).reshape(m, 257)
     q, i = np.nonzero(np.diff(runs, axis=1) != 0)
     a, b, ca = u[q, i], u[q, i + 1], runs[q, i]
     for _ in range(48 if q.size else 0):  # no run count changes: nothing to sharpen
@@ -470,18 +432,18 @@ def _panels(owner, ends):
     return ends[:-1][keep], ends[1:][keep], owner[:-1][keep]
 
 
-def _pencil_spans(imm, boxes, prefix, job):
-    """The parts of [a, b], the last axis of each row's box, inside the row's
+def _pencil_spans(imm, regions, prefix, job):
+    """The parts of [a, b], the last axis of the chart box, inside the row's
     region along the pencils (prefix, x): returns the spans' ends and the row
     of prefix each belongs to.  A scan segment is cut where one end has
     r < level and the other r >= level, and all cuts of all pencils and
     levels are solved in one batch (in any order: each root depends on its
     segment alone, and the ends are sorted per row)."""
-    a, b = boxes.lo[job, -1], boxes.hi[job, -1]
-    levels = np.stack([boxes.rho[job], boxes.R[job]])
+    a, b = (bound[-1] for bound in imm.chart.box)
+    levels = np.stack([regions.rho[job], regions.R[job]])
     finite = (0.0 < levels) & (levels < math.inf)
     segments = [(np.empty(0, int),) * 2 + (np.empty(0),) * 4]  # k, q, left x, right x, their r
-    for x, r, rows, at in _scans(imm, boxes, prefix, job):
+    for x, r, rows, at in _scans(imm, prefix):
         for s in range(0, len(rows), ROW_BLOCK):
             q, i = rows[s : s + ROW_BLOCK], at[s : s + ROW_BLOCK]
             below = r[i] < levels[:, q, None]
@@ -492,52 +454,46 @@ def _pencil_spans(imm, boxes, prefix, job):
     left, right = np.column_stack([prefix[q], xa]), np.column_stack([prefix[q], xb])
     roots, _ = level_crossings(imm, left, right, ra, rb, levels[k, q])
     m = len(prefix)
-    ends = np.concatenate([a, b, roots[:, -1]])
+    ends = np.concatenate([np.full(m, a), np.full(m, b), roots[:, -1]])
     lo, hi, owner = _panels(np.concatenate([np.arange(m), np.arange(m), q]), ends)
-    keep = hi - lo > 1e-14 * np.maximum(1.0, np.abs(b - a))[owner]
+    keep = hi - lo > 1e-14 * max(1.0, abs(b - a))
     lo, hi, owner = lo[keep], hi[keep], owner[keep]
     mids = np.column_stack([prefix[owner], 0.5 * (lo + hi)])
-    inside = boxes.contains(radius_values(imm, mids), job[owner])
+    inside = regions.contains(radius_values(imm, mids), job[owner])
     return lo[inside], hi[inside], owner[inside]
 
 
 def _pencil_integrals(imm, jobs):
     """Iterated integrals, last axis innermost, of all jobs in one pass, with
-    one batched adaptive rule per axis: an outer axis integrates the next one
-    at all nodes of a round at once (the axis before the last split at its
-    topology breaks), the innermost f dV over the spans of its pencils.
+    one batched adaptive rule per axis over the chart box (periodic axes
+    whole): an outer axis integrates the next one at all nodes of a round
+    at once (the axis before the last split at its topology breaks), the
+    innermost f dV over the spans of its pencils.  A region whose scans
+    find no span gets value 0, error 0 and no cells.
 
-    Every row of every axis carries its job.  The jobs share one bounds
-    sample, every scan of a distinct (box, pencil), one level_crossings call
-    per innermost call and, per round, one geometry call per derivative
-    order on each block of GEOMETRY_BLOCK rows; a job's panels, decisions
-    and sums are those of the job run on its own, so the results are
-    bit-identical to it.  The block sizes, not the rows of a round nor the
-    pencils of a scan pass, bound the memory of the batches."""
+    Every row of every axis carries its job.  The jobs share every scan of
+    a distinct pencil, one level_crossings call per innermost call and, per
+    round, one geometry call per derivative order on each block of
+    GEOMETRY_BLOCK rows; a job's panels, decisions and sums are those of the
+    job run on its own, so the results are bit-identical to it.  The block
+    sizes, not the rows of a round nor the pencils of a scan pass, bound the
+    memory of the batches."""
     if imm.dim > 3:
         raise ImproperWindow(
             f"generic quadrature supports dim <= 3; {imm.name} has dim {imm.dim} "
             "and declares no product structure"
         )
-    out = [
-        QuadratureResult(0.0, 0.0, 0, method="pencil", notes=("region empty by sampling",))
-        for _ in jobs
-    ]
-    bounds = _region_bounds(imm, [job.region for job in jobs], 2048, 31, 0.08)
-    live = [t for t, box in enumerate(bounds) if box is not None]
-    if not live:
-        return out
-    jobs = [jobs[t] for t in live]
-    boxes = _Boxes.build([job.region for job in jobs], [bounds[t] for t in live])
+    regions = _Regions.build([job.region for job in jobs])
+    box = imm.chart.box
     cells = np.zeros(len(jobs))
 
     def axis(prefix, job):
         m, k = prefix.shape
         if k < imm.dim - 1:
             owner = np.repeat(np.arange(m), 2)
-            ends = np.column_stack([boxes.lo[job, k], boxes.hi[job, k]]).ravel()
+            ends = np.tile([box[0][k], box[1][k]], m)
             if k == imm.dim - 2:
-                q, u = _topology_breaks(imm, boxes, prefix, job)
+                q, u = _topology_breaks(imm, regions, prefix, job)
                 owner, ends = np.concatenate([owner, q]), np.concatenate([ends, u])
             lo, hi, owner = _panels(owner, ends)
             inner = lambda x, i: axis(np.column_stack([prefix[i], x]), job[i])
@@ -547,14 +503,15 @@ def _pencil_integrals(imm, jobs):
             vals, sqrt_det = _job_values(imm, jobs, np.column_stack([prefix[i], x]), job[i])
             return vals * sqrt_det, np.zeros_like(x)
 
-        value, error, panels = _gauss_kronrod(f, *_pencil_spans(imm, boxes, prefix, job), m)
+        value, error, panels = _gauss_kronrod(f, *_pencil_spans(imm, regions, prefix, job), m)
         cells[:] += np.bincount(job, panels, len(jobs))
         return value, error
 
     value, error = axis(np.empty((len(jobs), 0)), np.arange(len(jobs)))
-    for t, v, e, c in zip(live, value, error, cells):
-        out[t] = QuadratureResult(float(v), float(e), int(c), method="pencil")
-    return out
+    return [
+        QuadratureResult(float(v), float(e), int(c), method="pencil")
+        for v, e, c in zip(value, error, cells)
+    ]
 
 
 # --- Gaussian-weighted volumes ----------------------------------------------------

@@ -141,6 +141,15 @@ def test_exit_time_cli_cylinder_ratio(capsys):
     assert ratio["margin"] < 0.02
 
 
+def test_exit_time_on_a_two_cell_lattice_is_a_mesh_failure(capsys):
+    # h is the lattice spacing, with no minimum cell count: h = 10 lays 2
+    # cells per axis on plane(2)'s box, and the ball r < 2 keeps no cell
+    code, out, _ = run_cli(["exit-time", "--catalog", "plane", "--n", "2", "--h", "10"], capsys)
+    assert code == 3
+    (check,) = json_payload(out)["checks"]
+    assert (check["status"], check["details"]["error"]) == ("ERROR", "MeshFailure")
+
+
 def test_dry_run_touches_nothing(tmp_path, capsys):
     out_dir = tmp_path / "results"
     code, out, _ = run_cli(
@@ -794,6 +803,22 @@ def test_no_module_imports_scipy():
             else:
                 continue
             assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+
+def test_fem_imports_nothing_from_sampling():
+    # a mesh lays the chart box's own lattice: no sample decides its window,
+    # and no private helper of quadrature does either
+    path = Path(solab.__file__).parent / "fem.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+            if node.module == "quadrature":
+                assert not any(alias.name.startswith("_") for alias in node.names)
+        else:
+            continue
+        assert not any(name.split(".")[-1] in ("sampling", "sample_box") for name in names)
 
 
 def test_only_compare_and_the_report_name_a_verdict():

@@ -49,7 +49,9 @@ from solab.geometry import (
     radius_values,
 )
 from solab.levelset import boundary_area_and_flux, grid_edges
-from solab.quadrature import ExtrinsicRegion
+import solab.quadrature as quadrature
+import solab.sampling as sampling
+from solab.quadrature import ExtrinsicRegion, RegionJob, region_integrals
 from solab.solitons import SolitonSpec
 
 
@@ -96,6 +98,66 @@ def test_empty_region_is_a_mesh_failure():
     imm, _ = catalog("sphere", n=2, R=1.0)
     with pytest.raises(MeshFailure):
         mesh_region(imm, ExtrinsicRegion(imm, 0.0, 0.5), h=0.1)
+
+
+@pytest.mark.parametrize(
+    "make,rho,R,h",
+    [
+        (lambda: catalog("plane", n=2)[0], 1.0, math.e, 0.1),
+        (lambda: catalog("castro_lerma")[0], 0.0, 2.0, 0.05),
+    ],
+    ids=["plane(2)-annulus", "castro_lerma-ball"],
+)
+def test_window_mesh_is_the_whole_lattice_mesh(monkeypatch, make, rho, R, h):
+    # the window of the lattice nodes with r < R, grown by one node, holds
+    # every cut edge and every simplex with a corner in the region: marking
+    # every node changes no vertex, simplex, tag or dof
+    imm = make()
+    region = ExtrinsicRegion(imm, rho, R)
+    window = mesh_region(imm, region, h)
+    monkeypatch.setattr(fem, "_lattice_window", lambda imm, axes, R: axes)
+    whole = mesh_region(imm, region, h)
+    assert window.vertices.tobytes() == whole.vertices.tobytes()
+    assert window.simplices.tobytes() == whole.simplices.tobytes()
+    assert window.dof_map.tobytes() == whole.dof_map.tobytes()
+    assert all(window.tags[k].tobytes() == whole.tags[k].tobytes() for k in whole.tags)
+
+
+def test_lattice_window_slabs_change_no_bit(monkeypatch):
+    # r is evaluated in slabs of the first axis of at most RADIUS_BLOCK nodes;
+    # slabs of one row and of a few rows find the same window
+    imm, _ = catalog("castro_lerma")
+    axes = [np.linspace(p.min, p.max, math.ceil(p.span / 0.05) + 1) for p in imm.chart.params]
+    whole = fem._lattice_window(imm, axes, 2.0)
+    sizes = []
+
+    def counting(imm, points):
+        sizes.append(len(points))
+        return radius_values(imm, points)
+
+    monkeypatch.setattr(fem, "radius_values", counting)
+    for block in (len(axes[1]), 3 * len(axes[1]) + 1):
+        sizes.clear()
+        monkeypatch.setattr(fem, "RADIUS_BLOCK", block)
+        assert [x.tobytes() for x in fem._lattice_window(imm, axes, 2.0)] == [
+            x.tobytes() for x in whole
+        ]
+        assert max(sizes) <= block and sum(sizes) == len(axes[0]) * len(axes[1])
+
+
+def test_meshing_and_chart_quadrature_draw_no_sample(monkeypatch):
+    # the region's box is the chart's: no Halton sample decides it
+    def refuse(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(quadrature, "sample_box", refuse)
+    monkeypatch.setattr(sampling, "sample_box", refuse)
+    plane = replace(catalog("plane", n=2)[0], radial=None)
+    region = ExtrinsicRegion(plane, 0.5, 2.0)
+    assert mesh_region(plane, region, 0.1).vertex_count > 0
+    (res,) = region_integrals(plane, [RegionJob(region)])
+    assert res.method == "pencil"
+    assert abs(res.value - 3.75 * math.pi) <= res.error
 
 
 def test_pde_dimension_guard():

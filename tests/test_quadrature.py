@@ -19,7 +19,7 @@ import solab.quadrature as quadrature
 from solab.quadrature import (
     ExtrinsicRegion,
     RegionJob,
-    _Boxes,
+    _Regions,
     _gamma_tail,
     _pencil_spans,
     _topology_breaks,
@@ -129,7 +129,6 @@ def test_topology_breaks_match_per_candidate_bisection():
     )
     imm = Immersion(chart, properness_radius=2.0, name="ripple")
     region = ExtrinsicRegion(imm, 0.5, 1.5)
-    bounds = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     u = np.linspace(-2.0, 2.0, 257)
     v = np.linspace(-2.0, 2.0, 257)
 
@@ -152,8 +151,7 @@ def test_topology_breaks_match_per_candidate_bisection():
                 b = m
         expected.append(0.5 * (a + b))
     assert len(expected) >= 4
-    boxes = _Boxes.build([region], [bounds])
-    rows, breaks = _topology_breaks(imm, boxes, np.empty((1, 0)), np.zeros(1, int))
+    rows, breaks = _topology_breaks(imm, _Regions.build([region]), np.empty((1, 0)), np.zeros(1, int))
     assert not rows.any()
     assert breaks.tolist() == expected
 
@@ -272,17 +270,24 @@ def test_gauss_kronrod_caps_the_panels_of_one_integral(monkeypatch):
     assert abs(value[0] - (1 - math.cos(1e6)) / 1e6) <= error[0]
 
 
+def plane_chart(lo, hi):
+    """The plane z = 0 over the box [lo, hi] as a user chart: no product
+    structure is declared, so its regions take the 2-D pencil route."""
+    params = [ParamSpec(f"u{a + 1}", lo[a], hi[a]) for a in range(2)]
+    chart = chart_from_sources(2, 3, ["u1", "u2", "0"], params)
+    return Immersion(chart, properness_radius=min(map(abs, lo + hi)), name="plane-chart")
+
+
 def test_innermost_spans_keep_the_centre_and_short_chords():
     # the chord through the origin (rho = 0 = r at its midpoint) and a chord
     # shorter than the scan step, which only the parabolic step can see: the
     # scan has a node at u2 = 0 on the symmetric interval only
-    imm, _ = catalog("plane", n=2)
-    region = ExtrinsicRegion(imm, 0.0, 1.0)
     u1 = np.array([0.0, 0.5, 0.9999])
     for a, b in ((-8.0, 8.0), (-8.0, 7.0)):
         assert (b - a) / quadrature._SCAN > 2 * math.sqrt(1 - 0.9999**2)
-        boxes = _Boxes.build([region], [(np.array([-8.0, a]), np.array([8.0, b]))])
-        lo, hi, owner = _pencil_spans(imm, boxes, u1[:, None], np.zeros(len(u1), int))
+        imm = plane_chart([-8.0, a], [8.0, b])
+        regions = _Regions.build([ExtrinsicRegion(imm, 0.0, 1.0)])
+        lo, hi, owner = _pencil_spans(imm, regions, u1[:, None], np.zeros(len(u1), int))
         chords = np.bincount(owner, hi - lo, len(u1))
         assert chords == pytest.approx(2 * np.sqrt(1 - u1**2), rel=0, abs=1e-12)
 
@@ -347,16 +352,16 @@ def catalog_cylinder():
 )
 def test_region_integrals_match_one_at_a_time(make, jobs, method):
     # one pass over all jobs gives every job's value, error, cells and notes
-    # bit for bit as integrating it on its own
+    # bit for bit as integrating it on its own; an empty region gets value 0,
+    # error 0, no cells and no notes
     imm = make()
     jobs = jobs(imm)
     batched = region_integrals(imm, jobs)
     alone = [region_integral(imm, job.region, job.radial_fn, job.point_fn) for job in jobs]
     assert all(res.method == method for res in batched)
-    empty = [res.cells == 0 for res in batched]
-    assert any(empty) == (make is not s1_times_r2)
-    if method == "pencil":
-        assert [res.notes == ("region empty by sampling",) for res in batched] == empty
+    empty = [res for res in batched if res.cells == 0]
+    assert bool(empty) == (make is not s1_times_r2)
+    assert all((res.value, res.error, res.notes) == (0.0, 0.0, ()) for res in empty)
     assert batched == alone
 
 
@@ -412,13 +417,13 @@ def _counting(monkeypatch, name, record):
     monkeypatch.setattr(quadrature, name, wrapper)
 
 
-def test_psi_shells_share_one_bounds_sample_and_one_scan(monkeypatch):
+def test_psi_shells_draw_no_sample_and_share_one_scan(monkeypatch):
     imm = cylinder_chart()
     draws, scans, in_breaks = [], [], []
     _counting(monkeypatch, "sample_box", lambda chart, count, seed: draws.append(count))
     c = quadrature._euclidean_majorant(imm)
-    assert draws.count(2048) == 1  # the three balls of the majorant fit
-    # the shells of psi on 33 radii: one bounds sample, one top-level scan
+    assert draws == []  # the three balls of the majorant fit lie in the chart box
+    # the shells of psi on 33 radii: no sample, one top-level scan
     monkeypatch.setattr(quadrature, "_euclidean_majorant", lambda imm: c)
     breaks = quadrature._topology_breaks
 
@@ -436,9 +441,8 @@ def test_psi_shells_share_one_bounds_sample_and_one_scan(monkeypatch):
             scans.append(len(prefix))
 
     _counting(monkeypatch, "pencil_scan", scanned)
-    draws.clear()
     curve = psi(imm, 1.0, np.linspace(1.5, 0.7 * imm.properness_radius, 33))
-    assert draws.count(2048) == 1
+    assert draws == []
     assert scans == [257]
     assert np.all(curve.values > 0.0)
 
@@ -801,7 +805,7 @@ def test_scan_blocks_change_no_bit(monkeypatch):
     # split the topology-break grid, its bisection (the disk of the plane
     # chart is tangent to its pencils at u1 = +-1) and the innermost spans of
     # jobs sharing a box, and change no value, error or cell count
-    plane = replace(catalog("plane", n=2)[0], radial=None)
+    plane = plane_chart([-1.5, -1.5], [1.5, 1.5])
     cylinder = cylinder_chart()
     cases = [
         (plane, [RegionJob(ExtrinsicRegion(plane, 0.0, 1.0)),
@@ -809,10 +813,8 @@ def test_scan_blocks_change_no_bit(monkeypatch):
         (cylinder, _cylinder_jobs(cylinder)[-4:]),
     ]
     whole = [region_integrals(imm, jobs) for imm, jobs in cases]
-    breaks = _topology_breaks(
-        plane, _Boxes.build([job.region for job in cases[0][1]], [([-1.5, -1.5], [1.5, 1.5])] * 2),
-        np.empty((2, 0)), np.arange(2),
-    )
+    regions = _Regions.build([job.region for job in cases[0][1]])
+    breaks = _topology_breaks(plane, regions, np.empty((2, 0)), np.arange(2))
     assert len(breaks[0]) >= 4  # the bisection runs
     sizes = []
     _counting(monkeypatch, "pencil_scan", lambda imm, prefix, scan: sizes.append(len(prefix)))
